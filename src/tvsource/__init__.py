@@ -1,35 +1,4 @@
-"""TV-regularized reconstruction of elliptic PDE source terms from
-partial boundary observations, on structured triangular meshes."""
-
-from .fem_assembly import (CoefficientSet, NeumannData, assemble_boundary_mass,
-                           assemble_mass, assemble_stiffness, div_adjoint,
-                           elem_gradient, neumann_load)
-from .mesh import GammaSpec, TriMesh, build_structured, prolong_p0, prolong_p1
-from .pde_solvers import (DiscreteProblem, Observation, ProblemDef,
-                          compatibility_residual, solve_adjoint,
-                          solve_dirichlet, solve_state)
-from .primal_dual import (PdDriver, PdParams, PdState, StepCertificate,
-                          certify_steps, certify_steps_empirical,
-                          coercivity_c1, extrapolate, multilevel_run,
-                          params_for_level, run, smooth_operator_norm,
-                          trace_constant)
-from .sparse_linalg import (CgConvergenceError, SolveReport, cg_solve,
-                            grad_operator_norm)
-from .tv_calculus import (project_dual_ball, project_dual_ball_isotropic,
-                          subgradient_witness, tv_value)
+"""TV-regularized reconstruction of elliptic PDE source terms from partial
+boundary observations, on structured triangular meshes."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CoefficientSet", "NeumannData", "assemble_boundary_mass",
-    "assemble_mass", "assemble_stiffness", "div_adjoint", "elem_gradient",
-    "neumann_load", "GammaSpec", "TriMesh", "build_structured", "prolong_p0",
-    "prolong_p1", "DiscreteProblem", "Observation", "ProblemDef",
-    "compatibility_residual", "solve_adjoint", "solve_dirichlet",
-    "solve_state", "PdDriver", "PdParams", "PdState", "StepCertificate",
-    "certify_steps", "certify_steps_empirical", "coercivity_c1",
-    "extrapolate", "multilevel_run", "params_for_level", "run",
-    "smooth_operator_norm", "trace_constant", "CgConvergenceError",
-    "SolveReport", "cg_solve", "grad_operator_norm", "project_dual_ball",
-    "project_dual_ball_isotropic", "subgradient_witness", "tv_value",
-]

@@ -9,6 +9,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -21,7 +22,7 @@ from .experiment import (ExperimentConfig, build_benchmark_problem,
                          read_observation_csv, run_benchmark)
 from .mesh import build_structured
 from .pde_solvers import DiscreteProblem
-from .primal_dual import (PdParams, certify_steps, certify_steps_empirical,
+from .primal_dual import (certify_steps, certify_steps_empirical,
                           params_for_level)
 from .sparse_linalg import grad_operator_norm
 from .tv_calculus import gradient_pairing, subgradient_witness, tv_value
@@ -37,8 +38,10 @@ def _parse_box(text: str):
 
 
 def _add_common(p: argparse.ArgumentParser):
+    """Flags shared by bench and solve; each dest is an ExperimentConfig field."""
     p.add_argument("--gamma", choices=sorted(experiment.GAMMA_CASES),
-                   default=None, help="observed boundary sides")
+                   dest="gamma_case", default=None,
+                   help="observed boundary sides")
     p.add_argument("--tau", type=float, default=None, help="primal step size")
     p.add_argument("--theta", type=float, default=None, help="dual weight")
     p.add_argument("--rho-coef", type=float, default=None,
@@ -48,8 +51,10 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--isotropic-dual", action="store_true", default=None,
                    help="use the per-triangle Euclidean dual projection")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", choices=("csv", "vtk", "none"), default=None,
+    p.add_argument("--out", dest="out_dir", metavar="OUT", default=None,
+                   help="output directory")
+    p.add_argument("--format", choices=("csv", "vtk", "none"),
+                   dest="export_format", default=None,
                    help="field export format")
 
 
@@ -85,23 +90,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_bench(args) -> int:
-    overrides = dict(
-        levels=args.levels, gamma_case=args.gamma, seed=args.seed,
-        noise_coef=args.noise_coef, rho_coef=args.rho_coef, tau=args.tau,
-        theta=args.theta, max_iter=args.max_iter, box=args.box,
-        isotropic_dual=args.isotropic_dual,
-        record_b_norms=args.record_b_norms, truth_refine=args.truth_refine,
-        out_dir=args.out, export_format=args.format)
-    if args.config:
+def _config_from_args(args) -> ExperimentConfig:
+    """The ExperimentConfig defaults, then the --config file, then the flags.
+
+    A flag sets the config field named by its argparse dest; flags left
+    unset are None and change nothing.
+    """
+    overrides = {f.name: getattr(args, f.name, None)
+                 for f in dataclasses.fields(ExperimentConfig)}
+    if getattr(args, "config", None):
         config = ExperimentConfig.from_json(args.config, **overrides)
     else:
-        defaults = ExperimentConfig()
-        merged = {k: v for k, v in overrides.items() if v is not None}
-        config = ExperimentConfig(**{**defaults.__dict__, **merged})
-    if args.include_64 and args.levels is None:
-        config = ExperimentConfig(**{**config.__dict__,
-                                     "levels": (4, 8, 16, 32, 64)})
+        config = dataclasses.replace(
+            ExperimentConfig(),
+            **{k: v for k, v in overrides.items() if v is not None})
+    if getattr(args, "include_64", False) and args.levels is None:
+        config = dataclasses.replace(config, levels=(4, 8, 16, 32, 64))
+    return config
+
+
+def cmd_bench(args) -> int:
+    config = _config_from_args(args)
     try:
         records, runs = run_benchmark(config)
     except experiment.BenchmarkError as exc:
@@ -122,29 +131,21 @@ def cmd_bench(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    config = _config_from_args(args)
     level = args.level
-    box = args.box or (-1.0, 3.0)
-    prob, _ = build_benchmark_problem(level, args.gamma or "bottom", box)
-    dp = DiscreteProblem(prob)
+    prob, _ = build_benchmark_problem(level, config.gamma_case, config.box)
+    dp = DiscreteProblem(prob, cg_tol=config.cg_tol)
     z = read_observation_csv(args.observation, dp.mesh, prob.gamma)
-    kw = {"tau": args.tau if args.tau is not None else 5.0}
-    if args.theta is not None:
-        kw["theta"] = args.theta
-    if args.max_iter is not None:
-        kw["max_iter"] = args.max_iter
-    if args.isotropic_dual:
-        kw["isotropic_dual"] = True
-    params = params_for_level(dp.mesh.mesh_size,
-                              rho_coef=args.rho_coef or 1e-3, **kw)
+    params = config.level_params(dp.mesh.mesh_size)
     cert = certify_steps_empirical(params, dp)
-    f0, p0 = compatible_start(dp, box)
+    f0, p0 = compatible_start(dp)
     state = primal_dual.run(dp, z, params, f0=f0, p0=p0, certificate=cert)
-    out_dir = args.out or "results"
-    os.makedirs(out_dir, exist_ok=True)
-    fmt = args.format or "csv"
+    os.makedirs(config.out_dir, exist_ok=True)
+    fmt = config.export_format
     if fmt != "none":
         export_field(dp.mesh, state.f,
-                     os.path.join(out_dir, f"solve_level{level}_f.{fmt}"),
+                     os.path.join(config.out_dir,
+                                  f"solve_level{level}_f.{fmt}"),
                      fmt, name="reconstruction")
     print(f"stopped after {state.n} iterations, "
           f"final tolerance {state.final_tolerance:.4e}, "
@@ -177,7 +178,7 @@ def cmd_check(_args) -> int:
            gradient_pairing(mesh, f, p) <= tv + 1e-12)
 
     prob, f_truth = build_benchmark_problem(4)
-    dp = DiscreteProblem(prob)
+    dp = DiscreteProblem(prob, cg_tol=1e-12)
     params = params_for_level(dp.mesh.mesh_size)
     cert = certify_steps(params, dp.mesh, prob.coeffs.alpha_lower)
     report("step-size certificate holds at level 4",
@@ -188,9 +189,9 @@ def cmd_check(_args) -> int:
 
     xi = rng.standard_normal(dp.mesh.n_vertices)
     z = experiment.synthesize_observation(dp, f_truth, 0.0, 0)
-    u = dp.solve_state(f, tol=1e-12)
-    u_a = dp.solve_adjoint(u, z, tol=1e-12)
-    u_bar = dp.solve_source_part(xi, tol=1e-12)
+    u = dp.solve_state(f)
+    u_a = dp.solve_adjoint(u, z)
+    u_bar = dp.solve_source_part(xi)
     lhs = float((u - z.embed(dp.mesh.n_vertices)) @ (dp.M_gamma @ u_bar))
     rhs = dp.lumped_inner(xi, u_a)
     report("adjoint gradient identity",
@@ -207,9 +208,14 @@ def cmd_check(_args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; invalid input ends it with one line and code 2."""
     args = build_parser().parse_args(argv)
     handlers = {"bench": cmd_bench, "solve": cmd_solve, "check": cmd_check}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, OSError) as exc:
+        print(f"tvsource: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

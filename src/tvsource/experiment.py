@@ -18,9 +18,11 @@ import numpy as np
 
 from .fem_assembly import CoefficientSet, NeumannData, P1Field
 from .mesh import GammaSpec, TriMesh, build_structured
-from .pde_solvers import DiscreteProblem, Observation, ProblemDef, discretize
+from .pde_solvers import (DEFAULT_CG_TOL, DiscreteProblem, Observation,
+                          ProblemDef)
 from .primal_dual import (LevelRun, MultilevelError, PdParams, certify_steps,
-                          certify_steps_empirical, multilevel_run)
+                          certify_steps_empirical, multilevel_run,
+                          params_for_level)
 
 GAMMA_CASES = {
     "bottom": ("bottom",),
@@ -33,46 +35,43 @@ F_HIGH = 2.0 - math.pi / 8.0
 F_LOW = -math.pi / 8.0
 
 
-def in_square(x) -> bool:
-    return abs(x[0]) <= 0.5 and abs(x[1]) <= 0.5
+def in_square(x) -> np.ndarray:
+    return (np.abs(x[..., 0]) <= 0.5) & (np.abs(x[..., 1]) <= 0.5)
 
 
-def in_disk(x) -> bool:
-    return x[0] ** 2 + x[1] ** 2 <= 0.25
+def in_disk(x) -> np.ndarray:
+    return x[..., 0] ** 2 + x[..., 1] ** 2 <= 0.25
 
 
-def in_diamond(x) -> bool:
-    return abs(x[0]) + abs(x[1]) <= 0.5
+def in_diamond(x) -> np.ndarray:
+    return np.abs(x[..., 0]) + np.abs(x[..., 1]) <= 0.5
 
 
 def benchmark_alpha(x) -> np.ndarray:
-    """Symmetric diffusion matrix of the benchmark, evaluated at a point."""
-    a11 = 3.0 if in_square(x) else 1.0
-    a12 = 1.0 if in_diamond(x) else 0.0
-    a22 = 4.0 if in_disk(x) else 2.0
-    return np.array([[a11, a12], [a12, a22]])
+    """Symmetric diffusion matrices of the benchmark at points x (..., 2)."""
+    a11 = np.where(in_square(x), 3.0, 1.0)
+    a12 = np.where(in_diamond(x), 1.0, 0.0)
+    a22 = np.where(in_disk(x), 4.0, 2.0)
+    return np.stack([np.stack([a11, a12], axis=-1),
+                     np.stack([a12, a22], axis=-1)], axis=-2)
 
 
 def benchmark_truth(mesh: TriMesh) -> P1Field:
     """Nodal interpolant of the discontinuous truth source."""
-    inside = (mesh.vertices[:, 0] ** 2 + mesh.vertices[:, 1] ** 2) <= 0.25
-    return np.where(inside, F_HIGH, F_LOW)
+    return np.where(in_disk(mesh.vertices), F_HIGH, F_LOW)
 
 
 def benchmark_flux(mesh: TriMesh) -> NeumannData:
     """Piecewise-constant boundary flux, evaluated at edge midpoints."""
     mids = 0.5 * (mesh.vertices[mesh.boundary_edges[:, 0]]
                   + mesh.vertices[mesh.boundary_edges[:, 1]])
-    values = np.empty(len(mids))
-    for i, (side, (mx, my)) in enumerate(zip(mesh.edge_sides, mids)):
-        if side == "bottom":
-            values[i] = 1.0 if mx > 0 else -2.0
-        elif side == "top":
-            values[i] = 2.0 if mx > 0 else -1.0
-        elif side == "left":
-            values[i] = 3.0 if my <= 0 else -4.0
-        else:  # right
-            values[i] = -3.0 if my > 0 else 4.0
+    mx, my = mids[:, 0], mids[:, 1]
+    side = mesh.edge_sides
+    values = np.select(
+        [side == "bottom", side == "top", side == "left"],
+        [np.where(mx > 0, 1.0, -2.0), np.where(mx > 0, 2.0, -1.0),
+         np.where(my <= 0, 3.0, -4.0)],
+        np.where(my > 0, -3.0, 4.0))  # right
     return NeumannData(values)
 
 
@@ -87,7 +86,7 @@ def build_benchmark_problem(level: int, gamma_case: str = "bottom",
         raise ValueError(f"unknown gamma case {gamma_case!r}; "
                          f"choose from {sorted(GAMMA_CASES)}")
     mesh = build_structured(level)
-    alpha = np.stack([benchmark_alpha(x) for x in mesh.centroids])
+    alpha = benchmark_alpha(mesh.centroids)
     coeffs = CoefficientSet(alpha, np.zeros(mesh.n_triangles),
                             np.zeros(len(mesh.boundary_edges)),
                             alpha_lower=0.1)
@@ -105,7 +104,6 @@ def synthesize_observation(dp: DiscreteProblem, f_truth: P1Field,
     observation node in increasing node order, scaled by ``theta_level``.
     The recorded noise level is the boundary L2 norm of the perturbation.
     """
-    dp = discretize(dp)
     if u_truth is None:
         u_truth = dp.solve_state(f_truth)
     nodes = dp.gamma_nodes
@@ -142,12 +140,31 @@ class ExperimentConfig:
     truth_refine: bool = False     # synthesize data on a once-refined mesh
     out_dir: str = "results"
     export_format: str = "csv"     # csv | vtk | none
-    cg_tol: float = 1e-10
+    cg_tol: float = DEFAULT_CG_TOL
+
+    def __post_init__(self):
+        for name in ("rho_coef", "tau", "theta", "max_iter", "cg_tol"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not value > 0:
+                raise ValueError(
+                    f"{name} must be a positive number, got {value!r}")
+
+    def level_params(self, h: float) -> PdParams:
+        """Iteration parameters on a mesh of size h."""
+        return params_for_level(h, self.rho_coef, tau=self.tau,
+                                theta=self.theta, max_iter=self.max_iter,
+                                isotropic_dual=self.isotropic_dual,
+                                record_b_norms=self.record_b_norms)
 
     @staticmethod
     def from_json(path: str, **overrides) -> "ExperimentConfig":
         with open(path) as fh:
             data = json.load(fh)
+        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ValueError(f"unknown keys in config file {path}: "
+                             f"{', '.join(unknown)}")
         data.update({k: v for k, v in overrides.items() if v is not None})
         for key in ("levels", "box"):
             if key in data and isinstance(data[key], list):
@@ -193,10 +210,11 @@ class BenchmarkError(RuntimeError):
         self.records = records
 
 
-def _level_errors(run: LevelRun, f_truth: P1Field):
-    """Error columns: source error plus the two constrained-state errors."""
+def _level_errors(run: LevelRun, truth: tuple[P1Field, P1Field]):
+    """Source error and the two constrained-state errors against the level's
+    (truth source, truth state)."""
     dp = run.problem
-    u_truth = dp.solve_state(f_truth)
+    f_truth, u_truth = truth
     u_rec = dp.solve_state(run.state.f)
     bnodes = dp.mesh.boundary_nodes()
     bvals_dag = np.zeros(dp.mesh.n_vertices)
@@ -210,34 +228,35 @@ def _level_errors(run: LevelRun, f_truth: P1Field):
             dp.l2_norm(diff), dp.h1_norm(diff))
 
 
-def compatible_start(dp: DiscreteProblem, box):
+def compatible_start(dp: DiscreteProblem):
     """Constant start satisfying the flux compatibility constraint.
 
     The mean of the source is invisible to the deflated forward map, so the
     iteration preserves it; starting on the compatible slice (source mean =
     minus the total flux over the volume) is the only way the final mean
-    can be right.
+    can be right.  The constant is clamped to the problem's box.
     """
     c = -dp.b_flux.sum() / dp.domain_volume
-    f0 = np.full(dp.mesh.n_vertices, float(np.clip(c, *box)))
+    f0 = np.full(dp.mesh.n_vertices, float(np.clip(c, *dp.prob.box)))
     p0 = np.full((dp.mesh.n_triangles, 2), 0.5)
     return f0, p0
 
 
 def run_benchmark(config: ExperimentConfig):
     """Multilevel reconstruction over config.levels; returns records + runs."""
-    if not config.levels:
-        raise ValueError("config.levels must be nonempty")
-    truths: dict[int, P1Field] = {}
+    # level -> (truth source, its state), each solved once
+    truths: dict[int, tuple[P1Field, P1Field]] = {}
 
     def make_level(level):
         prob, f_truth = build_benchmark_problem(level, config.gamma_case,
                                                 config.box)
         dp = DiscreteProblem(prob, cg_tol=config.cg_tol)
-        truths[level] = f_truth
+        u_truth = dp.solve_state(f_truth)
+        truths[level] = (f_truth, u_truth)
         h = dp.mesh.mesh_size
-        rho = config.rho_coef * math.sqrt(h)
-        theta_l = config.noise_coef * h * math.sqrt(rho)
+        params = config.level_params(h)
+        theta_l = config.noise_coef * h * math.sqrt(params.rho)
+        u_observed = u_truth
         if config.truth_refine:
             fine_prob, fine_truth = build_benchmark_problem(
                 2 * level, config.gamma_case, config.box)
@@ -247,18 +266,10 @@ def run_benchmark(config: ExperimentConfig):
             nf = 2 * level + 1
             iy, ix = np.divmod(dp.gamma_nodes, level + 1)
             fine_nodes = 2 * iy * nf + 2 * ix
-            u_on_coarse = np.zeros(dp.mesh.n_vertices)
-            u_on_coarse[dp.gamma_nodes] = u_fine[fine_nodes]
-            z = synthesize_observation(dp, f_truth, theta_l,
-                                       [config.seed, level],
-                                       u_truth=u_on_coarse)
-        else:
-            z = synthesize_observation(dp, f_truth, theta_l,
-                                       [config.seed, level])
-        params = PdParams(rho=rho, tau=config.tau, theta=config.theta,
-                          max_iter=config.max_iter,
-                          isotropic_dual=config.isotropic_dual,
-                          record_b_norms=config.record_b_norms)
+            u_observed = np.zeros(dp.mesh.n_vertices)
+            u_observed[dp.gamma_nodes] = u_fine[fine_nodes]
+        z = synthesize_observation(dp, f_truth, theta_l, [config.seed, level],
+                                   u_truth=u_observed)
         return dp, z, params
 
     if config.certify == "empirical":
@@ -266,17 +277,13 @@ def run_benchmark(config: ExperimentConfig):
     elif config.certify == "analytic":
         certifier = (lambda params, dp:
                      certify_steps(params, dp.mesh,
-                                   dp.prob.coeffs.alpha_lower, dp.mesh.box))
+                                   dp.prob.coeffs.alpha_lower))
     else:
         raise ValueError(f"unknown certify mode {config.certify!r}")
 
-    first_prob, _ = build_benchmark_problem(config.levels[0],
-                                            config.gamma_case, config.box)
-    first_dp = DiscreteProblem(first_prob, cg_tol=config.cg_tol)
-    initial = compatible_start(first_dp, config.box)
     try:
         runs = multilevel_run(config.levels, make_level, certifier=certifier,
-                              initial=initial)
+                              initial=compatible_start)
     except MultilevelError as exc:
         records = _records_for(exc.completed, truths)
         raise BenchmarkError(str(exc), records) from exc
@@ -400,21 +407,37 @@ def write_observation_csv(mesh: TriMesh, z: Observation, path: str):
 
 def read_observation_csv(path: str, mesh: TriMesh,
                          gamma: GammaSpec) -> Observation:
-    """Match observation rows to mesh nodes on the observed sides."""
+    """Match observation rows to mesh nodes on the observed sides.
+
+    Each row's point is rounded to its structured-grid node, which must lie
+    on the observed sides within 1e-8 h; every such node must appear exactly
+    once, and every entry must be finite.
+    """
     nodes = mesh.side_nodes(gamma.sides)
-    coords = mesh.vertices[nodes]
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] != nodes.shape[0]:
+    if data.shape != (nodes.shape[0], 3):
         raise ValueError(
-            f"observation file has {data.shape[0]} rows, expected "
-            f"{nodes.shape[0]} boundary nodes")
+            f"observation file has {data.shape[0]} rows of {data.shape[1]} "
+            f"columns, expected {nodes.shape[0]} boundary nodes of 3")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"observation file {path} holds non-finite entries")
+    lv = mesh.level
+    # vertex (ix, iy) has index iy * (lv + 1) + ix, see build_structured
+    grid = [np.clip(np.rint((data[:, k] - a) / (b - a) * lv), 0, lv)
+            .astype(np.int64) for k, (a, b) in enumerate(mesh.box)]
+    idx = grid[1] * (lv + 1) + grid[0]
+    pos = np.minimum(np.searchsorted(nodes, idx), nodes.shape[0] - 1)
+    dist = np.hypot(*(mesh.vertices[idx] - data[:, :2]).T)
+    unmatched = (nodes[pos] != idx) | (dist > 1e-8 * mesh.mesh_size)
+    if np.any(unmatched):
+        x, y = data[np.argmax(unmatched), :2]
+        raise ValueError(f"observation point ({x}, {y}) matches no "
+                         "node on the observed boundary")
+    counts = np.bincount(pos, minlength=nodes.shape[0])
+    if np.any(counts > 1):
+        x, y = mesh.vertices[nodes[np.argmax(counts > 1)]]
+        raise ValueError(f"observation file lists node ({x}, {y}) "
+                         "more than once")
     values = np.empty(nodes.shape[0])
-    tol = 1e-8 * mesh.mesh_size
-    for x, y, v in data:
-        dist = np.hypot(coords[:, 0] - x, coords[:, 1] - y)
-        k = int(np.argmin(dist))
-        if dist[k] > tol:
-            raise ValueError(f"observation point ({x}, {y}) matches no "
-                             "node on the observed boundary")
-        values[k] = v
+    values[pos] = data[:, 2]
     return Observation(nodes, values)

@@ -84,21 +84,6 @@ def unit_coefficients(mesh: TriMesh) -> CoefficientSet:
                           np.zeros(len(mesh.boundary_edges)), 1.0)
 
 
-def coefficients_from_functions(mesh: TriMesh, alpha_fn, beta_fn=None,
-                                sigma_fn=None, alpha_lower: float = 1.0
-                                ) -> CoefficientSet:
-    """Sample coefficient formulas at triangle centroids / edge midpoints."""
-    cen = mesh.centroids
-    alpha = np.stack([alpha_fn(x) for x in cen])
-    beta = (np.array([beta_fn(x) for x in cen])
-            if beta_fn else np.zeros(mesh.n_triangles))
-    mids = 0.5 * (mesh.vertices[mesh.boundary_edges[:, 0]]
-                  + mesh.vertices[mesh.boundary_edges[:, 1]])
-    sigma = (np.array([sigma_fn(x) for x in mids])
-             if sigma_fn else np.zeros(len(mesh.boundary_edges)))
-    return CoefficientSet(alpha, beta, sigma, alpha_lower)
-
-
 def _assemble_from_blocks(n, conn, blocks) -> csr_matrix:
     k = conn.shape[1]
     rows = np.repeat(conn, k, axis=1).ravel()

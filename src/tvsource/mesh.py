@@ -118,32 +118,23 @@ def build_structured(level: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> TriMesh:
     xx, yy = np.meshgrid(xs, ys)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(ix, iy):
-        return iy * n + ix
+    # vertex (ix, iy) has index iy * n + ix; cells run row by row
+    iy, ix = np.divmod(np.arange(level * level, dtype=np.int64), level)
+    bl = iy * n + ix
+    br, tl, tr = bl + 1, bl + n, bl + n + 1
+    # lower triangle of the cell, then the upper one
+    triangles = np.stack([bl, br, tr, bl, tr, tl], axis=1).reshape(-1, 3)
 
-    tris = []
-    for iy in range(level):
-        for ix in range(level):
-            bl, br = vid(ix, iy), vid(ix + 1, iy)
-            tl, tr = vid(ix, iy + 1), vid(ix + 1, iy + 1)
-            tris.append((bl, br, tr))  # lower triangle of the cell
-            tris.append((bl, tr, tl))  # upper triangle
-    triangles = np.asarray(tris, dtype=np.int64)
-
-    edges, sides = [], []
-    for i in range(level):
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        sides.append("bottom")
-        edges.append((vid(i, level), vid(i + 1, level)))
-        sides.append("top")
-        edges.append((vid(0, i), vid(0, i + 1)))
-        sides.append("left")
-        edges.append((vid(level, i), vid(level, i + 1)))
-        sides.append("right")
-    boundary_edges = np.asarray(edges, dtype=np.int64)
+    # edge i of each side, in the order SIDE_TAGS, for i = 0 .. level-1
+    i = np.arange(level, dtype=np.int64)
+    top = level * n
+    boundary_edges = np.stack([i, i + 1, top + i, top + i + 1,
+                               i * n, (i + 1) * n,
+                               i * n + level, (i + 1) * n + level],
+                              axis=1).reshape(-1, 2)
     evec = vertices[boundary_edges[:, 1]] - vertices[boundary_edges[:, 0]]
     edge_lengths = np.hypot(evec[:, 0], evec[:, 1])
-    edge_sides = np.asarray(sides)
+    edge_sides = np.tile(np.asarray(SIDE_TAGS), level)
 
     areas, grads = _triangle_geometry(vertices, triangles)
     if np.any(areas <= 0):

@@ -42,10 +42,6 @@ class ProblemDef:
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"invalid box bounds {self.box}")
 
-    @property
-    def pure_neumann(self) -> bool:
-        return self.coeffs.is_pure_neumann
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -74,7 +70,7 @@ class DiscreteProblem:
         self.M_gamma = assemble_boundary_mass(prob.mesh, prob.gamma)
         self.gamma_nodes = prob.mesh.side_nodes(prob.gamma.sides)
         self.b_flux = neumann_load(prob.mesh, prob.neumann)
-        self.pure_neumann = prob.pure_neumann
+        self.pure_neumann = prob.coeffs.is_pure_neumann
         self.domain_volume = float(self.w.sum())
         self._K_unit = None
 
@@ -101,8 +97,8 @@ class DiscreteProblem:
 
     # -- solves ------------------------------------------------------------
 
-    def _solve(self, rhs, tol, x0):
-        x, _ = cg_solve(self.A, rhs, tol=tol or self.cg_tol,
+    def _solve(self, rhs, x0=None):
+        x, _ = cg_solve(self.A, rhs, tol=self.cg_tol,
                         deflate_mean=self.pure_neumann,
                         lumped_weights=self.w if self.pure_neumann else None,
                         x0=x0)
@@ -112,43 +108,39 @@ class DiscreteProblem:
         """Volume integral of the source plus the total boundary flux."""
         return float(self.w @ f + self.b_flux.sum())
 
-    def solve_state(self, f: P1Field, tol: float | None = None,
-                    x0: np.ndarray | None = None,
+    def solve_state(self, f: P1Field, x0: np.ndarray | None = None,
                     require_compatible: bool = False) -> P1Field:
         """Solution of the variational problem with source f and the flux data.
 
         In the pure-Neumann case the load is deflated and the zero-mean
         representative is returned; with ``require_compatible`` the solve is
-        rejected instead when the compatibility defect exceeds 1e-8 of the
+        rejected instead when the compatibility residual exceeds 1e-8 of the
         load norm.
         """
         rhs = self.w * f + self.b_flux
         if require_compatible and self.pure_neumann:
-            defect = abs(rhs.sum())
+            defect = abs(self.compatibility_residual(f))
             if defect > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
                 raise ValueError(
                     f"incompatible source/flux pair: defect {defect:.3e}")
-        return self._solve(rhs, tol, x0)
+        return self._solve(rhs, x0)
 
-    def solve_source_part(self, f: P1Field, tol: float | None = None,
-                          x0: np.ndarray | None = None) -> P1Field:
+    def solve_source_part(self, f: P1Field) -> P1Field:
         """State with source f and zero flux (the linear part of the map)."""
-        return self._solve(self.w * f, tol, x0)
+        return self._solve(self.w * f)
 
     def solve_adjoint(self, u_state: P1Field, z: Observation,
-                      tol: float | None = None,
                       x0: np.ndarray | None = None) -> P1Field:
         """Adjoint state loaded by the data misfit on the observed boundary."""
         rhs = self.M_gamma @ (u_state - z.embed(self.mesh.n_vertices))
-        return self._solve(rhs, tol, x0)
+        return self._solve(rhs, x0)
 
-    def solve_gamma_loaded(self, g: P1Field, tol: float | None = None,
-                           x0: np.ndarray | None = None) -> P1Field:
+    def solve_gamma_loaded(self, g: P1Field) -> P1Field:
         """Solve with boundary load (g, .) over the observed sides."""
-        return self._solve(self.M_gamma @ g, tol, x0)
+        return self._solve(self.M_gamma @ g)
 
-    def solve_dirichlet(self, f: P1Field, boundary_values: np.ndarray,
-                        tol: float | None = None) -> P1Field:
+    def solve_dirichlet(self, f: P1Field,
+                        boundary_values: np.ndarray) -> P1Field:
         """Constrained solve: boundary nodes pinned to the given values.
 
         ``boundary_values`` is a full nodal vector whose entries at boundary
@@ -161,29 +153,9 @@ class DiscreteProblem:
         u[bnodes] = boundary_values[bnodes]
         rhs = self.w * f - self.A @ u
         A_ii = self.A[interior][:, interior].tocsr()
-        x, _ = cg_solve(A_ii, rhs[interior], tol=tol or self.cg_tol)
+        x, _ = cg_solve(A_ii, rhs[interior], tol=self.cg_tol)
         u[interior] = x
         return u
-
-
-def discretize(prob) -> DiscreteProblem:
-    return prob if isinstance(prob, DiscreteProblem) else DiscreteProblem(prob)
-
-
-def solve_state(prob, f, tol=None, **kw) -> P1Field:
-    return discretize(prob).solve_state(f, tol, **kw)
-
-
-def solve_adjoint(prob, u_state, z, tol=None) -> P1Field:
-    return discretize(prob).solve_adjoint(u_state, z, tol)
-
-
-def solve_dirichlet(prob, f, boundary_values, tol=None) -> P1Field:
-    return discretize(prob).solve_dirichlet(f, boundary_values, tol)
-
-
-def compatibility_residual(prob, f) -> float:
-    return discretize(prob).compatibility_residual(f)
 
 
 def misfit(dp: DiscreteProblem, u_state: P1Field, z: Observation) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fem_assembly import P0VecField, P1Field, div_adjoint, elem_gradient
 from .mesh import TriMesh, prolong_p0, prolong_p1
-from .pde_solvers import DiscreteProblem, Observation, discretize, misfit
+from .pde_solvers import DiscreteProblem, Observation, misfit
 from .sparse_linalg import CgConvergenceError, grad_operator_norm
 from .tv_calculus import (project_dual_ball, project_dual_ball_isotropic,
                           tv_value)
@@ -31,18 +31,12 @@ from .tv_calculus import (project_dual_ball, project_dual_ball_isotropic,
 
 @dataclass(frozen=True)
 class PdParams:
-    """Step sizes and run controls.
-
-    tol1/tol2 are the stopping-rule offsets; when left unset they default
-    to 1e-5*sqrt(h) and 1e-4*sqrt(h) for the mesh at hand.
-    """
+    """Step sizes and run controls."""
 
     rho: float
     tau: float = 2e-4
     theta: float = 5e-2
     max_iter: int = 600
-    tol1: float | None = None
-    tol2: float | None = None
     isotropic_dual: bool = False
     record_b_norms: bool = False
 
@@ -55,9 +49,8 @@ class PdParams:
             raise ValueError("max_iter must be at least 1")
 
     def stopping_offsets(self, h: float) -> tuple[float, float]:
-        t1 = self.tol1 if self.tol1 is not None else 1e-5 * math.sqrt(h)
-        t2 = self.tol2 if self.tol2 is not None else 1e-4 * math.sqrt(h)
-        return t1, t2
+        """Offsets t1, t2 of the stopping rule on a mesh of size h."""
+        return 1e-5 * math.sqrt(h), 1e-4 * math.sqrt(h)
 
 
 def params_for_level(h: float, rho_coef: float = 1e-3, **kwargs) -> PdParams:
@@ -106,21 +99,28 @@ def trace_constant(box_bounds) -> float:
     return math.sqrt((len(box) + hbar**2) / hlow)
 
 
-def certify_steps(params: PdParams, mesh: TriMesh, alpha_lower: float,
-                  domain_box=None) -> StepCertificate:
-    """Evaluate the step-size condition with the analytic worst-case bound."""
-    if domain_box is None:
-        domain_box = mesh.box
+def _certificate(params: PdParams, mesh: TriMesh, alpha_lower: float,
+                 smooth_bound: float | None) -> StepCertificate:
+    """Evaluate the step-size condition on the mesh's domain box.
+
+    ``smooth_bound`` is s; None takes the analytic worst case c_gamma^2/c1^2.
+    """
     volume = 1.0
-    for a, b in domain_box:
+    for a, b in mesh.box:
         volume *= (b - a)
-    c1 = coercivity_c1(alpha_lower, len(domain_box), volume)
-    cg = trace_constant(domain_box)
+    c1 = coercivity_c1(alpha_lower, len(mesh.box), volume)
+    cg = trace_constant(mesh.box)
     gnorm = grad_operator_norm(mesh)
-    s = cg**2 / c1**2
+    s = cg**2 / c1**2 if smooth_bound is None else smooth_bound
     lhs = (1.0 / params.tau - s) * (params.theta / params.tau)
     rhs = params.rho**2 * gnorm**2
     return StepCertificate(c1, cg, gnorm, s, lhs, rhs, lhs > rhs)
+
+
+def certify_steps(params: PdParams, mesh: TriMesh,
+                  alpha_lower: float) -> StepCertificate:
+    """Evaluate the step-size condition with the analytic worst-case bound."""
+    return _certificate(params, mesh, alpha_lower, None)
 
 
 def smooth_operator_norm(dp, tol: float = 1e-3, max_iter: int = 200) -> float:
@@ -149,29 +149,18 @@ def smooth_operator_norm(dp, tol: float = 1e-3, max_iter: int = 200) -> float:
     return s_prev
 
 
-def certify_steps_empirical(params: PdParams, dp,
-                            safety: float = 1.2) -> StepCertificate:
+def certify_steps_empirical(params: PdParams,
+                            dp: DiscreteProblem) -> StepCertificate:
     """Step-size certificate using the computed smooth-operator norm.
 
     The analytic constants are pessimistic by orders of magnitude here, so
     they force uselessly small steps; the computed bound (inflated by the
-    safety factor) certifies practical step sizes while keeping every
-    monotonicity guarantee of the iteration.
+    safety factor 1.2, which covers the power iteration's underestimate)
+    certifies practical step sizes while keeping every monotonicity
+    guarantee of the iteration.
     """
-    from .pde_solvers import discretize
-
-    dp = discretize(dp)
-    domain_box = dp.mesh.box
-    volume = 1.0
-    for a, b in domain_box:
-        volume *= (b - a)
-    c1 = coercivity_c1(dp.prob.coeffs.alpha_lower, len(domain_box), volume)
-    cg = trace_constant(domain_box)
-    gnorm = grad_operator_norm(dp.mesh)
-    s = safety * smooth_operator_norm(dp)
-    lhs = (1.0 / params.tau - s) * (params.theta / params.tau)
-    rhs = params.rho**2 * gnorm**2
-    return StepCertificate(c1, cg, gnorm, s, lhs, rhs, lhs > rhs)
+    return _certificate(params, dp.mesh, dp.prob.coeffs.alpha_lower,
+                        1.2 * smooth_operator_norm(dp))
 
 
 @dataclass
@@ -205,16 +194,15 @@ def extrapolate(f_new: P1Field, f_old: P1Field) -> P1Field:
 class PdDriver:
     """Primal-dual iteration bound to one assembled problem."""
 
-    def __init__(self, prob, params: PdParams,
+    def __init__(self, dp: DiscreteProblem, params: PdParams,
                  certificate: StepCertificate | None = None,
                  allow_uncertified: bool = False):
-        self.dp = discretize(prob)
+        self.dp = dp
         self.params = params
         self.box = self.dp.prob.box
         if certificate is None:
             certificate = certify_steps(params, self.dp.mesh,
-                                        self.dp.prob.coeffs.alpha_lower,
-                                        self.dp.mesh.box)
+                                        self.dp.prob.coeffs.alpha_lower)
         self.certificate = certificate
         if not certificate.valid and not allow_uncertified:
             raise ValueError(
@@ -222,6 +210,7 @@ class PdDriver:
                 f"<= rhs {certificate.rhs:.6g}; decrease tau or rho")
         self._project_dual = (project_dual_ball_isotropic
                               if params.isotropic_dual else project_dual_ball)
+        self._t1, self._t2 = params.stopping_offsets(self.dp.mesh.mesh_size)
 
     # -- single updates ------------------------------------------------------
 
@@ -243,32 +232,33 @@ class PdDriver:
         return self._project_dual(p + scale * elem_gradient(self.dp.mesh,
                                                             f_tilde))
 
-    def projected_gradient(self, f: P1Field, p: P0VecField,
-                           u_adjoint: P1Field) -> np.ndarray:
-        """Fixed-point residual (f - primal_step(f)) / tau of the iteration."""
-        return (f - self.primal_step(f, p, u_adjoint)) / self.params.tau
+    def stopping_value(self, f: P1Field, f_next: P1Field,
+                       g0_norm: float | None = None) -> tuple[float, float]:
+        """Stopping functional at f, given its primal step f_next.
 
-    def tolerance(self, f: P1Field, p: P0VecField, u_adjoint: P1Field,
-                  g0_norm: float) -> float:
-        """Stopping functional: residual norm minus the run's offsets."""
-        t1, t2 = self.params.stopping_offsets(self.dp.mesh.mesh_size)
-        gnorm = self.dp.lumped_norm(self.projected_gradient(f, p, u_adjoint))
-        return gnorm - t1 - t2 * g0_norm
+        The lumped norm of the fixed-point residual (f - f_next) / tau minus
+        the offsets t1 and t2 * g0_norm, where g0_norm is that norm at the
+        run's first iterate (this one, when None).  Returns the value and
+        g0_norm.
+        """
+        g_norm = self.dp.lumped_norm((f - f_next) / self.params.tau)
+        if g0_norm is None:
+            g0_norm = g_norm
+        return g_norm - self._t1 - self._t2 * g0_norm, g0_norm
 
     def objective(self, f: P1Field, u_state: P1Field, z: Observation) -> float:
         return misfit(self.dp, u_state, z) + self.params.rho * tv_value(
             self.dp.mesh, f)
 
-    def b_norm_sq(self, delta_f: P1Field, delta_p: P0VecField,
-                  tol: float | None = None) -> float:
+    def b_norm_sq(self, delta_f: P1Field, delta_p: P0VecField) -> float:
         """Squared preconditioner norm of an iterate difference.
 
         Combines the two proximal metrics with the smooth coupling term; a
         negative value beyond round-off means the certificate is violated.
         """
         dp, prm = self.dp, self.params
-        u_bar = dp.solve_source_part(delta_f, tol)
-        u_bar_a = dp.solve_gamma_loaded(u_bar, tol)
+        u_bar = dp.solve_source_part(delta_f)
+        u_bar_a = dp.solve_gamma_loaded(u_bar)
         t_f = dp.lumped_inner(delta_f, delta_f) / prm.tau
         t_smooth = dp.lumped_inner(delta_f, u_bar_a)
         grad_df = elem_gradient(dp.mesh, delta_f)
@@ -286,60 +276,51 @@ class PdDriver:
 
     # -- full run --------------------------------------------------------------
 
-    def default_start(self):
-        lo, hi = self.box
-        f0 = np.clip(np.ones(self.dp.mesh.n_vertices), lo, hi)
-        p0 = np.full((self.dp.mesh.n_triangles, 2), 0.5)
-        return f0, p0
-
     def run(self, z: Observation, f0: P1Field | None = None,
             p0: P0VecField | None = None, on_iteration=None) -> PdState:
         """Iterate until the stopping functional is nonpositive or max_iter.
 
         The history carries the objective and stopping value at every
         visited iterate, and (when enabled) the preconditioner norm of each
-        step taken.
+        step taken.  The start defaults to f = 1 (clamped to the box) and
+        p = 0.5.
         """
         dp, prm = self.dp, self.params
         lo, hi = self.box
-        if f0 is None or p0 is None:
-            df0, dp0 = self.default_start()
-            f0 = df0 if f0 is None else f0
-            p0 = dp0 if p0 is None else p0
+        if f0 is None:
+            f0 = np.ones(dp.mesh.n_vertices)
+        if p0 is None:
+            p0 = np.full((dp.mesh.n_triangles, 2), 0.5)
         f = np.clip(np.asarray(f0, dtype=float), lo, hi)
         p = self._project_dual(np.asarray(p0, dtype=float))
         state = PdState(f=f, p=p, n=0)
 
         u = dp.solve_state(f)
-        u_a_prev = None
-        g0_norm = None
+        u_a = g0_norm = None
         for n in range(prm.max_iter + 1):
             try:
-                u_a = dp.solve_adjoint(u, z, x0=u_a_prev)
+                u_a = dp.solve_adjoint(u, z, x0=u_a)
             except CgConvergenceError as exc:
                 raise CgConvergenceError(
                     f"adjoint solve failed at iteration {n}: {exc}",
                     exc.report) from exc
-            u_a_prev = u_a
             f_next = self.primal_step(f, p, u_a)
-            g_norm = dp.lumped_norm((f - f_next) / prm.tau)
-            if g0_norm is None:
-                g0_norm = g_norm
-            t1, t2 = prm.stopping_offsets(dp.mesh.mesh_size)
-            tol_val = g_norm - t1 - t2 * g0_norm
+            tol_val, g0_norm = self.stopping_value(f, f_next, g0_norm)
             record = IterationRecord(n, self.objective(f, u, z), tol_val)
             state.history.append(record)
             if on_iteration is not None:
                 on_iteration(n, f, p, u, u_a)
             if tol_val <= 0.0 or n == prm.max_iter:
-                state.f, state.p, state.n = f, p, n
-                state.stopped_by_tolerance = tol_val <= 0.0
-                return state
+                break
 
             f_tilde = extrapolate(f_next, f)
             p_next = self.dual_step(p, f_tilde)
-            assert np.all(f_next >= lo) and np.all(f_next <= hi)
-            assert np.max(np.abs(p_next)) <= 1.0 + 1e-15
+            if not (np.all(f_next >= lo) and np.all(f_next <= hi)):
+                raise RuntimeError(
+                    f"primal iterate left the box at iteration {n + 1}")
+            if not np.max(np.abs(p_next)) <= 1.0 + 1e-15:
+                raise RuntimeError(
+                    f"dual iterate left the unit ball at iteration {n + 1}")
             if prm.record_b_norms:
                 record.step_b_norm_sq = self.b_norm_sq(f_next - f, p_next - p)
             f, p = f_next, p_next
@@ -349,13 +330,15 @@ class PdDriver:
                 raise CgConvergenceError(
                     f"state solve failed at iteration {n + 1}: {exc}",
                     exc.report) from exc
-        raise AssertionError("unreachable")
+        state.f, state.p, state.n = f, p, n
+        state.stopped_by_tolerance = tol_val <= 0.0
+        return state
 
 
-def run(prob, z: Observation, params: PdParams, f0=None, p0=None,
-        certificate: StepCertificate | None = None,
+def run(dp: DiscreteProblem, z: Observation, params: PdParams, f0=None,
+        p0=None, certificate: StepCertificate | None = None,
         allow_uncertified: bool = False, on_iteration=None) -> PdState:
-    driver = PdDriver(prob, params, certificate, allow_uncertified)
+    driver = PdDriver(dp, params, certificate, allow_uncertified)
     return driver.run(z, f0, p0, on_iteration)
 
 
@@ -386,8 +369,8 @@ def multilevel_run(levels, make_level, certifier=None, initial=None,
     maps a level to a (problem, observation, params) triple; the final
     iterate pair of each level is interpolated onto the next mesh as its
     starting point.  ``certifier(params, problem)`` may supply the step-size
-    certificate (defaults to the analytic one); ``initial`` optionally sets
-    the first level's (f0, p0).
+    certificate (defaults to the analytic one); ``initial(problem)``
+    optionally gives the first level's (f0, p0).
     """
     levels = list(levels)
     if not levels:
@@ -399,13 +382,12 @@ def multilevel_run(levels, make_level, certifier=None, initial=None,
     prev = None
     for level in levels:
         try:
-            prob, z, params = make_level(level)
-            dp = discretize(prob)
+            dp, z, params = make_level(level)
             if prev is not None:
                 f0 = prolong_p1(prev.state.f, prev.problem.mesh, dp.mesh)
                 p0 = prolong_p0(prev.state.p, prev.problem.mesh, dp.mesh)
             elif initial is not None:
-                f0, p0 = initial
+                f0, p0 = initial(dp)
             else:
                 f0 = p0 = None
             certificate = certifier(params, dp) if certifier else None

@@ -32,8 +32,7 @@ class CgConvergenceError(RuntimeError):
 def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
              max_iter: int | None = None, deflate_mean: bool = False,
              lumped_weights: np.ndarray | None = None,
-             x0: np.ndarray | None = None,
-             compat_tol: float | None = None):
+             x0: np.ndarray | None = None):
     """Solve the SPD (or mean-deflated semi-definite) system A x = b.
 
     Parameters
@@ -48,8 +47,6 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
     lumped_weights : positive weights defining the mean (required when
         deflating); the returned x satisfies sum(w*x) = 0.
     x0 : optional initial guess.
-    compat_tol : when set together with ``deflate_mean``, reject loads whose
-        incompatibility |sum(b)| exceeds compat_tol * ||b||.
 
     Returns
     -------
@@ -58,7 +55,6 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
     Raises
     ------
     CgConvergenceError if the tolerance is not met within max_iter.
-    ValueError for incompatible loads under ``compat_tol``.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -70,15 +66,8 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
         if lumped_weights is None:
             raise ValueError("deflate_mean requires lumped_weights")
         w = np.asarray(lumped_weights, dtype=float)
-        wsum = w.sum()
-        defect = b.sum()
-        bnorm0 = np.linalg.norm(b)
-        if compat_tol is not None and abs(defect) > compat_tol * max(bnorm0, 1e-300):
-            raise ValueError(
-                f"incompatible load: |sum(b)| = {abs(defect):.3e} exceeds "
-                f"{compat_tol:.1e} * ||b|| = {compat_tol * bnorm0:.3e}")
         # shift the load into range(A): subtract its weighted-mean source
-        b = b - (defect / wsum) * w
+        b = b - (b.sum() / w.sum()) * w
 
     def recenter(x):
         if w is not None:

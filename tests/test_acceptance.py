@@ -101,7 +101,7 @@ def test_criterion_4_algorithm_rate():
                       max_iter=600, record_b_norms=True)
     cert = certify_steps_empirical(params, dp)
     driver = PdDriver(dp, params, certificate=cert)
-    f0, p0 = compatible_start(dp, dp.prob.box)
+    f0, p0 = compatible_start(dp)
     state = driver.run(z, f0=f0, p0=p0)
     bn = np.array([r.step_b_norm_sq for r in state.history
                    if r.step_b_norm_sq is not None])

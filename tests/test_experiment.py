@@ -166,6 +166,42 @@ class TestExports:
         assert np.array_equal(back.nodes, z.nodes)
         assert np.array_equal(back.values, z.values)
 
+    @staticmethod
+    def _edited_observation(tmp_path, edit):
+        dp, f_truth = benchmark_dp(4)
+        z = synthesize_observation(dp, f_truth, 1e-2, 5)
+        path = tmp_path / "obs.csv"
+        write_observation_csv(dp.mesh, z, str(path))
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return str(path), dp
+
+    def test_observation_duplicate_node_rejected(self, tmp_path):
+        def repeat_first_row(lines):
+            lines[2] = lines[1]
+
+        path, dp = self._edited_observation(tmp_path, repeat_first_row)
+        with pytest.raises(ValueError, match="more than once"):
+            read_observation_csv(path, dp.mesh, dp.prob.gamma)
+
+    def test_observation_non_finite_value_rejected(self, tmp_path):
+        def nan_value(lines):
+            lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+
+        path, dp = self._edited_observation(tmp_path, nan_value)
+        with pytest.raises(ValueError, match="non-finite"):
+            read_observation_csv(path, dp.mesh, dp.prob.gamma)
+
+    def test_observation_off_boundary_point_rejected(self, tmp_path):
+        def move_to_interior(lines):
+            _, _, value = lines[2].split(",")
+            lines[2] = f"0.0,0.0,{value}"
+
+        path, dp = self._edited_observation(tmp_path, move_to_interior)
+        with pytest.raises(ValueError, match="matches no node"):
+            read_observation_csv(path, dp.mesh, dp.prob.gamma)
+
 
 class TestConfig:
     def test_json_roundtrip_with_overrides(self, tmp_path):
@@ -176,6 +212,19 @@ class TestConfig:
         assert loaded.levels == (4, 8)
         assert loaded.tau == 2.5
         assert loaded.seed == 9
+
+    def test_unknown_keys_named(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"levels": [4], "tua": 1.0, "sed": 2}))
+        with pytest.raises(ValueError, match="unknown keys.*sed, tua"):
+            ExperimentConfig.from_json(str(path))
+
+    def test_nonpositive_knobs_rejected(self):
+        for name in ("rho_coef", "tau", "theta", "max_iter", "cg_tol"):
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig(**{name: 0})
+        with pytest.raises(ValueError, match="rho_coef"):
+            ExperimentConfig(rho_coef="1e-3")
 
     def test_empty_levels_rejected(self):
         with pytest.raises(ValueError):
@@ -261,6 +310,35 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["bench", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "r" / "table.csv").exists()
+
+    @pytest.mark.parametrize("case", ["solve_rho_zero", "solve_rho_negative",
+                                      "bench_rho_zero",
+                                      "bench_config_unknown_key"])
+    def test_invalid_input_one_line_exit_2(self, tmp_path, capsys, case):
+        dp, f_truth = benchmark_dp(4)
+        obs = tmp_path / "obs.csv"
+        write_observation_csv(dp.mesh,
+                              synthesize_observation(dp, f_truth, 0.0, 0),
+                              str(obs))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"levels": [4], "rho": 1e-3}))
+        out = str(tmp_path / "out")
+        argv = {
+            "solve_rho_zero": ["solve", str(obs), "--level", "4",
+                               "--rho-coef", "0", "--out", out],
+            "solve_rho_negative": ["solve", str(obs), "--level", "4",
+                                   "--rho-coef", "-1", "--out", out],
+            "bench_rho_zero": ["bench", "--levels", "4", "--rho-coef", "0",
+                               "--out", out],
+            "bench_config_unknown_key": ["bench", "--config", str(cfg),
+                                         "--out", out],
+        }[case]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("tvsource: error: ")
+        assert ("rho" in lines[0]) and captured.out == ""
+        assert not os.path.exists(out)
 
     def test_solve_from_observation_file(self, tmp_path, capsys):
         dp, f_truth = benchmark_dp(4)

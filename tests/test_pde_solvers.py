@@ -6,8 +6,7 @@ import pytest
 from tvsource.experiment import build_benchmark_problem, synthesize_observation
 from tvsource.fem_assembly import CoefficientSet, NeumannData, unit_coefficients
 from tvsource.mesh import GammaSpec, build_structured
-from tvsource.pde_solvers import (DiscreteProblem, Observation, ProblemDef,
-                                  compatibility_residual, misfit)
+from tvsource.pde_solvers import DiscreteProblem, Observation, ProblemDef, misfit
 
 from conftest import benchmark_dp
 
@@ -113,10 +112,10 @@ class TestDirichlet:
 def test_compatibility_residual_values():
     dp, f_truth = benchmark_dp(32)
     n = dp.mesh.n_vertices
-    assert compatibility_residual(dp, np.zeros(n)) == pytest.approx(0.0, abs=1e-12)
-    assert compatibility_residual(dp, np.ones(n)) == pytest.approx(4.0, abs=1e-10)
+    assert dp.compatibility_residual(np.zeros(n)) == pytest.approx(0.0, abs=1e-12)
+    assert dp.compatibility_residual(np.ones(n)) == pytest.approx(4.0, abs=1e-10)
     # the sampled truth is compatible up to the interface quadrature error
-    assert abs(compatibility_residual(dp, f_truth)) <= 0.05
+    assert abs(dp.compatibility_residual(f_truth)) <= 0.05
 
 
 def test_strict_compatibility_check():

@@ -158,15 +158,19 @@ def test_dual_step_matches_separable_oracle(driver2, rng):
                 assert abs(step[t, j] - best) <= 1e-10
 
 
-def test_projected_gradient_zero_at_fixed_point(driver2, rng):
+def test_stopping_value_negative_at_fixed_point(driver2, rng):
     dp = driver2.dp
     lo, hi = driver2.box
     f = rng.uniform(lo + 0.2, hi - 0.2, dp.mesh.n_vertices)
     p = rng.uniform(-1, 1, (dp.mesh.n_triangles, 2))
     u_a = driver2.params.rho * driver2.div_rep(p)  # balances the dual pull
-    g = driver2.projected_gradient(f, p, u_a)
-    assert np.max(np.abs(g)) <= 1e-12
-    assert driver2.tolerance(f, p, u_a, g0_norm=1.0) < 0.0
+    f_next = driver2.primal_step(f, p, u_a)
+    assert np.max(np.abs(f - f_next)) / driver2.params.tau <= 1e-12
+    value, g0_norm = driver2.stopping_value(f, f_next, g0_norm=1.0)
+    assert value < 0.0 and g0_norm == 1.0
+    # without a first-iterate norm, this iterate's residual norm is used
+    _, g0_norm = driver2.stopping_value(f, f_next)
+    assert g0_norm <= 1e-12
 
 
 class TestBNorm:
@@ -197,7 +201,7 @@ def _short_run(level=4, max_iter=60, tau=5.0, record=True):
     params = PdParams(rho=params_for_level(dp.mesh.mesh_size).rho, tau=tau,
                       theta=5e-2, max_iter=max_iter, record_b_norms=record)
     cert = certify_steps_empirical(params, dp)
-    f0, p0 = compatible_start(dp, dp.prob.box)
+    f0, p0 = compatible_start(dp)
     driver = PdDriver(dp, params, certificate=cert)
     return driver, driver.run(z, f0=f0, p0=p0), z, f0, p0
 
@@ -246,6 +250,19 @@ def test_run_b_norms_monotone():
     assert bn.sum() <= 1.1 * total
 
 
+def test_run_raises_when_dual_leaves_ball():
+    # an explicit check, not an assert, so it also holds under python -O
+    dp, f_truth = benchmark_dp(4)
+    z = synthesize_observation(dp, f_truth, 0.0, 0)
+    params = PdParams(rho=params_for_level(dp.mesh.mesh_size).rho, tau=5.0,
+                      theta=5e-2, max_iter=5)
+    driver = PdDriver(dp, params, certificate=certify_steps_empirical(
+        params, dp))
+    driver._project_dual = lambda q: 1.5 * q
+    with pytest.raises(RuntimeError, match="dual iterate left the unit ball"):
+        driver.run(z)
+
+
 def test_run_rejects_bad_rho():
     with pytest.raises(ValueError):
         PdParams(rho=0.0, tau=5.0)
@@ -258,8 +275,8 @@ def test_variational_inequality_at_stop(rng):
     dp, params = driver.dp, driver.params
     u = dp.solve_state(state.f)
     u_a = dp.solve_adjoint(u, z)
-    g_res = driver.projected_gradient(state.f, state.p, u_a)
-    g_norm = dp.lumped_norm(g_res)
+    f_next = driver.primal_step(state.f, state.p, u_a)
+    g_norm = dp.lumped_norm((state.f - f_next) / params.tau)
     d = div_adjoint(dp.mesh, state.p)
     lo, hi = driver.box
     for _ in range(200):

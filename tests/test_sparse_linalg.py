@@ -62,13 +62,6 @@ def test_deflated_solution_ignores_initial_mean(rng):
     assert np.linalg.norm(x1 - x2) <= 1e-8 * max(np.linalg.norm(x1), 1.0)
 
 
-def test_incompatible_load_rejected(rng):
-    _, A, w = _neumann_system()
-    b = rng.standard_normal(A.shape[0]) + 5.0
-    with pytest.raises(ValueError, match="incompatible"):
-        cg_solve(A, b, deflate_mean=True, lumped_weights=w, compat_tol=1e-8)
-
-
 def test_nonconvergence_raises_with_report(rng):
     q = rng.standard_normal((30, 30))
     A = sp.csr_matrix(q @ q.T + 1e-6 * np.eye(30))
