@@ -24,7 +24,7 @@ from .mesh import build_structured
 from .pde_solvers import DiscreteProblem
 from .primal_dual import (certify_steps, certify_steps_empirical,
                           params_for_level)
-from .sparse_linalg import grad_operator_norm
+from .sparse_linalg import CgConvergenceError, grad_operator_norm
 from .tv_calculus import gradient_pairing, subgradient_witness, tv_value
 
 
@@ -53,7 +53,7 @@ def _add_common(p: argparse.ArgumentParser):
                    help="use the per-triangle Euclidean dual projection")
     p.add_argument("--out", dest="out_dir", metavar="OUT", default=None,
                    help="output directory")
-    p.add_argument("--format", choices=("csv", "vtk", "none"),
+    p.add_argument("--format", choices=experiment.EXPORT_FORMATS,
                    dest="export_format", default=None,
                    help="field export format")
 
@@ -208,11 +208,15 @@ def cmd_check(_args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; invalid input ends it with one line and code 2."""
+    """Run one subcommand; invalid input ends it with one line and code 2,
+    a solve that does not converge with one line and code 1."""
     args = build_parser().parse_args(argv)
     handlers = {"bench": cmd_bench, "solve": cmd_solve, "check": cmd_check}
     try:
         return handlers[args.command](args)
+    except CgConvergenceError as exc:
+        print(f"tvsource: error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"tvsource: error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from .fem_assembly import CoefficientSet, NeumannData, P1Field
 from .mesh import GammaSpec, TriMesh, build_structured
 from .pde_solvers import (DEFAULT_CG_TOL, DiscreteProblem, Observation,
                           ProblemDef)
-from .primal_dual import (LevelRun, MultilevelError, PdParams, certify_steps,
+from .primal_dual import (LevelRun, MultilevelError, PdParams,
                           certify_steps_empirical, multilevel_run,
                           params_for_level)
 
@@ -28,6 +28,8 @@ GAMMA_CASES = {
     "bottom": ("bottom",),
     "bottom_left": ("bottom", "left"),
 }
+CERTIFY_MODES = ("empirical", "analytic")
+EXPORT_FORMATS = ("csv", "vtk", "none")
 
 # truth source: high value inside the disk of radius 1/2, low outside,
 # scaled so the exact volume integral vanishes
@@ -148,6 +150,11 @@ class ExperimentConfig:
             if not isinstance(value, (int, float)) or not value > 0:
                 raise ValueError(
                     f"{name} must be a positive number, got {value!r}")
+        for name, choices in (("certify", CERTIFY_MODES),
+                              ("export_format", EXPORT_FORMATS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"choose from {list(choices)}")
 
     def level_params(self, h: float) -> PdParams:
         """Iteration parameters on a mesh of size h."""
@@ -272,15 +279,16 @@ def run_benchmark(config: ExperimentConfig):
                                    u_truth=u_observed)
         return dp, z, params
 
-    if config.certify == "empirical":
-        certifier = certify_steps_empirical
-    elif config.certify == "analytic":
-        certifier = (lambda params, dp:
-                     certify_steps(params, dp.mesh,
-                                   dp.prob.coeffs.alpha_lower))
-    else:
-        raise ValueError(f"unknown certify mode {config.certify!r}")
-
+    if config.levels:
+        # invalid input fails here, before any level runs: the coarsest
+        # problem checks the gamma case and the box, and its parameters
+        # check rho < 1 (rho_l = rho_coef * sqrt(h_l) is largest there)
+        prob, _ = build_benchmark_problem(config.levels[0], config.gamma_case,
+                                          config.box)
+        config.level_params(prob.mesh.mesh_size)
+    # None is PdDriver's default, the analytic certificate
+    certifier = (certify_steps_empirical if config.certify == "empirical"
+                 else None)
     try:
         runs = multilevel_run(config.levels, make_level, certifier=certifier,
                               initial=compatible_start)
@@ -353,21 +361,11 @@ def export_field(mesh: TriMesh, values: np.ndarray, path: str,
 
 def _write_csv_field(mesh, comps, nodal, path):
     points = mesh.vertices if nodal else mesh.centroids
-    if comps.shape[1] == 1:
-        header = "x1,x2,value"
-    else:
-        header = "x1,x2," + ",".join(f"value_{k + 1}"
-                                     for k in range(comps.shape[1]))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for pt, row in zip(points, comps):
-            cols = [f"{pt[0]:.10e}", f"{pt[1]:.10e}"]
-            cols += [_trim(v) for v in row]
-            fh.write(",".join(cols) + "\n")
-
-
-def _trim(v: float) -> str:
-    return f"{v:.17g}"
+    k = comps.shape[1]
+    names = ["value"] if k == 1 else [f"value_{j + 1}" for j in range(k)]
+    np.savetxt(path, np.column_stack([points, comps]), delimiter=",",
+               fmt=["%.10e", "%.10e"] + ["%.17g"] * k, comments="",
+               header=",".join(["x1", "x2"] + names))
 
 
 def _write_vtk_field(mesh, comps, nodal, path, name):
@@ -377,32 +375,26 @@ def _write_vtk_field(mesh, comps, nodal, path, name):
         fh.write(f"{name}\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_vertices} float\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.10e} {y:.10e} 0.0\n")
+        np.savetxt(fh, mesh.vertices, fmt="%.10e %.10e 0.0")
         fh.write(f"CELLS {nt} {4 * nt}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"3 {a} {b} {c}\n")
+        np.savetxt(fh, mesh.triangles, fmt="3 %d %d %d")
         fh.write(f"CELL_TYPES {nt}\n")
         fh.write("5\n" * nt)
         fh.write(f"{'POINT_DATA' if nodal else 'CELL_DATA'} "
                  f"{mesh.n_vertices if nodal else nt}\n")
         if comps.shape[1] == 1:
             fh.write(f"SCALARS {name} float 1\nLOOKUP_TABLE default\n")
-            for (v,) in comps:
-                fh.write(f"{v:.10e}\n")
         else:
             fh.write(f"VECTORS {name} float\n")
-            for row in comps:
-                vals = list(row) + [0.0] * (3 - len(row))
-                fh.write(" ".join(f"{v:.10e}" for v in vals) + "\n")
+            # VTK vectors have three components
+            comps = np.pad(comps, ((0, 0), (0, max(0, 3 - comps.shape[1]))))
+        np.savetxt(fh, comps, fmt="%.10e")
 
 
 def write_observation_csv(mesh: TriMesh, z: Observation, path: str):
-    with open(path, "w") as fh:
-        fh.write("node_x1,node_x2,z_value\n")
-        for idx, val in zip(z.nodes, z.values):
-            x, y = mesh.vertices[idx]
-            fh.write(f"{x:.10e},{y:.10e},{_trim(val)}\n")
+    np.savetxt(path, np.column_stack([mesh.vertices[z.nodes], z.values]),
+               fmt=["%.10e", "%.10e", "%.17g"], delimiter=",", comments="",
+               header="node_x1,node_x2,z_value")
 
 
 def read_observation_csv(path: str, mesh: TriMesh,

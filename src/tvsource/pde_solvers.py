@@ -98,10 +98,8 @@ class DiscreteProblem:
     # -- solves ------------------------------------------------------------
 
     def _solve(self, rhs, x0=None):
-        x, _ = cg_solve(self.A, rhs, tol=self.cg_tol,
-                        deflate_mean=self.pure_neumann,
-                        lumped_weights=self.w if self.pure_neumann else None,
-                        x0=x0)
+        x, _ = cg_solve(self.A, rhs, tol=self.cg_tol, x0=x0,
+                        mean_weights=self.w if self.pure_neumann else None)
         return x
 
     def compatibility_residual(self, f: P1Field) -> float:

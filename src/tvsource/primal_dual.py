@@ -24,9 +24,10 @@ import numpy as np
 from .fem_assembly import P0VecField, P1Field, div_adjoint, elem_gradient
 from .mesh import TriMesh, prolong_p0, prolong_p1
 from .pde_solvers import DiscreteProblem, Observation, misfit
-from .sparse_linalg import CgConvergenceError, grad_operator_norm
-from .tv_calculus import (project_dual_ball, project_dual_ball_isotropic,
-                          tv_value)
+from .sparse_linalg import (CgConvergenceError, grad_operator_norm,
+                            weighted_power_iteration)
+from .tv_calculus import (gradient_pairing, project_dual_ball,
+                          project_dual_ball_isotropic, tv_value)
 
 
 @dataclass(frozen=True)
@@ -130,23 +131,12 @@ def smooth_operator_norm(dp, tol: float = 1e-3, max_iter: int = 200) -> float:
     boundary-loaded solve; it is symmetric positive semi-definite in the
     weighted nodal product, so its norm equals the largest Rayleigh
     quotient.  This is the sharp value the analytic certificate bounds by
-    c_gamma^2/c1^2.
+    c_gamma^2/c1^2.  Raises CgConvergenceError if the iteration does not
+    converge.
     """
-    rng = np.random.default_rng(20240901)
-    v = rng.standard_normal(dp.mesh.n_vertices)
-    v /= dp.lumped_norm(v)
-    s_prev = 0.0
-    for _ in range(max_iter):
-        image = dp.solve_gamma_loaded(dp.solve_source_part(v))
-        s = dp.lumped_inner(v, image)
-        norm = dp.lumped_norm(image)
-        if norm == 0.0:
-            return 0.0
-        v = image / norm
-        if abs(s - s_prev) <= tol * max(abs(s), 1e-300):
-            return s
-        s_prev = s
-    return s_prev
+    return weighted_power_iteration(
+        lambda v: dp.solve_gamma_loaded(dp.solve_source_part(v)),
+        dp.w, 20240901, tol, max_iter)
 
 
 def certify_steps_empirical(params: PdParams,
@@ -261,9 +251,7 @@ class PdDriver:
         u_bar_a = dp.solve_gamma_loaded(u_bar)
         t_f = dp.lumped_inner(delta_f, delta_f) / prm.tau
         t_smooth = dp.lumped_inner(delta_f, u_bar_a)
-        grad_df = elem_gradient(dp.mesh, delta_f)
-        t_cross = 2.0 * prm.rho * float(
-            np.sum(dp.mesh.areas[:, None] * grad_df * delta_p))
+        t_cross = 2.0 * prm.rho * gradient_pairing(dp.mesh, delta_f, delta_p)
         t_p = prm.theta / prm.tau * float(
             np.sum(dp.mesh.areas[:, None] * delta_p**2))
         value = t_f - t_smooth - t_cross + t_p
@@ -295,14 +283,14 @@ class PdDriver:
         p = self._project_dual(np.asarray(p0, dtype=float))
         state = PdState(f=f, p=p, n=0)
 
-        u = dp.solve_state(f)
-        u_a = g0_norm = None
+        u = u_a = g0_norm = None
         for n in range(prm.max_iter + 1):
             try:
+                u = dp.solve_state(f, x0=u)
                 u_a = dp.solve_adjoint(u, z, x0=u_a)
             except CgConvergenceError as exc:
                 raise CgConvergenceError(
-                    f"adjoint solve failed at iteration {n}: {exc}",
+                    f"state or adjoint solve failed at iteration {n}: {exc}",
                     exc.report) from exc
             f_next = self.primal_step(f, p, u_a)
             tol_val, g0_norm = self.stopping_value(f, f_next, g0_norm)
@@ -324,12 +312,6 @@ class PdDriver:
             if prm.record_b_norms:
                 record.step_b_norm_sq = self.b_norm_sq(f_next - f, p_next - p)
             f, p = f_next, p_next
-            try:
-                u = dp.solve_state(f, x0=u)
-            except CgConvergenceError as exc:
-                raise CgConvergenceError(
-                    f"state solve failed at iteration {n + 1}: {exc}",
-                    exc.report) from exc
         state.f, state.p, state.n = f, p, n
         state.stopped_by_tolerance = tol_val <= 0.0
         return state

@@ -1,8 +1,8 @@
-"""Sparse symmetric solves: Jacobi-preconditioned CG and a gradient norm.
+"""Sparse symmetric solves: Jacobi-preconditioned CG and a power iteration.
 
 The conjugate gradient solver handles the singular pure-Neumann case by
 mean deflation: the load is projected onto the range of the operator and
-every iterate is re-centered to the zero-weighted-mean representative, so
+the result is re-centered to the zero-weighted-mean representative, so
 the returned solution lives in the discrete mean-free space.
 """
 
@@ -22,7 +22,7 @@ class SolveReport:
 
 
 class CgConvergenceError(RuntimeError):
-    """CG failed to reach the requested tolerance; carries the report."""
+    """CG or the power iteration did not converge; carries the report."""
 
     def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
@@ -30,8 +30,8 @@ class CgConvergenceError(RuntimeError):
 
 
 def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
-             max_iter: int | None = None, deflate_mean: bool = False,
-             lumped_weights: np.ndarray | None = None,
+             max_iter: int | None = None,
+             mean_weights: np.ndarray | None = None,
              x0: np.ndarray | None = None):
     """Solve the SPD (or mean-deflated semi-definite) system A x = b.
 
@@ -41,11 +41,9 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
     b : right-hand side.
     tol : relative residual target ||Ax-b|| / ||b||.
     max_iter : iteration cap, defaults to max(200, 10n).
-    deflate_mean : treat the constant vector as the kernel of A.  The load
-        is shifted into the compatible range and iterates are re-centered
-        so the solution has zero weighted mean.
-    lumped_weights : positive weights defining the mean (required when
-        deflating); the returned x satisfies sum(w*x) = 0.
+    mean_weights : positive weights w; when given, the constant vector is
+        treated as the kernel of A.  The load is shifted into the compatible
+        range and the returned x has zero weighted mean, sum(w*x) = 0.
     x0 : optional initial guess.
 
     Returns
@@ -62,10 +60,8 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
         max_iter = max(200, 10 * n)
 
     w = None
-    if deflate_mean:
-        if lumped_weights is None:
-            raise ValueError("deflate_mean requires lumped_weights")
-        w = np.asarray(lumped_weights, dtype=float)
+    if mean_weights is not None:
+        w = np.asarray(mean_weights, dtype=float)
         # shift the load into range(A): subtract its weighted-mean source
         b = b - (b.sum() / w.sum()) * w
 
@@ -82,7 +78,9 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
     diag[diag <= 0] = 1.0  # guard; assembled operators have positive diagonals
     inv_diag = 1.0 / diag
 
-    x = np.zeros(n) if x0 is None else recenter(np.asarray(x0, dtype=float).copy())
+    # A annihilates constants, so the iterates' mean never enters the
+    # residual recursion: centring the start and the result is enough
+    x = np.zeros(n) if x0 is None else recenter(np.array(x0, dtype=float))
     total_iter = 0
     for _ in range(3):  # restarts if the recursive residual drifted
         r = b - A @ x
@@ -94,7 +92,7 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
                 break
             Ap = A @ p
             alpha = rz / (p @ Ap)
-            x = recenter(x + alpha * p)
+            x = x + alpha * p
             r = r - alpha * Ap
             z = inv_diag * r
             rz_new = r @ z
@@ -109,7 +107,35 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
         raise CgConvergenceError(
             f"CG stalled at relative residual {true_rel:.3e} "
             f"after {total_iter} iterations (target {tol:.1e})", report)
-    return x, report
+    return recenter(x), report
+
+
+def weighted_power_iteration(apply, w: np.ndarray, seed: int, tol: float,
+                             max_iter: int) -> float:
+    """Largest eigenvalue of an operator that is self-adjoint and positive
+    semi-definite in the weighted product <u, v>_w = sum(w*u*v).
+
+    Power iteration from a seeded random start; stops when the Rayleigh
+    quotient changes by at most ``tol`` relative.  Raises
+    CgConvergenceError if that does not happen within ``max_iter`` steps.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(w.shape[0])
+    v /= np.sqrt(w @ v**2)
+    lam_prev = 0.0
+    for _ in range(max_iter):
+        u = apply(v)
+        lam = v @ (w * u)  # Rayleigh quotient, ||v||_w = 1
+        u_norm = np.sqrt(w @ u**2)
+        if u_norm == 0.0:
+            return 0.0
+        v = u / u_norm
+        if abs(lam - lam_prev) <= tol * abs(lam):
+            return float(lam)
+        lam_prev = lam
+    raise CgConvergenceError(
+        f"power iteration did not converge in {max_iter} steps",
+        SolveReport(max_iter, float("nan"), False))
 
 
 def grad_operator_norm(mesh, tol: float = 1e-6, max_iter: int = 20000) -> float:
@@ -124,21 +150,5 @@ def grad_operator_norm(mesh, tol: float = 1e-6, max_iter: int = 20000) -> float:
 
     K = assemble_stiffness(mesh, unit_coefficients(mesh))
     _, w = assemble_mass(mesh)
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(mesh.n_vertices)
-    v /= np.sqrt(w @ v**2)
-    lam = 0.0
-    for it in range(max_iter):
-        u = (K @ v) / w
-        lam_new = v @ (w * u)  # Rayleigh quotient v^T K v with ||v||_w = 1
-        u_norm = np.sqrt(w @ u**2)
-        v = u / u_norm
-        if it > 0 and abs(lam_new - lam) <= tol * abs(lam_new):
-            lam = lam_new
-            break
-        lam = lam_new
-    else:
-        raise CgConvergenceError(
-            "power iteration did not converge",
-            SolveReport(max_iter, float("nan"), False))
-    return float(np.sqrt(lam))
+    return float(np.sqrt(weighted_power_iteration(
+        lambda v: (K @ v) / w, w, 12345, tol, max_iter)))

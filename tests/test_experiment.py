@@ -1,9 +1,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tvsource.cli import main as cli_main
 from tvsource.experiment import (ExperimentConfig, F_HIGH, F_LOW,
@@ -12,7 +19,8 @@ from tvsource.experiment import (ExperimentConfig, F_HIGH, F_LOW,
                                  run_benchmark, synthesize_observation,
                                  write_observation_csv, write_table)
 from tvsource.mesh import build_structured
-from tvsource.pde_solvers import DiscreteProblem
+from tvsource.pde_solvers import DiscreteProblem, Observation
+from tvsource.sparse_linalg import CgConvergenceError
 
 from conftest import benchmark_dp
 
@@ -203,6 +211,130 @@ class TestExports:
             read_observation_csv(path, dp.mesh, dp.prob.gamma)
 
 
+# The line-by-line writers the np.savetxt ones replaced, kept as the
+# reference their output must match byte for byte.
+
+def _ref_csv_field(mesh, comps, nodal, path):
+    points = mesh.vertices if nodal else mesh.centroids
+    if comps.shape[1] == 1:
+        header = "x1,x2,value"
+    else:
+        header = "x1,x2," + ",".join(f"value_{k + 1}"
+                                     for k in range(comps.shape[1]))
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for pt, row in zip(points, comps):
+            cols = [f"{pt[0]:.10e}", f"{pt[1]:.10e}"]
+            cols += [f"{v:.17g}" for v in row]
+            fh.write(",".join(cols) + "\n")
+
+
+def _ref_vtk_field(mesh, comps, nodal, path, name):
+    nt = mesh.n_triangles
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 2.0\n")
+        fh.write(f"{name}\n")
+        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.n_vertices} float\n")
+        for x, y in mesh.vertices:
+            fh.write(f"{x:.10e} {y:.10e} 0.0\n")
+        fh.write(f"CELLS {nt} {4 * nt}\n")
+        for a, b, c in mesh.triangles:
+            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(f"CELL_TYPES {nt}\n")
+        fh.write("5\n" * nt)
+        fh.write(f"{'POINT_DATA' if nodal else 'CELL_DATA'} "
+                 f"{mesh.n_vertices if nodal else nt}\n")
+        if comps.shape[1] == 1:
+            fh.write(f"SCALARS {name} float 1\nLOOKUP_TABLE default\n")
+            for (v,) in comps:
+                fh.write(f"{v:.10e}\n")
+        else:
+            fh.write(f"VECTORS {name} float\n")
+            for row in comps:
+                vals = list(row) + [0.0] * (3 - len(row))
+                fh.write(" ".join(f"{v:.10e}" for v in vals) + "\n")
+
+
+def _ref_observation_csv(mesh, z, path):
+    with open(path, "w") as fh:
+        fh.write("node_x1,node_x2,z_value\n")
+        for idx, val in zip(z.nodes, z.values):
+            x, y = mesh.vertices[idx]
+            fh.write(f"{x:.10e},{y:.10e},{val:.17g}\n")
+
+
+EDGE_VALUES = np.array([5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0,
+                        1e300, -1e300, np.inf, -np.inf, np.nan, 1.0, -1.0,
+                        0.1, 1.0 / 3.0, 123456789.123, -2.5e-17])
+
+
+class TestWritersMatchReference:
+    @staticmethod
+    def _values(n, comps, rng):
+        values = rng.standard_normal((n, comps))
+        flat = values.ravel()
+        flat[:len(EDGE_VALUES)] = EDGE_VALUES[:flat.size]
+        return values.reshape(n, comps)
+
+    @pytest.mark.parametrize("fmt", ["csv", "vtk"])
+    @pytest.mark.parametrize("nodal,comps", [(True, 1), (False, 1),
+                                             (False, 2), (True, 2)])
+    def test_field_bytes(self, tmp_path, rng, fmt, nodal, comps):
+        mesh = build_structured(4)
+        n = mesh.n_vertices if nodal else mesh.n_triangles
+        values = self._values(n, comps, rng)
+        out, ref = tmp_path / f"out.{fmt}", tmp_path / f"ref.{fmt}"
+        export_field(mesh, values if comps > 1 else values[:, 0], str(out),
+                     fmt, name="field")
+        if fmt == "csv":
+            _ref_csv_field(mesh, values, nodal, str(ref))
+        else:
+            _ref_vtk_field(mesh, values, nodal, str(ref), "field")
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_observation_bytes(self, tmp_path):
+        dp, _ = benchmark_dp(16)
+        nodes = dp.gamma_nodes
+        z = Observation(nodes, np.resize(EDGE_VALUES, nodes.shape[0]))
+        out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        write_observation_csv(dp.mesh, z, str(out))
+        _ref_observation_csv(dp.mesh, z, str(ref))
+        assert out.read_bytes() == ref.read_bytes()
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, 5, elements=st.floats(allow_nan=False,
+                                                allow_infinity=False)))
+def test_observation_csv_roundtrip_is_exact(values):
+    dp, _ = benchmark_dp(4)
+    z = Observation(dp.gamma_nodes, values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "obs.csv")
+        write_observation_csv(dp.mesh, z, path)
+        back = read_observation_csv(path, dp.mesh, dp.prob.gamma)
+    assert np.array_equal(back.nodes, z.nodes)
+    assert np.array_equal(_bits(back.values), _bits(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    arrays(np.float64, 9, elements=st.floats(allow_nan=False)),
+    arrays(np.float64, (8, 2), elements=st.floats(allow_nan=False))))
+def test_field_csv_roundtrip_is_exact(values):
+    mesh = build_structured(2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.csv")
+        export_field(mesh, values, path, "csv")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(_bits(data[:, 2:]),
+                          _bits(values.reshape(values.shape[0], -1)))
+
+
 class TestConfig:
     def test_json_roundtrip_with_overrides(self, tmp_path):
         cfg = ExperimentConfig(levels=(4, 8), seed=3, tau=2.5)
@@ -311,34 +443,79 @@ class TestCli:
         assert cli_main(["bench", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "r" / "table.csv").exists()
 
-    @pytest.mark.parametrize("case", ["solve_rho_zero", "solve_rho_negative",
-                                      "bench_rho_zero",
-                                      "bench_config_unknown_key"])
+    # case -> (config file keys, extra argv, a word the message must name)
+    INVALID = {
+        "solve_rho_zero": (None, ["--rho-coef", "0"], "rho"),
+        "solve_rho_negative": (None, ["--rho-coef", "-1"], "rho"),
+        "bench_rho_zero": (None, ["--rho-coef", "0"], "rho"),
+        "bench_config_unknown_key": ({"rho": 1e-3}, [], "rho"),
+        "bench_box_reversed": (None, ["--box", "3,1"], "box"),
+        "bench_rho_one_on_coarsest_level": (None, ["--rho-coef", "1.2"],
+                                            "rho"),
+        "bench_config_export_format": ({"export_format": "xml"}, [],
+                                       "export_format"),
+        "bench_config_certify": ({"certify": "exact"}, [], "certify"),
+        "bench_config_gamma_case": ({"gamma_case": "top"}, [], "gamma"),
+    }
+
+    @pytest.mark.parametrize("case", list(INVALID))
     def test_invalid_input_one_line_exit_2(self, tmp_path, capsys, case):
+        keys, extra, word = self.INVALID[case]
+        out = str(tmp_path / "out")
+        if case.startswith("solve"):
+            dp, f_truth = benchmark_dp(4)
+            obs = tmp_path / "obs.csv"
+            write_observation_csv(
+                dp.mesh, synthesize_observation(dp, f_truth, 0.0, 0),
+                str(obs))
+            argv = ["solve", str(obs), "--level", "4"]
+        elif keys is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"levels": [4, 8], **keys}))
+            argv = ["bench", "--config", str(cfg)]
+        else:
+            argv = ["bench", "--levels", "4,8"]
+        assert cli_main(argv + extra + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("tvsource: error: ")
+        assert word in lines[0] and captured.out == ""
+        assert not os.path.exists(out)
+
+    def test_solver_failure_one_line_exit_1(self, tmp_path, capsys,
+                                            monkeypatch):
+        import tvsource.pde_solvers as pde
+        real_cg = pde.cg_solve
+
+        def failing_warm_solve(*args, x0=None, **kwargs):
+            if x0 is not None:  # the first warm start is iteration 1's state
+                raise CgConvergenceError("CG stalled", None)
+            return real_cg(*args, x0=x0, **kwargs)
+
         dp, f_truth = benchmark_dp(4)
         obs = tmp_path / "obs.csv"
         write_observation_csv(dp.mesh,
                               synthesize_observation(dp, f_truth, 0.0, 0),
                               str(obs))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"levels": [4], "rho": 1e-3}))
-        out = str(tmp_path / "out")
-        argv = {
-            "solve_rho_zero": ["solve", str(obs), "--level", "4",
-                               "--rho-coef", "0", "--out", out],
-            "solve_rho_negative": ["solve", str(obs), "--level", "4",
-                                   "--rho-coef", "-1", "--out", out],
-            "bench_rho_zero": ["bench", "--levels", "4", "--rho-coef", "0",
-                               "--out", out],
-            "bench_config_unknown_key": ["bench", "--config", str(cfg),
-                                         "--out", out],
-        }[case]
-        assert cli_main(argv) == 2
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("tvsource: error: ")
-        assert ("rho" in lines[0]) and captured.out == ""
-        assert not os.path.exists(out)
+        monkeypatch.setattr(pde, "cg_solve", failing_warm_solve)
+        code = cli_main(["solve", str(obs), "--level", "4", "--out",
+                         str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["tvsource: error: state or adjoint solve failed at "
+                         "iteration 1: CG stalled"]
+
+    def test_cli_import_loads_no_scipy_solvers(self):
+        # importing scipy.sparse.linalg or scipy.linalg raises peak RSS by
+        # a fifth; nothing the CLI runs needs them
+        code = ("import sys, tvsource.cli; print(sorted(m for m in sys.modules"
+                " if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))))")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_solve_from_observation_file(self, tmp_path, capsys):
         dp, f_truth = benchmark_dp(4)

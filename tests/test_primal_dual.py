@@ -10,7 +10,9 @@ from tvsource.pde_solvers import DiscreteProblem
 from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   certify_steps, certify_steps_empirical,
                                   coercivity_c1, extrapolate, multilevel_run,
-                                  params_for_level, run, trace_constant)
+                                  params_for_level, run, smooth_operator_norm,
+                                  trace_constant)
+from tvsource.sparse_linalg import CgConvergenceError
 
 from conftest import benchmark_dp
 
@@ -65,6 +67,25 @@ class TestCertificate:
         with pytest.raises(ValueError, match="step-size"):
             PdDriver(dp, params)
         PdDriver(dp, params, allow_uncertified=True)  # explicit override
+
+
+class TestSmoothOperatorNorm:
+    def test_matches_dense_eigenvalue(self):
+        # the operator column by column; it is self-adjoint in the lumped
+        # product, so W^(1/2) T W^(-1/2) is symmetric with the same spectrum
+        dp, _ = benchmark_dp(4)
+        T = np.column_stack([dp.solve_gamma_loaded(dp.solve_source_part(e))
+                             for e in np.eye(dp.mesh.n_vertices)])
+        sw = np.sqrt(dp.w)
+        sym = sw[:, None] * T / sw[None, :]
+        assert np.allclose(sym, sym.T, rtol=0, atol=1e-9 * np.abs(sym).max())
+        ref = np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1]
+        assert smooth_operator_norm(dp) == pytest.approx(ref, rel=1e-3)
+
+    def test_unconverged_iteration_raises(self):
+        dp, _ = benchmark_dp(4)
+        with pytest.raises(CgConvergenceError, match="power iteration"):
+            smooth_operator_norm(dp, max_iter=1)
 
 
 _mesh_cache = {}

@@ -44,7 +44,7 @@ def test_deflated_solution_has_zero_weighted_mean(rng):
     _, A, w = _neumann_system()
     b = rng.standard_normal(A.shape[0])
     b -= b.sum() / len(b)  # compatible load
-    x, report = cg_solve(A, b, tol=1e-12, deflate_mean=True, lumped_weights=w)
+    x, report = cg_solve(A, b, tol=1e-12, mean_weights=w)
     assert report.converged
     assert abs(w @ x) <= 1e-10
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -55,10 +55,8 @@ def test_deflated_solution_ignores_initial_mean(rng):
     b = rng.standard_normal(A.shape[0])
     b -= b.sum() / len(b)
     x0 = rng.standard_normal(A.shape[0])
-    x1, _ = cg_solve(A, b, tol=1e-13, deflate_mean=True, lumped_weights=w,
-                     x0=x0)
-    x2, _ = cg_solve(A, b, tol=1e-13, deflate_mean=True, lumped_weights=w,
-                     x0=x0 + 17.0)
+    x1, _ = cg_solve(A, b, tol=1e-13, mean_weights=w, x0=x0)
+    x2, _ = cg_solve(A, b, tol=1e-13, mean_weights=w, x0=x0 + 17.0)
     assert np.linalg.norm(x1 - x2) <= 1e-8 * max(np.linalg.norm(x1), 1.0)
 
 

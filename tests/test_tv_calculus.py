@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tvsource.mesh import build_structured
 from tvsource.tv_calculus import (gradient_pairing, project_dual_ball,
@@ -98,3 +101,32 @@ class TestProjection:
         assert np.max(norms) <= 1.0 + 1e-14
         inside = np.linalg.norm(p, axis=1) <= 1.0
         assert np.allclose(out[inside], p[inside])
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+unit = st.floats(-1.0, 1.0)
+weights = arrays(np.float64, 6, elements=st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, (6, 2), elements=finite),
+       arrays(np.float64, (6, 2), elements=unit), weights)
+def test_clamp_is_nearest_point_of_the_ball(p, q, w):
+    # the componentwise ball is a product of intervals, so the nearest
+    # point is nearest in every component and for any elementwise weight
+    proj = project_dual_ball(p)
+    assert np.all(np.abs(proj) <= 1.0)
+    assert np.all(w[:, None] * (p - proj) ** 2 <= w[:, None] * (p - q) ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, (6, 2), elements=finite),
+       arrays(np.float64, 6, elements=st.floats(0.0, 1.0)),
+       arrays(np.float64, 6, elements=st.floats(0.0, 2.0 * np.pi)), weights)
+def test_isotropic_projection_is_nearest_point_of_the_disks(p, r, phi, w):
+    q = r[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+    proj = project_dual_ball_isotropic(p)
+    assert np.all(np.linalg.norm(proj, axis=1) <= 1.0 + 1e-15)
+    d_proj = w * np.sum((p - proj) ** 2, axis=1)
+    d_q = w * np.sum((p - q) ** 2, axis=1)
+    assert np.all(d_proj <= d_q + 1e-12 * w * (1.0 + np.sum(p**2, axis=1)))
