@@ -18,12 +18,10 @@ import numpy as np
 
 from . import experiment, primal_dual
 from .experiment import (ExperimentConfig, build_benchmark_problem,
-                         compatible_start, export_field,
-                         read_observation_csv, run_benchmark)
+                         export_field, read_observation_csv, run_benchmark)
 from .mesh import build_structured
 from .pde_solvers import DiscreteProblem
-from .primal_dual import (certify_steps, certify_steps_empirical,
-                          params_for_level)
+from .primal_dual import certify_steps
 from .sparse_linalg import CgConvergenceError, grad_operator_norm
 from .tv_calculus import gradient_pairing, subgradient_witness, tv_value
 
@@ -33,8 +31,7 @@ def _parse_levels(text: str):
 
 
 def _parse_box(text: str):
-    lo, hi = (float(tok) for tok in text.split(","))
-    return (lo, hi)
+    return tuple(float(tok) for tok in text.split(","))
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -78,7 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--truth-refine", action="store_true", default=None,
                          help="synthesize data on a once-refined mesh")
     p_bench.add_argument("--record-b-norms", action="store_true",
-                         default=None, help="track step preconditioner norms")
+                         default=None,
+                         help="check every step's preconditioner norm (two "
+                              "extra solves per iteration; not written out)")
     _add_common(p_bench)
 
     p_solve = sub.add_parser("solve", help="reconstruct from an observation file")
@@ -101,8 +100,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         config = ExperimentConfig.from_json(args.config, **overrides)
     else:
-        config = dataclasses.replace(
-            ExperimentConfig(),
+        config = ExperimentConfig(
             **{k: v for k, v in overrides.items() if v is not None})
     if getattr(args, "include_64", False) and args.levels is None:
         config = dataclasses.replace(config, levels=(4, 8, 16, 32, 64))
@@ -132,20 +130,15 @@ def cmd_bench(args) -> int:
 
 def cmd_solve(args) -> int:
     config = _config_from_args(args)
-    level = args.level
-    prob, _ = build_benchmark_problem(level, config.gamma_case, config.box)
-    dp = DiscreteProblem(prob, cg_tol=config.cg_tol)
-    z = read_observation_csv(args.observation, dp.mesh, prob.gamma)
-    params = config.level_params(dp.mesh.mesh_size)
-    cert = certify_steps_empirical(params, dp)
-    f0, p0 = compatible_start(dp)
-    state = primal_dual.run(dp, z, params, f0=f0, p0=p0, certificate=cert)
+    dp, _, params, certificate = config.setup_level(args.level)
+    z = read_observation_csv(args.observation, dp.mesh, dp.prob.gamma)
+    state = primal_dual.run(dp, z, params, certificate=certificate)
     os.makedirs(config.out_dir, exist_ok=True)
     fmt = config.export_format
     if fmt != "none":
         export_field(dp.mesh, state.f,
                      os.path.join(config.out_dir,
-                                  f"solve_level{level}_f.{fmt}"),
+                                  f"solve_level{args.level}_f.{fmt}"),
                      fmt, name="reconstruction")
     print(f"stopped after {state.n} iterations, "
           f"final tolerance {state.final_tolerance:.4e}, "
@@ -179,7 +172,7 @@ def cmd_check(_args) -> int:
 
     prob, f_truth = build_benchmark_problem(4)
     dp = DiscreteProblem(prob, cg_tol=1e-12)
-    params = params_for_level(dp.mesh.mesh_size)
+    params = ExperimentConfig(tau=2e-4).level_params(dp.mesh.mesh_size)
     cert = certify_steps(params, dp.mesh, prob.coeffs.alpha_lower)
     report("step-size certificate holds at level 4",
            cert.valid, f"lhs={cert.lhs:.4g} rhs={cert.rhs:.4g}")

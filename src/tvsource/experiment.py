@@ -18,11 +18,9 @@ import numpy as np
 
 from .fem_assembly import CoefficientSet, NeumannData, P1Field
 from .mesh import GammaSpec, TriMesh, build_structured
-from .pde_solvers import (DEFAULT_CG_TOL, DiscreteProblem, Observation,
-                          ProblemDef)
-from .primal_dual import (LevelRun, MultilevelError, PdParams,
-                          certify_steps_empirical, multilevel_run,
-                          params_for_level)
+from .pde_solvers import DiscreteProblem, Observation, ProblemDef
+from .primal_dual import (LevelRun, MultilevelError, PdParams, certify_steps,
+                          certify_steps_empirical, multilevel_run)
 
 GAMMA_CASES = {
     "bottom": ("bottom",),
@@ -142,26 +140,61 @@ class ExperimentConfig:
     truth_refine: bool = False     # synthesize data on a once-refined mesh
     out_dir: str = "results"
     export_format: str = "csv"     # csv | vtk | none
-    cg_tol: float = DEFAULT_CG_TOL
 
     def __post_init__(self):
-        for name in ("rho_coef", "tau", "theta", "max_iter", "cg_tol"):
+        """Reject a field of the wrong type or range, naming the field."""
+        def real(v):  # bool is a subclass of int, so compare types exactly
+            return type(v) in (int, float) and -math.inf < v < math.inf
+
+        positive = (lambda v: real(v) and v > 0, "a positive number")
+        flag = (lambda v: type(v) is bool, "true or false")
+        text = (lambda v: type(v) is str, "a string")
+        rules = {
+            "levels": (lambda v: type(v) is tuple and v != ()
+                       and all(type(k) is int for k in v),
+                       "a nonempty list of integers"),
+            "box": (lambda v: type(v) is tuple and len(v) == 2
+                    and all(map(real, v)), "a pair of finite numbers"),
+            "seed": (lambda v: type(v) is int and v >= 0,
+                     "a non-negative integer"),
+            "max_iter": (lambda v: type(v) is int and v > 0,
+                         "a positive integer"),
+            "noise_coef": (lambda v: real(v) and v >= 0,
+                           "a non-negative number"),
+            "rho_coef": positive, "tau": positive, "theta": positive,
+            "isotropic_dual": flag, "record_b_norms": flag,
+            "truth_refine": flag, "gamma_case": text, "out_dir": text,
+            "certify": (CERTIFY_MODES.__contains__,
+                        f"one of {list(CERTIFY_MODES)}"),
+            "export_format": (EXPORT_FORMATS.__contains__,
+                              f"one of {list(EXPORT_FORMATS)}"),
+        }
+        for name, (ok, what) in rules.items():
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not value > 0:
-                raise ValueError(
-                    f"{name} must be a positive number, got {value!r}")
-        for name, choices in (("certify", CERTIFY_MODES),
-                              ("export_format", EXPORT_FORMATS)):
-            if getattr(self, name) not in choices:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
-                                 f"choose from {list(choices)}")
+            if not ok(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
     def level_params(self, h: float) -> PdParams:
-        """Iteration parameters on a mesh of size h."""
-        return params_for_level(h, self.rho_coef, tau=self.tau,
-                                theta=self.theta, max_iter=self.max_iter,
-                                isotropic_dual=self.isotropic_dual,
-                                record_b_norms=self.record_b_norms)
+        """Iteration parameters on a mesh of size h, with the mesh-coupled
+        regularization rho = rho_coef * sqrt(h)."""
+        return PdParams(rho=self.rho_coef * math.sqrt(h), tau=self.tau,
+                        theta=self.theta, max_iter=self.max_iter,
+                        isotropic_dual=self.isotropic_dual,
+                        record_b_norms=self.record_b_norms)
+
+    def setup_level(self, level: int):
+        """The level's assembled problem, truth source, iteration parameters
+        and step-size certificate, the one ``certify`` selects."""
+        prob, f_truth = build_benchmark_problem(level, self.gamma_case,
+                                                self.box)
+        dp = DiscreteProblem(prob)
+        params = self.level_params(dp.mesh.mesh_size)
+        if self.certify == "empirical":
+            certificate = certify_steps_empirical(params, dp)
+        else:
+            certificate = certify_steps(params, dp.mesh,
+                                        prob.coeffs.alpha_lower)
+        return dp, f_truth, params, certificate
 
     @staticmethod
     def from_json(path: str, **overrides) -> "ExperimentConfig":
@@ -235,63 +268,35 @@ def _level_errors(run: LevelRun, truth: tuple[P1Field, P1Field]):
             dp.l2_norm(diff), dp.h1_norm(diff))
 
 
-def compatible_start(dp: DiscreteProblem):
-    """Constant start satisfying the flux compatibility constraint.
-
-    The mean of the source is invisible to the deflated forward map, so the
-    iteration preserves it; starting on the compatible slice (source mean =
-    minus the total flux over the volume) is the only way the final mean
-    can be right.  The constant is clamped to the problem's box.
-    """
-    c = -dp.b_flux.sum() / dp.domain_volume
-    f0 = np.full(dp.mesh.n_vertices, float(np.clip(c, *dp.prob.box)))
-    p0 = np.full((dp.mesh.n_triangles, 2), 0.5)
-    return f0, p0
-
-
 def run_benchmark(config: ExperimentConfig):
     """Multilevel reconstruction over config.levels; returns records + runs."""
     # level -> (truth source, its state), each solved once
     truths: dict[int, tuple[P1Field, P1Field]] = {}
 
     def make_level(level):
-        prob, f_truth = build_benchmark_problem(level, config.gamma_case,
-                                                config.box)
-        dp = DiscreteProblem(prob, cg_tol=config.cg_tol)
+        dp, f_truth, params, certificate = config.setup_level(level)
         u_truth = dp.solve_state(f_truth)
         truths[level] = (f_truth, u_truth)
-        h = dp.mesh.mesh_size
-        params = config.level_params(h)
-        theta_l = config.noise_coef * h * math.sqrt(params.rho)
+        theta_l = config.noise_coef * dp.mesh.mesh_size * math.sqrt(params.rho)
         u_observed = u_truth
         if config.truth_refine:
             fine_prob, fine_truth = build_benchmark_problem(
                 2 * level, config.gamma_case, config.box)
-            fine_dp = DiscreteProblem(fine_prob, cg_tol=config.cg_tol)
-            u_fine = fine_dp.solve_state(fine_truth)
-            # coarse node (ix, iy) coincides with fine node (2ix, 2iy)
-            nf = 2 * level + 1
-            iy, ix = np.divmod(dp.gamma_nodes, level + 1)
-            fine_nodes = 2 * iy * nf + 2 * ix
+            u_fine = DiscreteProblem(fine_prob).solve_state(fine_truth)
             u_observed = np.zeros(dp.mesh.n_vertices)
-            u_observed[dp.gamma_nodes] = u_fine[fine_nodes]
+            u_observed[dp.gamma_nodes] = u_fine[fine_prob.mesh.nearest_nodes(
+                dp.mesh.vertices[dp.gamma_nodes])]
         z = synthesize_observation(dp, f_truth, theta_l, [config.seed, level],
                                    u_truth=u_observed)
-        return dp, z, params
+        return dp, z, params, certificate
 
-    if config.levels:
-        # invalid input fails here, before any level runs: the coarsest
-        # problem checks the gamma case and the box, and its parameters
-        # check rho < 1 (rho_l = rho_coef * sqrt(h_l) is largest there)
-        prob, _ = build_benchmark_problem(config.levels[0], config.gamma_case,
-                                          config.box)
-        config.level_params(prob.mesh.mesh_size)
-    # None is PdDriver's default, the analytic certificate
-    certifier = (certify_steps_empirical if config.certify == "empirical"
-                 else None)
+    # invalid input fails here, before any level runs: the coarsest problem
+    # checks the gamma case and the box, its parameters rho < 1 (largest there)
+    prob, _ = build_benchmark_problem(config.levels[0], config.gamma_case,
+                                      config.box)
+    config.level_params(prob.mesh.mesh_size)
     try:
-        runs = multilevel_run(config.levels, make_level, certifier=certifier,
-                              initial=compatible_start)
+        runs = multilevel_run(config.levels, make_level)
     except MultilevelError as exc:
         records = _records_for(exc.completed, truths)
         raise BenchmarkError(str(exc), records) from exc
@@ -413,11 +418,7 @@ def read_observation_csv(path: str, mesh: TriMesh,
             f"columns, expected {nodes.shape[0]} boundary nodes of 3")
     if not np.all(np.isfinite(data)):
         raise ValueError(f"observation file {path} holds non-finite entries")
-    lv = mesh.level
-    # vertex (ix, iy) has index iy * (lv + 1) + ix, see build_structured
-    grid = [np.clip(np.rint((data[:, k] - a) / (b - a) * lv), 0, lv)
-            .astype(np.int64) for k, (a, b) in enumerate(mesh.box)]
-    idx = grid[1] * (lv + 1) + grid[0]
+    idx = mesh.nearest_nodes(data[:, :2])
     pos = np.minimum(np.searchsorted(nodes, idx), nodes.shape[0] - 1)
     dist = np.hypot(*(mesh.vertices[idx] - data[:, :2]).T)
     unmatched = (nodes[pos] != idx) | (dist > 1e-8 * mesh.mesh_size)

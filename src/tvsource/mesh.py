@@ -62,6 +62,14 @@ class TriMesh:
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 
+    def nearest_nodes(self, points) -> np.ndarray:
+        """Index of the grid node nearest to each point (n, 2) of a mesh from
+        build_structured, whose vertex (ix, iy) has index iy*(level+1) + ix."""
+        ix, iy = (np.clip(np.rint((points[:, k] - a) / (b - a) * self.level),
+                          0, self.level).astype(np.int64)
+                  for k, (a, b) in enumerate(self.box))
+        return iy * (self.level + 1) + ix
+
     def boundary_nodes(self) -> np.ndarray:
         """Sorted indices of all nodes on the boundary."""
         return np.unique(self.boundary_edges)

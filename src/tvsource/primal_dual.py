@@ -54,11 +54,6 @@ class PdParams:
         return 1e-5 * math.sqrt(h), 1e-4 * math.sqrt(h)
 
 
-def params_for_level(h: float, rho_coef: float = 1e-3, **kwargs) -> PdParams:
-    """Parameters with the mesh-coupled regularization rho = rho_coef*sqrt(h)."""
-    return PdParams(rho=rho_coef * math.sqrt(h), **kwargs)
-
-
 @dataclass(frozen=True)
 class StepCertificate:
     """Evaluated step-size condition (1/tau - s)*(theta/tau) > rho^2*|grad|^2.
@@ -176,6 +171,20 @@ class PdState:
         return self.history[-1].tolerance if self.history else float("nan")
 
 
+def compatible_start(dp: DiscreteProblem):
+    """Constant source on the flux-compatible slice, clamped to the box,
+    and the dual start p = 0.5.
+
+    The deflated forward map cannot see the source mean, so the iteration
+    keeps it: only a start whose mean is minus the total flux over the
+    volume can end with the right mean.
+    """
+    c = -dp.b_flux.sum() / dp.domain_volume
+    f0 = np.full(dp.mesh.n_vertices, float(np.clip(c, *dp.prob.box)))
+    p0 = np.full((dp.mesh.n_triangles, 2), 0.5)
+    return f0, p0
+
+
 def extrapolate(f_new: P1Field, f_old: P1Field) -> P1Field:
     """Over-relaxed point 2*f_new - f_old (may leave the box on purpose)."""
     return 2.0 * f_new - f_old
@@ -185,8 +194,7 @@ class PdDriver:
     """Primal-dual iteration bound to one assembled problem."""
 
     def __init__(self, dp: DiscreteProblem, params: PdParams,
-                 certificate: StepCertificate | None = None,
-                 allow_uncertified: bool = False):
+                 certificate: StepCertificate | None = None):
         self.dp = dp
         self.params = params
         self.box = self.dp.prob.box
@@ -194,7 +202,7 @@ class PdDriver:
             certificate = certify_steps(params, self.dp.mesh,
                                         self.dp.prob.coeffs.alpha_lower)
         self.certificate = certificate
-        if not certificate.valid and not allow_uncertified:
+        if not certificate.valid:
             raise ValueError(
                 f"step-size condition violated: lhs {certificate.lhs:.6g} "
                 f"<= rhs {certificate.rhs:.6g}; decrease tau or rho")
@@ -270,17 +278,15 @@ class PdDriver:
 
         The history carries the objective and stopping value at every
         visited iterate, and (when enabled) the preconditioner norm of each
-        step taken.  The start defaults to f = 1 (clamped to the box) and
-        p = 0.5.
+        step taken.  A start not given is taken from compatible_start.
         """
         dp, prm = self.dp, self.params
         lo, hi = self.box
-        if f0 is None:
-            f0 = np.ones(dp.mesh.n_vertices)
-        if p0 is None:
-            p0 = np.full((dp.mesh.n_triangles, 2), 0.5)
-        f = np.clip(np.asarray(f0, dtype=float), lo, hi)
-        p = self._project_dual(np.asarray(p0, dtype=float))
+        default_f, default_p = compatible_start(dp)
+        f = np.clip(np.asarray(default_f if f0 is None else f0, dtype=float),
+                    lo, hi)
+        p = self._project_dual(
+            np.asarray(default_p if p0 is None else p0, dtype=float))
         state = PdState(f=f, p=p, n=0)
 
         u = u_a = g0_norm = None
@@ -319,9 +325,8 @@ class PdDriver:
 
 def run(dp: DiscreteProblem, z: Observation, params: PdParams, f0=None,
         p0=None, certificate: StepCertificate | None = None,
-        allow_uncertified: bool = False, on_iteration=None) -> PdState:
-    driver = PdDriver(dp, params, certificate, allow_uncertified)
-    return driver.run(z, f0, p0, on_iteration)
+        on_iteration=None) -> PdState:
+    return PdDriver(dp, params, certificate).run(z, f0, p0, on_iteration)
 
 
 @dataclass
@@ -343,36 +348,28 @@ class MultilevelError(RuntimeError):
         self.cause = cause
 
 
-def multilevel_run(levels, make_level, certifier=None, initial=None,
-                   on_iteration=None) -> list[LevelRun]:
+def multilevel_run(levels, make_level, on_iteration=None) -> list[LevelRun]:
     """Run the iteration level by level with warm-started iterates.
 
     ``levels`` must start at 4 and double at every step.  ``make_level``
-    maps a level to a (problem, observation, params) triple; the final
-    iterate pair of each level is interpolated onto the next mesh as its
-    starting point.  ``certifier(params, problem)`` may supply the step-size
-    certificate (defaults to the analytic one); ``initial(problem)``
-    optionally gives the first level's (f0, p0).
+    maps a level to its (problem, observation, params, certificate); the
+    first level starts from compatible_start, and the final iterate pair of
+    each level is interpolated onto the next mesh as its starting point.
     """
     levels = list(levels)
-    if not levels:
-        raise ValueError("levels must be nonempty")
-    if levels[0] != 4 or any(b != 2 * a for a, b in zip(levels, levels[1:])):
+    if not levels or levels[0] != 4 or any(
+            b != 2 * a for a, b in zip(levels, levels[1:])):
         raise ValueError(
             f"levels must start at 4 and double at each step, got {levels}")
     results: list[LevelRun] = []
     prev = None
     for level in levels:
         try:
-            dp, z, params = make_level(level)
+            dp, z, params, certificate = make_level(level)
+            f0 = p0 = None
             if prev is not None:
                 f0 = prolong_p1(prev.state.f, prev.problem.mesh, dp.mesh)
                 p0 = prolong_p0(prev.state.p, prev.problem.mesh, dp.mesh)
-            elif initial is not None:
-                f0, p0 = initial(dp)
-            else:
-                f0 = p0 = None
-            certificate = certifier(params, dp) if certifier else None
             state = run(dp, z, params, f0=f0, p0=p0, certificate=certificate,
                         on_iteration=on_iteration)
         except Exception as exc:

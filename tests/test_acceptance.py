@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from tvsource.experiment import (ExperimentConfig, build_benchmark_problem,
-                                 compatible_start, run_benchmark,
-                                 synthesize_observation)
+                                 run_benchmark, synthesize_observation)
 from tvsource.fem_assembly import div_adjoint, elem_gradient
 from tvsource.mesh import build_structured
 from tvsource.pde_solvers import DiscreteProblem, misfit
 from tvsource.primal_dual import (PdDriver, PdParams, certify_steps,
                                   certify_steps_empirical, coercivity_c1,
-                                  trace_constant)
+                                  compatible_start, trace_constant)
 from tvsource.tv_calculus import gradient_pairing, subgradient_witness, tv_value
 
 from conftest import benchmark_dp

@@ -352,11 +352,14 @@ class TestConfig:
             ExperimentConfig.from_json(str(path))
 
     def test_nonpositive_knobs_rejected(self):
-        for name in ("rho_coef", "tau", "theta", "max_iter", "cg_tol"):
+        for name in ("rho_coef", "tau", "theta", "max_iter"):
             with pytest.raises(ValueError, match=name):
                 ExperimentConfig(**{name: 0})
         with pytest.raises(ValueError, match="rho_coef"):
             ExperimentConfig(rho_coef="1e-3")
+
+    def test_zero_noise_accepted(self):
+        assert ExperimentConfig(noise_coef=0).noise_coef == 0
 
     def test_empty_levels_rejected(self):
         with pytest.raises(ValueError):
@@ -392,6 +395,18 @@ class TestBenchmarkRun:
     def test_truth_refine_mode_runs(self, tmp_path):
         records, _ = run_benchmark(_tiny_config(tmp_path, truth_refine=True))
         assert records[0].level == 4
+
+    def test_truth_refine_observes_fine_truth_state(self, tmp_path):
+        _, runs = run_benchmark(_tiny_config(tmp_path, truth_refine=True,
+                                             noise_coef=0, max_iter=1))
+        z, coarse = runs[0].observation, runs[0].problem.mesh
+        fine_prob, fine_truth = build_benchmark_problem(8)
+        u_fine = DiscreteProblem(fine_prob).solve_state(fine_truth)
+        fine = fine_prob.mesh.vertices
+        for node, value in zip(z.nodes, z.values):
+            dist = np.hypot(*(fine - coarse.vertices[node]).T)
+            assert dist.min() <= 1e-12
+            assert value == u_fine[np.argmin(dist)]
 
     def test_level_failure_yields_partial_flagged_table(self, tmp_path,
                                                         monkeypatch):
@@ -456,6 +471,15 @@ class TestCli:
                                        "export_format"),
         "bench_config_certify": ({"certify": "exact"}, [], "certify"),
         "bench_config_gamma_case": ({"gamma_case": "top"}, [], "gamma"),
+        "bench_config_levels_number": ({"levels": 4}, [], "levels"),
+        "bench_config_box_one_number": ({"box": [1]}, [], "box"),
+        "bench_config_seed_string": ({"seed": "x"}, [], "seed"),
+        "bench_config_max_iter_fraction": ({"max_iter": 2.5}, [], "max_iter"),
+        "bench_config_max_iter_bool": ({"max_iter": True}, [], "max_iter"),
+        "bench_config_isotropic_dual_string": ({"isotropic_dual": "no"}, [],
+                                               "isotropic_dual"),
+        "bench_noise_coef_negative": (None, ["--noise-coef", "-1"],
+                                      "noise_coef"),
     }
 
     @pytest.mark.parametrize("case", list(INVALID))

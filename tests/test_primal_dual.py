@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from tvsource.experiment import (build_benchmark_problem, compatible_start,
+from tvsource.experiment import (ExperimentConfig, build_benchmark_problem,
                                  synthesize_observation)
 from tvsource.fem_assembly import div_adjoint, elem_gradient
 from tvsource.pde_solvers import DiscreteProblem
 from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   certify_steps, certify_steps_empirical,
-                                  coercivity_c1, extrapolate, multilevel_run,
-                                  params_for_level, run, smooth_operator_norm,
+                                  coercivity_c1, compatible_start, extrapolate,
+                                  multilevel_run, run, smooth_operator_norm,
                                   trace_constant)
 from tvsource.sparse_linalg import CgConvergenceError
 
@@ -66,7 +66,6 @@ class TestCertificate:
         params = PdParams(rho=8.409e-4, tau=1.0, theta=5e-2)
         with pytest.raises(ValueError, match="step-size"):
             PdDriver(dp, params)
-        PdDriver(dp, params, allow_uncertified=True)  # explicit override
 
 
 class TestSmoothOperatorNorm:
@@ -219,12 +218,26 @@ class TestBNorm:
 def _short_run(level=4, max_iter=60, tau=5.0, record=True):
     dp, f_truth = benchmark_dp(level)
     z = synthesize_observation(dp, f_truth, 0.0, 0)
-    params = PdParams(rho=params_for_level(dp.mesh.mesh_size).rho, tau=tau,
-                      theta=5e-2, max_iter=max_iter, record_b_norms=record)
+    params = PdParams(
+        rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho, tau=tau,
+        theta=5e-2, max_iter=max_iter, record_b_norms=record)
     cert = certify_steps_empirical(params, dp)
     f0, p0 = compatible_start(dp)
     driver = PdDriver(dp, params, certificate=cert)
     return driver, driver.run(z, f0=f0, p0=p0), z, f0, p0
+
+
+def test_default_start_is_compatible_start():
+    dp, f_truth = benchmark_dp(4)
+    z = synthesize_observation(dp, f_truth, 0.0, 0)
+    params = PdParams(rho=8.409e-4, max_iter=5)
+    f0, p0 = compatible_start(dp)
+    from_default = run(dp, z, params)
+    from_compatible = run(dp, z, params, f0=f0, p0=p0)
+    assert np.array_equal(from_default.f, from_compatible.f)
+    assert np.array_equal(from_default.p, from_compatible.p)
+    assert ([r.objective for r in from_default.history]
+            == [r.objective for r in from_compatible.history])
 
 
 def test_run_descends_and_stays_feasible():
@@ -241,8 +254,9 @@ def test_adjoint_identity_along_iterations(rng):
     # the gradient identity holds at every visited iterate
     dp, f_truth = benchmark_dp(4)
     z = synthesize_observation(dp, f_truth, 0.0, 0)
-    params = PdParams(rho=params_for_level(dp.mesh.mesh_size).rho, tau=5.0,
-                      theta=5e-2, max_iter=20)
+    params = PdParams(
+        rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho, tau=5.0,
+        theta=5e-2, max_iter=20)
     cert = certify_steps_empirical(params, dp)
     driver = PdDriver(dp, params, certificate=cert)
     zfull = z.embed(dp.mesh.n_vertices)
@@ -275,8 +289,9 @@ def test_run_raises_when_dual_leaves_ball():
     # an explicit check, not an assert, so it also holds under python -O
     dp, f_truth = benchmark_dp(4)
     z = synthesize_observation(dp, f_truth, 0.0, 0)
-    params = PdParams(rho=params_for_level(dp.mesh.mesh_size).rho, tau=5.0,
-                      theta=5e-2, max_iter=5)
+    params = PdParams(
+        rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho, tau=5.0,
+        theta=5e-2, max_iter=5)
     driver = PdDriver(dp, params, certificate=certify_steps_empirical(
         params, dp))
     driver._project_dual = lambda q: 1.5 * q
@@ -330,9 +345,10 @@ class TestMultilevel:
     def _make_level(level):
         dp, f_truth = benchmark_dp(level)
         z = synthesize_observation(dp, f_truth, 0.0, [0, level])
-        params = PdParams(rho=params_for_level(dp.mesh.mesh_size).rho,
-                          tau=5.0, theta=5e-2, max_iter=25)
-        return dp, z, params
+        params = PdParams(
+            rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho,
+            tau=5.0, theta=5e-2, max_iter=25)
+        return dp, z, params, certify_steps_empirical(params, dp)
 
     def test_levels_must_double_from_four(self):
         with pytest.raises(ValueError):
@@ -343,17 +359,14 @@ class TestMultilevel:
             multilevel_run([4, 12], self._make_level)
 
     def test_single_level_equals_plain_run(self):
-        runs = multilevel_run([4], self._make_level,
-                              certifier=certify_steps_empirical)
-        dp, z, params = self._make_level(4)
-        cert = certify_steps_empirical(params, dp)
+        runs = multilevel_run([4], self._make_level)
+        dp, z, params, cert = self._make_level(4)
         state = run(dp, z, params, certificate=cert)
         assert np.allclose(runs[0].state.f, state.f, atol=1e-12)
         assert np.allclose(runs[0].state.p, state.p, atol=1e-12)
 
     def test_two_levels_couple_rho_and_warm_start(self):
-        runs = multilevel_run([4, 8], self._make_level,
-                              certifier=certify_steps_empirical)
+        runs = multilevel_run([4, 8], self._make_level)
         assert runs[0].params.rho == pytest.approx(8.4090e-4, rel=1e-4)
         assert runs[1].params.rho == pytest.approx(5.9460e-4, rel=1e-4)
         assert runs[1].problem.mesh.level == 8
@@ -365,6 +378,18 @@ class TestMultilevel:
             return self._make_level(level)
 
         with pytest.raises(MultilevelError) as excinfo:
-            multilevel_run([4, 8], flaky, certifier=certify_steps_empirical)
+            multilevel_run([4, 8], flaky)
+        assert excinfo.value.level == 8
+        assert [r.level for r in excinfo.value.completed] == [4]
+
+    def test_invalid_certificate_fails_its_level(self):
+        def uncertified_at_8(level):
+            dp, z, params, cert = self._make_level(level)
+            if level == 8:
+                cert = certify_steps(params, dp.mesh, 0.1)  # tau 5 fails it
+            return dp, z, params, cert
+
+        with pytest.raises(MultilevelError, match="step-size") as excinfo:
+            multilevel_run([4, 8], uncertified_at_8)
         assert excinfo.value.level == 8
         assert [r.level for r in excinfo.value.completed] == [4]

@@ -80,6 +80,17 @@ class TestGradOperatorNorm:
         val = grad_operator_norm(mesh)
         assert abs(val - ref) <= 1e-5 * ref
 
+    @pytest.mark.parametrize("level", [4, 8, 16])
+    def test_estimates_dense_eigenvalue_from_below(self, level):
+        mesh = build_structured(level)
+        K = assemble_stiffness(mesh, unit_coefficients(mesh)).toarray()
+        _, w = assemble_mass(mesh)
+        lam = scipy.linalg.eigh(K, np.diag(w), eigvals_only=True)
+        ref = np.sqrt(lam[-1])
+        val = grad_operator_norm(mesh)
+        # a Rayleigh quotient never exceeds the largest eigenvalue
+        assert ref * (1.0 - 1e-3) <= val <= ref * (1.0 + 1e-12)
+
     def test_scales_like_inverse_mesh_size(self):
         norms = {lv: grad_operator_norm(build_structured(lv))
                  for lv in (4, 8, 16)}
