@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,14 +20,13 @@ import numpy as np
 from .fem_assembly import CoefficientSet, NeumannData, P1Field
 from .mesh import GammaSpec, TriMesh, build_structured
 from .pde_solvers import DiscreteProblem, Observation, ProblemDef
-from .primal_dual import (LevelRun, MultilevelError, PdParams, certify_steps,
+from .primal_dual import (LevelRun, MultilevelError, PdParams,
                           certify_steps_empirical, multilevel_run)
 
 GAMMA_CASES = {
     "bottom": ("bottom",),
     "bottom_left": ("bottom", "left"),
 }
-CERTIFY_MODES = ("empirical", "analytic")
 EXPORT_FORMATS = ("csv", "vtk", "none")
 
 # truth source: high value inside the disk of radius 1/2, low outside,
@@ -134,7 +134,6 @@ class ExperimentConfig:
     theta: float = 5e-2
     max_iter: int = 600
     box: tuple = (-1.0, 3.0)
-    certify: str = "empirical"     # empirical | analytic
     isotropic_dual: bool = False
     record_b_norms: bool = False
     truth_refine: bool = False     # synthesize data on a once-refined mesh
@@ -150,9 +149,10 @@ class ExperimentConfig:
         flag = (lambda v: type(v) is bool, "true or false")
         text = (lambda v: type(v) is str, "a string")
         rules = {
-            "levels": (lambda v: type(v) is tuple and v != ()
-                       and all(type(k) is int for k in v),
-                       "a nonempty list of integers"),
+            "levels": (lambda v: type(v) is tuple and v[:1] == (4,)
+                       and all(type(k) is int for k in v)
+                       and all(b == 2 * a for a, b in zip(v, v[1:])),
+                       "a list of integers that starts at 4 and doubles"),
             "box": (lambda v: type(v) is tuple and len(v) == 2
                     and all(map(real, v)), "a pair of finite numbers"),
             "seed": (lambda v: type(v) is int and v >= 0,
@@ -164,8 +164,6 @@ class ExperimentConfig:
             "rho_coef": positive, "tau": positive, "theta": positive,
             "isotropic_dual": flag, "record_b_norms": flag,
             "truth_refine": flag, "gamma_case": text, "out_dir": text,
-            "certify": (CERTIFY_MODES.__contains__,
-                        f"one of {list(CERTIFY_MODES)}"),
             "export_format": (EXPORT_FORMATS.__contains__,
                               f"one of {list(EXPORT_FORMATS)}"),
         }
@@ -184,17 +182,12 @@ class ExperimentConfig:
 
     def setup_level(self, level: int):
         """The level's assembled problem, truth source, iteration parameters
-        and step-size certificate, the one ``certify`` selects."""
+        and step-size certificate (the computed, empirical one)."""
         prob, f_truth = build_benchmark_problem(level, self.gamma_case,
                                                 self.box)
         dp = DiscreteProblem(prob)
         params = self.level_params(dp.mesh.mesh_size)
-        if self.certify == "empirical":
-            certificate = certify_steps_empirical(params, dp)
-        else:
-            certificate = certify_steps(params, dp.mesh,
-                                        prob.coeffs.alpha_lower)
-        return dp, f_truth, params, certificate
+        return dp, f_truth, params, certify_steps_empirical(params, dp)
 
     @staticmethod
     def from_json(path: str, **overrides) -> "ExperimentConfig":
@@ -290,11 +283,6 @@ def run_benchmark(config: ExperimentConfig):
                                    u_truth=u_observed)
         return dp, z, params, certificate
 
-    # invalid input fails here, before any level runs: the coarsest problem
-    # checks the gamma case and the box, its parameters rho < 1 (largest there)
-    prob, _ = build_benchmark_problem(config.levels[0], config.gamma_case,
-                                      config.box)
-    config.level_params(prob.mesh.mesh_size)
     try:
         runs = multilevel_run(config.levels, make_level)
     except MultilevelError as exc:
@@ -411,7 +399,12 @@ def read_observation_csv(path: str, mesh: TriMesh,
     once, and every entry must be finite.
     """
     nodes = mesh.side_nodes(gamma.sides)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        # a file without data rows is reported below, not by numpy
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"observation file {path} holds no data rows")
     if data.shape != (nodes.shape[0], 3):
         raise ValueError(
             f"observation file has {data.shape[0]} rows of {data.shape[1]} "

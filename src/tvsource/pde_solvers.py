@@ -13,6 +13,7 @@ zero-weighted-mean representatives.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,12 @@ class DiscreteProblem:
         self.b_flux = neumann_load(prob.mesh, prob.neumann)
         self.pure_neumann = prob.coeffs.is_pure_neumann
         self.domain_volume = float(self.w.sum())
-        self._K_unit = None
+
+    @functools.cached_property
+    def K_unit(self):
+        """Unit-diffusion stiffness matrix: the H1 seminorm and the discrete
+        gradient norm of the step-size certificate."""
+        return assemble_stiffness(self.mesh, unit_coefficients(self.mesh))
 
     # -- inner products ----------------------------------------------------
 
@@ -86,10 +92,7 @@ class DiscreteProblem:
         return float(np.sqrt(u @ (self.M @ u)))
 
     def h1_norm(self, u) -> float:
-        if self._K_unit is None:
-            self._K_unit = assemble_stiffness(self.mesh,
-                                              unit_coefficients(self.mesh))
-        return float(np.sqrt(u @ (self._K_unit @ u) + u @ (self.M @ u)))
+        return float(np.sqrt(u @ (self.K_unit @ u) + u @ (self.M @ u)))
 
     def gamma_norm(self, r) -> float:
         """L2 norm over the observation boundary of a nodal vector."""

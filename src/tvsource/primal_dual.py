@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem_assembly import P0VecField, P1Field, div_adjoint, elem_gradient
-from .mesh import TriMesh, prolong_p0, prolong_p1
+from .mesh import prolong_p0, prolong_p1
 from .pde_solvers import DiscreteProblem, Observation, misfit
 from .sparse_linalg import (CgConvergenceError, grad_operator_norm,
                             weighted_power_iteration)
@@ -95,28 +95,25 @@ def trace_constant(box_bounds) -> float:
     return math.sqrt((len(box) + hbar**2) / hlow)
 
 
-def _certificate(params: PdParams, mesh: TriMesh, alpha_lower: float,
+def _certificate(params: PdParams, dp: DiscreteProblem,
                  smooth_bound: float | None) -> StepCertificate:
-    """Evaluate the step-size condition on the mesh's domain box.
+    """Evaluate the step-size condition on the problem's domain box.
 
     ``smooth_bound`` is s; None takes the analytic worst case c_gamma^2/c1^2.
     """
-    volume = 1.0
-    for a, b in mesh.box:
-        volume *= (b - a)
-    c1 = coercivity_c1(alpha_lower, len(mesh.box), volume)
-    cg = trace_constant(mesh.box)
-    gnorm = grad_operator_norm(mesh)
+    c1 = coercivity_c1(dp.prob.coeffs.alpha_lower, len(dp.mesh.box),
+                       dp.domain_volume)
+    cg = trace_constant(dp.mesh.box)
+    gnorm = grad_operator_norm(dp.K_unit, dp.w)
     s = cg**2 / c1**2 if smooth_bound is None else smooth_bound
     lhs = (1.0 / params.tau - s) * (params.theta / params.tau)
     rhs = params.rho**2 * gnorm**2
     return StepCertificate(c1, cg, gnorm, s, lhs, rhs, lhs > rhs)
 
 
-def certify_steps(params: PdParams, mesh: TriMesh,
-                  alpha_lower: float) -> StepCertificate:
+def certify_steps(params: PdParams, dp: DiscreteProblem) -> StepCertificate:
     """Evaluate the step-size condition with the analytic worst-case bound."""
-    return _certificate(params, mesh, alpha_lower, None)
+    return _certificate(params, dp, None)
 
 
 def smooth_operator_norm(dp, tol: float = 1e-3, max_iter: int = 200) -> float:
@@ -144,8 +141,7 @@ def certify_steps_empirical(params: PdParams,
     certifies practical step sizes while keeping every monotonicity
     guarantee of the iteration.
     """
-    return _certificate(params, dp.mesh, dp.prob.coeffs.alpha_lower,
-                        1.2 * smooth_operator_norm(dp))
+    return _certificate(params, dp, 1.2 * smooth_operator_norm(dp))
 
 
 @dataclass
@@ -199,8 +195,7 @@ class PdDriver:
         self.params = params
         self.box = self.dp.prob.box
         if certificate is None:
-            certificate = certify_steps(params, self.dp.mesh,
-                                        self.dp.prob.coeffs.alpha_lower)
+            certificate = certify_steps(params, dp)
         self.certificate = certificate
         if not certificate.valid:
             raise ValueError(

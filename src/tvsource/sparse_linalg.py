@@ -138,17 +138,13 @@ def weighted_power_iteration(apply, w: np.ndarray, seed: int, tol: float,
         SolveReport(max_iter, float("nan"), False))
 
 
-def grad_operator_norm(mesh) -> float:
+def grad_operator_norm(K: csr_matrix, w: np.ndarray) -> float:
     """Estimate from below of the largest ratio ||grad v|| / ||v|| over the
     piecewise-linear space, by power iteration (tolerance 1e-6, at most
     20000 steps; a Rayleigh quotient never exceeds the largest eigenvalue)
     on the generalized eigenproblem pairing the unit-diffusion stiffness
-    matrix with the lumped mass matrix, the inner product of the proximal
-    steps.  Scales like 1/h on quasi-uniform meshes.
+    matrix K with the lumped mass weights w, the inner product of the
+    proximal steps.  Scales like 1/h on quasi-uniform meshes.
     """
-    from .fem_assembly import assemble_mass, assemble_stiffness, unit_coefficients
-
-    K = assemble_stiffness(mesh, unit_coefficients(mesh))
-    _, w = assemble_mass(mesh)
     return float(np.sqrt(weighted_power_iteration(
         lambda v: (K @ v) / w, w, 12345, 1e-6, 20000)))

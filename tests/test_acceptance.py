@@ -198,7 +198,7 @@ def test_criterion_8_constants():
     c1 = coercivity_c1(0.1, 2, 4.0)
     cg = trace_constant(((-1.0, 1.0), (-1.0, 1.0)))
     params = PdParams(rho=8.409e-4, tau=2e-4, theta=5e-2)
-    cert = certify_steps(params, build_structured(4), 0.1)
+    cert = certify_steps(params, benchmark_dp(4)[0])
     ok = (abs(c1 - 0.025) <= 1e-12
           and abs(cg - math.sqrt(3.0)) <= 1e-12
           and abs(cert.lhs - 50000.0) <= 1e-9 * 50000.0

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import tvsource.cli
 from tvsource.cli import main as cli_main
 from tvsource.experiment import (ExperimentConfig, F_HIGH, F_LOW,
                                  build_benchmark_problem, benchmark_flux,
@@ -480,12 +481,20 @@ class TestCli:
                                                "isotropic_dual"),
         "bench_noise_coef_negative": (None, ["--noise-coef", "-1"],
                                       "noise_coef"),
+        "bench_out_is_a_file": (None, [], "afile"),
     }
 
     @pytest.mark.parametrize("case", list(INVALID))
-    def test_invalid_input_one_line_exit_2(self, tmp_path, capsys, case):
+    def test_invalid_input_one_line_exit_2(self, tmp_path, capsys,
+                                           monkeypatch, case):
         keys, extra, word = self.INVALID[case]
         out = str(tmp_path / "out")
+        if case == "bench_out_is_a_file":
+            (tmp_path / "afile").write_text("")
+            out = str(tmp_path / "afile" / "sub")
+        benchmark_calls = []
+        monkeypatch.setattr(tvsource.cli, "run_benchmark",
+                            lambda *args: benchmark_calls.append(args))
         if case.startswith("solve"):
             dp, f_truth = benchmark_dp(4)
             obs = tmp_path / "obs.csv"
@@ -505,6 +514,18 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("tvsource: error: ")
         assert word in lines[0] and captured.out == ""
         assert not os.path.exists(out)
+        assert benchmark_calls == []
+
+    def test_solve_header_only_observation_one_line_exit_2(self, tmp_path,
+                                                           capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("node_x1,node_x2,z_value\n")
+        code = cli_main(["solve", str(obs), "--level", "4", "--out",
+                         str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"tvsource: error: observation file {obs} holds no data rows"]
 
     def test_solver_failure_one_line_exit_1(self, tmp_path, capsys,
                                             monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvsource.mesh import GammaSpec, TriMesh, build_structured, prolong_p0, prolong_p1
 
@@ -72,17 +74,27 @@ def test_gamma_spec_validation():
     assert g.sides == {"bottom", "left"}
 
 
+# coarse levels, affine coefficients, value bounds lo < hi and noise seeds
+levels = st.integers(1, 16)
+coef = st.floats(-4.0, 4.0)
+bounds = st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)).map(
+    lambda t: (t[0], t[0] + t[1]))
+seeds = st.integers(0, 2**32 - 1)
+
+
 class TestProlongP1:
     def test_constant(self):
         coarse, fine = build_structured(4), build_structured(8)
         out = prolong_p1(np.full(coarse.n_vertices, 3.25), coarse, fine)
         assert np.max(np.abs(out - 3.25)) == 0.0
 
-    def test_affine_reproduced_exactly(self):
-        coarse, fine = build_structured(4), build_structured(8)
-        f = 2.0 * coarse.vertices[:, 0] - 0.5 * coarse.vertices[:, 1] + 1.0
+    @settings(max_examples=40, deadline=None)
+    @given(levels, coef, coef, coef)
+    def test_affine_reproduced_exactly(self, level, a, b, c):
+        coarse, fine = build_structured(level), build_structured(2 * level)
+        f = a * coarse.vertices[:, 0] + b * coarse.vertices[:, 1] + c
         out = prolong_p1(f, coarse, fine)
-        expected = 2.0 * fine.vertices[:, 0] - 0.5 * fine.vertices[:, 1] + 1.0
+        expected = a * fine.vertices[:, 0] + b * fine.vertices[:, 1] + c
         assert np.max(np.abs(out - expected)) < 1e-14
 
     def test_edge_midpoint_average(self):
@@ -95,9 +107,11 @@ class TestProlongP1:
                                  fine.vertices[:, 1] + 1.0))
         assert out[mid] == pytest.approx(0.5, abs=1e-15)
 
-    def test_preserves_bounds(self, rng):
-        coarse, fine = build_structured(4), build_structured(8)
-        f = rng.uniform(-1.0, 3.0, coarse.n_vertices)
+    @settings(max_examples=40, deadline=None)
+    @given(levels, bounds, seeds)
+    def test_preserves_bounds(self, level, box, seed):
+        coarse, fine = build_structured(level), build_structured(2 * level)
+        f = np.random.default_rng(seed).uniform(*box, coarse.n_vertices)
         out = prolong_p1(f, coarse, fine)
         assert out.min() >= f.min() - 1e-15
         assert out.max() <= f.max() + 1e-15
@@ -126,11 +140,13 @@ class TestProlongP0:
         out = prolong_p0(p, coarse, fine)
         assert np.max(np.abs(out - 0.5)) == 0.0
 
-    def test_sup_norm_preserved(self, rng):
-        coarse, fine = build_structured(2), build_structured(4)
-        p = np.sign(rng.standard_normal((coarse.n_triangles, 2)))
+    @settings(max_examples=40, deadline=None)
+    @given(levels, bounds, seeds)
+    def test_sup_norm_preserved(self, level, box, seed):
+        coarse, fine = build_structured(level), build_structured(2 * level)
+        p = np.random.default_rng(seed).uniform(*box, (coarse.n_triangles, 2))
         out = prolong_p0(p, coarse, fine)
-        assert np.max(np.abs(out)) == 1.0
+        assert np.max(np.abs(out)) == np.max(np.abs(p))
 
     def test_checkerboard_matches_centroid_parent(self, rng):
         coarse, fine = build_structured(2), build_structured(4)

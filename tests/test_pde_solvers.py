@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvsource.experiment import build_benchmark_problem, synthesize_observation
 from tvsource.fem_assembly import CoefficientSet, NeumannData, unit_coefficients
@@ -52,13 +54,27 @@ def test_adjoint_vanishes_on_matched_data():
     assert np.max(np.abs(u_a)) <= 1e-10
 
 
-def test_adjoint_gradient_identity(rng):
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_adjoint_gradient_identity(seed, reaction, boundary_term):
     # pairing the data residual with the linearized state equals pairing
     # the direction with the adjoint state, for random sources/directions
-    dp, f_truth = benchmark_dp(4)
-    z = synthesize_observation(dp, f_truth, 1e-2, 7)
+    # and random SPD diffusion, with or without beta > 0 and sigma > 0
+    # (pure Neumann, deflated, when both are off)
+    rng = np.random.default_rng(seed)
+    mesh = build_structured(4)
+    L = rng.standard_normal((mesh.n_triangles, 2, 2))
+    alpha = L @ L.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    n_edges = len(mesh.boundary_edges)
+    beta = rng.uniform(0.0, 2.0, mesh.n_triangles) * reaction
+    sigma = rng.uniform(0.0, 2.0, n_edges) * boundary_term
+    prob = ProblemDef(mesh, CoefficientSet(alpha, beta, sigma, 0.1),
+                      NeumannData(rng.standard_normal(n_edges)),
+                      GammaSpec(frozenset(("bottom", "left"))))
+    dp = DiscreteProblem(prob, cg_tol=1e-13)
+    z = Observation(dp.gamma_nodes, rng.standard_normal(len(dp.gamma_nodes)))
     zfull = z.embed(dp.mesh.n_vertices)
-    for _ in range(20):
+    for _ in range(3):
         f = rng.uniform(-1.0, 3.0, dp.mesh.n_vertices)
         xi = rng.standard_normal(dp.mesh.n_vertices)
         u = dp.solve_state(f)

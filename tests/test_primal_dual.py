@@ -42,7 +42,7 @@ class TestConstants:
 class TestCertificate:
     def test_reference_arithmetic(self):
         params = PdParams(rho=8.409e-4, tau=2e-4, theta=5e-2)
-        cert = certify_steps(params, build_structured_cached(4), 0.1)
+        cert = certify_steps(params, benchmark_dp(4)[0])
         assert cert.c1 == pytest.approx(0.025, abs=1e-12)
         assert cert.c_gamma == pytest.approx(math.sqrt(3.0), abs=1e-12)
         assert cert.lhs == pytest.approx(50000.0, rel=1e-12)
@@ -51,7 +51,7 @@ class TestCertificate:
 
     def test_too_large_tau_invalid(self):
         params = PdParams(rho=8.409e-4, tau=1.0, theta=5e-2)
-        cert = certify_steps(params, build_structured_cached(4), 0.1)
+        cert = certify_steps(params, benchmark_dp(4)[0])
         assert cert.lhs < 0 and not cert.valid
 
     def test_empirical_bound_is_much_sharper(self):
@@ -85,16 +85,6 @@ class TestSmoothOperatorNorm:
         dp, _ = benchmark_dp(4)
         with pytest.raises(CgConvergenceError, match="power iteration"):
             smooth_operator_norm(dp, max_iter=1)
-
-
-_mesh_cache = {}
-
-
-def build_structured_cached(level):
-    from tvsource.mesh import build_structured
-    if level not in _mesh_cache:
-        _mesh_cache[level] = build_structured(level)
-    return _mesh_cache[level]
 
 
 def test_params_validation():
@@ -386,7 +376,7 @@ class TestMultilevel:
         def uncertified_at_8(level):
             dp, z, params, cert = self._make_level(level)
             if level == 8:
-                cert = certify_steps(params, dp.mesh, 0.1)  # tau 5 fails it
+                cert = certify_steps(params, dp)  # tau 5 fails it
             return dp, z, params, cert
 
         with pytest.raises(MultilevelError, match="step-size") as excinfo:
