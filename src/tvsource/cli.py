@@ -22,7 +22,8 @@ from .experiment import (ExperimentConfig, build_benchmark_problem,
 from .mesh import build_structured
 from .pde_solvers import DiscreteProblem
 from .primal_dual import certify_steps
-from .sparse_linalg import CgConvergenceError, grad_operator_norm
+from .sparse_linalg import (CgConvergenceError, FactorizationError,
+                            grad_operator_norm)
 from .tv_calculus import gradient_pairing, subgradient_witness, tv_value
 
 
@@ -107,19 +108,16 @@ def _config_from_args(args) -> ExperimentConfig:
     return config
 
 
-def _make_out_dir(config: ExperimentConfig, level: int):
-    """Create the output directory once the input is known to be valid and
-    before any level is set up.  The config checked its fields; the level's
-    problem checks the gamma case and the box, its parameters rho < 1 (on
-    the coarsest level rho is largest)."""
-    prob, _ = build_benchmark_problem(level, config.gamma_case, config.box)
+def cmd_bench(args) -> int:
+    """The output directory is created once the input is known to be valid
+    and before any level is set up: the config checked its fields, the
+    coarsest level's problem checks the gamma case and the box, its
+    parameters rho < 1 (on the coarsest level rho is largest)."""
+    config = _config_from_args(args)
+    prob, _ = build_benchmark_problem(config.levels[0], config.gamma_case,
+                                      config.box)
     config.level_params(prob.mesh.mesh_size)
     os.makedirs(config.out_dir, exist_ok=True)
-
-
-def cmd_bench(args) -> int:
-    config = _config_from_args(args)
-    _make_out_dir(config, config.levels[0])
     try:
         records, runs = run_benchmark(config)
     except experiment.BenchmarkError as exc:
@@ -139,10 +137,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    """The level is set up once and the observation file read before the
+    output directory is created, so invalid input writes nothing."""
     config = _config_from_args(args)
-    _make_out_dir(config, args.level)
     dp, _, params, certificate = config.setup_level(args.level)
     z = read_observation_csv(args.observation, dp.mesh, dp.prob.gamma)
+    os.makedirs(config.out_dir, exist_ok=True)
     state = primal_dual.run(dp, z, params, certificate=certificate)
     fmt = config.export_format
     if fmt != "none":
@@ -212,12 +212,12 @@ def cmd_check(_args) -> int:
 
 def main(argv=None) -> int:
     """Run one subcommand; invalid input ends it with one line and code 2,
-    a solve that does not converge with one line and code 1."""
+    a solve that does not converge or factor with one line and code 1."""
     args = build_parser().parse_args(argv)
     handlers = {"bench": cmd_bench, "solve": cmd_solve, "check": cmd_check}
     try:
         return handlers[args.command](args)
-    except CgConvergenceError as exc:
+    except (CgConvergenceError, FactorizationError) as exc:
         print(f"tvsource: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -248,7 +248,7 @@ def _level_errors(run: LevelRun, truth: tuple[P1Field, P1Field]):
     (truth source, truth state)."""
     dp = run.problem
     f_truth, u_truth = truth
-    u_rec = dp.solve_state(run.state.f)
+    u_rec = run.state.u
     bnodes = dp.mesh.boundary_nodes()
     bvals_dag = np.zeros(dp.mesh.n_vertices)
     bvals_dag[bnodes] = u_truth[bnodes]

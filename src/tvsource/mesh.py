@@ -19,6 +19,11 @@ SIDE_TAGS = ("bottom", "top", "left", "right")
 class TriMesh:
     """Triangulation of an axis-aligned rectangle with boundary markers.
 
+    Every mesh in the package comes from build_structured, which numbers
+    vertex (ix, iy) as iy*(level+1) + ix, grid row by grid row.
+    nearest_nodes, the prolongations and the block-tridiagonal
+    factorization of the assembled operators rely on this ordering.
+
     Attributes
     ----------
     vertices : (n_vertices, 2) float array of node coordinates.

@@ -9,6 +9,9 @@ choice the reduced-gradient identity
 holds exactly up to solver tolerance, also in the pure-Neumann case, where
 loads are deflated onto the compatible range and solutions are returned as
 zero-weighted-mean representatives.
+
+Every solve is a direct solve with a block-tridiagonal factorization,
+checked (and polished if needed) by CG to the problem's ``cg_tol``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .fem_assembly import (CoefficientSet, NeumannData, P1Field,
                            assemble_stiffness, neumann_load,
                            unit_coefficients)
 from .mesh import GammaSpec, TriMesh
-from .sparse_linalg import cg_solve
+from .sparse_linalg import BlockTridiagonalFactor, cg_solve
 
 DEFAULT_CG_TOL = 1e-10
 
@@ -80,6 +83,17 @@ class DiscreteProblem:
         gradient norm of the step-size certificate."""
         return assemble_stiffness(self.mesh, unit_coefficients(self.mesh))
 
+    @functools.cached_property
+    def factor(self) -> BlockTridiagonalFactor:
+        """Factorization of A, built on first use; in the pure-Neumann case
+        of A grounded at one node, which solves A x = b for deflated b."""
+        return BlockTridiagonalFactor(self.A, self.mesh.level + 1,
+                                      ground=self.pure_neumann)
+
+    def release_factor(self):
+        """Free the factorization of A; the next solve builds it again."""
+        self.__dict__.pop("factor", None)
+
     # -- inner products ----------------------------------------------------
 
     def lumped_inner(self, u, v) -> float:
@@ -100,16 +114,22 @@ class DiscreteProblem:
 
     # -- solves ------------------------------------------------------------
 
-    def _solve(self, rhs, x0=None):
-        x, _ = cg_solve(self.A, rhs, tol=self.cg_tol, x0=x0,
-                        mean_weights=self.w if self.pure_neumann else None)
+    def _solve(self, rhs):
+        """Factored solution, checked by CG; a pure-Neumann load is first
+        deflated onto the range of A, and CG re-centres the solution."""
+        w = None
+        if self.pure_neumann:
+            w = self.w
+            rhs = rhs - (rhs.sum() / self.domain_volume) * w
+        x, _ = cg_solve(self.A, rhs, tol=self.cg_tol, mean_weights=w,
+                        x0=self.factor.solve(rhs))
         return x
 
     def compatibility_residual(self, f: P1Field) -> float:
         """Volume integral of the source plus the total boundary flux."""
         return float(self.w @ f + self.b_flux.sum())
 
-    def solve_state(self, f: P1Field, x0: np.ndarray | None = None,
+    def solve_state(self, f: P1Field,
                     require_compatible: bool = False) -> P1Field:
         """Solution of the variational problem with source f and the flux data.
 
@@ -124,17 +144,16 @@ class DiscreteProblem:
             if defect > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
                 raise ValueError(
                     f"incompatible source/flux pair: defect {defect:.3e}")
-        return self._solve(rhs, x0)
+        return self._solve(rhs)
 
     def solve_source_part(self, f: P1Field) -> P1Field:
         """State with source f and zero flux (the linear part of the map)."""
         return self._solve(self.w * f)
 
-    def solve_adjoint(self, u_state: P1Field, z: Observation,
-                      x0: np.ndarray | None = None) -> P1Field:
+    def solve_adjoint(self, u_state: P1Field, z: Observation) -> P1Field:
         """Adjoint state loaded by the data misfit on the observed boundary."""
         rhs = self.M_gamma @ (u_state - z.embed(self.mesh.n_vertices))
-        return self._solve(rhs, x0)
+        return self._solve(rhs)
 
     def solve_gamma_loaded(self, g: P1Field) -> P1Field:
         """Solve with boundary load (g, .) over the observed sides."""
@@ -145,7 +164,8 @@ class DiscreteProblem:
         """Constrained solve: boundary nodes pinned to the given values.
 
         ``boundary_values`` is a full nodal vector whose entries at boundary
-        nodes supply the data (interior entries are ignored).
+        nodes supply the data (interior entries are ignored).  The interior
+        block is factored here and not kept.
         """
         bnodes = self.mesh.boundary_nodes()
         n = self.mesh.n_vertices
@@ -154,7 +174,9 @@ class DiscreteProblem:
         u[bnodes] = boundary_values[bnodes]
         rhs = self.w * f - self.A @ u
         A_ii = self.A[interior][:, interior].tocsr()
-        x, _ = cg_solve(A_ii, rhs[interior], tol=self.cg_tol)
+        b = rhs[interior]
+        x0 = BlockTridiagonalFactor(A_ii, self.mesh.level - 1).solve(b)
+        x, _ = cg_solve(A_ii, b, tol=self.cg_tol, x0=x0)
         u[interior] = x
         return u
 

@@ -96,16 +96,19 @@ def trace_constant(box_bounds) -> float:
 
 
 def _certificate(params: PdParams, dp: DiscreteProblem,
-                 smooth_bound: float | None) -> StepCertificate:
+                 smooth_bound=None) -> StepCertificate:
     """Evaluate the step-size condition on the problem's domain box.
 
-    ``smooth_bound`` is s; None takes the analytic worst case c_gamma^2/c1^2.
+    ``smooth_bound`` maps the problem to s; None takes the analytic worst
+    case c_gamma^2/c1^2.  It is called after the gradient norm, so that
+    the unit stiffness is assembled before the first solve factors A and
+    the assembly's temporaries do not add to the factor's memory peak.
     """
     c1 = coercivity_c1(dp.prob.coeffs.alpha_lower, len(dp.mesh.box),
                        dp.domain_volume)
     cg = trace_constant(dp.mesh.box)
     gnorm = grad_operator_norm(dp.K_unit, dp.w)
-    s = cg**2 / c1**2 if smooth_bound is None else smooth_bound
+    s = cg**2 / c1**2 if smooth_bound is None else smooth_bound(dp)
     lhs = (1.0 / params.tau - s) * (params.theta / params.tau)
     rhs = params.rho**2 * gnorm**2
     return StepCertificate(c1, cg, gnorm, s, lhs, rhs, lhs > rhs)
@@ -141,7 +144,8 @@ def certify_steps_empirical(params: PdParams,
     certifies practical step sizes while keeping every monotonicity
     guarantee of the iteration.
     """
-    return _certificate(params, dp, 1.2 * smooth_operator_norm(dp))
+    return _certificate(params, dp,
+                        lambda dp: 1.2 * smooth_operator_norm(dp))
 
 
 @dataclass
@@ -161,6 +165,7 @@ class PdState:
     n: int
     history: list = field(default_factory=list)
     stopped_by_tolerance: bool = False
+    u: P1Field | None = None  # state at f, once the run has ended
 
     @property
     def final_tolerance(self) -> float:
@@ -284,11 +289,11 @@ class PdDriver:
             np.asarray(default_p if p0 is None else p0, dtype=float))
         state = PdState(f=f, p=p, n=0)
 
-        u = u_a = g0_norm = None
+        g0_norm = None
         for n in range(prm.max_iter + 1):
             try:
-                u = dp.solve_state(f, x0=u)
-                u_a = dp.solve_adjoint(u, z, x0=u_a)
+                u = dp.solve_state(f)
+                u_a = dp.solve_adjoint(u, z)
             except CgConvergenceError as exc:
                 raise CgConvergenceError(
                     f"state or adjoint solve failed at iteration {n}: {exc}",
@@ -313,7 +318,7 @@ class PdDriver:
             if prm.record_b_norms:
                 record.step_b_norm_sq = self.b_norm_sq(f_next - f, p_next - p)
             f, p = f_next, p_next
-        state.f, state.p, state.n = f, p, n
+        state.f, state.p, state.n, state.u = f, p, n, u
         state.stopped_by_tolerance = tol_val <= 0.0
         return state
 
@@ -350,6 +355,7 @@ def multilevel_run(levels, make_level, on_iteration=None) -> list[LevelRun]:
     maps a level to its (problem, observation, params, certificate); the
     first level starts from compatible_start, and the final iterate pair of
     each level is interpolated onto the next mesh as its starting point.
+    A level's factorization is released once its run has ended.
     """
     levels = list(levels)
     if not levels or levels[0] != 4 or any(
@@ -369,6 +375,7 @@ def multilevel_run(levels, make_level, on_iteration=None) -> list[LevelRun]:
                         on_iteration=on_iteration)
         except Exception as exc:
             raise MultilevelError(level, results, exc) from exc
+        dp.release_factor()
         prev = LevelRun(level, dp, z, params, state)
         results.append(prev)
     return results

@@ -1,9 +1,12 @@
-"""Sparse symmetric solves: Jacobi-preconditioned CG and a power iteration.
+"""Sparse symmetric solves: a block-tridiagonal factorization,
+Jacobi-preconditioned CG and a power iteration.
 
-The conjugate gradient solver handles the singular pure-Neumann case by
-mean deflation: the load is projected onto the range of the operator and
-the result is re-centered to the zero-weighted-mean representative, so
-the returned solution lives in the discrete mean-free space.
+Every operator assembled on a mesh from ``build_structured`` is block
+tridiagonal in its row-major vertex numbering; BlockTridiagonalFactor
+solves such systems directly.  The conjugate gradient solver checks (and,
+if needed, polishes) a solution to a relative residual target.  In the
+singular pure-Neumann case it treats the constants as the kernel and
+returns the zero-weighted-mean representative.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 
 @dataclass
@@ -29,21 +32,125 @@ class CgConvergenceError(RuntimeError):
         self.report = report
 
 
+class FactorizationError(RuntimeError):
+    """A block factorization met a block that is not positive definite."""
+
+
+def _band_apply(t: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """Product T x for the tridiagonal matrix T whose entry T[r, r + d] is
+    t[d + 1, r] (d = -1, 0, 1), given x padded with one zero row at each
+    end, xp = (0, x, 0)."""
+    if xp.ndim == 2:
+        t = t[:, :, None]
+    return t[0] * xp[:-2] + t[1] * xp[1:-1] + t[2] * xp[2:]
+
+
+class BlockTridiagonalFactor:
+    """Block LDL^T factorization of a symmetric positive definite matrix
+    made of square blocks of size m, block tridiagonal with tridiagonal
+    off-diagonal blocks.
+
+    This is the shape of every P1 operator on a mesh from build_structured
+    (m = level + 1; the interior of a Dirichlet problem has m = level - 1):
+    a node couples only to its own grid row and, in the adjacent rows, to
+    the nodes at most one column away.  With D_i the diagonal blocks and
+    E_i the coupling of block row i+1 to row i, the Schur complements are
+    S_0 = D_0 and S_{i+1} = D_{i+1} - E_i S_i^{-1} E_i^T; one dense
+    S_i^{-1} is kept per block row, the couplings as three diagonals, and
+    a solve is one forward and one backward sweep of dense products
+    (Golub & Van Loan, Matrix Computations, 4.5).  Only the lower triangle
+    of A is read.
+
+    ``ground`` adds 1 to the first diagonal entry, which makes an operator
+    whose kernel is the constants definite; for a load whose entries sum to
+    0, the grounded solution solves the singular system itself.
+
+    Raises ValueError if A has a coupling outside that band and
+    FactorizationError if a Schur complement is not positive definite.
+    """
+
+    def __init__(self, A, m: int, ground: bool = False):
+        A = coo_matrix(A)
+        n = A.shape[0]
+        nb = n // m if m else 0
+        if A.shape != (n, n) or nb * m != n:
+            raise ValueError(f"a {A.shape} matrix is not made of square "
+                             f"blocks of size {m}")
+        A.sum_duplicates()
+        keep = (A.row >= A.col) & (A.data != 0)
+        row, col, val = A.row[keep], A.col[keep], A.data[keep]
+        del A, keep  # freed before the dense blocks: a lower peak memory
+        brow, r = np.divmod(row, m)
+        bcol, c = np.divmod(col, m)
+        lower = brow != bcol
+        if np.any(brow - bcol > 1) or np.any(lower & (np.abs(c - r) > 1)):
+            raise ValueError("the matrix has a coupling outside the block-"
+                             f"tridiagonal band of {m}x{m} blocks")
+        inv = np.zeros((nb, m, m))
+        inv[brow[~lower], r[~lower], c[~lower]] = val[~lower]
+        inv[brow[~lower], c[~lower], r[~lower]] = val[~lower]
+        # E_i as diagonals: low[i, d + 1, r] = E_i[r, r + d]
+        low = np.zeros((max(nb - 1, 0), 3, m))
+        low[bcol[lower], c[lower] - r[lower] + 1, r[lower]] = val[lower]
+        if ground and nb:
+            inv[0, 0, 0] += 1.0
+        pad = ((1, 1), (0, 0))
+        for i in range(nb):  # inv[i] holds D_i, then S_i, then S_i^{-1}
+            if i:
+                e_sinv = _band_apply(low[i - 1], np.pad(inv[i - 1], pad))
+                inv[i] -= _band_apply(low[i - 1], np.pad(e_sinv.T, pad)).T
+            try:
+                np.linalg.cholesky(inv[i])  # the definiteness check
+                inv[i] = np.linalg.inv(inv[i])
+            except np.linalg.LinAlgError as exc:
+                raise FactorizationError(
+                    f"block factorization failed at block row {i} of {nb}: "
+                    f"{exc}") from exc
+        # E_i^T as diagonals: up[i, d + 1, c] = E_i[c + d, c]
+        up = np.zeros_like(low)
+        up[:, 0, 1:] = low[:, 2, :-1]
+        up[:, 1] = low[:, 1]
+        up[:, 2, :-1] = low[:, 0, 1:]
+        self.inv, self.low, self.up = inv, low, up
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solution of A x = b."""
+        inv, low, up = self.inv, self.low, self.up
+        nb, m = inv.shape[:2]
+        # one zero entry padded at each end of a block row lets a coupling
+        # act on it as three shifted products
+        y = np.zeros((nb, m + 2))
+        y[:, 1:-1] = np.reshape(b, (nb, m))
+        x = y[:, 1:-1]
+        for i in range(nb):  # forward: row i becomes S_i^{-1} y_i
+            if i:
+                x[i] -= _band_apply(low[i - 1], y[i - 1])
+            x[i] = inv[i] @ x[i]
+        for i in range(nb - 2, -1, -1):  # backward
+            x[i] -= inv[i] @ _band_apply(up[i], y[i + 1])
+        return x.ravel()
+
+
 def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
              max_iter: int | None = None,
              mean_weights: np.ndarray | None = None,
              x0: np.ndarray | None = None):
-    """Solve the SPD (or mean-deflated semi-definite) system A x = b.
+    """Solve the SPD (or semi-definite, constants as kernel) system A x = b.
+
+    The true residual of the start is checked first: a start that meets
+    the target is returned after zero iterations, so a direct solution
+    passed as ``x0`` is verified, and polished only if it falls short.
 
     Parameters
     ----------
     A : symmetric positive (semi-)definite sparse matrix.
-    b : right-hand side.
+    b : right-hand side; with ``mean_weights`` it must lie in the range of
+        A, i.e. sum to zero (the caller deflates it).
     tol : relative residual target ||Ax-b|| / ||b||.
     max_iter : iteration cap, defaults to max(200, 10n).
     mean_weights : positive weights w; when given, the constant vector is
-        treated as the kernel of A.  The load is shifted into the compatible
-        range and the returned x has zero weighted mean, sum(w*x) = 0.
+        treated as the kernel of A and the returned x has zero weighted
+        mean, sum(w*x) = 0.
     x0 : optional initial guess.
 
     Returns
@@ -58,12 +165,7 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
     n = b.shape[0]
     if max_iter is None:
         max_iter = max(200, 10 * n)
-
-    w = None
-    if mean_weights is not None:
-        w = np.asarray(mean_weights, dtype=float)
-        # shift the load into range(A): subtract its weighted-mean source
-        b = b - (b.sum() / w.sum()) * w
+    w = None if mean_weights is None else np.asarray(mean_weights, float)
 
     def recenter(x):
         if w is not None:
@@ -74,22 +176,23 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
 
-    diag = A.diagonal().copy()
-    diag[diag <= 0] = 1.0  # guard; assembled operators have positive diagonals
-    inv_diag = 1.0 / diag
-
     # A annihilates constants, so the iterates' mean never enters the
     # residual recursion: centring the start and the result is enough
     x = np.zeros(n) if x0 is None else recenter(np.array(x0, dtype=float))
-    total_iter = 0
-    for _ in range(3):  # restarts if the recursive residual drifted
-        r = b - A @ x
+    r = b - A @ x
+    true_rel = np.linalg.norm(r) / bnorm
+    total_iter = passes = 0
+    # a further pass restarts from the true residual if the recursive one
+    # drifted
+    while true_rel > tol and total_iter < max_iter and passes < 3:
+        passes += 1
+        diag = A.diagonal().copy()
+        diag[diag <= 0] = 1.0  # guard; assembled operators have positive diagonals
+        inv_diag = 1.0 / diag
         z = inv_diag * r
         p = z.copy()
         rz = r @ z
-        while total_iter < max_iter:
-            if np.linalg.norm(r) <= tol * bnorm:
-                break
+        while total_iter < max_iter and np.linalg.norm(r) > tol * bnorm:
             Ap = A @ p
             alpha = rz / (p @ Ap)
             x = x + alpha * p
@@ -99,9 +202,8 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
             p = z + (rz_new / rz) * p
             rz = rz_new
             total_iter += 1
-        true_rel = np.linalg.norm(b - A @ x) / bnorm
-        if true_rel <= tol or total_iter >= max_iter:
-            break
+        r = b - A @ x
+        true_rel = np.linalg.norm(r) / bnorm
     report = SolveReport(total_iter, float(true_rel), true_rel <= tol)
     if not report.converged:
         raise CgConvergenceError(

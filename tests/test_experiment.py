@@ -530,25 +530,74 @@ class TestCli:
     def test_solver_failure_one_line_exit_1(self, tmp_path, capsys,
                                             monkeypatch):
         import tvsource.pde_solvers as pde
-        real_cg = pde.cg_solve
+        real_cg, real_run = pde.cg_solve, tvsource.primal_dual.run
+        iterations_done = []
 
-        def failing_warm_solve(*args, x0=None, **kwargs):
-            if x0 is not None:  # the first warm start is iteration 1's state
+        def failing_solve(*args, **kwargs):
+            if iterations_done:  # iteration 0 is done: this is iteration 1's
                 raise CgConvergenceError("CG stalled", None)
-            return real_cg(*args, x0=x0, **kwargs)
+            return real_cg(*args, **kwargs)
+
+        def run_counting_iterations(*args, **kwargs):
+            return real_run(*args, **kwargs, on_iteration=lambda n, *_:
+                            iterations_done.append(n))
 
         dp, f_truth = benchmark_dp(4)
         obs = tmp_path / "obs.csv"
         write_observation_csv(dp.mesh,
                               synthesize_observation(dp, f_truth, 0.0, 0),
                               str(obs))
-        monkeypatch.setattr(pde, "cg_solve", failing_warm_solve)
+        monkeypatch.setattr(pde, "cg_solve", failing_solve)
+        monkeypatch.setattr(tvsource.primal_dual, "run",
+                            run_counting_iterations)
         code = cli_main(["solve", str(obs), "--level", "4", "--out",
                          str(tmp_path / "out")])
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["tvsource: error: state or adjoint solve failed at "
                          "iteration 1: CG stalled"]
+
+    def test_factorization_failure_one_line_exit_1(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # numpy's LinAlgError is a ValueError; it must not read as bad input
+        dp, f_truth = benchmark_dp(4)
+        obs = tmp_path / "obs.csv"
+        write_observation_csv(dp.mesh,
+                              synthesize_observation(dp, f_truth, 0.0, 0),
+                              str(obs))
+
+        def not_definite(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_definite)
+        code = cli_main(["solve", str(obs), "--level", "4", "--out",
+                         str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["tvsource: error: block factorization failed at "
+                         "block row 0 of 5: Matrix is not positive definite"]
+
+    def test_solve_builds_level_once_and_rejected_file_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        import tvsource.experiment as exp
+        real_build, calls = exp.build_benchmark_problem, []
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(exp, "build_benchmark_problem", counting_build)
+        monkeypatch.setattr(tvsource.cli, "build_benchmark_problem",
+                            counting_build)
+        obs = tmp_path / "obs.csv"
+        obs.write_text("node_x1,node_x2,z_value\n0.0,0.0,1.0\n")
+        out = tmp_path / "out"
+        code = cli_main(["solve", str(obs), "--level", "4", "--out",
+                         str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("tvsource: error: ")
+        assert not out.exists()
+        assert len(calls) == 1
 
     def test_cli_import_loads_no_scipy_solvers(self):
         # importing scipy.sparse.linalg or scipy.linalg raises peak RSS by

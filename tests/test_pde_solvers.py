@@ -1,14 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvsource import pde_solvers
 from tvsource.experiment import build_benchmark_problem, synthesize_observation
 from tvsource.fem_assembly import CoefficientSet, NeumannData, unit_coefficients
 from tvsource.mesh import GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, Observation, ProblemDef, misfit
+from tvsource.sparse_linalg import cg_solve
 
 from conftest import benchmark_dp
 
@@ -195,3 +198,87 @@ def test_quadratic_form_of_linearized_misfit_nonnegative(rng):
         direct = dp.solve_source_part(xi)
         assert np.max(np.abs(u_bar - direct)) <= 1e-8 * max(
             1.0, np.max(np.abs(direct)))
+
+
+def _random_dp(level, seed, reaction, boundary_term):
+    """Problem with random SPD diffusion and flux; pure Neumann when neither
+    beta > 0 nor sigma > 0 is drawn."""
+    rng = np.random.default_rng(seed)
+    mesh = build_structured(level)
+    L = rng.standard_normal((mesh.n_triangles, 2, 2))
+    alpha = L @ L.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    n_edges = len(mesh.boundary_edges)
+    beta = rng.uniform(0.0, 2.0, mesh.n_triangles) * reaction
+    sigma = rng.uniform(0.0, 2.0, n_edges) * boundary_term
+    prob = ProblemDef(mesh, CoefficientSet(alpha, beta, sigma, 0.1),
+                      NeumannData(rng.standard_normal(n_edges)),
+                      GammaSpec(frozenset(("bottom",))))
+    return DiscreteProblem(prob), rng
+
+
+FACTOR_CASES = (st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(),
+                st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(*FACTOR_CASES)
+def test_factored_solves_match_dense_reference(level, seed, reaction,
+                                               boundary_term):
+    dp, rng = _random_dp(level, seed, reaction, boundary_term)
+    A, w, n = dp.A.toarray(), dp.w, dp.mesh.n_vertices
+    f = rng.standard_normal(n)
+    u = dp.solve_state(f)
+    rhs = w * f + dp.b_flux
+    if dp.pure_neumann:
+        ref = np.linalg.lstsq(A, rhs - rhs.sum() / w.sum() * w, rcond=None)[0]
+        ref -= (w @ ref) / w.sum()
+        assert abs(w @ u) <= 1e-12 * w.sum() * np.max(np.abs(u))
+    else:
+        ref = np.linalg.solve(A, rhs)
+    assert np.linalg.norm(u - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    g = rng.standard_normal(n)
+    u_d = dp.solve_dirichlet(f, g)
+    bnodes = dp.mesh.boundary_nodes()
+    inner = np.setdiff1d(np.arange(n), bnodes)
+    ref_d = g.copy()
+    ref_d[inner] = np.linalg.solve(
+        A[np.ix_(inner, inner)],
+        (w * f)[inner] - A[np.ix_(inner, bnodes)] @ g[bnodes])
+    assert np.linalg.norm(u_d - ref_d) <= 1e-9 * np.linalg.norm(ref_d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_pure_neumann_compatibility_still_enforced(level, seed):
+    dp, rng = _random_dp(level, seed, False, False)
+    f = rng.standard_normal(dp.mesh.n_vertices)
+    f_ok = f - dp.compatibility_residual(f) / dp.domain_volume
+    u = dp.solve_state(f_ok, require_compatible=True)
+    assert abs(dp.w @ u) <= 1e-12 * dp.domain_volume * np.max(np.abs(u))
+    with pytest.raises(ValueError, match="incompatible"):
+        dp.solve_state(f_ok + 1.0, require_compatible=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*FACTOR_CASES)
+def test_cg_accepts_every_factored_solution_as_is(level, seed, reaction,
+                                                  boundary_term):
+    # every solve, the Dirichlet one included, hands CG a factored
+    # solution that already meets the solve tolerance: CG only checks it
+    dp, rng = _random_dp(level, seed, reaction, boundary_term)
+    n = dp.mesh.n_vertices
+    reports = []
+
+    def recording_cg(*args, **kwargs):
+        x, report = cg_solve(*args, **kwargs)
+        reports.append(report)
+        return x, report
+
+    with mock.patch.object(pde_solvers, "cg_solve", recording_cg):
+        f = rng.standard_normal(n)
+        dp.solve_state(f)
+        dp.solve_gamma_loaded(f)
+        dp.solve_dirichlet(f, rng.standard_normal(n))
+    assert len(reports) == 3
+    assert all(r.iterations == 0 and r.converged for r in reports)

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvsource.fem_assembly import assemble_mass, assemble_stiffness, unit_coefficients
 from tvsource.mesh import TriMesh, build_structured
-from tvsource.sparse_linalg import CgConvergenceError, cg_solve, grad_operator_norm
+from tvsource.sparse_linalg import (BlockTridiagonalFactor, CgConvergenceError,
+                                    FactorizationError, cg_solve,
+                                    grad_operator_norm)
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -68,6 +72,66 @@ def test_nonconvergence_raises_with_report(rng):
         cg_solve(A, b, tol=1e-14, max_iter=2)
     assert excinfo.value.report.iterations == 2
     assert not excinfo.value.report.converged
+
+
+def _block_tridiagonal_spd(rng, nb, m):
+    """Random SPD matrix of nb x nb blocks of size m: dense diagonal blocks,
+    tridiagonal couplings of adjacent block rows, made definite by a
+    diagonal shift beyond the Gershgorin bound."""
+    n = nb * m
+    A = np.zeros((n, n))
+    for i in range(nb):
+        A[i * m:(i + 1) * m, i * m:(i + 1) * m] = rng.standard_normal((m, m))
+        if i:
+            E = sum(np.diag(rng.standard_normal(m - abs(d)), d)
+                    for d in (-1, 0, 1))
+            A[i * m:(i + 1) * m, (i - 1) * m:i * m] = E
+    A = np.tril(A) + np.tril(A, -1).T
+    return A + np.diag(np.abs(A).sum(axis=1) + 0.1)
+
+
+class TestBlockTridiagonalFactor:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_dense_solve(self, nb, m, seed):
+        rng = np.random.default_rng(seed)
+        A = _block_tridiagonal_spd(rng, nb, m)
+        b = rng.standard_normal(nb * m)
+        x = BlockTridiagonalFactor(sp.csr_matrix(A), m).solve(b)
+        x_ref = np.linalg.solve(A, b)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.data())
+    def test_coupling_outside_the_band_raises(self, level, data):
+        # row r of block row i couples to a node two block rows up, or to
+        # one in the adjacent block row two or more columns away
+        m = level + 1
+        A = assemble_stiffness(build_structured(level),
+                               unit_coefficients(build_structured(level)))
+        A = A.tolil()
+        i = data.draw(st.integers(1, level))
+        r = data.draw(st.integers(0, level - 2))
+        c = data.draw(st.integers(r + 2, level))
+        if data.draw(st.booleans()):
+            r, c = c, r
+        two_rows_up = i >= 2 and data.draw(st.booleans())
+        j = (i - 1 - two_rows_up) * m + c
+        A[i * m + r, j] = A[j, i * m + r] = -0.5
+        with pytest.raises(ValueError, match="outside the block-tridiagonal"):
+            BlockTridiagonalFactor(A.tocsr(), m)
+
+    def test_indefinite_matrix_raises_factorization_error(self):
+        mesh = build_structured(4)
+        A = assemble_stiffness(mesh, unit_coefficients(mesh))
+        with pytest.raises(FactorizationError, match="block row 0 of 5"):
+            BlockTridiagonalFactor(-A, 5)
+        with pytest.raises(FactorizationError):  # singular without grounding
+            BlockTridiagonalFactor(A, 5)
+
+    def test_blocks_must_tile_the_matrix(self):
+        with pytest.raises(ValueError, match="blocks of size 3"):
+            BlockTridiagonalFactor(sp.identity(10, format="csr"), 3)
 
 
 def _grad_norm(mesh):
