@@ -19,7 +19,7 @@ import numpy as np
 from . import experiment, primal_dual
 from .experiment import (ExperimentConfig, build_benchmark_problem,
                          export_field, read_observation_csv, run_benchmark)
-from .mesh import build_structured
+from .mesh import build_structured, structured_mesh_size
 from .pde_solvers import DiscreteProblem
 from .primal_dual import certify_steps
 from .sparse_linalg import (CgConvergenceError, FactorizationError,
@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="synthesize data on a once-refined mesh")
     p_bench.add_argument("--record-b-norms", action="store_true",
                          default=None,
-                         help="check every step's preconditioner norm (two "
-                              "extra solves per iteration; not written out)")
+                         help="check every step's preconditioner norm (no "
+                              "extra solves; not written out)")
     _add_common(p_bench)
 
     p_solve = sub.add_parser("solve", help="reconstruct from an observation file")
@@ -111,12 +111,10 @@ def _config_from_args(args) -> ExperimentConfig:
 def cmd_bench(args) -> int:
     """The output directory is created once the input is known to be valid
     and before any level is set up: the config checked its fields, the
-    coarsest level's problem checks the gamma case and the box, its
-    parameters rho < 1 (on the coarsest level rho is largest)."""
+    gamma case and the box, the coarsest level's parameters check rho < 1
+    (on the coarsest level rho is largest)."""
     config = _config_from_args(args)
-    prob, _ = build_benchmark_problem(config.levels[0], config.gamma_case,
-                                      config.box)
-    config.level_params(prob.mesh.mesh_size)
+    config.level_params(structured_mesh_size(config.levels[0]))
     os.makedirs(config.out_dir, exist_ok=True)
     try:
         records, runs = run_benchmark(config)

@@ -75,6 +75,14 @@ def benchmark_flux(mesh: TriMesh) -> NeumannData:
     return NeumannData(values)
 
 
+def gamma_sides(gamma_case: str) -> tuple:
+    """The observed sides of a named gamma case."""
+    if gamma_case not in GAMMA_CASES:
+        raise ValueError(f"unknown gamma case {gamma_case!r}; "
+                         f"choose from {sorted(GAMMA_CASES)}")
+    return GAMMA_CASES[gamma_case]
+
+
 def build_benchmark_problem(level: int, gamma_case: str = "bottom",
                             box=(-1.0, 3.0)):
     """Benchmark problem plus the interpolated truth source.
@@ -82,16 +90,13 @@ def build_benchmark_problem(level: int, gamma_case: str = "bottom",
     Coefficients are sampled at triangle centroids, the flux at edge
     midpoints; the operator is pure Neumann (no reaction, no boundary term).
     """
-    if gamma_case not in GAMMA_CASES:
-        raise ValueError(f"unknown gamma case {gamma_case!r}; "
-                         f"choose from {sorted(GAMMA_CASES)}")
     mesh = build_structured(level)
     alpha = benchmark_alpha(mesh.centroids)
     coeffs = CoefficientSet(alpha, np.zeros(mesh.n_triangles),
                             np.zeros(len(mesh.boundary_edges)),
                             alpha_lower=0.1)
     prob = ProblemDef(mesh, coeffs, benchmark_flux(mesh),
-                      GammaSpec(frozenset(GAMMA_CASES[gamma_case])), box)
+                      GammaSpec(frozenset(gamma_sides(gamma_case))), box)
     return prob, benchmark_truth(mesh)
 
 
@@ -141,7 +146,8 @@ class ExperimentConfig:
     export_format: str = "csv"     # csv | vtk | none
 
     def __post_init__(self):
-        """Reject a field of the wrong type or range, naming the field."""
+        """Reject a field of the wrong type or range, naming the field, an
+        unknown gamma case and box bounds that do not increase."""
         def real(v):  # bool is a subclass of int, so compare types exactly
             return type(v) in (int, float) and -math.inf < v < math.inf
 
@@ -171,6 +177,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
+        gamma_sides(self.gamma_case)
+        if not self.box[0] < self.box[1]:
+            raise ValueError(f"invalid box bounds {self.box}")
 
     def level_params(self, h: float) -> PdParams:
         """Iteration parameters on a mesh of size h, with the mesh-coupled
@@ -252,10 +261,11 @@ def _level_errors(run: LevelRun, truth: tuple[P1Field, P1Field]):
     bnodes = dp.mesh.boundary_nodes()
     bvals_dag = np.zeros(dp.mesh.n_vertices)
     bvals_dag[bnodes] = u_truth[bnodes]
-    u_dag = dp.solve_dirichlet(f_truth, bvals_dag)
     bvals_rec = bvals_dag.copy()
     bvals_rec[dp.gamma_nodes] = u_rec[dp.gamma_nodes]
-    u_l = dp.solve_dirichlet(run.state.f, bvals_rec)
+    u_dag, u_l = dp.solve_dirichlet(
+        np.column_stack([f_truth, run.state.f]),
+        np.column_stack([bvals_dag, bvals_rec])).T
     diff = u_dag - u_l
     return (dp.l2_norm(f_truth - run.state.f),
             dp.l2_norm(diff), dp.h1_norm(diff))

@@ -59,9 +59,7 @@ class TriMesh:
     @property
     def mesh_size(self) -> float:
         """Triangle diameter h = sqrt(8)/l on the default domain."""
-        hx = (self.box[0][1] - self.box[0][0]) / self.level
-        hy = (self.box[1][1] - self.box[1][0]) / self.level
-        return float(np.hypot(hx, hy))
+        return structured_mesh_size(self.level, self.box)
 
     @property
     def centroids(self) -> np.ndarray:
@@ -99,6 +97,15 @@ class GammaSpec:
         if unknown:
             raise ValueError(f"unknown side tags: {sorted(unknown)}")
         object.__setattr__(self, "sides", sides)
+
+
+def structured_mesh_size(level: int,
+                         box=((-1.0, 1.0), (-1.0, 1.0))) -> float:
+    """Triangle diameter of the mesh build_structured(level, box) makes,
+    without building it."""
+    hx = (box[0][1] - box[0][0]) / level
+    hy = (box[1][1] - box[1][0]) / level
+    return float(np.hypot(hx, hy))
 
 
 def _triangle_geometry(vertices, triangles):

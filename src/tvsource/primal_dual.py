@@ -23,9 +23,8 @@ import numpy as np
 
 from .fem_assembly import P0VecField, P1Field, div_adjoint, elem_gradient
 from .mesh import prolong_p0, prolong_p1
-from .pde_solvers import DiscreteProblem, Observation, misfit
-from .sparse_linalg import (CgConvergenceError, grad_operator_norm,
-                            weighted_power_iteration)
+from .pde_solvers import DiscreteProblem, Observation
+from .sparse_linalg import grad_operator_norm
 from .tv_calculus import (gradient_pairing, project_dual_ball,
                           project_dual_ball_isotropic, tv_value)
 
@@ -119,19 +118,23 @@ def certify_steps(params: PdParams, dp: DiscreteProblem) -> StepCertificate:
     return _certificate(params, dp, None)
 
 
-def smooth_operator_norm(dp, tol: float = 1e-3, max_iter: int = 200) -> float:
-    """Norm of the source-to-adjoint-difference operator, by power iteration.
+def smooth_operator_norm(dp) -> float:
+    """Norm of the source-to-adjoint-difference operator, exactly.
 
-    The operator maps a source increment through one state solve and one
-    boundary-loaded solve; it is symmetric positive semi-definite in the
-    weighted nodal product, so its norm equals the largest Rayleigh
-    quotient.  This is the sharp value the analytic certificate bounds by
-    c_gamma^2/c1^2.  Raises CgConvergenceError if the iteration does not
-    converge.
+    The operator maps a source increment v through the state and the
+    boundary-loaded adjoint solve, v -> G M G^T W v in the terms of
+    ``BoundaryMap`` (W the lumped weights, M = R R^T).  It is symmetric
+    positive semi-definite in the weighted nodal product, and its norm is
+    the largest eigenvalue of the m x m matrix R^T G^T W G R, which has the
+    same nonzero spectrum.  This is the sharp value the analytic
+    certificate bounds by c_gamma^2/c1^2.
     """
-    return weighted_power_iteration(
-        lambda v: dp.solve_gamma_loaded(dp.solve_source_part(v)),
-        dp.w, 20240901, tol, max_iter)
+    bmap = dp.boundary_map
+    G, w = bmap.G, dp.w[:, None]
+    # G^T W G eight columns at a time: no n x m temporary next to G
+    gwg = np.hstack([G.T @ (w * G[:, j:j + 8])
+                     for j in range(0, G.shape[1], 8)])
+    return float(np.linalg.eigvalsh(bmap.R.T @ gwg @ bmap.R)[-1])
 
 
 def certify_steps_empirical(params: PdParams,
@@ -139,13 +142,11 @@ def certify_steps_empirical(params: PdParams,
     """Step-size certificate using the computed smooth-operator norm.
 
     The analytic constants are pessimistic by orders of magnitude here, so
-    they force uselessly small steps; the computed bound (inflated by the
-    safety factor 1.2, which covers the power iteration's underestimate)
-    certifies practical step sizes while keeping every monotonicity
-    guarantee of the iteration.
+    they force uselessly small steps; the computed norm, exact up to
+    rounding, certifies practical step sizes while keeping every
+    monotonicity guarantee of the iteration.
     """
-    return _certificate(params, dp,
-                        lambda dp: 1.2 * smooth_operator_norm(dp))
+    return _certificate(params, dp, smooth_operator_norm)
 
 
 @dataclass
@@ -244,9 +245,9 @@ class PdDriver:
             g0_norm = g_norm
         return g_norm - self._t1 - self._t2 * g0_norm, g0_norm
 
-    def objective(self, f: P1Field, u_state: P1Field, z: Observation) -> float:
-        return misfit(self.dp, u_state, z) + self.params.rho * tv_value(
-            self.dp.mesh, f)
+    def objective(self, f: P1Field, misfit: float) -> float:
+        """Data misfit plus rho times the total variation of f."""
+        return misfit + self.params.rho * tv_value(self.dp.mesh, f)
 
     def b_norm_sq(self, delta_f: P1Field, delta_p: P0VecField) -> float:
         """Squared preconditioner norm of an iterate difference.
@@ -255,10 +256,10 @@ class PdDriver:
         negative value beyond round-off means the certificate is violated.
         """
         dp, prm = self.dp, self.params
-        u_bar = dp.solve_source_part(delta_f)
-        u_bar_a = dp.solve_gamma_loaded(u_bar)
+        bmap = dp.boundary_map
+        v = bmap.R.T @ (bmap.G.T @ (dp.w * delta_f))
         t_f = dp.lumped_inner(delta_f, delta_f) / prm.tau
-        t_smooth = dp.lumped_inner(delta_f, u_bar_a)
+        t_smooth = float(v @ v)  # <delta_f, adjoint of its state>_w
         t_cross = 2.0 * prm.rho * gradient_pairing(dp.mesh, delta_f, delta_p)
         t_p = prm.theta / prm.tau * float(
             np.sum(dp.mesh.areas[:, None] * delta_p**2))
@@ -279,6 +280,12 @@ class PdDriver:
         The history carries the objective and stopping value at every
         visited iterate, and (when enabled) the preconditioner norm of each
         step taken.  A start not given is taken from compatible_start.
+
+        The iteration reads the state only on the observed boundary, through
+        the problem's BoundaryMap, and makes no PDE solve; one state solve
+        after the last iterate fills ``PdState.u``.  ``on_iteration(n, f, p,
+        u, u_a)`` is called at every iterate with its adjoint state u_a and
+        the state's trace u as a nodal vector, zero off the observed nodes.
         """
         dp, prm = self.dp, self.params
         lo, hi = self.box
@@ -288,21 +295,23 @@ class PdDriver:
         p = self._project_dual(
             np.asarray(default_p if p0 is None else p0, dtype=float))
         state = PdState(f=f, p=p, n=0)
+        bmap, nodes = dp.boundary_map, dp.gamma_nodes
+        z_gamma = z.embed(dp.mesh.n_vertices)[nodes]
 
         g0_norm = None
         for n in range(prm.max_iter + 1):
-            try:
-                u = dp.solve_state(f)
-                u_a = dp.solve_adjoint(u, z)
-            except CgConvergenceError as exc:
-                raise CgConvergenceError(
-                    f"state or adjoint solve failed at iteration {n}: {exc}",
-                    exc.report) from exc
+            u_gamma = bmap.trace(dp.w * f)
+            r = u_gamma - z_gamma
+            m_r = bmap.M @ r
+            u_a = bmap.G @ m_r
             f_next = self.primal_step(f, p, u_a)
             tol_val, g0_norm = self.stopping_value(f, f_next, g0_norm)
-            record = IterationRecord(n, self.objective(f, u, z), tol_val)
+            misfit = 0.5 * float(r @ m_r)
+            record = IterationRecord(n, self.objective(f, misfit), tol_val)
             state.history.append(record)
             if on_iteration is not None:
+                u = np.zeros(dp.mesh.n_vertices)
+                u[nodes] = u_gamma
                 on_iteration(n, f, p, u, u_a)
             if tol_val <= 0.0 or n == prm.max_iter:
                 break
@@ -318,7 +327,8 @@ class PdDriver:
             if prm.record_b_norms:
                 record.step_b_norm_sq = self.b_norm_sq(f_next - f, p_next - p)
             f, p = f_next, p_next
-        state.f, state.p, state.n, state.u = f, p, n, u
+        state.f, state.p, state.n = f, p, n
+        state.u = dp.solve_state(f)
         state.stopped_by_tolerance = tol_val <= 0.0
         return state
 
@@ -355,7 +365,8 @@ def multilevel_run(levels, make_level, on_iteration=None) -> list[LevelRun]:
     maps a level to its (problem, observation, params, certificate); the
     first level starts from compatible_start, and the final iterate pair of
     each level is interpolated onto the next mesh as its starting point.
-    A level's factorization is released once its run has ended.
+    A level's factorization and boundary map are released once its run
+    has ended.
     """
     levels = list(levels)
     if not levels or levels[0] != 4 or any(

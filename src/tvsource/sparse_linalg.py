@@ -114,13 +114,15 @@ class BlockTridiagonalFactor:
         self.inv, self.low, self.up = inv, low, up
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solution of A x = b."""
+        """Solution of A x = b, for one right-hand side b of shape (n,) or
+        an (n, k) block of k of them."""
         inv, low, up = self.inv, self.low, self.up
         nb, m = inv.shape[:2]
+        k = np.shape(b)[1:]
         # one zero entry padded at each end of a block row lets a coupling
         # act on it as three shifted products
-        y = np.zeros((nb, m + 2))
-        y[:, 1:-1] = np.reshape(b, (nb, m))
+        y = np.zeros((nb, m + 2, *k))
+        y[:, 1:-1] = np.reshape(b, (nb, m, *k))
         x = y[:, 1:-1]
         for i in range(nb):  # forward: row i becomes S_i^{-1} y_i
             if i:
@@ -128,7 +130,7 @@ class BlockTridiagonalFactor:
             x[i] = inv[i] @ x[i]
         for i in range(nb - 2, -1, -1):  # backward
             x[i] -= inv[i] @ _band_apply(up[i], y[i + 1])
-        return x.ravel()
+        return x.reshape(np.shape(b))
 
 
 def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,

@@ -529,12 +529,14 @@ class TestCli:
 
     def test_solver_failure_one_line_exit_1(self, tmp_path, capsys,
                                             monkeypatch):
+        # the iteration makes no solve; the first CG call after iteration 0
+        # is the final state solve, which fills PdState.u
         import tvsource.pde_solvers as pde
         real_cg, real_run = pde.cg_solve, tvsource.primal_dual.run
         iterations_done = []
 
         def failing_solve(*args, **kwargs):
-            if iterations_done:  # iteration 0 is done: this is iteration 1's
+            if iterations_done:
                 raise CgConvergenceError("CG stalled", None)
             return real_cg(*args, **kwargs)
 
@@ -550,12 +552,12 @@ class TestCli:
         monkeypatch.setattr(pde, "cg_solve", failing_solve)
         monkeypatch.setattr(tvsource.primal_dual, "run",
                             run_counting_iterations)
-        code = cli_main(["solve", str(obs), "--level", "4", "--out",
-                         str(tmp_path / "out")])
+        code = cli_main(["solve", str(obs), "--level", "4", "--max-iter",
+                         "3", "--out", str(tmp_path / "out")])
         assert code == 1
+        assert iterations_done == [0, 1, 2, 3]
         lines = capsys.readouterr().err.splitlines()
-        assert lines == ["tvsource: error: state or adjoint solve failed at "
-                         "iteration 1: CG stalled"]
+        assert lines == ["tvsource: error: CG stalled"]
 
     def test_factorization_failure_one_line_exit_1(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -598,6 +600,21 @@ class TestCli:
         assert capsys.readouterr().err.startswith("tvsource: error: ")
         assert not out.exists()
         assert len(calls) == 1
+
+    def test_bench_builds_each_level_once(self, tmp_path, monkeypatch):
+        import tvsource.experiment as exp
+        real_build, calls = exp.build_benchmark_problem, []
+
+        def counting_build(*args, **kwargs):
+            calls.append(args[0])
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(exp, "build_benchmark_problem", counting_build)
+        monkeypatch.setattr(tvsource.cli, "build_benchmark_problem",
+                            counting_build)
+        assert cli_main(["bench", "--levels", "4,8", "--max-iter", "1",
+                         "--format", "none", "--out", str(tmp_path)]) == 0
+        assert calls == [4, 8]
 
     def test_cli_import_loads_no_scipy_solvers(self):
         # importing scipy.sparse.linalg or scipy.linalg raises peak RSS by

@@ -115,6 +115,31 @@ def test_gradient_matches_central_differences(rng):
 
 
 class TestDirichlet:
+    def test_block_shares_one_factorization(self, rng):
+        dp = DiscreteProblem(_problem(6), cg_tol=1e-13)
+        n = dp.mesh.n_vertices
+        f, g = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        factors, reports = [], []
+        real_factor = pde_solvers.BlockTridiagonalFactor
+
+        def counting_factor(*args, **kwargs):
+            factors.append(args)
+            return real_factor(*args, **kwargs)
+
+        def recording_cg(*args, **kwargs):
+            x, report = cg_solve(*args, **kwargs)
+            reports.append(report)
+            return x, report
+
+        with mock.patch.object(pde_solvers, "BlockTridiagonalFactor",
+                               counting_factor), \
+                mock.patch.object(pde_solvers, "cg_solve", recording_cg):
+            u = dp.solve_dirichlet(f, g)
+        assert len(factors) == 1 and len(reports) == 2
+        for j in range(2):
+            col = dp.solve_dirichlet(f[:, j], g[:, j])
+            assert np.linalg.norm(u[:, j] - col) <= 1e-12 * np.linalg.norm(col)
+
     def test_affine_boundary_data(self):
         dp = DiscreteProblem(_problem(6), cg_tol=1e-13)
         g = dp.mesh.vertices[:, 0].copy()
@@ -200,7 +225,7 @@ def test_quadratic_form_of_linearized_misfit_nonnegative(rng):
             1.0, np.max(np.abs(direct)))
 
 
-def _random_dp(level, seed, reaction, boundary_term):
+def _random_dp(level, seed, reaction, boundary_term, gamma=("bottom",)):
     """Problem with random SPD diffusion and flux; pure Neumann when neither
     beta > 0 nor sigma > 0 is drawn."""
     rng = np.random.default_rng(seed)
@@ -212,7 +237,7 @@ def _random_dp(level, seed, reaction, boundary_term):
     sigma = rng.uniform(0.0, 2.0, n_edges) * boundary_term
     prob = ProblemDef(mesh, CoefficientSet(alpha, beta, sigma, 0.1),
                       NeumannData(rng.standard_normal(n_edges)),
-                      GammaSpec(frozenset(("bottom",))))
+                      GammaSpec(frozenset(gamma)))
     return DiscreteProblem(prob), rng
 
 
@@ -282,3 +307,53 @@ def test_cg_accepts_every_factored_solution_as_is(level, seed, reaction,
         dp.solve_dirichlet(f, rng.standard_normal(n))
     assert len(reports) == 3
     assert all(r.iterations == 0 and r.converged for r in reports)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*FACTOR_CASES, st.sampled_from([("bottom",), ("bottom", "left")]))
+def test_boundary_map_matches_full_solves(level, seed, reaction,
+                                          boundary_term, gamma):
+    # the trace and the adjoint state read through G = L[:, Gamma] equal
+    # those of full state and adjoint solves
+    dp, rng = _random_dp(level, seed, reaction, boundary_term, gamma)
+    bmap, nodes, n = dp.boundary_map, dp.gamma_nodes, dp.mesh.n_vertices
+    z = Observation(nodes, rng.standard_normal(nodes.shape[0]))
+    for _ in range(3):
+        f = rng.uniform(-1.0, 3.0, n)
+        u = dp.solve_state(f)
+        u_gamma = bmap.trace(dp.w * f)
+        assert (np.linalg.norm(u_gamma - u[nodes])
+                <= 1e-10 * np.linalg.norm(u[nodes]))
+        u_a = dp.solve_adjoint(u, z)
+        u_a_map = bmap.G @ (bmap.M @ (u_gamma - z.values))
+        assert np.linalg.norm(u_a_map - u_a) <= 1e-10 * np.linalg.norm(u_a)
+    assert np.allclose(bmap.R @ bmap.R.T, bmap.M, rtol=0, atol=1e-15)
+
+
+def test_boundary_map_column_missing_the_tolerance_is_polished():
+    # a factored column that misses cg_tol is handed to CG, so the boundary
+    # map carries the guarantee of every other solve
+    dp = DiscreteProblem(build_benchmark_problem(16)[0], cg_tol=1e-12)
+    real_solve = dp.factor.solve
+
+    def spoiled_solve(b):
+        x = real_solve(b)
+        if x.ndim == 2:
+            x[:, 0] *= 1.0 + 1e-6
+        return x
+
+    calls = []
+
+    def recording_cg(*args, **kwargs):
+        calls.append(kwargs["x0"])
+        return cg_solve(*args, **kwargs)
+
+    with mock.patch.object(dp.factor, "solve", spoiled_solve), \
+            mock.patch.object(pde_solvers, "cg_solve", recording_cg):
+        G = dp.boundary_map.G
+    assert len(calls) == 5  # the first column of each chunk of 4 columns
+    for j, node in enumerate(dp.gamma_nodes):
+        e = np.zeros(dp.mesh.n_vertices)
+        e[node] = 1.0
+        ref = dp.solve_source_part(e / dp.w)
+        assert np.linalg.norm(G[:, j] - ref) <= 1e-9 * np.linalg.norm(ref)

@@ -12,7 +12,8 @@ from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   coercivity_c1, compatible_start, extrapolate,
                                   multilevel_run, run, smooth_operator_norm,
                                   trace_constant)
-from tvsource.sparse_linalg import CgConvergenceError
+from tvsource.sparse_linalg import weighted_power_iteration
+from tvsource.tv_calculus import gradient_pairing
 
 from conftest import benchmark_dp
 
@@ -79,12 +80,14 @@ class TestSmoothOperatorNorm:
         sym = sw[:, None] * T / sw[None, :]
         assert np.allclose(sym, sym.T, rtol=0, atol=1e-9 * np.abs(sym).max())
         ref = np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1]
-        assert smooth_operator_norm(dp) == pytest.approx(ref, rel=1e-3)
-
-    def test_unconverged_iteration_raises(self):
-        dp, _ = benchmark_dp(4)
-        with pytest.raises(CgConvergenceError, match="power iteration"):
-            smooth_operator_norm(dp, max_iter=1)
+        exact = smooth_operator_norm(dp)
+        assert exact == pytest.approx(ref, rel=1e-10)
+        # the power-iteration estimate it replaced is a Rayleigh quotient,
+        # a value from below
+        estimate = weighted_power_iteration(
+            lambda v: dp.solve_gamma_loaded(dp.solve_source_part(v)),
+            dp.w, 20240901, 1e-3, 200)
+        assert exact >= estimate
 
 
 def test_params_validation():
@@ -196,6 +199,23 @@ class TestBNorm:
             np.sum(dp.mesh.areas[:, None] * delta_p**2))
         value = driver2.b_norm_sq(np.zeros(dp.mesh.n_vertices), delta_p)
         assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_two_solve_form(self, driver2, rng):
+        # the smooth term read through the boundary map equals the source
+        # difference paired with the adjoint of its state, two full solves
+        dp, params = driver2.dp, driver2.params
+        for _ in range(5):
+            df = rng.standard_normal(dp.mesh.n_vertices)
+            dpv = rng.standard_normal((dp.mesh.n_triangles, 2))
+            t_smooth = dp.lumped_inner(
+                df, dp.solve_gamma_loaded(dp.solve_source_part(df)))
+            expected = (dp.lumped_inner(df, df) / params.tau - t_smooth
+                        - 2.0 * params.rho * gradient_pairing(dp.mesh, df,
+                                                              dpv)
+                        + params.theta / params.tau * float(
+                            np.sum(dp.mesh.areas[:, None] * dpv**2)))
+            assert driver2.b_norm_sq(df, dpv) == pytest.approx(expected,
+                                                               rel=1e-10)
 
     def test_positive_on_random_differences(self, driver2, rng):
         dp = driver2.dp
@@ -354,6 +374,14 @@ class TestMultilevel:
         state = run(dp, z, params, certificate=cert)
         assert np.allclose(runs[0].state.f, state.f, atol=1e-12)
         assert np.allclose(runs[0].state.p, state.p, atol=1e-12)
+
+    def test_level_releases_factor_and_boundary_map(self):
+        # both are rebuilt on demand; kept, they would add their memory to
+        # every later level's peak
+        runs = multilevel_run([4, 8], self._make_level)
+        for level_run in runs:
+            assert not {"factor", "boundary_map"} & set(
+                vars(level_run.problem))
 
     def test_two_levels_couple_rho_and_warm_start(self):
         runs = multilevel_run([4, 8], self._make_level)

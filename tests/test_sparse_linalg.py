@@ -9,7 +9,8 @@ from tvsource.fem_assembly import assemble_mass, assemble_stiffness, unit_coeffi
 from tvsource.mesh import TriMesh, build_structured
 from tvsource.sparse_linalg import (BlockTridiagonalFactor, CgConvergenceError,
                                     FactorizationError, cg_solve,
-                                    grad_operator_norm)
+                                    grad_operator_norm,
+                                    weighted_power_iteration)
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -102,6 +103,21 @@ class TestBlockTridiagonalFactor:
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
     @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 9),
+           st.integers(0, 2**32 - 1))
+    def test_block_of_right_hand_sides_matches_column_solves(self, nb, m, k,
+                                                             seed):
+        rng = np.random.default_rng(seed)
+        factor = BlockTridiagonalFactor(
+            sp.csr_matrix(_block_tridiagonal_spd(rng, nb, m)), m)
+        b = rng.standard_normal((nb * m, k))
+        x = factor.solve(b)
+        assert x.shape == b.shape
+        for j in range(k):
+            col = factor.solve(b[:, j])
+            assert np.linalg.norm(x[:, j] - col) <= 1e-13 * np.linalg.norm(col)
+
+    @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 8), st.data())
     def test_coupling_outside_the_band_raises(self, level, data):
         # row r of block row i couples to a node two block rows up, or to
@@ -139,6 +155,13 @@ def _grad_norm(mesh):
     _, w = assemble_mass(mesh)
     return grad_operator_norm(
         assemble_stiffness(mesh, unit_coefficients(mesh)), w)
+
+
+def test_unconverged_power_iteration_raises():
+    w = np.ones(10)
+    d = np.linspace(1.0, 2.0, 10)
+    with pytest.raises(CgConvergenceError, match="power iteration"):
+        weighted_power_iteration(lambda v: d * v, w, 0, 1e-12, 1)
 
 
 class TestGradOperatorNorm:
