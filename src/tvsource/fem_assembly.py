@@ -4,7 +4,9 @@ Conventions: the diffusion term is integrated exactly (gradients are
 constant per triangle); the reaction and boundary coefficient terms use the
 vertex rule, matching the lumped metric of the proximal steps.  Piecewise
 linear fields are plain nodal vectors, piecewise constant vector fields are
-(n_triangles, 2) arrays.
+(n_triangles, 2) arrays.  Operators are SymmetricStencil matrices on the
+mesh's stencil offsets; element blocks and nodal loads are summed with
+``np.bincount``, in element order.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
 
 from .mesh import GammaSpec, TriMesh
+from .sparse_linalg import SymmetricStencil
 
 # nodal coefficient vector of a continuous piecewise-linear function
 P1Field = np.ndarray
@@ -84,59 +86,82 @@ def unit_coefficients(mesh: TriMesh) -> CoefficientSet:
                           np.zeros(len(mesh.boundary_edges)), 1.0)
 
 
-def _assemble_from_blocks(n, conn, blocks) -> csr_matrix:
-    k = conn.shape[1]
-    rows = np.repeat(conn, k, axis=1).ravel()
-    cols = np.tile(conn, (1, k)).ravel()
-    return coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+def _assemble_from_blocks(mesh: TriMesh, conn, blocks) -> SymmetricStencil:
+    """Sum symmetric element blocks, one (k, k) block per row of the (N, k)
+    vertex array ``conn``, into the diagonals at ``mesh.stencil_offsets``.
+    Only the block entries in the lower triangle of the assembled matrix
+    are read.  Raises ValueError for an entry at any other offset."""
+    n, offsets = mesh.n_vertices, np.asarray(mesh.stencil_offsets)
+    row, col = conn[:, :, None], conn[:, None, :]
+    lower = row >= col
+    off = (row - col)[lower]
+    col = np.broadcast_to(col, lower.shape)[lower]
+    k = np.minimum(np.searchsorted(offsets, off), offsets.shape[0] - 1)
+    if np.any(offsets[k] != off):
+        raise ValueError(
+            f"an element couples vertices {np.max(off[offsets[k] != off])} "
+            f"apart, outside the stencil offsets {mesh.stencil_offsets}")
+    diags = np.bincount(k * n + col, weights=blocks[lower],
+                        minlength=offsets.shape[0] * n)
+    return SymmetricStencil(offsets, diags.reshape(-1, n))
 
 
-def assemble_stiffness(mesh: TriMesh, coeffs: CoefficientSet) -> csr_matrix:
+def assemble_stiffness(mesh: TriMesh,
+                       coeffs: CoefficientSet) -> SymmetricStencil:
     """Matrix of the bilinear form: diffusion + reaction + boundary term."""
     blocks = np.einsum("t,tia,tab,tjb->tij",
                        mesh.areas, mesh.grads, coeffs.alpha, mesh.grads)
-    A = _assemble_from_blocks(mesh.n_vertices, mesh.triangles, blocks)
-    n = mesh.n_vertices
-    diag = np.zeros(n)
-    if np.any(coeffs.beta > 0):
-        np.add.at(diag, mesh.triangles.ravel(),
-                  np.repeat(coeffs.beta * mesh.areas / 3.0, 3))
-    if coeffs.sigma.size and np.any(coeffs.sigma > 0):
-        np.add.at(diag, mesh.boundary_edges.ravel(),
-                  np.repeat(coeffs.sigma * mesh.edge_lengths / 2.0, 2))
-    if np.any(diag != 0):
-        A = (A + coo_matrix((diag[diag != 0],
-                             (np.nonzero(diag)[0], np.nonzero(diag)[0])),
-                            shape=(n, n))).tocsr()
+    A = _assemble_from_blocks(mesh, mesh.triangles, blocks)
+    # the reaction, then the boundary term, by the vertex rule
+    A.diags[0] += np.bincount(
+        np.concatenate([mesh.triangles.ravel(), mesh.boundary_edges.ravel()]),
+        np.concatenate([np.repeat(coeffs.beta * mesh.areas / 3.0, 3),
+                        np.repeat(coeffs.sigma * mesh.edge_lengths / 2.0, 2)]),
+        mesh.n_vertices)
     return A
 
 
 def assemble_mass(mesh: TriMesh):
     """Consistent mass matrix and its lumped (row-sum) diagonal."""
     blocks = mesh.areas[:, None, None] * _MASS_BLOCK
-    M = _assemble_from_blocks(mesh.n_vertices, mesh.triangles, blocks)
-    lumped = np.asarray(M.sum(axis=1)).ravel()
-    return M, lumped
+    M = _assemble_from_blocks(mesh, mesh.triangles, blocks)
+    return M, M @ np.ones(mesh.n_vertices)
 
 
-def assemble_boundary_mass(mesh: TriMesh, gamma: GammaSpec) -> csr_matrix:
-    """Mass matrix of the observation boundary, supported on its nodes."""
+def _gamma_edge_blocks(mesh: TriMesh, gamma: GammaSpec):
+    """The boundary edges on the observed sides and their mass blocks."""
     mask = np.isin(mesh.edge_sides, list(gamma.sides))
     if not np.any(mask):
         raise ValueError("observation boundary matches no mesh edges")
-    edges = mesh.boundary_edges[mask]
-    blocks = mesh.edge_lengths[mask][:, None, None] * _EDGE_BLOCK
-    return _assemble_from_blocks(mesh.n_vertices, edges, blocks)
+    return (mesh.boundary_edges[mask],
+            mesh.edge_lengths[mask][:, None, None] * _EDGE_BLOCK)
+
+
+def assemble_boundary_mass(mesh: TriMesh,
+                           gamma: GammaSpec) -> SymmetricStencil:
+    """Mass matrix of the observation boundary, supported on its nodes."""
+    return _assemble_from_blocks(mesh, *_gamma_edge_blocks(mesh, gamma))
+
+
+def assemble_gamma_mass(mesh: TriMesh, gamma: GammaSpec) -> np.ndarray:
+    """The boundary mass matrix on the observed nodes alone, a dense (m, m)
+    array whose rows follow ``mesh.side_nodes(gamma.sides)``."""
+    edges, blocks = _gamma_edge_blocks(mesh, gamma)
+    nodes = mesh.side_nodes(gamma.sides)
+    local = np.searchsorted(nodes, edges)
+    m = nodes.shape[0]
+    M = np.bincount((local[:, :, None] * m + local[:, None, :]).ravel(),
+                    blocks.ravel(), m * m)
+    return M.reshape(m, m)
 
 
 def neumann_load(mesh: TriMesh, j: NeumannData) -> np.ndarray:
     """Load vector of the boundary flux: half the edge integral per endpoint."""
     if j.values.shape[0] != len(mesh.boundary_edges):
         raise ValueError("flux data length does not match boundary edges")
-    b = np.zeros(mesh.n_vertices)
     contrib = j.values * mesh.edge_lengths / 2.0
-    np.add.at(b, mesh.boundary_edges.ravel(), np.repeat(contrib, 2))
-    return b
+    return np.bincount(mesh.boundary_edges.ravel(), np.repeat(contrib, 2),
+                       mesh.n_vertices)
 
 
 def elem_gradient(mesh: TriMesh, f: P1Field) -> P0VecField:
@@ -150,7 +175,9 @@ def div_adjoint(mesh: TriMesh, p: P0VecField) -> np.ndarray:
     The i-th entry is the pairing of grad(phi_i) with p, so dotting the
     result with any nodal vector reproduces the gradient pairing exactly.
     """
-    contrib = np.einsum("t,tia,ta->ti", mesh.areas, mesh.grads, p)
-    v = np.zeros(mesh.n_vertices)
-    np.add.at(v, mesh.triangles.ravel(), contrib.ravel())
-    return v
+    # |T| grad(phi_i) . p written out: np.einsum takes three times as long
+    a = mesh.areas[:, None]
+    contrib = (a * mesh.grads[:, :, 0]) * p[:, :1] \
+        + (a * mesh.grads[:, :, 1]) * p[:, 1:]
+    return np.bincount(mesh.triangles.ravel(), contrib.ravel(),
+                       mesh.n_vertices)

@@ -21,8 +21,13 @@ class TriMesh:
 
     Every mesh in the package comes from build_structured, which numbers
     vertex (ix, iy) as iy*(level+1) + ix, grid row by grid row.
-    nearest_nodes, the prolongations and the block-tridiagonal
-    factorization of the assembled operators rely on this ordering.
+    nearest_nodes, the prolongations, the assembled operators and their
+    block-tridiagonal factorization rely on this ordering.  In it, two
+    vertices of a triangle differ in index by 1, level+1 or level+2 (the
+    next vertex in the grid row, the one above, or the one above and to
+    the right), so every assembled operator is stored by its main diagonal
+    and the diagonals at these offsets (``stencil_offsets``), and an
+    element coupling at any other offset is an error.
 
     Attributes
     ----------
@@ -57,6 +62,11 @@ class TriMesh:
         return self.triangles.shape[0]
 
     @property
+    def stencil_offsets(self) -> tuple[int, int, int, int]:
+        """Index differences of the vertex pairs a triangle couples."""
+        return 0, 1, self.level + 1, self.level + 2
+
+    @property
     def mesh_size(self) -> float:
         """Triangle diameter h = sqrt(8)/l on the default domain."""
         return structured_mesh_size(self.level, self.box)
@@ -75,12 +85,18 @@ class TriMesh:
 
     def boundary_nodes(self) -> np.ndarray:
         """Sorted indices of all nodes on the boundary."""
-        return np.unique(self.boundary_edges)
+        return self._nodes_of(self.boundary_edges)
 
     def side_nodes(self, sides) -> np.ndarray:
         """Sorted indices of nodes lying on any of the given sides."""
         mask = np.isin(self.edge_sides, list(sides))
-        return np.unique(self.boundary_edges[mask])
+        return self._nodes_of(self.boundary_edges[mask])
+
+    def _nodes_of(self, edges) -> np.ndarray:
+        """Sorted distinct vertices of ``edges``: np.unique without its
+        first-use import of numpy.ma (about 15 ms)."""
+        return np.flatnonzero(np.bincount(edges.ravel(),
+                                          minlength=self.n_vertices))
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem_assembly import (CoefficientSet, NeumannData, P1Field,
-                           assemble_boundary_mass, assemble_mass,
-                           assemble_stiffness, neumann_load,
+                           assemble_boundary_mass, assemble_gamma_mass,
+                           assemble_mass, assemble_stiffness, neumann_load,
                            unit_coefficients)
 from .mesh import GammaSpec, TriMesh
 from .sparse_linalg import BlockTridiagonalFactor, cg_solve
@@ -130,7 +130,7 @@ class DiscreteProblem:
             unit = np.zeros((n, cols.shape[0]))
             unit[cols, np.arange(cols.shape[0])] = 1.0
             G[:, start:start + cols.shape[0]] = self._solve_columns(unit)
-        M = self.M_gamma[nodes][:, nodes].toarray()
+        M = assemble_gamma_mass(self.mesh, self.prob.gamma)
         return BoundaryMap(G, G.T @ self.b_flux, M, np.linalg.cholesky(M))
 
     def release_factor(self):
@@ -234,23 +234,25 @@ class DiscreteProblem:
         ``boundary_values`` is a full nodal vector whose entries at boundary
         nodes supply the data (interior entries are ignored).  ``f`` and
         ``boundary_values`` may also be (n, k) blocks of k problems, which
-        share one factorization of the interior block and one block solve;
-        CG checks every column.  The factorization is not kept.
+        share one factorization and one block solve; CG checks every
+        column.  The interior system is solved as A with its boundary rows
+        and columns pinned to the identity and a zero load there.  The
+        factorization is not kept.
         """
         bnodes = self.mesh.boundary_nodes()
         n = self.mesh.n_vertices
-        interior = np.setdiff1d(np.arange(n), bnodes)
         g = np.reshape(boundary_values, (n, -1))
         u = np.zeros(g.shape)
         u[bnodes] = g[bnodes]
         rhs = self.w[:, None] * np.reshape(f, (n, -1)) - self.A @ u
-        A_ii = self.A[interior][:, interior].tocsr()
-        b = rhs[interior]
-        x0 = BlockTridiagonalFactor(A_ii, self.mesh.level - 1).solve(b)
-        u[interior] = np.column_stack([
-            cg_solve(A_ii, b[:, j], tol=self.cg_tol, x0=x0[:, j])[0]
-            for j in range(b.shape[1])])
-        return u.reshape(np.shape(boundary_values))
+        rhs[bnodes] = 0.0
+        A_pin = self.A.pinned(bnodes)
+        x0 = BlockTridiagonalFactor(A_pin, self.mesh.level + 1).solve(rhs)
+        x = np.column_stack([
+            cg_solve(A_pin, rhs[:, j], tol=self.cg_tol, x0=x0[:, j])[0]
+            for j in range(rhs.shape[1])])
+        x[bnodes] = g[bnodes]
+        return x.reshape(np.shape(boundary_values))
 
 
 def misfit(dp: DiscreteProblem, u_state: P1Field, z: Observation) -> float:

@@ -1,12 +1,15 @@
-"""Sparse symmetric solves: a block-tridiagonal factorization,
-Jacobi-preconditioned CG and a power iteration.
+"""Sparse symmetric operators and solves: a diagonal-storage operator
+type, a block-tridiagonal factorization, Jacobi-preconditioned CG and a
+power iteration.
 
-Every operator assembled on a mesh from ``build_structured`` is block
-tridiagonal in its row-major vertex numbering; BlockTridiagonalFactor
-solves such systems directly.  The conjugate gradient solver checks (and,
-if needed, polishes) a solution to a relative residual target.  In the
-singular pure-Neumann case it treats the constants as the kernel and
-returns the zero-weighted-mean representative.
+Every operator assembled on a mesh from ``build_structured`` has its
+nonzero entries on a few fixed diagonals (TriMesh.stencil_offsets), which
+SymmetricStencil stores, and is block tridiagonal in its row-major vertex
+numbering; BlockTridiagonalFactor solves such systems directly.  The
+conjugate gradient solver checks (and, if needed, polishes) a solution to
+a relative residual target.  In the singular pure-Neumann case it treats
+the constants as the kernel and returns the zero-weighted-mean
+representative.
 """
 
 from __future__ import annotations
@@ -14,7 +17,69 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+
+
+class SymmetricStencil:
+    """Symmetric n x n matrix stored by its main diagonal and its upper
+    diagonals at a few fixed offsets.
+
+    ``diags[k, i]`` is the entry (i, i + offsets[k]), and by symmetry the
+    entry (i + offsets[k], i); the last offsets[k] entries of row k lie
+    outside the matrix and are ignored.  ``offsets`` is strictly increasing
+    and starts with 0.  A product is one shifted-slice update per stored
+    diagonal and side, for one vector of shape (n,) or a block (n, k).
+    """
+
+    def __init__(self, offsets, diags):
+        self.offsets = tuple(int(d) for d in offsets)
+        self.diags = np.asarray(diags, dtype=float)
+        steps = np.diff(self.offsets)
+        if (self.offsets[:1] != (0,) or np.any(steps <= 0)
+                or self.diags.ndim != 2
+                or self.diags.shape[0] != len(self.offsets)):
+            raise ValueError(f"offsets {self.offsets} must increase from 0, "
+                             f"one row of diags each")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.diags.shape[1]
+        return n, n
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        d = self.diags if x.ndim == 1 else self.diags[:, :, None]
+        y = d[0] * x
+        for k, off in enumerate(self.offsets[1:], 1):
+            band = d[k, :-off]
+            y[:-off] += band * x[off:]
+            y[off:] += band * x[:-off]
+        return y
+
+    def diagonal(self) -> np.ndarray:
+        return self.diags[0].copy()
+
+    def toarray(self) -> np.ndarray:
+        """The dense n x n matrix (for tests and small problems)."""
+        n = self.shape[0]
+        out = np.zeros((n, n))
+        for off, diag in zip(self.offsets, self.diags):
+            i = np.arange(max(n - off, 0))
+            out[i, i + off] = out[i + off, i] = diag[:i.shape[0]]
+        return out
+
+    def pinned(self, nodes) -> SymmetricStencil:
+        """The operator with the rows and columns of ``nodes`` replaced by
+        those of the identity: the matrix of the system for the other
+        unknowns, with the ones at ``nodes`` fixed (and kept by a zero
+        load there)."""
+        n = self.shape[0]
+        fixed = np.zeros(n, dtype=bool)
+        fixed[nodes] = True
+        diags = self.diags.copy()
+        diags[0, fixed] = 1.0
+        for k, off in enumerate(self.offsets[1:], 1):
+            diags[k, :-off][fixed[:-off] | fixed[off:]] = 0.0
+        return SymmetricStencil(self.offsets, diags)
 
 
 @dataclass
@@ -51,15 +116,14 @@ class BlockTridiagonalFactor:
     off-diagonal blocks.
 
     This is the shape of every P1 operator on a mesh from build_structured
-    (m = level + 1; the interior of a Dirichlet problem has m = level - 1):
-    a node couples only to its own grid row and, in the adjacent rows, to
-    the nodes at most one column away.  With D_i the diagonal blocks and
-    E_i the coupling of block row i+1 to row i, the Schur complements are
-    S_0 = D_0 and S_{i+1} = D_{i+1} - E_i S_i^{-1} E_i^T; one dense
-    S_i^{-1} is kept per block row, the couplings as three diagonals, and
-    a solve is one forward and one backward sweep of dense products
-    (Golub & Van Loan, Matrix Computations, 4.5).  Only the lower triangle
-    of A is read.
+    (m = level + 1): a node couples only to its own grid row and, in the
+    adjacent rows, to the nodes at most one column away.  With D_i the
+    diagonal blocks and E_i the coupling of block row i+1 to row i, the
+    Schur complements are S_0 = D_0 and S_{i+1} = D_{i+1} - E_i S_i^{-1}
+    E_i^T; one dense S_i^{-1} is kept per block row, the couplings as three
+    diagonals, and a solve is one forward and one backward sweep of dense
+    products (Golub & Van Loan, Matrix Computations, 4.5).  The blocks are
+    read straight from the stored diagonals of A.
 
     ``ground`` adds 1 to the first diagonal entry, which makes an operator
     whose kernel is the constants definite; for a load whose entries sum to
@@ -69,29 +133,30 @@ class BlockTridiagonalFactor:
     FactorizationError if a Schur complement is not positive definite.
     """
 
-    def __init__(self, A, m: int, ground: bool = False):
-        A = coo_matrix(A)
+    def __init__(self, A: SymmetricStencil, m: int, ground: bool = False):
         n = A.shape[0]
         nb = n // m if m else 0
-        if A.shape != (n, n) or nb * m != n:
+        if nb * m != n:
             raise ValueError(f"a {A.shape} matrix is not made of square "
                              f"blocks of size {m}")
-        A.sum_duplicates()
-        keep = (A.row >= A.col) & (A.data != 0)
-        row, col, val = A.row[keep], A.col[keep], A.data[keep]
-        del A, keep  # freed before the dense blocks: a lower peak memory
-        brow, r = np.divmod(row, m)
-        bcol, c = np.divmod(col, m)
-        lower = brow != bcol
-        if np.any(brow - bcol > 1) or np.any(lower & (np.abs(c - r) > 1)):
-            raise ValueError("the matrix has a coupling outside the block-"
-                             f"tridiagonal band of {m}x{m} blocks")
         inv = np.zeros((nb, m, m))
-        inv[brow[~lower], r[~lower], c[~lower]] = val[~lower]
-        inv[brow[~lower], c[~lower], r[~lower]] = val[~lower]
         # E_i as diagonals: low[i, d + 1, r] = E_i[r, r + d]
         low = np.zeros((max(nb - 1, 0), 3, m))
-        low[bcol[lower], c[lower] - r[lower] + 1, r[lower]] = val[lower]
+        for off, diag in zip(A.offsets, A.diags):
+            # the nonzero entries (j + off, j) of the lower triangle: row r
+            # of block row bt, column c of block row i
+            j = np.flatnonzero(diag[:max(n - off, 0)])
+            val = diag[j]
+            i, c = np.divmod(j, m)
+            bt, r = np.divmod(j + off, m)
+            same = bt == i
+            inv[i[same], c[same], r[same]] = val[same]
+            inv[i[same], r[same], c[same]] = val[same]
+            i, c, bt, r, val = (a[~same] for a in (i, c, bt, r, val))
+            if np.any(bt - i > 1) or np.any(np.abs(c - r) > 1):
+                raise ValueError("the matrix has a coupling outside the block-"
+                                 f"tridiagonal band of {m}x{m} blocks")
+            low[i, c - r + 1, r] = val  # E_i[r, c]
         if ground and nb:
             inv[0, 0, 0] += 1.0
         pad = ((1, 1), (0, 0))
@@ -133,7 +198,7 @@ class BlockTridiagonalFactor:
         return x.reshape(np.shape(b))
 
 
-def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
+def cg_solve(A: SymmetricStencil, b: np.ndarray, tol: float = 1e-10,
              max_iter: int | None = None,
              mean_weights: np.ndarray | None = None,
              x0: np.ndarray | None = None):
@@ -145,7 +210,7 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
 
     Parameters
     ----------
-    A : symmetric positive (semi-)definite sparse matrix.
+    A : symmetric positive (semi-)definite operator.
     b : right-hand side; with ``mean_weights`` it must lie in the range of
         A, i.e. sum to zero (the caller deflates it).
     tol : relative residual target ||Ax-b|| / ||b||.
@@ -188,7 +253,7 @@ def cg_solve(A: csr_matrix, b: np.ndarray, tol: float = 1e-10,
     # drifted
     while true_rel > tol and total_iter < max_iter and passes < 3:
         passes += 1
-        diag = A.diagonal().copy()
+        diag = A.diagonal()
         diag[diag <= 0] = 1.0  # guard; assembled operators have positive diagonals
         inv_diag = 1.0 / diag
         z = inv_diag * r
@@ -242,7 +307,7 @@ def weighted_power_iteration(apply, w: np.ndarray, seed: int, tol: float,
         SolveReport(max_iter, float("nan"), False))
 
 
-def grad_operator_norm(K: csr_matrix, w: np.ndarray) -> float:
+def grad_operator_norm(K: SymmetricStencil, w: np.ndarray) -> float:
     """Estimate from below of the largest ratio ||grad v|| / ||v|| over the
     piecewise-linear space, by power iteration (tolerance 1e-6, at most
     20000 steps; a Rayleigh quotient never exceeds the largest eigenvalue)

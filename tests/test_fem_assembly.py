@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvsource.fem_assembly import (CoefficientSet, NeumannData,
-                                   assemble_boundary_mass, assemble_mass,
+                                   assemble_boundary_mass,
+                                   assemble_gamma_mass, assemble_mass,
                                    assemble_stiffness, div_adjoint,
                                    elem_gradient, neumann_load,
                                    unit_coefficients)
-from tvsource.mesh import GammaSpec, build_structured
+from tvsource.mesh import GammaSpec, TriMesh, build_structured
 from tvsource.experiment import benchmark_flux
 
-from conftest import benchmark_dp
+from conftest import benchmark_dp, random_dp
 
 # two-triangle unit-level mesh of (-1,1)^2, nodes ordered
 # (-1,-1), (1,-1), (-1,1), (1,1); assembled by hand from the
@@ -26,6 +29,10 @@ HAND_MASS = np.array([
     [1 / 6, 0.0, 1 / 3, 1 / 6],
     [1 / 3, 1 / 6, 1 / 6, 2 / 3],
 ])
+# consistent mass matrix of a triangle of unit area
+UNIT_ELEMENT_MASS = np.array([[2.0, 1.0, 1.0],
+                              [1.0, 2.0, 1.0],
+                              [1.0, 1.0, 2.0]]) / 12.0
 
 
 def _random_coeffs(mesh, rng, beta_scale=0.0, sigma_scale=0.0):
@@ -45,7 +52,7 @@ def test_stiffness_matches_hand_assembly():
 def test_stiffness_symmetric_and_constants_in_kernel(rng):
     for level in (2, 3, 5):
         mesh = build_structured(level)
-        A = assemble_stiffness(mesh, _random_coeffs(mesh, rng))
+        A = assemble_stiffness(mesh, _random_coeffs(mesh, rng)).toarray()
         assert abs(A - A.T).max() <= 1e-12
         assert np.max(np.abs(A @ np.ones(mesh.n_vertices))) <= 1e-12
 
@@ -57,6 +64,80 @@ def test_stiffness_definite_with_reaction(rng):
     A = assemble_stiffness(mesh, coeffs).toarray()
     lam = np.linalg.eigvalsh(A)
     assert lam.min() > 0
+
+
+def test_assembly_needs_structured_numbering(rng):
+    # renumbered vertices couple at offsets outside the stencil
+    mesh = build_structured(3)
+    sigma = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[sigma] = mesh.vertices
+    permuted = TriMesh(vertices, sigma[mesh.triangles], mesh.areas,
+                       mesh.grads, sigma[mesh.boundary_edges],
+                       mesh.edge_lengths, mesh.edge_sides, mesh.level)
+    with pytest.raises(ValueError, match="outside the stencil offsets"):
+        assemble_stiffness(permuted, unit_coefficients(permuted))
+
+
+def _dense_assembly(n, conn, blocks):
+    """Element blocks summed into a dense n x n matrix, element by element."""
+    D = np.zeros((n, n))
+    for nodes, block in zip(conn, blocks):
+        np.add.at(D, np.ix_(nodes, nodes), block)
+    return D
+
+
+def _dense_references(dp):
+    """Dense stiffness, unit stiffness, mass and boundary mass of a problem,
+    from per-element blocks."""
+    mesh, coeffs = dp.mesh, dp.prob.coeffs
+    n = mesh.n_vertices
+    A, K = (_dense_assembly(n, mesh.triangles, [
+        area * G @ alpha @ G.T
+        for area, G, alpha in zip(mesh.areas, mesh.grads, alphas)])
+        for alphas in (coeffs.alpha, np.broadcast_to(np.eye(2),
+                                                     coeffs.alpha.shape)))
+    diag = np.zeros(n)
+    np.add.at(diag, mesh.triangles, (coeffs.beta * mesh.areas / 3.0)[:, None])
+    np.add.at(diag, mesh.boundary_edges,
+              (coeffs.sigma * mesh.edge_lengths / 2.0)[:, None])
+    A += np.diag(diag)
+    M = _dense_assembly(n, mesh.triangles,
+                        [area * UNIT_ELEMENT_MASS for area in mesh.areas])
+    on_gamma = np.isin(mesh.edge_sides, list(dp.prob.gamma.sides))
+    M_gamma = _dense_assembly(n, mesh.boundary_edges[on_gamma], [
+        length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        for length in mesh.edge_lengths[on_gamma]])
+    return {"A": (dp.A, A), "K_unit": (dp.K_unit, K), "M": (dp.M, M),
+            "M_gamma": (dp.M_gamma, M_gamma)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.booleans(),
+       st.booleans(), st.sampled_from([("bottom",), ("bottom", "left")]))
+def test_operators_match_dense_element_assembly(level, seed, reaction,
+                                                boundary_term, gamma):
+    # random SPD diffusion with beta > 0, sigma > 0 or pure Neumann: every
+    # stored operator is the dense element-by-element sum, and its products
+    # with one vector and with a block of vectors are the dense products
+    dp, rng = random_dp(level, seed, reaction, boundary_term, gamma)
+    n = dp.mesh.n_vertices
+    refs = _dense_references(dp)
+    for name, (op, ref) in refs.items():
+        scale = np.abs(ref).max()
+        np.testing.assert_allclose(op.toarray(), ref, rtol=0,
+                                   atol=1e-13 * scale, err_msg=name)
+        for X in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            np.testing.assert_allclose(
+                op @ X, op.toarray() @ X, rtol=0,
+                atol=1e-13 * np.max(np.abs(ref) @ np.abs(X)), err_msg=name)
+    M = refs["M"][1]
+    np.testing.assert_allclose(dp.w, M.sum(axis=1), rtol=1e-13)
+    nodes = dp.gamma_nodes
+    np.testing.assert_allclose(
+        assemble_gamma_mass(dp.mesh, dp.prob.gamma),
+        refs["M_gamma"][1][np.ix_(nodes, nodes)], rtol=0,
+        atol=1e-14 * dp.mesh.edge_lengths.max())
 
 
 def test_ellipticity_violation_rejected():
@@ -102,7 +183,7 @@ class TestMass:
         ones = np.ones(mesh.n_vertices)
         assert abs(ones @ (M @ ones) - 4.0) <= 1e-12
         assert abs(lumped.sum() - 4.0) <= 1e-12
-        assert np.allclose(lumped, np.asarray(M.sum(axis=1)).ravel())
+        assert np.allclose(lumped, M.toarray().sum(axis=1))
 
     def test_quadrature_oracle(self, rng):
         # f^T M g equals the exact integral of the product, computed
@@ -142,7 +223,7 @@ class TestBoundaryMass:
     def test_supported_only_on_marked_nodes(self):
         mesh = build_structured(4)
         M_b = assemble_boundary_mass(mesh, GammaSpec(frozenset({"top"})))
-        nodes = np.unique(M_b.nonzero()[0])
+        nodes = np.unique(np.nonzero(M_b.toarray())[0])
         top = mesh.side_nodes({"top"})
         assert np.array_equal(nodes, top)
 
@@ -163,6 +244,26 @@ class TestNeumannLoad:
         mesh = build_structured(8)
         b = neumann_load(mesh, benchmark_flux(mesh))
         assert abs(b.sum()) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**32 - 1))
+def test_scatters_equal_add_at_references(level, seed):
+    # the divergence and the flux load sum the same terms in the same order
+    # as np.einsum and np.add.at would, so the results are equal bit for bit
+    mesh = build_structured(level)
+    rng = np.random.default_rng(seed)
+    n = mesh.n_vertices
+    p = rng.standard_normal((mesh.n_triangles, 2))
+    ref = np.zeros(n)
+    np.add.at(ref, mesh.triangles.ravel(),
+              np.einsum("t,tia,ta->ti", mesh.areas, mesh.grads, p).ravel())
+    assert np.array_equal(div_adjoint(mesh, p), ref)
+    flux = NeumannData(rng.standard_normal(len(mesh.boundary_edges)))
+    ref = np.zeros(n)
+    np.add.at(ref, mesh.boundary_edges.ravel(),
+              np.repeat(flux.values * mesh.edge_lengths / 2.0, 2))
+    assert np.array_equal(neumann_load(mesh, flux), ref)
 
 
 class TestGradientAndDivergence:

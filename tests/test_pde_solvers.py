@@ -13,7 +13,7 @@ from tvsource.mesh import GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, Observation, ProblemDef, misfit
 from tvsource.sparse_linalg import cg_solve
 
-from conftest import benchmark_dp
+from conftest import benchmark_dp, random_dp
 
 
 def _problem(level, beta=0.0, flux=None, gamma=("bottom",)):
@@ -225,22 +225,6 @@ def test_quadratic_form_of_linearized_misfit_nonnegative(rng):
             1.0, np.max(np.abs(direct)))
 
 
-def _random_dp(level, seed, reaction, boundary_term, gamma=("bottom",)):
-    """Problem with random SPD diffusion and flux; pure Neumann when neither
-    beta > 0 nor sigma > 0 is drawn."""
-    rng = np.random.default_rng(seed)
-    mesh = build_structured(level)
-    L = rng.standard_normal((mesh.n_triangles, 2, 2))
-    alpha = L @ L.transpose(0, 2, 1) + 0.1 * np.eye(2)
-    n_edges = len(mesh.boundary_edges)
-    beta = rng.uniform(0.0, 2.0, mesh.n_triangles) * reaction
-    sigma = rng.uniform(0.0, 2.0, n_edges) * boundary_term
-    prob = ProblemDef(mesh, CoefficientSet(alpha, beta, sigma, 0.1),
-                      NeumannData(rng.standard_normal(n_edges)),
-                      GammaSpec(frozenset(gamma)))
-    return DiscreteProblem(prob), rng
-
-
 FACTOR_CASES = (st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(),
                 st.booleans())
 
@@ -249,7 +233,7 @@ FACTOR_CASES = (st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(),
 @given(*FACTOR_CASES)
 def test_factored_solves_match_dense_reference(level, seed, reaction,
                                                boundary_term):
-    dp, rng = _random_dp(level, seed, reaction, boundary_term)
+    dp, rng = random_dp(level, seed, reaction, boundary_term)
     A, w, n = dp.A.toarray(), dp.w, dp.mesh.n_vertices
     f = rng.standard_normal(n)
     u = dp.solve_state(f)
@@ -276,7 +260,7 @@ def test_factored_solves_match_dense_reference(level, seed, reaction,
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_pure_neumann_compatibility_still_enforced(level, seed):
-    dp, rng = _random_dp(level, seed, False, False)
+    dp, rng = random_dp(level, seed, False, False)
     f = rng.standard_normal(dp.mesh.n_vertices)
     f_ok = f - dp.compatibility_residual(f) / dp.domain_volume
     u = dp.solve_state(f_ok, require_compatible=True)
@@ -291,7 +275,7 @@ def test_cg_accepts_every_factored_solution_as_is(level, seed, reaction,
                                                   boundary_term):
     # every solve, the Dirichlet one included, hands CG a factored
     # solution that already meets the solve tolerance: CG only checks it
-    dp, rng = _random_dp(level, seed, reaction, boundary_term)
+    dp, rng = random_dp(level, seed, reaction, boundary_term)
     n = dp.mesh.n_vertices
     reports = []
 
@@ -315,7 +299,7 @@ def test_boundary_map_matches_full_solves(level, seed, reaction,
                                           boundary_term, gamma):
     # the trace and the adjoint state read through G = L[:, Gamma] equal
     # those of full state and adjoint solves
-    dp, rng = _random_dp(level, seed, reaction, boundary_term, gamma)
+    dp, rng = random_dp(level, seed, reaction, boundary_term, gamma)
     bmap, nodes, n = dp.boundary_map, dp.gamma_nodes, dp.mesh.n_vertices
     z = Observation(nodes, rng.standard_normal(nodes.shape[0]))
     for _ in range(3):

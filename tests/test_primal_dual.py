@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvsource.experiment import (ExperimentConfig, build_benchmark_problem,
                                  synthesize_observation)
@@ -15,7 +17,7 @@ from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
 from tvsource.sparse_linalg import weighted_power_iteration
 from tvsource.tv_calculus import gradient_pairing
 
-from conftest import benchmark_dp
+from conftest import benchmark_dp, random_dp
 
 
 class TestConstants:
@@ -223,6 +225,32 @@ class TestBNorm:
             df = rng.standard_normal(dp.mesh.n_vertices)
             dpv = rng.standard_normal((dp.mesh.n_triangles, 2))
             assert driver2.b_norm_sq(df, dpv) > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(),
+       st.booleans(), st.sampled_from([("bottom",), ("bottom", "left")]),
+       st.floats(1e-3, 0.9), st.floats(0.05, 0.99))
+def test_b_norm_nonnegative_under_valid_certificate(level, seed, reaction,
+                                                    boundary_term, gamma,
+                                                    rho, fraction):
+    # random SPD coefficients, with tau a fraction of the largest step the
+    # empirical certificate admits: b_norm_sq, which raises on a negative
+    # value, stays positive on random iterate differences of any balance
+    dp, rng = random_dp(level, seed, reaction, boundary_term, gamma)
+    theta = 5e-2
+    probe = certify_steps_empirical(PdParams(rho=rho, theta=theta), dp)
+    s, g = probe.smooth_bound, probe.grad_norm
+    # 1/tau at which (1/tau - s) * theta / tau equals rho^2 g^2
+    inv_tau = 0.5 * (s + math.sqrt(s**2 + 4.0 * rho**2 * g**2 / theta))
+    params = PdParams(rho=rho, tau=fraction / inv_tau, theta=theta)
+    cert = certify_steps_empirical(params, dp)
+    assert cert.valid
+    driver = PdDriver(dp, params, cert)
+    for _ in range(5):
+        df = rng.standard_normal(dp.mesh.n_vertices)
+        dpv = rng.standard_normal((dp.mesh.n_triangles, 2))
+        assert driver.b_norm_sq(df, dpv * 10.0 ** rng.uniform(-3, 3)) > 0.0
 
 
 def _short_run(level=4, max_iter=60, tau=5.0, record=True):

@@ -1,28 +1,29 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvsource.fem_assembly import assemble_mass, assemble_stiffness, unit_coefficients
-from tvsource.mesh import TriMesh, build_structured
+from tvsource.mesh import build_structured
 from tvsource.sparse_linalg import (BlockTridiagonalFactor, CgConvergenceError,
                                     FactorizationError, cg_solve,
                                     grad_operator_norm,
                                     weighted_power_iteration)
 
+from conftest import stencil
+
 
 def test_identity_converges_in_one_iteration(rng):
     b = rng.standard_normal(10)
-    x, report = cg_solve(sp.identity(10, format="csr"), b, tol=1e-12)
+    x, report = cg_solve(stencil(np.eye(10)), b, tol=1e-12)
     assert report.iterations == 1
     assert report.converged
     assert np.allclose(x, b, atol=1e-14)
 
 
 def test_two_by_two_hand_solution():
-    A = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    A = stencil(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     x, report = cg_solve(A, np.array([1.0, 0.0]), tol=1e-14)
     assert np.allclose(x, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
     assert report.converged
@@ -33,7 +34,7 @@ def test_random_spd_matches_dense_solve(rng):
         q = rng.standard_normal((20, 20))
         A = q @ q.T + 20.0 * np.eye(20)
         b = rng.standard_normal(20)
-        x, _ = cg_solve(sp.csr_matrix(A), b, tol=1e-12)
+        x, _ = cg_solve(stencil(A), b, tol=1e-12)
         x_ref = np.linalg.solve(A, b)
         assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
 
@@ -67,7 +68,7 @@ def test_deflated_solution_ignores_initial_mean(rng):
 
 def test_nonconvergence_raises_with_report(rng):
     q = rng.standard_normal((30, 30))
-    A = sp.csr_matrix(q @ q.T + 1e-6 * np.eye(30))
+    A = stencil(q @ q.T + 1e-6 * np.eye(30))
     b = rng.standard_normal(30)
     with pytest.raises(CgConvergenceError) as excinfo:
         cg_solve(A, b, tol=1e-14, max_iter=2)
@@ -98,7 +99,7 @@ class TestBlockTridiagonalFactor:
         rng = np.random.default_rng(seed)
         A = _block_tridiagonal_spd(rng, nb, m)
         b = rng.standard_normal(nb * m)
-        x = BlockTridiagonalFactor(sp.csr_matrix(A), m).solve(b)
+        x = BlockTridiagonalFactor(stencil(A), m).solve(b)
         x_ref = np.linalg.solve(A, b)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
@@ -109,7 +110,7 @@ class TestBlockTridiagonalFactor:
                                                              seed):
         rng = np.random.default_rng(seed)
         factor = BlockTridiagonalFactor(
-            sp.csr_matrix(_block_tridiagonal_spd(rng, nb, m)), m)
+            stencil(_block_tridiagonal_spd(rng, nb, m)), m)
         b = rng.standard_normal((nb * m, k))
         x = factor.solve(b)
         assert x.shape == b.shape
@@ -125,7 +126,7 @@ class TestBlockTridiagonalFactor:
         m = level + 1
         A = assemble_stiffness(build_structured(level),
                                unit_coefficients(build_structured(level)))
-        A = A.tolil()
+        A = A.toarray()
         i = data.draw(st.integers(1, level))
         r = data.draw(st.integers(0, level - 2))
         c = data.draw(st.integers(r + 2, level))
@@ -135,19 +136,19 @@ class TestBlockTridiagonalFactor:
         j = (i - 1 - two_rows_up) * m + c
         A[i * m + r, j] = A[j, i * m + r] = -0.5
         with pytest.raises(ValueError, match="outside the block-tridiagonal"):
-            BlockTridiagonalFactor(A.tocsr(), m)
+            BlockTridiagonalFactor(stencil(A), m)
 
     def test_indefinite_matrix_raises_factorization_error(self):
         mesh = build_structured(4)
         A = assemble_stiffness(mesh, unit_coefficients(mesh))
         with pytest.raises(FactorizationError, match="block row 0 of 5"):
-            BlockTridiagonalFactor(-A, 5)
+            BlockTridiagonalFactor(stencil(-A.toarray()), 5)
         with pytest.raises(FactorizationError):  # singular without grounding
             BlockTridiagonalFactor(A, 5)
 
     def test_blocks_must_tile_the_matrix(self):
         with pytest.raises(ValueError, match="blocks of size 3"):
-            BlockTridiagonalFactor(sp.identity(10, format="csr"), 3)
+            BlockTridiagonalFactor(stencil(np.eye(10)), 3)
 
 
 def _grad_norm(mesh):
@@ -196,13 +197,16 @@ class TestGradOperatorNorm:
             assert val * h <= 10.0
 
     def test_invariant_under_vertex_reordering(self, rng):
+        # the operators of a renumbered mesh, permuted from the assembled
+        # ones: assembly itself needs build_structured's numbering
         mesh = build_structured(3)
         sigma = rng.permutation(mesh.n_vertices)
-        vertices = np.empty_like(mesh.vertices)
-        vertices[sigma] = mesh.vertices
-        permuted = TriMesh(vertices, sigma[mesh.triangles], mesh.areas,
-                           mesh.grads, sigma[mesh.boundary_edges],
-                           mesh.edge_lengths, mesh.edge_sides, mesh.level)
+        K = assemble_stiffness(mesh, unit_coefficients(mesh)).toarray()
+        _, w = assemble_mass(mesh)
+        K_perm = np.empty_like(K)
+        K_perm[np.ix_(sigma, sigma)] = K
+        w_perm = np.empty_like(w)
+        w_perm[sigma] = w
         a = _grad_norm(mesh)
-        b = _grad_norm(permuted)
+        b = grad_operator_norm(stencil(K_perm), w_perm)
         assert abs(a - b) <= 1e-6 * a
