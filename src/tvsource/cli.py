@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import math
 import os
 import sys
@@ -94,18 +95,25 @@ def _config_from_args(args) -> ExperimentConfig:
     """The ExperimentConfig defaults, then the --config file, then the flags.
 
     A flag sets the config field named by its argparse dest; flags left
-    unset are None and change nothing.
+    unset are None and change nothing.  ``--include-64`` sets the levels
+    4..64 and is rejected next to any other setting of the levels.
     """
     overrides = {f.name: getattr(args, f.name, None)
                  for f in dataclasses.fields(ExperimentConfig)}
-    if getattr(args, "config", None):
-        config = ExperimentConfig.from_json(args.config, **overrides)
-    else:
-        config = ExperimentConfig(
-            **{k: v for k, v in overrides.items() if v is not None})
-    if getattr(args, "include_64", False) and args.levels is None:
-        config = dataclasses.replace(config, levels=(4, 8, 16, 32, 64))
-    return config
+    config_file = getattr(args, "config", None)
+    if getattr(args, "include_64", False):
+        if args.levels is not None:
+            raise ValueError("--include-64 cannot be combined with --levels")
+        if config_file:
+            with open(config_file) as fh:
+                if "levels" in json.load(fh):
+                    raise ValueError("--include-64 cannot be combined with "
+                                     f"the levels of {config_file}")
+        overrides["levels"] = (4, 8, 16, 32, 64)
+    if config_file:
+        return ExperimentConfig.from_json(config_file, **overrides)
+    return ExperimentConfig(
+        **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_bench(args) -> int:

@@ -128,31 +128,15 @@ def assemble_mass(mesh: TriMesh):
     return M, M @ np.ones(mesh.n_vertices)
 
 
-def _gamma_edge_blocks(mesh: TriMesh, gamma: GammaSpec):
-    """The boundary edges on the observed sides and their mass blocks."""
-    mask = np.isin(mesh.edge_sides, list(gamma.sides))
-    if not np.any(mask):
-        raise ValueError("observation boundary matches no mesh edges")
-    return (mesh.boundary_edges[mask],
-            mesh.edge_lengths[mask][:, None, None] * _EDGE_BLOCK)
-
-
 def assemble_boundary_mass(mesh: TriMesh,
                            gamma: GammaSpec) -> SymmetricStencil:
     """Mass matrix of the observation boundary, supported on its nodes."""
-    return _assemble_from_blocks(mesh, *_gamma_edge_blocks(mesh, gamma))
-
-
-def assemble_gamma_mass(mesh: TriMesh, gamma: GammaSpec) -> np.ndarray:
-    """The boundary mass matrix on the observed nodes alone, a dense (m, m)
-    array whose rows follow ``mesh.side_nodes(gamma.sides)``."""
-    edges, blocks = _gamma_edge_blocks(mesh, gamma)
-    nodes = mesh.side_nodes(gamma.sides)
-    local = np.searchsorted(nodes, edges)
-    m = nodes.shape[0]
-    M = np.bincount((local[:, :, None] * m + local[:, None, :]).ravel(),
-                    blocks.ravel(), m * m)
-    return M.reshape(m, m)
+    mask = np.isin(mesh.edge_sides, list(gamma.sides))
+    if not np.any(mask):
+        raise ValueError("observation boundary matches no mesh edges")
+    return _assemble_from_blocks(
+        mesh, mesh.boundary_edges[mask],
+        mesh.edge_lengths[mask][:, None, None] * _EDGE_BLOCK)
 
 
 def neumann_load(mesh: TriMesh, j: NeumannData) -> np.ndarray:

@@ -10,11 +10,12 @@ holds exactly up to solver tolerance, also in the pure-Neumann case, where
 loads are deflated onto the compatible range and solutions are returned as
 zero-weighted-mean representatives.
 
-Every solve is a direct solve with a block-tridiagonal factorization,
-checked (and polished if needed) by CG to the problem's ``cg_tol``.  The
-data misfit reads the state only on the observed boundary Gamma, so the
-optimizer works with the solution map restricted to Gamma (BoundaryMap),
-built once per problem, and needs no solve per iteration.
+Every solve is a direct solve with a block-tridiagonal factorization
+whose residual is checked against the problem's ``cg_tol``; a solution
+that misses it is polished by CG.  The data misfit reads the state only
+on the observed boundary Gamma, so the optimizer works with the solution
+map restricted to Gamma (BoundaryMap), built once per problem, and needs
+no solve per iteration.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem_assembly import (CoefficientSet, NeumannData, P1Field,
-                           assemble_boundary_mass, assemble_gamma_mass,
-                           assemble_mass, assemble_stiffness, neumann_load,
+                           assemble_boundary_mass, assemble_mass,
+                           assemble_stiffness, neumann_load,
                            unit_coefficients)
 from .mesh import GammaSpec, TriMesh
 from .sparse_linalg import BlockTridiagonalFactor, cg_solve
@@ -122,15 +123,17 @@ class DiscreteProblem:
         use from the factorization, four columns at a time: the work arrays
         of a block solve next to G and the factorization set the peak
         memory of a level (at level 64, 0.6 MB lower than with eight
-        columns, for 25 ms more)."""
+        columns, for 25 ms more).  The boundary mass on Gamma is read from
+        ``M_gamma`` in the same chunks."""
         nodes, n = self.gamma_nodes, self.mesh.n_vertices
-        G = np.empty((n, nodes.shape[0]))
-        for start in range(0, nodes.shape[0], 4):
+        m = nodes.shape[0]
+        G, M = np.empty((n, m)), np.empty((m, m))
+        for start in range(0, m, 4):
             cols = nodes[start:start + 4]
             unit = np.zeros((n, cols.shape[0]))
             unit[cols, np.arange(cols.shape[0])] = 1.0
-            G[:, start:start + cols.shape[0]] = self._solve_columns(unit)
-        M = assemble_gamma_mass(self.mesh, self.prob.gamma)
+            G[:, start:start + cols.shape[0]] = self._solve(unit)
+            M[:, start:start + cols.shape[0]] = (self.M_gamma @ unit)[nodes]
         return BoundaryMap(G, G.T @ self.b_flux, M, np.linalg.cholesky(M))
 
     def release_factor(self):
@@ -159,38 +162,16 @@ class DiscreteProblem:
 
     # -- solves ------------------------------------------------------------
 
-    def _deflate(self, rhs):
-        """A pure-Neumann load (or each column of a block of loads) projected
-        onto the range of A; any other load as it is."""
-        if not self.pure_neumann:
-            return rhs
-        return rhs - np.multiply.outer(self.w,
-                                       rhs.sum(axis=0) / self.domain_volume)
-
     def _solve(self, rhs):
-        """Factored solution, checked by CG; a pure-Neumann load is first
-        deflated onto the range of A, and CG re-centres the solution."""
-        rhs = self._deflate(rhs)
-        w = self.w if self.pure_neumann else None
-        x, _ = cg_solve(self.A, rhs, tol=self.cg_tol, mean_weights=w,
-                        x0=self.factor.solve(rhs))
-        return x
-
-    def _solve_columns(self, rhs):
-        """``_solve`` for each column of an (n, k) block of loads: one block
-        solve and one block residual check; a column that misses ``cg_tol``
-        is polished by CG."""
-        rhs = self._deflate(rhs)
-        w = self.w if self.pure_neumann else None
-        x = self.factor.solve(rhs)
-        res = self.A @ x
-        res -= rhs
-        for j in np.flatnonzero(np.linalg.norm(res, axis=0) > self.cg_tol
-                                * np.linalg.norm(rhs, axis=0)):
-            x[:, j], _ = cg_solve(self.A, rhs[:, j], tol=self.cg_tol,
-                                  mean_weights=w, x0=x[:, j])
-        if w is not None:
-            x -= (w @ x) / self.domain_volume
+        """Checked factored solution for one load (n,) or for each column of
+        an (n, k) block of loads; a pure-Neumann load is first deflated onto
+        the range of A and its solution re-centred to zero weighted mean."""
+        if self.pure_neumann:
+            rhs = rhs - np.multiply.outer(
+                self.w, rhs.sum(axis=0) / self.domain_volume)
+        x = _checked_solve(self.A, self.factor, rhs, self.cg_tol)
+        if self.pure_neumann:
+            x -= (self.w @ x) / self.domain_volume
         return x
 
     def compatibility_residual(self, f: P1Field) -> float:
@@ -234,10 +215,9 @@ class DiscreteProblem:
         ``boundary_values`` is a full nodal vector whose entries at boundary
         nodes supply the data (interior entries are ignored).  ``f`` and
         ``boundary_values`` may also be (n, k) blocks of k problems, which
-        share one factorization and one block solve; CG checks every
-        column.  The interior system is solved as A with its boundary rows
-        and columns pinned to the identity and a zero load there.  The
-        factorization is not kept.
+        share one factorization and one block solve.  The interior system
+        is solved as A with its boundary rows and columns pinned to the
+        identity and a zero load there.  The factorization is not kept.
         """
         bnodes = self.mesh.boundary_nodes()
         n = self.mesh.n_vertices
@@ -247,12 +227,27 @@ class DiscreteProblem:
         rhs = self.w[:, None] * np.reshape(f, (n, -1)) - self.A @ u
         rhs[bnodes] = 0.0
         A_pin = self.A.pinned(bnodes)
-        x0 = BlockTridiagonalFactor(A_pin, self.mesh.level + 1).solve(rhs)
-        x = np.column_stack([
-            cg_solve(A_pin, rhs[:, j], tol=self.cg_tol, x0=x0[:, j])[0]
-            for j in range(rhs.shape[1])])
+        x = _checked_solve(A_pin,
+                           BlockTridiagonalFactor(A_pin, self.mesh.level + 1),
+                           rhs, self.cg_tol)
         x[bnodes] = g[bnodes]
         return x.reshape(np.shape(boundary_values))
+
+
+def _checked_solve(A, factor: BlockTridiagonalFactor, rhs, tol: float):
+    """Factored solution of A x = rhs for one load (n,) or for each column
+    of an (n, k) block.  Every column's residual is checked in one block
+    product; a column that misses the relative target ``tol`` is polished
+    by CG."""
+    x = factor.solve(rhs)
+    res = A @ x
+    res -= rhs
+    shape, n = x.shape, x.shape[0]
+    x, res, rhs = (np.reshape(a, (n, -1)) for a in (x, res, rhs))
+    for j in np.flatnonzero(np.linalg.norm(res, axis=0)
+                            > tol * np.linalg.norm(rhs, axis=0)):
+        x[:, j], _ = cg_solve(A, rhs[:, j], tol=tol, x0=x[:, j])
+    return x.reshape(shape)
 
 
 def misfit(dp: DiscreteProblem, u_state: P1Field, z: Observation) -> float:

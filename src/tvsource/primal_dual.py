@@ -286,6 +286,8 @@ class PdDriver:
         after the last iterate fills ``PdState.u``.  ``on_iteration(n, f, p,
         u, u_a)`` is called at every iterate with its adjoint state u_a and
         the state's trace u as a nodal vector, zero off the observed nodes.
+        Raises ValueError unless ``z`` holds one value at each of the
+        problem's observed nodes.
         """
         dp, prm = self.dp, self.params
         lo, hi = self.box
@@ -295,8 +297,12 @@ class PdDriver:
         p = self._project_dual(
             np.asarray(default_p if p0 is None else p0, dtype=float))
         state = PdState(f=f, p=p, n=0)
-        bmap, nodes = dp.boundary_map, dp.gamma_nodes
-        z_gamma = z.embed(dp.mesh.n_vertices)[nodes]
+        nodes = dp.gamma_nodes
+        if not (np.array_equal(z.nodes, nodes)
+                and np.shape(z.values) == nodes.shape):
+            raise ValueError("the observation's nodes are not the problem's "
+                             f"{nodes.shape[0]} observed boundary nodes")
+        bmap, z_gamma = dp.boundary_map, z.values
 
         g0_norm = None
         for n in range(prm.max_iter + 1):

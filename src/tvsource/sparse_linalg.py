@@ -6,10 +6,9 @@ Every operator assembled on a mesh from ``build_structured`` has its
 nonzero entries on a few fixed diagonals (TriMesh.stencil_offsets), which
 SymmetricStencil stores, and is block tridiagonal in its row-major vertex
 numbering; BlockTridiagonalFactor solves such systems directly.  The
-conjugate gradient solver checks (and, if needed, polishes) a solution to
-a relative residual target.  In the singular pure-Neumann case it treats
-the constants as the kernel and returns the zero-weighted-mean
-representative.
+conjugate gradient solver polishes a solution that misses a relative
+residual target; a singular system (the constants as kernel) is solved
+for a load in its range.
 """
 
 from __future__ import annotations
@@ -199,25 +198,21 @@ class BlockTridiagonalFactor:
 
 
 def cg_solve(A: SymmetricStencil, b: np.ndarray, tol: float = 1e-10,
-             max_iter: int | None = None,
-             mean_weights: np.ndarray | None = None,
-             x0: np.ndarray | None = None):
+             max_iter: int | None = None, x0: np.ndarray | None = None):
     """Solve the SPD (or semi-definite, constants as kernel) system A x = b.
 
     The true residual of the start is checked first: a start that meets
-    the target is returned after zero iterations, so a direct solution
-    passed as ``x0`` is verified, and polished only if it falls short.
+    the target is returned after zero iterations, and one that falls short
+    (a factored solution passed as ``x0``) is polished.
 
     Parameters
     ----------
     A : symmetric positive (semi-)definite operator.
-    b : right-hand side; with ``mean_weights`` it must lie in the range of
-        A, i.e. sum to zero (the caller deflates it).
+    b : right-hand side; for a singular A it must lie in the range of A
+        (the caller deflates it), and the mean of the result is the
+        caller's to fix.
     tol : relative residual target ||Ax-b|| / ||b||.
     max_iter : iteration cap, defaults to max(200, 10n).
-    mean_weights : positive weights w; when given, the constant vector is
-        treated as the kernel of A and the returned x has zero weighted
-        mean, sum(w*x) = 0.
     x0 : optional initial guess.
 
     Returns
@@ -232,20 +227,12 @@ def cg_solve(A: SymmetricStencil, b: np.ndarray, tol: float = 1e-10,
     n = b.shape[0]
     if max_iter is None:
         max_iter = max(200, 10 * n)
-    w = None if mean_weights is None else np.asarray(mean_weights, float)
-
-    def recenter(x):
-        if w is not None:
-            x = x - (w @ x) / w.sum()
-        return x
 
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
 
-    # A annihilates constants, so the iterates' mean never enters the
-    # residual recursion: centring the start and the result is enough
-    x = np.zeros(n) if x0 is None else recenter(np.array(x0, dtype=float))
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
     true_rel = np.linalg.norm(r) / bnorm
     total_iter = passes = 0
@@ -276,7 +263,7 @@ def cg_solve(A: SymmetricStencil, b: np.ndarray, tol: float = 1e-10,
         raise CgConvergenceError(
             f"CG stalled at relative residual {true_rel:.3e} "
             f"after {total_iter} iterations (target {tol:.1e})", report)
-    return recenter(x), report
+    return x, report
 
 
 def weighted_power_iteration(apply, w: np.ndarray, seed: int, tol: float,

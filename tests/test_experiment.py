@@ -482,6 +482,10 @@ class TestCli:
         "bench_noise_coef_negative": (None, ["--noise-coef", "-1"],
                                       "noise_coef"),
         "bench_out_is_a_file": (None, [], "afile"),
+        "bench_include_64_with_levels": (None, ["--include-64"],
+                                         "--include-64"),
+        "bench_include_64_with_config_levels": ({}, ["--include-64"],
+                                                "--include-64"),
     }
 
     @pytest.mark.parametrize("case", list(INVALID))
@@ -516,6 +520,15 @@ class TestCli:
         assert not os.path.exists(out)
         assert benchmark_calls == []
 
+    def test_include_64_extends_the_levels_to_64(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iter": 4}))
+        parser = tvsource.cli.build_parser()
+        for argv in (["bench", "--include-64"],
+                     ["bench", "--include-64", "--config", str(cfg)]):
+            config = tvsource.cli._config_from_args(parser.parse_args(argv))
+            assert config.levels == (4, 8, 16, 32, 64)
+
     def test_solve_header_only_observation_one_line_exit_2(self, tmp_path,
                                                            capsys):
         obs = tmp_path / "obs.csv"
@@ -529,16 +542,20 @@ class TestCli:
 
     def test_solver_failure_one_line_exit_1(self, tmp_path, capsys,
                                             monkeypatch):
-        # the iteration makes no solve; the first CG call after iteration 0
-        # is the final state solve, which fills PdState.u
+        # the iteration makes no solve; the final state solve after it,
+        # which fills PdState.u, gets a factored solution that misses the
+        # solve tolerance, and CG fails to polish it
         import tvsource.pde_solvers as pde
-        real_cg, real_run = pde.cg_solve, tvsource.primal_dual.run
+        real_solve = pde.BlockTridiagonalFactor.solve
+        real_run = tvsource.primal_dual.run
         iterations_done = []
 
-        def failing_solve(*args, **kwargs):
-            if iterations_done:
-                raise CgConvergenceError("CG stalled", None)
-            return real_cg(*args, **kwargs)
+        def spoiled_after_the_loop(self, b):
+            x = real_solve(self, b)
+            return 2.0 * x if iterations_done else x
+
+        def stalled_cg(*args, **kwargs):
+            raise CgConvergenceError("CG stalled", None)
 
         def run_counting_iterations(*args, **kwargs):
             return real_run(*args, **kwargs, on_iteration=lambda n, *_:
@@ -549,7 +566,9 @@ class TestCli:
         write_observation_csv(dp.mesh,
                               synthesize_observation(dp, f_truth, 0.0, 0),
                               str(obs))
-        monkeypatch.setattr(pde, "cg_solve", failing_solve)
+        monkeypatch.setattr(pde.BlockTridiagonalFactor, "solve",
+                            spoiled_after_the_loop)
+        monkeypatch.setattr(pde, "cg_solve", stalled_cg)
         monkeypatch.setattr(tvsource.primal_dual, "run",
                             run_counting_iterations)
         code = cli_main(["solve", str(obs), "--level", "4", "--max-iter",

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvsource.fem_assembly import (CoefficientSet, NeumannData,
-                                   assemble_boundary_mass,
-                                   assemble_gamma_mass, assemble_mass,
+                                   assemble_boundary_mass, assemble_mass,
                                    assemble_stiffness, div_adjoint,
                                    elem_gradient, neumann_load,
                                    unit_coefficients)
@@ -135,7 +134,7 @@ def test_operators_match_dense_element_assembly(level, seed, reaction,
     np.testing.assert_allclose(dp.w, M.sum(axis=1), rtol=1e-13)
     nodes = dp.gamma_nodes
     np.testing.assert_allclose(
-        assemble_gamma_mass(dp.mesh, dp.prob.gamma),
+        dp.boundary_map.M,
         refs["M_gamma"][1][np.ix_(nodes, nodes)], rtol=0,
         atol=1e-14 * dp.mesh.edge_lengths.max())
 

@@ -119,23 +119,17 @@ class TestDirichlet:
         dp = DiscreteProblem(_problem(6), cg_tol=1e-13)
         n = dp.mesh.n_vertices
         f, g = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
-        factors, reports = [], []
+        factors = []
         real_factor = pde_solvers.BlockTridiagonalFactor
 
         def counting_factor(*args, **kwargs):
             factors.append(args)
             return real_factor(*args, **kwargs)
 
-        def recording_cg(*args, **kwargs):
-            x, report = cg_solve(*args, **kwargs)
-            reports.append(report)
-            return x, report
-
         with mock.patch.object(pde_solvers, "BlockTridiagonalFactor",
-                               counting_factor), \
-                mock.patch.object(pde_solvers, "cg_solve", recording_cg):
+                               counting_factor):
             u = dp.solve_dirichlet(f, g)
-        assert len(factors) == 1 and len(reports) == 2
+        assert len(factors) == 1
         for j in range(2):
             col = dp.solve_dirichlet(f[:, j], g[:, j])
             assert np.linalg.norm(u[:, j] - col) <= 1e-12 * np.linalg.norm(col)
@@ -269,28 +263,46 @@ def test_pure_neumann_compatibility_still_enforced(level, seed):
         dp.solve_state(f_ok + 1.0, require_compatible=True)
 
 
+def _meets(res, rhs, tol):
+    """Whether each column's residual is within ``tol`` of its load."""
+    n = rhs.shape[0]
+    return np.all(np.linalg.norm(np.reshape(res, (n, -1)), axis=0)
+                  <= tol * np.linalg.norm(np.reshape(rhs, (n, -1)), axis=0))
+
+
 @settings(max_examples=30, deadline=None)
 @given(*FACTOR_CASES)
-def test_cg_accepts_every_factored_solution_as_is(level, seed, reaction,
-                                                  boundary_term):
-    # every solve, the Dirichlet one included, hands CG a factored
-    # solution that already meets the solve tolerance: CG only checks it
+def test_every_solve_meets_the_tolerance_without_cg(level, seed, reaction,
+                                                    boundary_term):
+    # one load, a block of loads and a block of Dirichlet problems: each
+    # factored solution meets cg_tol as it is, so CG is never called
     dp, rng = random_dp(level, seed, reaction, boundary_term)
-    n = dp.mesh.n_vertices
-    reports = []
+    A, w, n = dp.A, dp.w, dp.mesh.n_vertices
+    f, loads, g = (rng.standard_normal(shape)
+                   for shape in (n, (n, 3), (n, 2)))
 
-    def recording_cg(*args, **kwargs):
-        x, report = cg_solve(*args, **kwargs)
-        reports.append(report)
-        return x, report
+    def deflated(b):
+        if not dp.pure_neumann:
+            return b
+        return b - np.multiply.outer(w, b.sum(axis=0) / dp.domain_volume)
 
-    with mock.patch.object(pde_solvers, "cg_solve", recording_cg):
-        f = rng.standard_normal(n)
-        dp.solve_state(f)
-        dp.solve_gamma_loaded(f)
-        dp.solve_dirichlet(f, rng.standard_normal(n))
-    assert len(reports) == 3
-    assert all(r.iterations == 0 and r.converged for r in reports)
+    with mock.patch.object(pde_solvers, "cg_solve") as cg:
+        u = dp.solve_state(f)
+        U = dp._solve(loads)
+        u_d = dp.solve_dirichlet(loads[:, :2], g)
+    cg.assert_not_called()
+    rhs = deflated(w * f + dp.b_flux)
+    assert _meets(A @ u - rhs, rhs, dp.cg_tol)
+    rhs = deflated(loads)
+    assert _meets(A @ U - rhs, rhs, dp.cg_tol)
+    bnodes = dp.mesh.boundary_nodes()
+    assert np.array_equal(u_d[bnodes], g[bnodes])
+    u_b = np.zeros_like(g)
+    u_b[bnodes] = g[bnodes]
+    rhs = w[:, None] * loads[:, :2] - A @ u_b
+    res = A @ u_d - w[:, None] * loads[:, :2]
+    rhs[bnodes] = res[bnodes] = 0.0
+    assert _meets(res, rhs, dp.cg_tol)
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,30 +326,42 @@ def test_boundary_map_matches_full_solves(level, seed, reaction,
     assert np.allclose(bmap.R @ bmap.R.T, bmap.M, rtol=0, atol=1e-15)
 
 
-def test_boundary_map_column_missing_the_tolerance_is_polished():
-    # a factored column that misses cg_tol is handed to CG, so the boundary
-    # map carries the guarantee of every other solve
-    dp = DiscreteProblem(build_benchmark_problem(16)[0], cg_tol=1e-12)
-    real_solve = dp.factor.solve
+class _SpoiledFactor(pde_solvers.BlockTridiagonalFactor):
+    """A factorization whose solutions miss any solve tolerance in their
+    last column."""
 
-    def spoiled_solve(b):
-        x = real_solve(b)
-        if x.ndim == 2:
-            x[:, 0] *= 1.0 + 1e-6
+    def solve(self, b):
+        x = super().solve(b)
+        last = x[:, -1] if x.ndim == 2 else x
+        last *= 1.0 + 1e-6
         return x
 
-    calls = []
 
-    def recording_cg(*args, **kwargs):
-        calls.append(kwargs["x0"])
-        return cg_solve(*args, **kwargs)
+def test_boundary_map_column_missing_the_tolerance_is_polished():
+    # on every solve path, the boundary map's included, a factored column
+    # that misses cg_tol is handed to CG, so it carries the guarantee of
+    # every other column
+    prob = build_benchmark_problem(16)[0]
+    f, g = np.random.default_rng(5).standard_normal((2, prob.mesh.n_vertices,
+                                                     2))
+    paths = {  # name -> (the path's solution, the columns it polishes)
+        "boundary map": (lambda dp: dp.boundary_map.G, 5),  # one per chunk
+        "one load": (lambda dp: dp.solve_state(f[:, 0]), 1),
+        "block of loads": (lambda dp: dp._solve(f), 1),
+        "Dirichlet block": (lambda dp: dp.solve_dirichlet(f, g), 1),
+    }
+    for name, (path, polished) in paths.items():
+        ref = path(DiscreteProblem(prob, cg_tol=1e-12))
+        calls = []
 
-    with mock.patch.object(dp.factor, "solve", spoiled_solve), \
-            mock.patch.object(pde_solvers, "cg_solve", recording_cg):
-        G = dp.boundary_map.G
-    assert len(calls) == 5  # the first column of each chunk of 4 columns
-    for j, node in enumerate(dp.gamma_nodes):
-        e = np.zeros(dp.mesh.n_vertices)
-        e[node] = 1.0
-        ref = dp.solve_source_part(e / dp.w)
-        assert np.linalg.norm(G[:, j] - ref) <= 1e-9 * np.linalg.norm(ref)
+        def recording_cg(*args, **kwargs):
+            calls.append(kwargs["x0"])
+            return cg_solve(*args, **kwargs)
+
+        with mock.patch.object(pde_solvers, "BlockTridiagonalFactor",
+                               _SpoiledFactor), \
+                mock.patch.object(pde_solvers, "cg_solve", recording_cg):
+            x = path(DiscreteProblem(prob, cg_tol=1e-12))
+        assert len(calls) == polished, name
+        assert np.all(np.linalg.norm(x - ref, axis=0)
+                      <= 1e-9 * np.linalg.norm(ref, axis=0)), name

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tvsource.experiment import (ExperimentConfig, build_benchmark_problem,
                                  synthesize_observation)
 from tvsource.fem_assembly import div_adjoint, elem_gradient
-from tvsource.pde_solvers import DiscreteProblem
+from tvsource.pde_solvers import DiscreteProblem, Observation
 from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   certify_steps, certify_steps_empirical,
                                   coercivity_c1, compatible_start, extrapolate,
@@ -335,6 +335,24 @@ def test_run_raises_when_dual_leaves_ball():
     driver._project_dual = lambda q: 1.5 * q
     with pytest.raises(RuntimeError, match="dual iterate left the unit ball"):
         driver.run(z)
+
+
+def test_run_rejects_an_observation_of_other_nodes():
+    # the iteration reads the data as one value per observed node: data on
+    # the left side's nodes, or with a node or a value missing, is refused
+    dp, f_truth = benchmark_dp(4)
+    z = synthesize_observation(dp, f_truth, 0.0, 0)
+    params = PdParams(
+        rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho, tau=5.0,
+        theta=5e-2, max_iter=5)
+    cert = certify_steps_empirical(params, dp)
+    left = dp.mesh.side_nodes(("left",))
+    assert left.shape == z.nodes.shape and not np.array_equal(left, z.nodes)
+    for bad in (Observation(left, z.values),
+                Observation(z.nodes[:-1], z.values[:-1]),
+                Observation(z.nodes, z.values[:-1])):
+        with pytest.raises(ValueError, match="observed boundary nodes"):
+            run(dp, bad, params, certificate=cert)
 
 
 def test_run_rejects_bad_rho():

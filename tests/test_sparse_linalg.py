@@ -39,33 +39,6 @@ def test_random_spd_matches_dense_solve(rng):
         assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
 
 
-def _neumann_system(level=4):
-    mesh = build_structured(level)
-    A = assemble_stiffness(mesh, unit_coefficients(mesh))
-    _, w = assemble_mass(mesh)
-    return mesh, A, w
-
-
-def test_deflated_solution_has_zero_weighted_mean(rng):
-    _, A, w = _neumann_system()
-    b = rng.standard_normal(A.shape[0])
-    b -= b.sum() / len(b)  # compatible load
-    x, report = cg_solve(A, b, tol=1e-12, mean_weights=w)
-    assert report.converged
-    assert abs(w @ x) <= 1e-10
-    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_deflated_solution_ignores_initial_mean(rng):
-    _, A, w = _neumann_system()
-    b = rng.standard_normal(A.shape[0])
-    b -= b.sum() / len(b)
-    x0 = rng.standard_normal(A.shape[0])
-    x1, _ = cg_solve(A, b, tol=1e-13, mean_weights=w, x0=x0)
-    x2, _ = cg_solve(A, b, tol=1e-13, mean_weights=w, x0=x0 + 17.0)
-    assert np.linalg.norm(x1 - x2) <= 1e-8 * max(np.linalg.norm(x1), 1.0)
-
-
 def test_nonconvergence_raises_with_report(rng):
     q = rng.standard_normal((30, 30))
     A = stencil(q @ q.T + 1e-6 * np.eye(30))
