@@ -7,6 +7,14 @@ linear fields are plain nodal vectors, piecewise constant vector fields are
 (n_triangles, 2) arrays.  Operators are SymmetricStencil matrices on the
 mesh's stencil offsets; element blocks and nodal loads are summed with
 ``np.bincount``, in element order.
+
+The element gradient and its adjoint, applied at every primal-dual step,
+read the mesh's ``gradient_table``: contiguous flat arrays built once per
+mesh.  The gradient takes the two nonzero basis-gradient terms of each
+component, two gathers and two products; the adjoint multiplies the
+stored products areas * grads by the repeated dual field and scatters
+them with ``np.bincount`` over ``triangles.ravel()``.  Both give the
+same bits as the element-by-element sums they replace.
 """
 
 from __future__ import annotations
@@ -149,8 +157,21 @@ def neumann_load(mesh: TriMesh, j: NeumannData) -> np.ndarray:
 
 
 def elem_gradient(mesh: TriMesh, f: P1Field) -> P0VecField:
-    """Exact per-triangle gradient of a piecewise-linear field."""
-    return np.einsum("tia,ti->ta", mesh.grads, f[mesh.triangles])
+    """Exact per-triangle gradient of a piecewise-linear field.
+
+    Each component is the sum of the two nonzero terms of the mesh's
+    ``gradient_table``; for finite f this equals the full three-term sum
+    bit for bit.
+    """
+    tab = mesh.gradient_table
+    f = np.asarray(f, dtype=float)
+    g = np.take(f, tab.nodes[0])
+    g *= tab.coefs[0]
+    h = np.take(f, tab.nodes[1])
+    h *= tab.coefs[1]
+    g += h
+    g += 0.0  # a zero sums to +0.0, as the dropped term 0.0 * f makes it
+    return g.reshape(-1, 2)
 
 
 def div_adjoint(mesh: TriMesh, p: P0VecField) -> np.ndarray:
@@ -159,9 +180,8 @@ def div_adjoint(mesh: TriMesh, p: P0VecField) -> np.ndarray:
     The i-th entry is the pairing of grad(phi_i) with p, so dotting the
     result with any nodal vector reproduces the gradient pairing exactly.
     """
-    # |T| grad(phi_i) . p written out: np.einsum takes three times as long
-    a = mesh.areas[:, None]
-    contrib = (a * mesh.grads[:, :, 0]) * p[:, :1] \
-        + (a * mesh.grads[:, :, 1]) * p[:, 1:]
-    return np.bincount(mesh.triangles.ravel(), contrib.ravel(),
+    # row 3*t + i holds |T| grad(phi_i) * p[t], summed over the components
+    terms = np.repeat(np.asarray(p, dtype=float), 3, axis=0)
+    terms *= mesh.gradient_table.area_grads
+    return np.bincount(mesh.triangles.ravel(), terms[:, 0] + terms[:, 1],
                        mesh.n_vertices)

@@ -3,12 +3,15 @@
 The level-``l`` mesh of (-1,1)^2 splits each coordinate interval into ``l``
 equal segments and every resulting cell along its bottom-left/top-right
 diagonal, giving 2*l^2 triangles and (l+1)^2 vertices.  Meshes are immutable
-after construction and safe to share between threads.
+after construction and safe to share between threads; the one cache a mesh
+holds, its gradient table, is built on first use (see TriMesh).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +31,11 @@ class TriMesh:
     the right), so every assembled operator is stored by its main diagonal
     and the diagonals at these offsets (``stencil_offsets``), and an
     element coupling at any other offset is an error.
+
+    The element gradient and its adjoint read ``gradient_table``, flat
+    arrays built from triangles, grads and areas on first use and cached
+    on the mesh.  The mesh is immutable; a concurrent first use may build
+    the table twice, which is harmless, as both builds are equal.
 
     Attributes
     ----------
@@ -75,6 +83,12 @@ class TriMesh:
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 
+    @functools.cached_property
+    def gradient_table(self) -> GradientTable:
+        """Flat per-mesh tables of the element gradient, its adjoint and
+        the area weights, built on first use; see GradientTable."""
+        return _gradient_table(self.triangles, self.areas, self.grads)
+
     def nearest_nodes(self, points) -> np.ndarray:
         """Index of the grid node nearest to each point (n, 2) of a mesh from
         build_structured, whose vertex (ix, iy) has index iy*(level+1) + ix."""
@@ -97,6 +111,51 @@ class TriMesh:
         first-use import of numpy.ma (about 15 ms)."""
         return np.flatnonzero(np.bincount(edges.ravel(),
                                           minlength=self.n_vertices))
+
+
+class GradientTable(NamedTuple):
+    """Contiguous flat arrays for the gradient kernels of one mesh.
+
+    Entry k = 2*t + c of a 2*n_triangles array belongs to component c of
+    triangle t, the order of a C-contiguous (n_triangles, 2) field.  On an
+    axis-aligned right triangle one basis-gradient coefficient of each
+    component is exactly 0.0, so component c of the gradient of f on t is
+    ``coefs[0, k] * f[nodes[0, k]] + coefs[1, k] * f[nodes[1, k]]``.
+    """
+
+    nodes: np.ndarray       # (2, 2 n_t) int: the two vertices of entry k
+    coefs: np.ndarray       # (2, 2 n_t): their basis-gradient coefficients
+    area_grads: np.ndarray  # (3 n_t, 2): areas * grads, row 3*t + i
+    weights: np.ndarray     # (2 n_t,): the area of triangle t at entry k
+
+
+def _gradient_table(triangles, areas, grads) -> GradientTable:
+    """Build the GradientTable; raises ValueError where a component has
+    three nonzero basis-gradient coefficients (a triangle that is not an
+    axis-aligned right triangle)."""
+    n_t = triangles.shape[0]
+    nodes = np.empty((2, n_t, 2), dtype=triangles.dtype)
+    coefs = np.empty((2, n_t, 2))
+    # one component at a time, so that every operation runs along the
+    # triangles instead of broadcasting over a trailing axis of length 2
+    for c in range(2):
+        g = grads[:, :, c]
+        first, middle, last = (g[:, i] != 0.0 for i in range(3))
+        bad = np.flatnonzero(first & middle & last)
+        if bad.size:
+            raise ValueError(
+                f"triangle {bad[0]} has three nonzero basis-gradient "
+                "coefficients in one component; the gradient tables need "
+                "axis-aligned right triangles")
+        # the first nonzero coefficient sits at local vertex 0 or 1, the
+        # last at 2 or 1
+        nodes[0, :, c] = np.where(first, triangles[:, 0], triangles[:, 1])
+        nodes[1, :, c] = np.where(last, triangles[:, 2], triangles[:, 1])
+        coefs[0, :, c] = np.where(first, g[:, 0], g[:, 1])
+        coefs[1, :, c] = np.where(last, g[:, 2], g[:, 1])
+    area_grads = (areas[:, None, None] * grads).reshape(-1, 2)
+    return GradientTable(nodes.reshape(2, -1), coefs.reshape(2, -1),
+                         area_grads, np.repeat(areas, 2))
 
 
 @dataclass(frozen=True)

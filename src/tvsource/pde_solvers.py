@@ -137,10 +137,11 @@ class DiscreteProblem:
         return BoundaryMap(G, G.T @ self.b_flux, M, np.linalg.cholesky(M))
 
     def release_factor(self):
-        """Free the factorization of A and the boundary map; the next use
-        builds them again."""
+        """Free the factorization of A, the boundary map and the mesh's
+        gradient table; the next use builds them again."""
         self.__dict__.pop("factor", None)
         self.__dict__.pop("boundary_map", None)
+        self.mesh.__dict__.pop("gradient_table", None)
 
     # -- inner products ----------------------------------------------------
 
@@ -199,10 +200,19 @@ class DiscreteProblem:
         """State with source f and zero flux (the linear part of the map)."""
         return self._solve(self.w * f)
 
+    def observed_values(self, z: Observation) -> np.ndarray:
+        """``z.values``, once ``z`` is checked to hold one value at each of
+        the observed nodes; raises ValueError otherwise."""
+        nodes = self.gamma_nodes
+        if not (np.array_equal(z.nodes, nodes)
+                and np.shape(z.values) == nodes.shape):
+            raise ValueError("the observation's nodes are not the problem's "
+                             f"{nodes.shape[0]} observed boundary nodes")
+        return z.values
+
     def solve_adjoint(self, u_state: P1Field, z: Observation) -> P1Field:
         """Adjoint state loaded by the data misfit on the observed boundary."""
-        rhs = self.M_gamma @ (u_state - z.embed(self.mesh.n_vertices))
-        return self._solve(rhs)
+        return self._solve(self.M_gamma @ _residual(self, u_state, z))
 
     def solve_gamma_loaded(self, g: P1Field) -> P1Field:
         """Solve with boundary load (g, .) over the observed sides."""
@@ -252,5 +262,13 @@ def _checked_solve(A, factor: BlockTridiagonalFactor, rhs, tol: float):
 
 def misfit(dp: DiscreteProblem, u_state: P1Field, z: Observation) -> float:
     """Half the squared observation-boundary distance between trace and data."""
-    r = u_state - z.embed(dp.mesh.n_vertices)
+    r = _residual(dp, u_state, z)
     return 0.5 * float(r @ (dp.M_gamma @ r))
+
+
+def _residual(dp: DiscreteProblem, u_state: P1Field,
+              z: Observation) -> P1Field:
+    """Nodal vector of the state minus the data on the observed nodes."""
+    r = np.array(u_state, dtype=float)
+    r[dp.gamma_nodes] -= dp.observed_values(z)
+    return r

@@ -297,12 +297,8 @@ class PdDriver:
         p = self._project_dual(
             np.asarray(default_p if p0 is None else p0, dtype=float))
         state = PdState(f=f, p=p, n=0)
-        nodes = dp.gamma_nodes
-        if not (np.array_equal(z.nodes, nodes)
-                and np.shape(z.values) == nodes.shape):
-            raise ValueError("the observation's nodes are not the problem's "
-                             f"{nodes.shape[0]} observed boundary nodes")
-        bmap, z_gamma = dp.boundary_map, z.values
+        nodes, z_gamma = dp.gamma_nodes, dp.observed_values(z)
+        bmap = dp.boundary_map
 
         g0_norm = None
         for n in range(prm.max_iter + 1):
@@ -371,8 +367,8 @@ def multilevel_run(levels, make_level, on_iteration=None) -> list[LevelRun]:
     maps a level to its (problem, observation, params, certificate); the
     first level starts from compatible_start, and the final iterate pair of
     each level is interpolated onto the next mesh as its starting point.
-    A level's factorization and boundary map are released once its run
-    has ended.
+    A level's factorization, boundary map and gradient table are released
+    once its run has ended.
     """
     levels = list(levels)
     if not levels or levels[0] != 4 or any(

@@ -17,14 +17,18 @@ from .mesh import TriMesh
 
 def tv_value(mesh: TriMesh, f: P1Field) -> float:
     """Anisotropic total variation: sum_T |T| * (|df/dx1| + |df/dx2|)."""
-    g = elem_gradient(mesh, f)
-    return float(np.sum(mesh.areas[:, None] * np.abs(g)))
+    g = elem_gradient(mesh, f).ravel()
+    np.abs(g, out=g)
+    g *= mesh.gradient_table.weights
+    return float(np.sum(g))
 
 
 def gradient_pairing(mesh: TriMesh, f: P1Field, p: P0VecField) -> float:
     """(grad f, p) integrated over the domain."""
-    g = elem_gradient(mesh, f)
-    return float(np.sum(mesh.areas[:, None] * g * p))
+    g = elem_gradient(mesh, f).ravel()
+    g *= mesh.gradient_table.weights
+    g *= np.ravel(p)
+    return float(np.sum(g))
 
 
 def subgradient_witness(mesh: TriMesh, f: P1Field) -> P0VecField:

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tvsource import primal_dual
 from tvsource.fem_assembly import (CoefficientSet, NeumannData,
                                    assemble_boundary_mass, assemble_mass,
                                    assemble_stiffness, div_adjoint,
                                    elem_gradient, neumann_load,
                                    unit_coefficients)
-from tvsource.mesh import GammaSpec, TriMesh, build_structured
-from tvsource.experiment import benchmark_flux
+from tvsource.mesh import (GammaSpec, TriMesh, _triangle_geometry,
+                           build_structured)
+from tvsource.experiment import (ExperimentConfig, benchmark_flux,
+                                 synthesize_observation)
+from tvsource.tv_calculus import gradient_pairing, tv_value
 
 from conftest import benchmark_dp, random_dp
 
@@ -292,3 +297,84 @@ class TestGradientAndDivergence:
             lhs = div_adjoint(mesh, p) @ g
             rhs = float(np.sum(mesh.areas[:, None] * elem_gradient(mesh, g) * p))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
+
+
+# element-by-element references of the gradient kernels: the flat-table
+# kernels must reproduce them bit for bit
+def _ref_elem_gradient(mesh, f):
+    return np.einsum("tia,ti->ta", mesh.grads, f[mesh.triangles])
+
+
+def _ref_div_adjoint(mesh, p):
+    ref = np.zeros(mesh.n_vertices)
+    np.add.at(ref, mesh.triangles.ravel(),
+              np.einsum("t,tia,ta->ti", mesh.areas, mesh.grads, p).ravel())
+    return ref
+
+
+def _ref_tv_value(mesh, f):
+    return float(np.sum(mesh.areas[:, None]
+                        * np.abs(_ref_elem_gradient(mesh, f))))
+
+
+class TestKernelsMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 16),
+           st.sampled_from([((-1.0, 1.0), (-1.0, 1.0)),
+                            ((-1.0, 2.0), (0.0, 1.0))]))
+    def test_gradient_and_tv_bytes(self, data, level, box):
+        mesh = build_structured(level, box)
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+        f = data.draw(arrays(np.float64, mesh.n_vertices, elements=values))
+        p = data.draw(arrays(np.float64, (mesh.n_triangles, 2),
+                             elements=values))
+        ref = _ref_elem_gradient(mesh, f)
+        assert elem_gradient(mesh, f).tobytes() == ref.tobytes()
+        # signed zeros: the reference never gives -0.0
+        zeros = np.where(data.draw(arrays(bool, mesh.n_vertices)), -0.0, 0.0)
+        assert (elem_gradient(mesh, zeros).tobytes()
+                == _ref_elem_gradient(mesh, zeros).tobytes())
+        assert (np.float64(tv_value(mesh, f)).tobytes()
+                == np.float64(_ref_tv_value(mesh, f)).tobytes())
+        pairing = float(np.sum(mesh.areas[:, None] * ref * p))
+        assert (np.float64(gradient_pairing(mesh, f, p)).tobytes()
+                == np.float64(pairing).tobytes())
+
+    def test_skewed_triangle_is_rejected(self):
+        # a moved interior vertex leaves three nonzero coefficients in a
+        # component, which the two-term tables cannot hold
+        mesh = build_structured(4)
+        vertices = mesh.vertices.copy()
+        vertices[6] += (0.05, 0.03)
+        areas, grads = _triangle_geometry(vertices, mesh.triangles)
+        skewed = TriMesh(vertices, mesh.triangles, areas, grads,
+                         mesh.boundary_edges, mesh.edge_lengths,
+                         mesh.edge_sides, mesh.level, mesh.box)
+        with pytest.raises(ValueError, match="axis-aligned right triangles"):
+            elem_gradient(skewed, np.zeros(mesh.n_vertices))
+        with pytest.raises(ValueError, match="axis-aligned right triangles"):
+            div_adjoint(skewed, np.zeros((mesh.n_triangles, 2)))
+
+    def test_loop_matches_reference_kernels(self, monkeypatch):
+        # 40 primal-dual iterations at level 8 end on the same bits with
+        # the element-by-element kernels
+        dp, f_truth = benchmark_dp(8)
+        z = synthesize_observation(dp, f_truth, 0.0, 0)
+        params = primal_dual.PdParams(
+            rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho,
+            tau=5.0, theta=5e-2, max_iter=40)
+        cert = primal_dual.certify_steps_empirical(params, dp)
+
+        def run():
+            state = primal_dual.run(dp, z, params, certificate=cert)
+            assert state.n == 40
+            return state, np.array([r.objective for r in state.history])
+
+        state, objectives = run()
+        monkeypatch.setattr(primal_dual, "elem_gradient", _ref_elem_gradient)
+        monkeypatch.setattr(primal_dual, "div_adjoint", _ref_div_adjoint)
+        monkeypatch.setattr(primal_dual, "tv_value", _ref_tv_value)
+        ref_state, ref_objectives = run()
+        assert state.f.tobytes() == ref_state.f.tobytes()
+        assert state.p.tobytes() == ref_state.p.tobytes()
+        assert objectives.tobytes() == ref_objectives.tobytes()

@@ -57,6 +57,24 @@ def test_adjoint_vanishes_on_matched_data():
     assert np.max(np.abs(u_a)) <= 1e-10
 
 
+def test_misfit_and_adjoint_reject_an_observation_of_other_nodes():
+    # exact data moved onto the left side's nodes, or with the last node
+    # dropped, read as misfits of 1.10 and 0.30 when embedded; both refuse it
+    dp, f_truth = benchmark_dp(8)
+    u = dp.solve_state(f_truth)
+    nodes = dp.gamma_nodes
+    z = Observation(nodes, u[nodes])
+    assert misfit(dp, u, z) <= 1e-20
+    left = dp.mesh.side_nodes(("left",))
+    assert left.shape == nodes.shape and not np.array_equal(left, nodes)
+    for bad in (Observation(left, z.values),
+                Observation(nodes[:-1], z.values[:-1])):
+        with pytest.raises(ValueError, match="observed boundary nodes"):
+            misfit(dp, u, bad)
+        with pytest.raises(ValueError, match="observed boundary nodes"):
+            dp.solve_adjoint(u, bad)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_adjoint_gradient_identity(seed, reaction, boundary_term):
