@@ -102,23 +102,24 @@ def build_benchmark_problem(level: int, gamma_case: str = "bottom",
 
 def synthesize_observation(dp: DiscreteProblem, f_truth: P1Field,
                            theta_level: float, seed,
-                           u_truth: P1Field | None = None) -> Observation:
+                           u_gamma: np.ndarray | None = None) -> Observation:
     """Trace of the truth state on the observed sides plus uniform noise.
 
-    Noise stream: PCG64 seeded with ``seed``, one uniform(-1,1) draw per
-    observation node in increasing node order, scaled by ``theta_level``.
-    The recorded noise level is the boundary L2 norm of the perturbation.
+    ``u_gamma`` is that trace, one value per observed node; when None it is
+    read from the boundary map at ``f_truth``.  Noise stream: PCG64 seeded
+    with ``seed``, one uniform(-1,1) draw per observation node in
+    increasing node order, scaled by ``theta_level``.  The recorded noise
+    level is the boundary L2 norm of the perturbation.
     """
-    if u_truth is None:
-        u_truth = dp.solve_state(f_truth)
+    if u_gamma is None:
+        u_gamma = dp.boundary_map.trace(dp.w * f_truth)
     nodes = dp.gamma_nodes
-    g = u_truth[nodes]
     rng = np.random.default_rng(seed)
     noise = theta_level * rng.uniform(-1.0, 1.0, size=nodes.shape[0])
     diff = np.zeros(dp.mesh.n_vertices)
     diff[nodes] = noise
     delta = dp.gamma_norm(diff)
-    return Observation(nodes, g + noise, delta)
+    return Observation(nodes, u_gamma + noise, delta)
 
 
 @dataclass(frozen=True)
@@ -252,45 +253,43 @@ class BenchmarkError(RuntimeError):
         self.records = records
 
 
-def _level_errors(run: LevelRun, truth: tuple[P1Field, P1Field]):
+def _level_errors(run: LevelRun, truth: tuple[P1Field, np.ndarray]):
     """Source error and the two constrained-state errors against the level's
-    (truth source, truth state)."""
+    (truth source, truth trace on Gamma).
+
+    The truth and the reconstructed constrained states solve Dirichlet
+    problems that differ only in their source and their data on Gamma, so
+    their difference solves one: source f_truth - f, data the difference
+    of the traces on Gamma and 0 on the rest of the boundary.
+    """
     dp = run.problem
-    f_truth, u_truth = truth
-    u_rec = run.state.u
-    bnodes = dp.mesh.boundary_nodes()
-    bvals_dag = np.zeros(dp.mesh.n_vertices)
-    bvals_dag[bnodes] = u_truth[bnodes]
-    bvals_rec = bvals_dag.copy()
-    bvals_rec[dp.gamma_nodes] = u_rec[dp.gamma_nodes]
-    u_dag, u_l = dp.solve_dirichlet(
-        np.column_stack([f_truth, run.state.f]),
-        np.column_stack([bvals_dag, bvals_rec])).T
-    diff = u_dag - u_l
+    f_truth, truth_trace = truth
+    bvals = np.zeros(dp.mesh.n_vertices)
+    bvals[dp.gamma_nodes] = truth_trace - run.state.u_gamma
+    diff = dp.solve_dirichlet(f_truth - run.state.f, bvals)
     return (dp.l2_norm(f_truth - run.state.f),
             dp.l2_norm(diff), dp.h1_norm(diff))
 
 
 def run_benchmark(config: ExperimentConfig):
     """Multilevel reconstruction over config.levels; returns records + runs."""
-    # level -> (truth source, its state), each solved once
-    truths: dict[int, tuple[P1Field, P1Field]] = {}
+    # level -> (truth source, its state's trace on Gamma)
+    truths: dict[int, tuple[P1Field, np.ndarray]] = {}
 
     def make_level(level):
         dp, f_truth, params, certificate = config.setup_level(level)
-        u_truth = dp.solve_state(f_truth)
-        truths[level] = (f_truth, u_truth)
+        truth_trace = dp.boundary_map.trace(dp.w * f_truth)
+        truths[level] = (f_truth, truth_trace)
         theta_l = config.noise_coef * dp.mesh.mesh_size * math.sqrt(params.rho)
-        u_observed = u_truth
+        observed = truth_trace
         if config.truth_refine:
             fine_prob, fine_truth = build_benchmark_problem(
                 2 * level, config.gamma_case, config.box)
             u_fine = DiscreteProblem(fine_prob).solve_state(fine_truth)
-            u_observed = np.zeros(dp.mesh.n_vertices)
-            u_observed[dp.gamma_nodes] = u_fine[fine_prob.mesh.nearest_nodes(
+            observed = u_fine[fine_prob.mesh.nearest_nodes(
                 dp.mesh.vertices[dp.gamma_nodes])]
         z = synthesize_observation(dp, f_truth, theta_l, [config.seed, level],
-                                   u_truth=u_observed)
+                                   u_gamma=observed)
         return dp, z, params, certificate
 
     try:

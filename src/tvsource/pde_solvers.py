@@ -12,10 +12,11 @@ zero-weighted-mean representatives.
 
 Every solve is a direct solve with a block-tridiagonal factorization
 whose residual is checked against the problem's ``cg_tol``; a solution
-that misses it is polished by CG.  The data misfit reads the state only
-on the observed boundary Gamma, so the optimizer works with the solution
-map restricted to Gamma (BoundaryMap), built once per problem, and needs
-no solve per iteration.
+that misses it is polished by CG.  No factorization is kept: each solve
+factors A for itself.  The data misfit reads the state only on the
+observed boundary Gamma, so the optimizer works with the solution map
+restricted to Gamma (BoundaryMap), built once per problem from one
+factorization, and needs no solve per iteration or after it.
 """
 
 from __future__ import annotations
@@ -58,12 +59,6 @@ class Observation:
     nodes: np.ndarray          # sorted node indices on the observed sides
     values: np.ndarray         # one value per node
     noise_level: float = 0.0   # L2 norm of the added noise
-
-    def embed(self, n_vertices: int) -> np.ndarray:
-        """Nodal vector with the observed values and zeros elsewhere."""
-        z = np.zeros(n_vertices)
-        z[self.nodes] = self.values
-        return z
 
 
 @dataclass(frozen=True)
@@ -110,36 +105,36 @@ class DiscreteProblem:
         gradient norm of the step-size certificate."""
         return assemble_stiffness(self.mesh, unit_coefficients(self.mesh))
 
-    @functools.cached_property
-    def factor(self) -> BlockTridiagonalFactor:
-        """Factorization of A, built on first use; in the pure-Neumann case
-        of A grounded at one node, which solves A x = b for deflated b."""
+    def _factor(self) -> BlockTridiagonalFactor:
+        """A new factorization of A; in the pure-Neumann case of A grounded
+        at one node, which solves A x = b for deflated b."""
         return BlockTridiagonalFactor(self.A, self.mesh.level + 1,
                                       ground=self.pure_neumann)
 
     @functools.cached_property
     def boundary_map(self) -> BoundaryMap:
         """The solution map restricted to the observed nodes, built on first
-        use from the factorization, four columns at a time: the work arrays
-        of a block solve next to G and the factorization set the peak
-        memory of a level (at level 64, 0.6 MB lower than with eight
-        columns, for 25 ms more).  The boundary mass on Gamma is read from
-        ``M_gamma`` in the same chunks."""
+        use from one factorization of A, four columns at a time; the
+        factorization is dropped once G is built, so the loop holds G alone.
+        The work arrays of a block solve next to G and the factorization
+        set the peak memory of the build (at level 64, 0.6 MB lower than
+        with eight columns, for 25 ms more).  The boundary mass on Gamma
+        is read from ``M_gamma`` in the same chunks."""
         nodes, n = self.gamma_nodes, self.mesh.n_vertices
         m = nodes.shape[0]
         G, M = np.empty((n, m)), np.empty((m, m))
+        factor = self._factor()
         for start in range(0, m, 4):
             cols = nodes[start:start + 4]
             unit = np.zeros((n, cols.shape[0]))
             unit[cols, np.arange(cols.shape[0])] = 1.0
-            G[:, start:start + cols.shape[0]] = self._solve(unit)
+            G[:, start:start + cols.shape[0]] = self._solve(unit, factor)
             M[:, start:start + cols.shape[0]] = (self.M_gamma @ unit)[nodes]
         return BoundaryMap(G, G.T @ self.b_flux, M, np.linalg.cholesky(M))
 
-    def release_factor(self):
-        """Free the factorization of A, the boundary map and the mesh's
-        gradient table; the next use builds them again."""
-        self.__dict__.pop("factor", None)
+    def release_loop_arrays(self):
+        """Free the arrays the primal-dual loop reads: the boundary map and
+        the mesh's gradient table; the next use builds them again."""
         self.__dict__.pop("boundary_map", None)
         self.mesh.__dict__.pop("gradient_table", None)
 
@@ -163,38 +158,27 @@ class DiscreteProblem:
 
     # -- solves ------------------------------------------------------------
 
-    def _solve(self, rhs):
+    def _solve(self, rhs, factor: BlockTridiagonalFactor | None = None):
         """Checked factored solution for one load (n,) or for each column of
-        an (n, k) block of loads; a pure-Neumann load is first deflated onto
-        the range of A and its solution re-centred to zero weighted mean."""
+        an (n, k) block of loads, with ``factor`` (from ``_factor``) or, when
+        None, a factorization made for this call; a pure-Neumann load is
+        first deflated onto the range of A and its solution re-centred to
+        zero weighted mean."""
         if self.pure_neumann:
             rhs = rhs - np.multiply.outer(
                 self.w, rhs.sum(axis=0) / self.domain_volume)
-        x = _checked_solve(self.A, self.factor, rhs, self.cg_tol)
+        if factor is None:
+            factor = self._factor()
+        x = _checked_solve(self.A, factor, rhs, self.cg_tol)
         if self.pure_neumann:
             x -= (self.w @ x) / self.domain_volume
         return x
 
-    def compatibility_residual(self, f: P1Field) -> float:
-        """Volume integral of the source plus the total boundary flux."""
-        return float(self.w @ f + self.b_flux.sum())
-
-    def solve_state(self, f: P1Field,
-                    require_compatible: bool = False) -> P1Field:
-        """Solution of the variational problem with source f and the flux data.
-
-        In the pure-Neumann case the load is deflated and the zero-mean
-        representative is returned; with ``require_compatible`` the solve is
-        rejected instead when the compatibility residual exceeds 1e-8 of the
-        load norm.
-        """
-        rhs = self.w * f + self.b_flux
-        if require_compatible and self.pure_neumann:
-            defect = abs(self.compatibility_residual(f))
-            if defect > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
-                raise ValueError(
-                    f"incompatible source/flux pair: defect {defect:.3e}")
-        return self._solve(rhs)
+    def solve_state(self, f: P1Field) -> P1Field:
+        """Solution of the variational problem with source f and the flux
+        data; in the pure-Neumann case the load is deflated and the
+        zero-mean representative is returned."""
+        return self._solve(self.w * f + self.b_flux)
 
     def solve_source_part(self, f: P1Field) -> P1Field:
         """State with source f and zero flux (the linear part of the map)."""

@@ -166,7 +166,7 @@ class PdState:
     n: int
     history: list = field(default_factory=list)
     stopped_by_tolerance: bool = False
-    u: P1Field | None = None  # state at f, once the run has ended
+    u_gamma: np.ndarray | None = None  # trace on Gamma of the state at f
 
     @property
     def final_tolerance(self) -> float:
@@ -261,8 +261,9 @@ class PdDriver:
         t_f = dp.lumped_inner(delta_f, delta_f) / prm.tau
         t_smooth = float(v @ v)  # <delta_f, adjoint of its state>_w
         t_cross = 2.0 * prm.rho * gradient_pairing(dp.mesh, delta_f, delta_p)
-        t_p = prm.theta / prm.tau * float(
-            np.sum(dp.mesh.areas[:, None] * delta_p**2))
+        q = np.ravel(delta_p) ** 2
+        q *= dp.mesh.gradient_table.weights
+        t_p = prm.theta / prm.tau * float(np.sum(q))
         value = t_f - t_smooth - t_cross + t_p
         scale = abs(t_f) + abs(t_smooth) + abs(t_cross) + abs(t_p)
         if value < -1e-10 * max(scale, 1e-300):
@@ -282,10 +283,10 @@ class PdDriver:
         step taken.  A start not given is taken from compatible_start.
 
         The iteration reads the state only on the observed boundary, through
-        the problem's BoundaryMap, and makes no PDE solve; one state solve
-        after the last iterate fills ``PdState.u``.  ``on_iteration(n, f, p,
-        u, u_a)`` is called at every iterate with its adjoint state u_a and
-        the state's trace u as a nodal vector, zero off the observed nodes.
+        the problem's BoundaryMap, and makes no PDE solve; the last
+        iterate's trace is ``PdState.u_gamma``.  ``on_iteration(n, f, p,
+        u_gamma, u_a)`` is called at every iterate with the state's trace
+        on Gamma (one value per observed node) and the adjoint state u_a.
         Raises ValueError unless ``z`` holds one value at each of the
         problem's observed nodes.
         """
@@ -297,7 +298,7 @@ class PdDriver:
         p = self._project_dual(
             np.asarray(default_p if p0 is None else p0, dtype=float))
         state = PdState(f=f, p=p, n=0)
-        nodes, z_gamma = dp.gamma_nodes, dp.observed_values(z)
+        z_gamma = dp.observed_values(z)
         bmap = dp.boundary_map
 
         g0_norm = None
@@ -312,9 +313,7 @@ class PdDriver:
             record = IterationRecord(n, self.objective(f, misfit), tol_val)
             state.history.append(record)
             if on_iteration is not None:
-                u = np.zeros(dp.mesh.n_vertices)
-                u[nodes] = u_gamma
-                on_iteration(n, f, p, u, u_a)
+                on_iteration(n, f, p, u_gamma, u_a)
             if tol_val <= 0.0 or n == prm.max_iter:
                 break
 
@@ -329,8 +328,7 @@ class PdDriver:
             if prm.record_b_norms:
                 record.step_b_norm_sq = self.b_norm_sq(f_next - f, p_next - p)
             f, p = f_next, p_next
-        state.f, state.p, state.n = f, p, n
-        state.u = dp.solve_state(f)
+        state.f, state.p, state.n, state.u_gamma = f, p, n, u_gamma
         state.stopped_by_tolerance = tol_val <= 0.0
         return state
 
@@ -367,8 +365,8 @@ def multilevel_run(levels, make_level, on_iteration=None) -> list[LevelRun]:
     maps a level to its (problem, observation, params, certificate); the
     first level starts from compatible_start, and the final iterate pair of
     each level is interpolated onto the next mesh as its starting point.
-    A level's factorization, boundary map and gradient table are released
-    once its run has ended.
+    A level's boundary map and gradient table are released once its run
+    has ended.
     """
     levels = list(levels)
     if not levels or levels[0] != 4 or any(
@@ -388,7 +386,7 @@ def multilevel_run(levels, make_level, on_iteration=None) -> list[LevelRun]:
                         on_iteration=on_iteration)
         except Exception as exc:
             raise MultilevelError(level, results, exc) from exc
-        dp.release_factor()
+        dp.release_loop_arrays()
         prev = LevelRun(level, dp, z, params, state)
         results.append(prev)
     return results

@@ -16,6 +16,7 @@ import tvsource.cli
 from tvsource.cli import main as cli_main
 from tvsource.experiment import (ExperimentConfig, F_HIGH, F_LOW,
                                  build_benchmark_problem, benchmark_flux,
+                                 benchmark_truth,
                                  export_field, read_observation_csv,
                                  run_benchmark, synthesize_observation,
                                  write_observation_csv, write_table)
@@ -374,6 +375,25 @@ def _tiny_config(out_dir, **kw):
     return ExperimentConfig(**defaults)
 
 
+def _two_column_errors(run_, f_truth, u_truth):
+    """The error table's three errors as computed before the difference
+    form: the truth and the reconstructed constrained states from full
+    nodal states, as two Dirichlet columns of one block solve."""
+    dp = run_.problem
+    u_rec = dp.solve_state(run_.state.f)
+    bnodes = dp.mesh.boundary_nodes()
+    bvals_dag = np.zeros(dp.mesh.n_vertices)
+    bvals_dag[bnodes] = u_truth[bnodes]
+    bvals_rec = bvals_dag.copy()
+    bvals_rec[dp.gamma_nodes] = u_rec[dp.gamma_nodes]
+    u_dag, u_l = dp.solve_dirichlet(
+        np.column_stack([f_truth, run_.state.f]),
+        np.column_stack([bvals_dag, bvals_rec])).T
+    diff = u_dag - u_l
+    return (dp.l2_norm(f_truth - run_.state.f),
+            dp.l2_norm(diff), dp.h1_norm(diff))
+
+
 class TestBenchmarkRun:
     def test_table_deterministic(self, tmp_path):
         rec1, _ = run_benchmark(_tiny_config(tmp_path / "a"))
@@ -429,6 +449,31 @@ class TestBenchmarkRun:
         text = path.read_text()
         assert "# incomplete:" in text
         assert text.count("\n") == 3  # header + one row + flag
+
+    @pytest.mark.parametrize("gamma_case", ["bottom", "bottom_left"])
+    def test_one_dirichlet_column_matches_two(self, tmp_path, gamma_case):
+        records, runs = run_benchmark(_tiny_config(
+            tmp_path, levels=(4, 8), max_iter=20, gamma_case=gamma_case))
+        for rec, run_ in zip(records, runs):
+            f_truth = benchmark_truth(run_.problem.mesh)
+            ref = _two_column_errors(run_, f_truth,
+                                     run_.problem.solve_state(f_truth))
+            got = (rec.err_f_L2, rec.err_u_L2, rec.err_u_H1)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_each_level_factors_A_once(self, tmp_path, monkeypatch):
+        # a level factors A (grounded, pure Neumann) once, for the boundary
+        # map, and its pinned Dirichlet operator once, for the error table
+        import tvsource.pde_solvers as pde
+        real_factor, grounded = pde.BlockTridiagonalFactor, []
+
+        def counting_factor(A, m, ground=False):
+            grounded.append(ground)
+            return real_factor(A, m, ground=ground)
+
+        monkeypatch.setattr(pde, "BlockTridiagonalFactor", counting_factor)
+        run_benchmark(_tiny_config(tmp_path, levels=(4, 8, 16)))
+        assert grounded == [True] * 3 + [False] * 3
 
     def test_consistent_norm_of_unit_field(self):
         dp, _ = benchmark_dp(8)
@@ -542,39 +587,32 @@ class TestCli:
 
     def test_solver_failure_one_line_exit_1(self, tmp_path, capsys,
                                             monkeypatch):
-        # the iteration makes no solve; the final state solve after it,
-        # which fills PdState.u, gets a factored solution that misses the
-        # solve tolerance, and CG fails to polish it
+        # the only solve of `solve` builds the boundary map during set-up:
+        # its factored solution misses the solve tolerance, CG fails to
+        # polish it, and the run never starts
         import tvsource.pde_solvers as pde
         real_solve = pde.BlockTridiagonalFactor.solve
-        real_run = tvsource.primal_dual.run
-        iterations_done = []
+        runs = []
 
-        def spoiled_after_the_loop(self, b):
-            x = real_solve(self, b)
-            return 2.0 * x if iterations_done else x
+        def spoiled(self, b):
+            return 2.0 * real_solve(self, b)
 
         def stalled_cg(*args, **kwargs):
             raise CgConvergenceError("CG stalled", None)
-
-        def run_counting_iterations(*args, **kwargs):
-            return real_run(*args, **kwargs, on_iteration=lambda n, *_:
-                            iterations_done.append(n))
 
         dp, f_truth = benchmark_dp(4)
         obs = tmp_path / "obs.csv"
         write_observation_csv(dp.mesh,
                               synthesize_observation(dp, f_truth, 0.0, 0),
                               str(obs))
-        monkeypatch.setattr(pde.BlockTridiagonalFactor, "solve",
-                            spoiled_after_the_loop)
+        monkeypatch.setattr(pde.BlockTridiagonalFactor, "solve", spoiled)
         monkeypatch.setattr(pde, "cg_solve", stalled_cg)
         monkeypatch.setattr(tvsource.primal_dual, "run",
-                            run_counting_iterations)
+                            lambda *args, **kwargs: runs.append(args))
         code = cli_main(["solve", str(obs), "--level", "4", "--max-iter",
                          "3", "--out", str(tmp_path / "out")])
         assert code == 1
-        assert iterations_done == [0, 1, 2, 3]
+        assert runs == []
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["tvsource: error: CG stalled"]
 

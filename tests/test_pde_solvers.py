@@ -94,14 +94,14 @@ def test_adjoint_gradient_identity(seed, reaction, boundary_term):
                       GammaSpec(frozenset(("bottom", "left"))))
     dp = DiscreteProblem(prob, cg_tol=1e-13)
     z = Observation(dp.gamma_nodes, rng.standard_normal(len(dp.gamma_nodes)))
-    zfull = z.embed(dp.mesh.n_vertices)
+    nodes = dp.gamma_nodes
     for _ in range(3):
         f = rng.uniform(-1.0, 3.0, dp.mesh.n_vertices)
         xi = rng.standard_normal(dp.mesh.n_vertices)
         u = dp.solve_state(f)
         u_a = dp.solve_adjoint(u, z)
         u_bar = dp.solve_source_part(xi)
-        lhs = float((u - zfull) @ (dp.M_gamma @ u_bar))
+        lhs = float((u[nodes] - z.values) @ (dp.M_gamma @ u_bar)[nodes])
         rhs = dp.lumped_inner(xi, u_a)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-12)
 
@@ -165,19 +165,20 @@ class TestDirichlet:
         assert np.max(np.abs(u - 2.5)) <= 1e-10
 
 
+def _compatibility_residual(dp, f):
+    """Volume integral of the source plus the total boundary flux."""
+    return float(dp.w @ f + dp.b_flux.sum())
+
+
 def test_compatibility_residual_values():
     dp, f_truth = benchmark_dp(32)
     n = dp.mesh.n_vertices
-    assert dp.compatibility_residual(np.zeros(n)) == pytest.approx(0.0, abs=1e-12)
-    assert dp.compatibility_residual(np.ones(n)) == pytest.approx(4.0, abs=1e-10)
+    assert _compatibility_residual(dp, np.zeros(n)) == pytest.approx(
+        0.0, abs=1e-12)
+    assert _compatibility_residual(dp, np.ones(n)) == pytest.approx(
+        4.0, abs=1e-10)
     # the sampled truth is compatible up to the interface quadrature error
-    assert abs(dp.compatibility_residual(f_truth)) <= 0.05
-
-
-def test_strict_compatibility_check():
-    dp, _ = benchmark_dp(4)
-    with pytest.raises(ValueError, match="incompatible"):
-        dp.solve_state(np.ones(dp.mesh.n_vertices), require_compatible=True)
+    assert abs(_compatibility_residual(dp, f_truth)) <= 0.05
 
 
 def _smooth_errors(level):
@@ -273,12 +274,14 @@ def test_factored_solves_match_dense_reference(level, seed, reaction,
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_pure_neumann_compatibility_still_enforced(level, seed):
     dp, rng = random_dp(level, seed, False, False)
+    # the solve deflates the load onto the compatible range: a source that
+    # breaks the compatibility condition by a constant has the same state
     f = rng.standard_normal(dp.mesh.n_vertices)
-    f_ok = f - dp.compatibility_residual(f) / dp.domain_volume
-    u = dp.solve_state(f_ok, require_compatible=True)
+    f_ok = f - _compatibility_residual(dp, f) / dp.domain_volume
+    u = dp.solve_state(f_ok)
     assert abs(dp.w @ u) <= 1e-12 * dp.domain_volume * np.max(np.abs(u))
-    with pytest.raises(ValueError, match="incompatible"):
-        dp.solve_state(f_ok + 1.0, require_compatible=True)
+    u_off = dp.solve_state(f_ok + 1.0)
+    assert np.max(np.abs(u_off - u)) <= 1e-10 * max(np.max(np.abs(u)), 1.0)
 
 
 def _meets(res, rhs, tol):
@@ -324,11 +327,13 @@ def test_every_solve_meets_the_tolerance_without_cg(level, seed, reaction,
 
 
 @settings(max_examples=40, deadline=None)
-@given(*FACTOR_CASES, st.sampled_from([("bottom",), ("bottom", "left")]))
+@given(st.integers(1, 16), *FACTOR_CASES[1:],
+       st.sampled_from([("bottom",), ("bottom", "left")]))
 def test_boundary_map_matches_full_solves(level, seed, reaction,
                                           boundary_term, gamma):
     # the trace and the adjoint state read through G = L[:, Gamma] equal
-    # those of full state and adjoint solves
+    # those of full state and adjoint solves; the truth data of a level
+    # are read from G, so its trace agrees to rounding
     dp, rng = random_dp(level, seed, reaction, boundary_term, gamma)
     bmap, nodes, n = dp.boundary_map, dp.gamma_nodes, dp.mesh.n_vertices
     z = Observation(nodes, rng.standard_normal(nodes.shape[0]))
@@ -337,7 +342,7 @@ def test_boundary_map_matches_full_solves(level, seed, reaction,
         u = dp.solve_state(f)
         u_gamma = bmap.trace(dp.w * f)
         assert (np.linalg.norm(u_gamma - u[nodes])
-                <= 1e-10 * np.linalg.norm(u[nodes]))
+                <= 1e-12 * np.linalg.norm(u[nodes]))
         u_a = dp.solve_adjoint(u, z)
         u_a_map = bmap.G @ (bmap.M @ (u_gamma - z.values))
         assert np.linalg.norm(u_a_map - u_a) <= 1e-10 * np.linalg.norm(u_a)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tvsource.experiment import (ExperimentConfig, build_benchmark_problem,
                                  synthesize_observation)
 from tvsource.fem_assembly import div_adjoint, elem_gradient
+from tvsource import pde_solvers
 from tvsource.pde_solvers import DiscreteProblem, Observation
 from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   certify_steps, certify_steps_empirical,
@@ -194,13 +195,19 @@ class TestBNorm:
         assert driver2.b_norm_sq(np.zeros(dp.mesh.n_vertices),
                                  np.zeros((dp.mesh.n_triangles, 2))) == 0.0
 
-    def test_pure_dual_block(self, driver2, rng):
-        dp, params = driver2.dp, driver2.params
-        delta_p = rng.standard_normal((dp.mesh.n_triangles, 2))
-        expected = params.theta / params.tau * float(
-            np.sum(dp.mesh.areas[:, None] * delta_p**2))
-        value = driver2.b_norm_sq(np.zeros(dp.mesh.n_vertices), delta_p)
-        assert value == pytest.approx(expected, rel=1e-12)
+    def test_pure_dual_block(self, rng):
+        # the flat area weights give the bits of the (n_t, 2) broadcast
+        params = PdParams(rho=1e-3, tau=1e-4)
+        for level in (4, 16, 64):
+            dp, _ = benchmark_dp(level)
+            driver = PdDriver(dp, params)
+            for scale in (1e-6, 1.0, 1e6):
+                delta_p = scale * rng.standard_normal((dp.mesh.n_triangles,
+                                                       2))
+                expected = params.theta / params.tau * float(
+                    np.sum(dp.mesh.areas[:, None] * delta_p**2))
+                assert driver.b_norm_sq(np.zeros(dp.mesh.n_vertices),
+                                        delta_p) == expected
 
     def test_matches_two_solve_form(self, driver2, rng):
         # the smooth term read through the boundary map equals the source
@@ -297,12 +304,11 @@ def test_adjoint_identity_along_iterations(rng):
         theta=5e-2, max_iter=20)
     cert = certify_steps_empirical(params, dp)
     driver = PdDriver(dp, params, certificate=cert)
-    zfull = z.embed(dp.mesh.n_vertices)
     xi = rng.standard_normal(dp.mesh.n_vertices)
-    u_bar = dp.solve_source_part(xi)
+    m_u_bar = (dp.M_gamma @ dp.solve_source_part(xi))[dp.gamma_nodes]
 
-    def check(n, f, p, u, u_a):
-        lhs = float((u - zfull) @ (dp.M_gamma @ u_bar))
+    def check(n, f, p, u_gamma, u_a):
+        lhs = float((u_gamma - z.values) @ m_u_bar)
         rhs = dp.lumped_inner(xi, u_a)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-12)
         assert np.all(f >= driver.box[0]) and np.all(f <= driver.box[1])
@@ -310,6 +316,34 @@ def test_adjoint_identity_along_iterations(rng):
 
     state = driver.run(z, on_iteration=check)
     assert state.n == 20
+
+
+def test_run_factors_nothing_after_set_up(monkeypatch):
+    # set-up builds the boundary map from the level's one factorization;
+    # the run, its B-norm checks and its final trace need no other, and
+    # the trace it keeps is that of a full state solve at its last iterate
+    prob, f_truth = build_benchmark_problem(8, "bottom_left")
+    dp = DiscreteProblem(prob)
+    params = ExperimentConfig(max_iter=30, record_b_norms=True).level_params(
+        dp.mesh.mesh_size)
+    cert = certify_steps_empirical(params, dp)
+    z = synthesize_observation(dp, f_truth, 1e-2, 3)
+    traces = []
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("A was factored after set-up")
+
+    monkeypatch.setattr(pde_solvers, "BlockTridiagonalFactor", no_factor)
+    state = run(dp, z, params, certificate=cert,
+                on_iteration=lambda n, f, p, u_gamma, u_a:
+                traces.append(u_gamma))
+    monkeypatch.undo()
+    assert state.n == 30 and not hasattr(state, "u")
+    assert all(t.shape == dp.gamma_nodes.shape for t in traces)
+    assert state.u_gamma is traces[-1]
+    u_gamma = dp.solve_state(state.f)[dp.gamma_nodes]
+    assert (np.linalg.norm(state.u_gamma - u_gamma)
+            <= 1e-10 * np.linalg.norm(u_gamma))
 
 
 def test_run_b_norms_monotone():
@@ -422,12 +456,16 @@ class TestMultilevel:
         assert np.allclose(runs[0].state.p, state.p, atol=1e-12)
 
     def test_level_releases_factor_and_boundary_map(self):
-        # both are rebuilt on demand; kept, they would add their memory to
-        # every later level's peak
+        # no factorization is cached; the boundary map and the gradient
+        # table are rebuilt on demand, and kept they would add their memory
+        # to every later level's peak
         runs = multilevel_run([4, 8], self._make_level)
         for level_run in runs:
-            assert not {"factor", "boundary_map"} & set(
-                vars(level_run.problem))
+            dp = level_run.problem
+            assert not any(isinstance(v, pde_solvers.BlockTridiagonalFactor)
+                           for v in vars(dp).values())
+            assert "boundary_map" not in vars(dp)
+            assert "gradient_table" not in vars(dp.mesh)
 
     def test_two_levels_couple_rho_and_warm_start(self):
         runs = multilevel_run([4, 8], self._make_level)
