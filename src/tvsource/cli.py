@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -48,8 +47,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--box", type=_parse_box, default=None,
                    metavar="LO,HI", help="pointwise source bounds")
     p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--isotropic-dual", action="store_true", default=None,
-                   help="use the per-triangle Euclidean dual projection")
     p.add_argument("--out", dest="out_dir", metavar="OUT", default=None,
                    help="output directory")
     p.add_argument("--format", choices=experiment.EXPORT_FORMATS,
@@ -98,22 +95,17 @@ def _config_from_args(args) -> ExperimentConfig:
     unset are None and change nothing.  ``--include-64`` sets the levels
     4..64 and is rejected next to any other setting of the levels.
     """
-    overrides = {f.name: getattr(args, f.name, None)
-                 for f in dataclasses.fields(ExperimentConfig)}
     config_file = getattr(args, "config", None)
+    fields = experiment.read_config_file(config_file) if config_file else {}
     if getattr(args, "include_64", False):
-        if args.levels is not None:
-            raise ValueError("--include-64 cannot be combined with --levels")
-        if config_file:
-            with open(config_file) as fh:
-                if "levels" in json.load(fh):
-                    raise ValueError("--include-64 cannot be combined with "
-                                     f"the levels of {config_file}")
-        overrides["levels"] = (4, 8, 16, 32, 64)
-    if config_file:
-        return ExperimentConfig.from_json(config_file, **overrides)
-    return ExperimentConfig(
-        **{k: v for k, v in overrides.items() if v is not None})
+        if args.levels is not None or "levels" in fields:
+            raise ValueError("--include-64 cannot be combined with --levels "
+                             "or with the levels of a --config file")
+        fields["levels"] = (4, 8, 16, 32, 64)
+    for f in dataclasses.fields(ExperimentConfig):
+        if getattr(args, f.name, None) is not None:
+            fields[f.name] = getattr(args, f.name)
+    return ExperimentConfig(**fields)
 
 
 def cmd_bench(args) -> int:

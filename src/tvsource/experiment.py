@@ -140,7 +140,6 @@ class ExperimentConfig:
     theta: float = 5e-2
     max_iter: int = 600
     box: tuple = (-1.0, 3.0)
-    isotropic_dual: bool = False
     record_b_norms: bool = False
     truth_refine: bool = False     # synthesize data on a once-refined mesh
     out_dir: str = "results"
@@ -169,7 +168,7 @@ class ExperimentConfig:
             "noise_coef": (lambda v: real(v) and v >= 0,
                            "a non-negative number"),
             "rho_coef": positive, "tau": positive, "theta": positive,
-            "isotropic_dual": flag, "record_b_norms": flag,
+            "record_b_norms": flag,
             "truth_refine": flag, "gamma_case": text, "out_dir": text,
             "export_format": (EXPORT_FORMATS.__contains__,
                               f"one of {list(EXPORT_FORMATS)}"),
@@ -187,7 +186,6 @@ class ExperimentConfig:
         regularization rho = rho_coef * sqrt(h)."""
         return PdParams(rho=self.rho_coef * math.sqrt(h), tau=self.tau,
                         theta=self.theta, max_iter=self.max_iter,
-                        isotropic_dual=self.isotropic_dual,
                         record_b_norms=self.record_b_norms)
 
     def setup_level(self, level: int):
@@ -199,25 +197,27 @@ class ExperimentConfig:
         params = self.level_params(dp.mesh.mesh_size)
         return dp, f_truth, params, certify_steps_empirical(params, dp)
 
-    @staticmethod
-    def from_json(path: str, **overrides) -> "ExperimentConfig":
-        with open(path) as fh:
-            data = json.load(fh)
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown keys in config file {path}: "
-                             f"{', '.join(unknown)}")
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        for key in ("levels", "box"):
-            if key in data and isinstance(data[key], list):
-                data[key] = tuple(data[key])
-        return ExperimentConfig(**data)
 
-    def to_json(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def read_config_file(path: str) -> dict:
+    """The ExperimentConfig field values in the JSON config file at
+    ``path``, its lists made tuples; raises ValueError naming the file
+    unless it holds valid JSON, an object whose keys are field names."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"config file {path} is not valid JSON: {exc}") from exc
+    if type(data) is not dict:
+        raise ValueError(f"config file {path} must hold a JSON object, "
+                         f"got {json.dumps(data)[:40]}")
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(f"unknown keys in config file {path}: "
+                         f"{', '.join(unknown)}")
+    return {k: tuple(v) if k in ("levels", "box")
+            and isinstance(v, list) else v for k, v in data.items()}
 
 
 @dataclass

@@ -207,25 +207,20 @@ class DiscreteProblem:
         """Constrained solve: boundary nodes pinned to the given values.
 
         ``boundary_values`` is a full nodal vector whose entries at boundary
-        nodes supply the data (interior entries are ignored).  ``f`` and
-        ``boundary_values`` may also be (n, k) blocks of k problems, which
-        share one factorization and one block solve.  The interior system
-        is solved as A with its boundary rows and columns pinned to the
-        identity and a zero load there.  The factorization is not kept.
+        nodes supply the data (interior entries are ignored).  The interior
+        system is solved as A with its boundary rows and columns pinned to
+        the identity and a zero load there.  The factorization is not kept.
         """
         bnodes = self.mesh.boundary_nodes()
-        n = self.mesh.n_vertices
-        g = np.reshape(boundary_values, (n, -1))
-        u = np.zeros(g.shape)
-        u[bnodes] = g[bnodes]
-        rhs = self.w[:, None] * np.reshape(f, (n, -1)) - self.A @ u
+        u = np.zeros(self.mesh.n_vertices)
+        u[bnodes] = boundary_values[bnodes]
+        rhs = self.w * f - self.A @ u
         rhs[bnodes] = 0.0
         A_pin = self.A.pinned(bnodes)
-        x = _checked_solve(A_pin,
-                           BlockTridiagonalFactor(A_pin, self.mesh.level + 1),
-                           rhs, self.cg_tol)
-        x[bnodes] = g[bnodes]
-        return x.reshape(np.shape(boundary_values))
+        factor = BlockTridiagonalFactor(A_pin, self.mesh.level + 1)
+        x = _checked_solve(A_pin, factor, rhs, self.cg_tol)
+        x[bnodes] = u[bnodes]
+        return x
 
 
 def _checked_solve(A, factor: BlockTridiagonalFactor, rhs, tol: float):

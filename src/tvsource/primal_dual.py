@@ -25,8 +25,7 @@ from .fem_assembly import P0VecField, P1Field, div_adjoint, elem_gradient
 from .mesh import prolong_p0, prolong_p1
 from .pde_solvers import DiscreteProblem, Observation
 from .sparse_linalg import grad_operator_norm
-from .tv_calculus import (gradient_pairing, project_dual_ball,
-                          project_dual_ball_isotropic, tv_value)
+from .tv_calculus import gradient_pairing, project_dual_ball, tv_value
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class PdParams:
     tau: float = 2e-4
     theta: float = 5e-2
     max_iter: int = 600
-    isotropic_dual: bool = False
     record_b_norms: bool = False
 
     def __post_init__(self):
@@ -207,8 +205,6 @@ class PdDriver:
             raise ValueError(
                 f"step-size condition violated: lhs {certificate.lhs:.6g} "
                 f"<= rhs {certificate.rhs:.6g}; decrease tau or rho")
-        self._project_dual = (project_dual_ball_isotropic
-                              if params.isotropic_dual else project_dual_ball)
         self._t1, self._t2 = params.stopping_offsets(self.dp.mesh.mesh_size)
 
     # -- single updates ------------------------------------------------------
@@ -228,8 +224,8 @@ class PdDriver:
     def dual_step(self, p: P0VecField, f_tilde: P1Field) -> P0VecField:
         """Exact solution of the ball-constrained dual proximal subproblem."""
         scale = self.params.tau * self.params.rho / self.params.theta
-        return self._project_dual(p + scale * elem_gradient(self.dp.mesh,
-                                                            f_tilde))
+        return project_dual_ball(p + scale * elem_gradient(self.dp.mesh,
+                                                           f_tilde))
 
     def stopping_value(self, f: P1Field, f_next: P1Field,
                        g0_norm: float | None = None) -> tuple[float, float]:
@@ -295,7 +291,7 @@ class PdDriver:
         default_f, default_p = compatible_start(dp)
         f = np.clip(np.asarray(default_f if f0 is None else f0, dtype=float),
                     lo, hi)
-        p = self._project_dual(
+        p = project_dual_ball(
             np.asarray(default_p if p0 is None else p0, dtype=float))
         state = PdState(f=f, p=p, n=0)
         z_gamma = dp.observed_values(z)

@@ -54,18 +54,6 @@ class SymmetricStencil:
             y[off:] += band * x[:-off]
         return y
 
-    def diagonal(self) -> np.ndarray:
-        return self.diags[0].copy()
-
-    def toarray(self) -> np.ndarray:
-        """The dense n x n matrix (for tests and small problems)."""
-        n = self.shape[0]
-        out = np.zeros((n, n))
-        for off, diag in zip(self.offsets, self.diags):
-            i = np.arange(max(n - off, 0))
-            out[i, i + off] = out[i + off, i] = diag[:i.shape[0]]
-        return out
-
     def pinned(self, nodes) -> SymmetricStencil:
         """The operator with the rows and columns of ``nodes`` replaced by
         those of the identity: the matrix of the system for the other
@@ -100,69 +88,64 @@ class FactorizationError(RuntimeError):
     """A block factorization met a block that is not positive definite."""
 
 
-def _band_apply(t: np.ndarray, xp: np.ndarray) -> np.ndarray:
-    """Product T x for the tridiagonal matrix T whose entry T[r, r + d] is
-    t[d + 1, r] (d = -1, 0, 1), given x padded with one zero row at each
-    end, xp = (0, x, 0)."""
-    if xp.ndim == 2:
-        t = t[:, :, None]
-    return t[0] * xp[:-2] + t[1] * xp[1:-1] + t[2] * xp[2:]
+def _couple(diag, sub, v, transpose=False):
+    """E v, or E^T v, for the lower-bidiagonal coupling E with diagonal
+    ``diag`` and subdiagonal ``sub`` (E[r + 1, r] = sub[r]), both given as
+    columns, and a block v of columns."""
+    out = diag * v
+    if transpose:
+        out[:-1] += sub * v[1:]
+    else:
+        out[1:] += sub * v[:-1]
+    return out
 
 
 class BlockTridiagonalFactor:
-    """Block LDL^T factorization of a symmetric positive definite matrix
-    made of square blocks of size m, block tridiagonal with tridiagonal
-    off-diagonal blocks.
+    """Block LDL^T factorization of a SymmetricStencil on a mesh from
+    build_structured, whose offsets are a subset of (0, 1, m, m + 1) with
+    m = level + 1.
 
-    This is the shape of every P1 operator on a mesh from build_structured
-    (m = level + 1): a node couples only to its own grid row and, in the
-    adjacent rows, to the nodes at most one column away.  With D_i the
-    diagonal blocks and E_i the coupling of block row i+1 to row i, the
-    Schur complements are S_0 = D_0 and S_{i+1} = D_{i+1} - E_i S_i^{-1}
-    E_i^T; one dense S_i^{-1} is kept per block row, the couplings as three
-    diagonals, and a solve is one forward and one backward sweep of dense
-    products (Golub & Van Loan, Matrix Computations, 4.5).  The blocks are
-    read straight from the stored diagonals of A.
+    In row-major vertex numbering such a matrix has square blocks of size m
+    (one grid row each): tridiagonal diagonal blocks D_i (offsets 0 and 1)
+    and lower-bidiagonal couplings E_i of block row i+1 to row i (diagonal
+    from offset m, subdiagonal from offset m + 1), all read by reshaping the
+    stored diagonals.  The Schur complements are S_0 = D_0 and S_{i+1} =
+    D_{i+1} - E_i S_i^{-1} E_i^T; one dense S_i^{-1} is kept per block row,
+    and a solve is one forward and one backward sweep of dense products
+    (Golub & Van Loan, Matrix Computations, 4.5).
 
     ``ground`` adds 1 to the first diagonal entry, which makes an operator
     whose kernel is the constants definite; for a load whose entries sum to
     0, the grounded solution solves the singular system itself.
 
-    Raises ValueError if A has a coupling outside that band and
+    Raises ValueError for any other offset or for a coupling from a grid
+    row's last node to the next row (offsets 1 and m + 1), and
     FactorizationError if a Schur complement is not positive definite.
     """
 
     def __init__(self, A: SymmetricStencil, m: int, ground: bool = False):
         n = A.shape[0]
-        nb = n // m if m else 0
-        if nb * m != n:
+        if m < 2 or n % m:
             raise ValueError(f"a {A.shape} matrix is not made of square "
                              f"blocks of size {m}")
-        inv = np.zeros((nb, m, m))
-        # E_i as diagonals: low[i, d + 1, r] = E_i[r, r + d]
-        low = np.zeros((max(nb - 1, 0), 3, m))
-        for off, diag in zip(A.offsets, A.diags):
-            # the nonzero entries (j + off, j) of the lower triangle: row r
-            # of block row bt, column c of block row i
-            j = np.flatnonzero(diag[:max(n - off, 0)])
-            val = diag[j]
-            i, c = np.divmod(j, m)
-            bt, r = np.divmod(j + off, m)
-            same = bt == i
-            inv[i[same], c[same], r[same]] = val[same]
-            inv[i[same], r[same], c[same]] = val[same]
-            i, c, bt, r, val = (a[~same] for a in (i, c, bt, r, val))
-            if np.any(bt - i > 1) or np.any(np.abs(c - r) > 1):
-                raise ValueError("the matrix has a coupling outside the block-"
-                                 f"tridiagonal band of {m}x{m} blocks")
-            low[i, c - r + 1, r] = val  # E_i[r, c]
-        if ground and nb:
-            inv[0, 0, 0] += 1.0
-        pad = ((1, 1), (0, 0))
+        bands = dict(zip(A.offsets, A.diags))
+        d0, d1, e0, e1 = (bands.get(off, np.zeros(n)).reshape(-1, m, 1)
+                          for off in (0, 1, m, m + 1))
+        # only entries inside the matrix: the last `off` ones are ignored
+        if (set(bands) - {0, 1, m, m + 1} or np.any(d1[:-1, -1])
+                or np.any(e1[:-2, -1])):
+            raise ValueError("the matrix has a coupling outside the block-"
+                             f"tridiagonal band of {m}x{m} blocks")
+        nb, c = n // m, np.arange(m)
+        self.inv = inv = np.zeros((nb, m, m))
+        inv[:, c, c] = d0[..., 0]
+        inv[:, c[1:], c[:-1]] = inv[:, c[:-1], c[1:]] = d1[:, :-1, 0]
+        inv[:1, 0, 0] += ground
+        self.low = low = list(zip(e0[:-1], e1[:-1, :-1]))
         for i in range(nb):  # inv[i] holds D_i, then S_i, then S_i^{-1}
             if i:
-                e_sinv = _band_apply(low[i - 1], np.pad(inv[i - 1], pad))
-                inv[i] -= _band_apply(low[i - 1], np.pad(e_sinv.T, pad)).T
+                e_sinv = _couple(*low[i - 1], inv[i - 1])
+                inv[i] -= _couple(*low[i - 1], e_sinv.T).T
             try:
                 np.linalg.cholesky(inv[i])  # the definiteness check
                 inv[i] = np.linalg.inv(inv[i])
@@ -170,30 +153,18 @@ class BlockTridiagonalFactor:
                 raise FactorizationError(
                     f"block factorization failed at block row {i} of {nb}: "
                     f"{exc}") from exc
-        # E_i^T as diagonals: up[i, d + 1, c] = E_i[c + d, c]
-        up = np.zeros_like(low)
-        up[:, 0, 1:] = low[:, 2, :-1]
-        up[:, 1] = low[:, 1]
-        up[:, 2, :-1] = low[:, 0, 1:]
-        self.inv, self.low, self.up = inv, low, up
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solution of A x = b, for one right-hand side b of shape (n,) or
         an (n, k) block of k of them."""
-        inv, low, up = self.inv, self.low, self.up
-        nb, m = inv.shape[:2]
-        k = np.shape(b)[1:]
-        # one zero entry padded at each end of a block row lets a coupling
-        # act on it as three shifted products
-        y = np.zeros((nb, m + 2, *k))
-        y[:, 1:-1] = np.reshape(b, (nb, m, *k))
-        x = y[:, 1:-1]
-        for i in range(nb):  # forward: row i becomes S_i^{-1} y_i
+        inv, low = self.inv, self.low
+        x = np.array(b, dtype=float).reshape(*inv.shape[:2], -1)
+        for i in range(len(x)):  # forward: row i becomes S_i^{-1} y_i
             if i:
-                x[i] -= _band_apply(low[i - 1], y[i - 1])
+                x[i] -= _couple(*low[i - 1], x[i - 1])
             x[i] = inv[i] @ x[i]
-        for i in range(nb - 2, -1, -1):  # backward
-            x[i] -= inv[i] @ _band_apply(up[i], y[i + 1])
+        for i in range(len(x) - 2, -1, -1):  # backward
+            x[i] -= inv[i] @ _couple(*low[i], x[i + 1], transpose=True)
         return x.reshape(np.shape(b))
 
 
@@ -240,7 +211,7 @@ def cg_solve(A: SymmetricStencil, b: np.ndarray, tol: float = 1e-10,
     # drifted
     while true_rel > tol and total_iter < max_iter and passes < 3:
         passes += 1
-        diag = A.diagonal()
+        diag = A.diags[0].copy()
         diag[diag <= 0] = 1.0  # guard; assembled operators have positive diagonals
         inv_diag = 1.0 / diag
         z = inv_diag * r

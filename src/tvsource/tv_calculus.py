@@ -3,8 +3,9 @@
 The committed definition is the anisotropic one: the integral of the
 componentwise l1-norm of the element gradients.  It is the exact support
 function of the componentwise unit ball of piecewise-constant vector
-fields, so the dual-ball projection is a plain clamp.  An isotropic
-(per-triangle Euclidean) projection is available for comparison runs.
+fields, so the dual-ball projection is a plain clamp.  The isotropic
+(per-triangle Euclidean) projection has no caller in the program; it is
+kept only because perfbench's layer tracer wraps it by name.
 """
 
 from __future__ import annotations

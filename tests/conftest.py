@@ -35,6 +35,16 @@ def random_dp(level, seed, reaction, boundary_term, gamma=("bottom",)):
     return DiscreteProblem(prob), rng
 
 
+def dense(A: SymmetricStencil) -> np.ndarray:
+    """The dense n x n matrix of a SymmetricStencil."""
+    n = A.shape[0]
+    out = np.zeros((n, n))
+    for off, diag in zip(A.offsets, A.diags):
+        i = np.arange(max(n - off, 0))
+        out[i, i + off] = out[i + off, i] = diag[:i.shape[0]]
+    return out
+
+
 def stencil(A: np.ndarray) -> SymmetricStencil:
     """A dense symmetric matrix as a SymmetricStencil: its upper diagonals
     that hold a nonzero entry."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,8 @@ from tvsource.cli import main as cli_main
 from tvsource.experiment import (ExperimentConfig, F_HIGH, F_LOW,
                                  build_benchmark_problem, benchmark_flux,
                                  benchmark_truth,
-                                 export_field, read_observation_csv,
+                                 export_field, read_config_file,
+                                 read_observation_csv,
                                  run_benchmark, synthesize_observation,
                                  write_observation_csv, write_table)
 from tvsource.mesh import build_structured
@@ -341,8 +343,10 @@ class TestConfig:
     def test_json_roundtrip_with_overrides(self, tmp_path):
         cfg = ExperimentConfig(levels=(4, 8), seed=3, tau=2.5)
         path = tmp_path / "config.json"
-        cfg.to_json(str(path))
-        loaded = ExperimentConfig.from_json(str(path), seed=9)
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        args = tvsource.cli.build_parser().parse_args(
+            ["bench", "--config", str(path), "--seed", "9"])
+        loaded = tvsource.cli._config_from_args(args)
         assert loaded.levels == (4, 8)
         assert loaded.tau == 2.5
         assert loaded.seed == 9
@@ -351,7 +355,7 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"levels": [4], "tua": 1.0, "sed": 2}))
         with pytest.raises(ValueError, match="unknown keys.*sed, tua"):
-            ExperimentConfig.from_json(str(path))
+            read_config_file(str(path))
 
     def test_nonpositive_knobs_rejected(self):
         for name in ("rho_coef", "tau", "theta", "max_iter"):
@@ -378,7 +382,7 @@ def _tiny_config(out_dir, **kw):
 def _two_column_errors(run_, f_truth, u_truth):
     """The error table's three errors as computed before the difference
     form: the truth and the reconstructed constrained states from full
-    nodal states, as two Dirichlet columns of one block solve."""
+    nodal states, as two single-column Dirichlet solves."""
     dp = run_.problem
     u_rec = dp.solve_state(run_.state.f)
     bnodes = dp.mesh.boundary_nodes()
@@ -386,10 +390,8 @@ def _two_column_errors(run_, f_truth, u_truth):
     bvals_dag[bnodes] = u_truth[bnodes]
     bvals_rec = bvals_dag.copy()
     bvals_rec[dp.gamma_nodes] = u_rec[dp.gamma_nodes]
-    u_dag, u_l = dp.solve_dirichlet(
-        np.column_stack([f_truth, run_.state.f]),
-        np.column_stack([bvals_dag, bvals_rec])).T
-    diff = u_dag - u_l
+    diff = (dp.solve_dirichlet(f_truth, bvals_dag)
+            - dp.solve_dirichlet(run_.state.f, bvals_rec))
     return (dp.l2_norm(f_truth - run_.state.f),
             dp.l2_norm(diff), dp.h1_norm(diff))
 
@@ -564,6 +566,33 @@ class TestCli:
         assert word in lines[0] and captured.out == ""
         assert not os.path.exists(out)
         assert benchmark_calls == []
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "[]", "null", "4",
+                                      '"levels"'])
+    def test_config_file_not_an_object_one_line_exit_2(self, tmp_path,
+                                                         capsys, text):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(text)
+        for extra in ([], ["--include-64"]):
+            argv = ["bench", "--config", str(cfg), "--out", str(out)]
+            assert cli_main(argv + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                f"tvsource: error: config file {cfg} must hold a JSON object, "
+                f"got {text}"]
+            assert captured.out == "" and not out.exists()
+
+    def test_config_file_not_valid_json_one_line_exit_2(self, tmp_path,
+                                                          capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text('{"levels": [4,\n')
+        assert cli_main(["bench", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"tvsource: error: config file {cfg} is not valid JSON: "
+            "Expecting value: line 2 column 1 (char 15)"]
+        assert captured.out == "" and not out.exists()
 
     def test_include_64_extends_the_levels_to_64(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -16,7 +16,7 @@ from tvsource.experiment import (ExperimentConfig, benchmark_flux,
                                  synthesize_observation)
 from tvsource.tv_calculus import gradient_pairing, tv_value
 
-from conftest import benchmark_dp, random_dp
+from conftest import benchmark_dp, dense, random_dp
 
 # two-triangle unit-level mesh of (-1,1)^2, nodes ordered
 # (-1,-1), (1,-1), (-1,1), (1,1); assembled by hand from the
@@ -49,14 +49,14 @@ def _random_coeffs(mesh, rng, beta_scale=0.0, sigma_scale=0.0):
 
 def test_stiffness_matches_hand_assembly():
     mesh = build_structured(1)
-    A = assemble_stiffness(mesh, unit_coefficients(mesh)).toarray()
+    A = dense(assemble_stiffness(mesh, unit_coefficients(mesh)))
     assert np.allclose(A, HAND_STIFFNESS, atol=1e-14)
 
 
 def test_stiffness_symmetric_and_constants_in_kernel(rng):
     for level in (2, 3, 5):
         mesh = build_structured(level)
-        A = assemble_stiffness(mesh, _random_coeffs(mesh, rng)).toarray()
+        A = dense(assemble_stiffness(mesh, _random_coeffs(mesh, rng)))
         assert abs(A - A.T).max() <= 1e-12
         assert np.max(np.abs(A @ np.ones(mesh.n_vertices))) <= 1e-12
 
@@ -65,7 +65,7 @@ def test_stiffness_definite_with_reaction(rng):
     mesh = build_structured(3)
     coeffs = _random_coeffs(mesh, rng, beta_scale=1.0)
     coeffs = CoefficientSet(coeffs.alpha, coeffs.beta + 0.1, coeffs.sigma, 0.5)
-    A = assemble_stiffness(mesh, coeffs).toarray()
+    A = dense(assemble_stiffness(mesh, coeffs))
     lam = np.linalg.eigvalsh(A)
     assert lam.min() > 0
 
@@ -129,11 +129,11 @@ def test_operators_match_dense_element_assembly(level, seed, reaction,
     refs = _dense_references(dp)
     for name, (op, ref) in refs.items():
         scale = np.abs(ref).max()
-        np.testing.assert_allclose(op.toarray(), ref, rtol=0,
+        np.testing.assert_allclose(dense(op), ref, rtol=0,
                                    atol=1e-13 * scale, err_msg=name)
         for X in (rng.standard_normal(n), rng.standard_normal((n, 3))):
             np.testing.assert_allclose(
-                op @ X, op.toarray() @ X, rtol=0,
+                op @ X, dense(op) @ X, rtol=0,
                 atol=1e-13 * np.max(np.abs(ref) @ np.abs(X)), err_msg=name)
     M = refs["M"][1]
     np.testing.assert_allclose(dp.w, M.sum(axis=1), rtol=1e-13)
@@ -183,11 +183,11 @@ class TestMass:
     def test_hand_matrix_and_partition_of_unity(self):
         mesh = build_structured(1)
         M, lumped = assemble_mass(mesh)
-        assert np.allclose(M.toarray(), HAND_MASS, atol=1e-14)
+        assert np.allclose(dense(M), HAND_MASS, atol=1e-14)
         ones = np.ones(mesh.n_vertices)
         assert abs(ones @ (M @ ones) - 4.0) <= 1e-12
         assert abs(lumped.sum() - 4.0) <= 1e-12
-        assert np.allclose(lumped, M.toarray().sum(axis=1))
+        assert np.allclose(lumped, dense(M).sum(axis=1))
 
     def test_quadrature_oracle(self, rng):
         # f^T M g equals the exact integral of the product, computed
@@ -218,7 +218,8 @@ class TestBoundaryMass:
 
     def test_single_edge_block(self):
         mesh = build_structured(1)  # one bottom edge of length 2
-        M_b = assemble_boundary_mass(mesh, GammaSpec(frozenset({"bottom"}))).toarray()
+        M_b = dense(assemble_boundary_mass(mesh,
+                                           GammaSpec(frozenset({"bottom"}))))
         block = M_b[np.ix_([0, 1], [0, 1])]
         assert np.allclose(block, 2.0 / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]]),
                            atol=1e-14)
@@ -227,7 +228,7 @@ class TestBoundaryMass:
     def test_supported_only_on_marked_nodes(self):
         mesh = build_structured(4)
         M_b = assemble_boundary_mass(mesh, GammaSpec(frozenset({"top"})))
-        nodes = np.unique(np.nonzero(M_b.toarray())[0])
+        nodes = np.unique(np.nonzero(dense(M_b))[0])
         top = mesh.side_nodes({"top"})
         assert np.array_equal(nodes, top)
 

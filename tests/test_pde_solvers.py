@@ -13,7 +13,7 @@ from tvsource.mesh import GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, Observation, ProblemDef, misfit
 from tvsource.sparse_linalg import cg_solve
 
-from conftest import benchmark_dp, random_dp
+from conftest import benchmark_dp, dense, random_dp
 
 
 def _problem(level, beta=0.0, flux=None, gamma=("bottom",)):
@@ -133,25 +133,6 @@ def test_gradient_matches_central_differences(rng):
 
 
 class TestDirichlet:
-    def test_block_shares_one_factorization(self, rng):
-        dp = DiscreteProblem(_problem(6), cg_tol=1e-13)
-        n = dp.mesh.n_vertices
-        f, g = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
-        factors = []
-        real_factor = pde_solvers.BlockTridiagonalFactor
-
-        def counting_factor(*args, **kwargs):
-            factors.append(args)
-            return real_factor(*args, **kwargs)
-
-        with mock.patch.object(pde_solvers, "BlockTridiagonalFactor",
-                               counting_factor):
-            u = dp.solve_dirichlet(f, g)
-        assert len(factors) == 1
-        for j in range(2):
-            col = dp.solve_dirichlet(f[:, j], g[:, j])
-            assert np.linalg.norm(u[:, j] - col) <= 1e-12 * np.linalg.norm(col)
-
     def test_affine_boundary_data(self):
         dp = DiscreteProblem(_problem(6), cg_tol=1e-13)
         g = dp.mesh.vertices[:, 0].copy()
@@ -247,7 +228,7 @@ FACTOR_CASES = (st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(),
 def test_factored_solves_match_dense_reference(level, seed, reaction,
                                                boundary_term):
     dp, rng = random_dp(level, seed, reaction, boundary_term)
-    A, w, n = dp.A.toarray(), dp.w, dp.mesh.n_vertices
+    A, w, n = dense(dp.A), dp.w, dp.mesh.n_vertices
     f = rng.standard_normal(n)
     u = dp.solve_state(f)
     rhs = w * f + dp.b_flux
@@ -295,12 +276,11 @@ def _meets(res, rhs, tol):
 @given(*FACTOR_CASES)
 def test_every_solve_meets_the_tolerance_without_cg(level, seed, reaction,
                                                     boundary_term):
-    # one load, a block of loads and a block of Dirichlet problems: each
-    # factored solution meets cg_tol as it is, so CG is never called
+    # one load, a block of loads and a Dirichlet problem: each factored
+    # solution meets cg_tol as it is, so CG is never called
     dp, rng = random_dp(level, seed, reaction, boundary_term)
     A, w, n = dp.A, dp.w, dp.mesh.n_vertices
-    f, loads, g = (rng.standard_normal(shape)
-                   for shape in (n, (n, 3), (n, 2)))
+    f, loads, g = (rng.standard_normal(shape) for shape in (n, (n, 3), n))
 
     def deflated(b):
         if not dp.pure_neumann:
@@ -310,7 +290,7 @@ def test_every_solve_meets_the_tolerance_without_cg(level, seed, reaction,
     with mock.patch.object(pde_solvers, "cg_solve") as cg:
         u = dp.solve_state(f)
         U = dp._solve(loads)
-        u_d = dp.solve_dirichlet(loads[:, :2], g)
+        u_d = dp.solve_dirichlet(loads[:, 0], g)
     cg.assert_not_called()
     rhs = deflated(w * f + dp.b_flux)
     assert _meets(A @ u - rhs, rhs, dp.cg_tol)
@@ -320,8 +300,8 @@ def test_every_solve_meets_the_tolerance_without_cg(level, seed, reaction,
     assert np.array_equal(u_d[bnodes], g[bnodes])
     u_b = np.zeros_like(g)
     u_b[bnodes] = g[bnodes]
-    rhs = w[:, None] * loads[:, :2] - A @ u_b
-    res = A @ u_d - w[:, None] * loads[:, :2]
+    rhs = w * loads[:, 0] - A @ u_b
+    res = A @ u_d - w * loads[:, 0]
     rhs[bnodes] = res[bnodes] = 0.0
     assert _meets(res, rhs, dp.cg_tol)
 
@@ -371,7 +351,7 @@ def test_boundary_map_column_missing_the_tolerance_is_polished():
         "boundary map": (lambda dp: dp.boundary_map.G, 5),  # one per chunk
         "one load": (lambda dp: dp.solve_state(f[:, 0]), 1),
         "block of loads": (lambda dp: dp._solve(f), 1),
-        "Dirichlet block": (lambda dp: dp.solve_dirichlet(f, g), 1),
+        "Dirichlet": (lambda dp: dp.solve_dirichlet(f[:, 0], g[:, 0]), 1),
     }
     for name, (path, polished) in paths.items():
         ref = path(DiscreteProblem(prob, cg_tol=1e-12))

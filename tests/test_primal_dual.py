@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tvsource.experiment import (ExperimentConfig, build_benchmark_problem,
                                  synthesize_observation)
 from tvsource.fem_assembly import div_adjoint, elem_gradient
-from tvsource import pde_solvers
+from tvsource import pde_solvers, primal_dual
 from tvsource.pde_solvers import DiscreteProblem, Observation
 from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   certify_steps, certify_steps_empirical,
@@ -357,7 +357,7 @@ def test_run_b_norms_monotone():
     assert bn.sum() <= 1.1 * total
 
 
-def test_run_raises_when_dual_leaves_ball():
+def test_run_raises_when_dual_leaves_ball(monkeypatch):
     # an explicit check, not an assert, so it also holds under python -O
     dp, f_truth = benchmark_dp(4)
     z = synthesize_observation(dp, f_truth, 0.0, 0)
@@ -366,7 +366,7 @@ def test_run_raises_when_dual_leaves_ball():
         theta=5e-2, max_iter=5)
     driver = PdDriver(dp, params, certificate=certify_steps_empirical(
         params, dp))
-    driver._project_dual = lambda q: 1.5 * q
+    monkeypatch.setattr(primal_dual, "project_dual_ball", lambda q: 1.5 * q)
     with pytest.raises(RuntimeError, match="dual iterate left the unit ball"):
         driver.run(z)
 

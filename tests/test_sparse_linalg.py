@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from tvsource.fem_assembly import assemble_mass, assemble_stiffness, unit_coefficients
 from tvsource.mesh import build_structured
 from tvsource.sparse_linalg import (BlockTridiagonalFactor, CgConvergenceError,
-                                    FactorizationError, cg_solve,
-                                    grad_operator_norm,
+                                    FactorizationError, SymmetricStencil,
+                                    cg_solve, grad_operator_norm,
                                     weighted_power_iteration)
 
-from conftest import stencil
+from conftest import dense, random_dp, stencil
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -49,42 +49,42 @@ def test_nonconvergence_raises_with_report(rng):
     assert not excinfo.value.report.converged
 
 
-def _block_tridiagonal_spd(rng, nb, m):
-    """Random SPD matrix of nb x nb blocks of size m: dense diagonal blocks,
-    tridiagonal couplings of adjacent block rows, made definite by a
-    diagonal shift beyond the Gershgorin bound."""
-    n = nb * m
-    A = np.zeros((n, n))
-    for i in range(nb):
-        A[i * m:(i + 1) * m, i * m:(i + 1) * m] = rng.standard_normal((m, m))
-        if i:
-            E = sum(np.diag(rng.standard_normal(m - abs(d)), d)
-                    for d in (-1, 0, 1))
-            A[i * m:(i + 1) * m, (i - 1) * m:i * m] = E
-    A = np.tril(A) + np.tril(A, -1).T
-    return A + np.diag(np.abs(A).sum(axis=1) + 0.1)
+def _structured_operator(level, seed, kind):
+    """A random SPD operator on the structured offsets (0, 1, m, m + 1) of
+    a level-``level`` mesh, with its ``ground`` flag and its dense matrix:
+    the grounded pure-Neumann stiffness, the stiffness with reaction or
+    boundary term, or a stiffness pinned at the boundary nodes."""
+    dp, _ = random_dp(level, seed, kind == "reaction",
+                      kind == "boundary term")
+    A = dp.A.pinned(dp.mesh.boundary_nodes()) if kind == "pinned" else dp.A
+    ground = kind == "grounded"
+    A_dense = dense(A)
+    A_dense[0, 0] += ground
+    return A, ground, A_dense
+
+
+OPERATOR_CASES = (st.integers(1, 6), st.integers(0, 2**32 - 1),
+                  st.sampled_from(["grounded", "reaction", "boundary term",
+                                   "pinned"]))
 
 
 class TestBlockTridiagonalFactor:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
-    def test_matches_dense_solve(self, nb, m, seed):
-        rng = np.random.default_rng(seed)
-        A = _block_tridiagonal_spd(rng, nb, m)
-        b = rng.standard_normal(nb * m)
-        x = BlockTridiagonalFactor(stencil(A), m).solve(b)
-        x_ref = np.linalg.solve(A, b)
+    @given(*OPERATOR_CASES)
+    def test_matches_dense_solve(self, level, seed, kind):
+        A, ground, A_dense = _structured_operator(level, seed, kind)
+        b = np.random.default_rng(seed).standard_normal(A.shape[0])
+        x = BlockTridiagonalFactor(A, level + 1, ground).solve(b)
+        x_ref = np.linalg.solve(A_dense, b)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 9),
-           st.integers(0, 2**32 - 1))
-    def test_block_of_right_hand_sides_matches_column_solves(self, nb, m, k,
-                                                             seed):
-        rng = np.random.default_rng(seed)
-        factor = BlockTridiagonalFactor(
-            stencil(_block_tridiagonal_spd(rng, nb, m)), m)
-        b = rng.standard_normal((nb * m, k))
+    @given(*OPERATOR_CASES, st.integers(1, 9))
+    def test_block_of_right_hand_sides_matches_column_solves(self, level,
+                                                             seed, kind, k):
+        A, ground, _ = _structured_operator(level, seed, kind)
+        factor = BlockTridiagonalFactor(A, level + 1, ground)
+        b = np.random.default_rng(seed).standard_normal((A.shape[0], k))
         x = factor.solve(b)
         assert x.shape == b.shape
         for j in range(k):
@@ -97,9 +97,8 @@ class TestBlockTridiagonalFactor:
         # row r of block row i couples to a node two block rows up, or to
         # one in the adjacent block row two or more columns away
         m = level + 1
-        A = assemble_stiffness(build_structured(level),
-                               unit_coefficients(build_structured(level)))
-        A = A.toarray()
+        mesh = build_structured(level)
+        A = dense(assemble_stiffness(mesh, unit_coefficients(mesh)))
         i = data.draw(st.integers(1, level))
         r = data.draw(st.integers(0, level - 2))
         c = data.draw(st.integers(r + 2, level))
@@ -111,11 +110,35 @@ class TestBlockTridiagonalFactor:
         with pytest.raises(ValueError, match="outside the block-tridiagonal"):
             BlockTridiagonalFactor(stencil(A), m)
 
+    @pytest.mark.parametrize("two_rows", [False, True])
+    def test_coupling_from_a_row_end_raises(self, two_rows):
+        # the last node of a grid row couples to the first node of the next
+        # row (offset 1) or of the row after it (offset m + 1); the stored
+        # entries past the end of the matrix are ignored
+        mesh, m = build_structured(4), 5
+        A = assemble_stiffness(mesh, unit_coefficients(mesh))
+        off = m + 1 if two_rows else 1
+        k = A.offsets.index(off)
+        diags = A.diags.copy()
+        diags[k, -off:] = 7.0
+        BlockTridiagonalFactor(SymmetricStencil(A.offsets, diags), m, True)
+        diags[k, m - 1] = -0.5
+        with pytest.raises(ValueError, match="outside the block-tridiagonal"):
+            BlockTridiagonalFactor(SymmetricStencil(A.offsets, diags), m, True)
+
+    def test_dense_diagonal_blocks_raise(self, rng):
+        # every node couples to every node of its own grid row
+        m = 4
+        B = rng.standard_normal((m, m))
+        A = np.kron(np.eye(3), B + B.T + 4 * m * np.eye(m))
+        with pytest.raises(ValueError, match="outside the block-tridiagonal"):
+            BlockTridiagonalFactor(stencil(A), m)
+
     def test_indefinite_matrix_raises_factorization_error(self):
         mesh = build_structured(4)
         A = assemble_stiffness(mesh, unit_coefficients(mesh))
         with pytest.raises(FactorizationError, match="block row 0 of 5"):
-            BlockTridiagonalFactor(stencil(-A.toarray()), 5)
+            BlockTridiagonalFactor(SymmetricStencil(A.offsets, -A.diags), 5)
         with pytest.raises(FactorizationError):  # singular without grounding
             BlockTridiagonalFactor(A, 5)
 
@@ -141,7 +164,7 @@ def test_unconverged_power_iteration_raises():
 class TestGradOperatorNorm:
     def test_matches_dense_eigensolve_on_coarsest_mesh(self):
         mesh = build_structured(1)
-        K = assemble_stiffness(mesh, unit_coefficients(mesh)).toarray()
+        K = dense(assemble_stiffness(mesh, unit_coefficients(mesh)))
         _, w = assemble_mass(mesh)
         lam = scipy.linalg.eigh(K, np.diag(w), eigvals_only=True)
         ref = np.sqrt(lam[-1])
@@ -151,7 +174,7 @@ class TestGradOperatorNorm:
     @pytest.mark.parametrize("level", [4, 8, 16])
     def test_estimates_dense_eigenvalue_from_below(self, level):
         mesh = build_structured(level)
-        K = assemble_stiffness(mesh, unit_coefficients(mesh)).toarray()
+        K = dense(assemble_stiffness(mesh, unit_coefficients(mesh)))
         _, w = assemble_mass(mesh)
         lam = scipy.linalg.eigh(K, np.diag(w), eigvals_only=True)
         ref = np.sqrt(lam[-1])
@@ -174,7 +197,7 @@ class TestGradOperatorNorm:
         # ones: assembly itself needs build_structured's numbering
         mesh = build_structured(3)
         sigma = rng.permutation(mesh.n_vertices)
-        K = assemble_stiffness(mesh, unit_coefficients(mesh)).toarray()
+        K = dense(assemble_stiffness(mesh, unit_coefficients(mesh)))
         _, w = assemble_mass(mesh)
         K_perm = np.empty_like(K)
         K_perm[np.ix_(sigma, sigma)] = K
