@@ -116,10 +116,7 @@ def synthesize_observation(dp: DiscreteProblem, f_truth: P1Field,
     nodes = dp.gamma_nodes
     rng = np.random.default_rng(seed)
     noise = theta_level * rng.uniform(-1.0, 1.0, size=nodes.shape[0])
-    diff = np.zeros(dp.mesh.n_vertices)
-    diff[nodes] = noise
-    delta = dp.gamma_norm(diff)
-    return Observation(nodes, u_gamma + noise, delta)
+    return Observation(nodes, u_gamma + noise, dp.gamma_norm(noise))
 
 
 @dataclass(frozen=True)
@@ -201,11 +198,11 @@ class ExperimentConfig:
 def read_config_file(path: str) -> dict:
     """The ExperimentConfig field values in the JSON config file at
     ``path``, its lists made tuples; raises ValueError naming the file
-    unless it holds valid JSON, an object whose keys are field names."""
-    with open(path) as fh:
+    unless it holds UTF-8 JSON text, an object whose keys are field names."""
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(
                 f"config file {path} is not valid JSON: {exc}") from exc
     if type(data) is not dict:
@@ -400,24 +397,27 @@ def write_observation_csv(mesh: TriMesh, z: Observation, path: str):
 
 
 def read_observation_csv(path: str, mesh: TriMesh,
-                         gamma: GammaSpec) -> Observation:
-    """Match observation rows to mesh nodes on the observed sides.
+                         nodes: np.ndarray) -> Observation:
+    """Match observation rows to the sorted observed nodes ``nodes``.
 
-    Each row's point is rounded to its structured-grid node, which must lie
-    on the observed sides within 1e-8 h; every such node must appear exactly
-    once, and every entry must be finite.
+    Each row's point is rounded to its structured-grid node, which must be
+    one of ``nodes`` within 1e-8 h; every such node must appear exactly
+    once, and every entry must be finite.  Each error names the file.
     """
-    nodes = mesh.side_nodes(gamma.sides)
     with warnings.catch_warnings():
         # a file without data rows is reported below, not by numpy
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:  # an entry or a row numpy cannot parse
+            raise ValueError(f"observation file {path}: {exc}") from exc
     if data.size == 0:
         raise ValueError(f"observation file {path} holds no data rows")
     if data.shape != (nodes.shape[0], 3):
         raise ValueError(
-            f"observation file has {data.shape[0]} rows of {data.shape[1]} "
-            f"columns, expected {nodes.shape[0]} boundary nodes of 3")
+            f"observation file {path} has {data.shape[0]} rows of "
+            f"{data.shape[1]} columns, expected {nodes.shape[0]} boundary "
+            "nodes of 3")
     if not np.all(np.isfinite(data)):
         raise ValueError(f"observation file {path} holds non-finite entries")
     idx = mesh.nearest_nodes(data[:, :2])
@@ -426,12 +426,12 @@ def read_observation_csv(path: str, mesh: TriMesh,
     unmatched = (nodes[pos] != idx) | (dist > 1e-8 * mesh.mesh_size)
     if np.any(unmatched):
         x, y = data[np.argmax(unmatched), :2]
-        raise ValueError(f"observation point ({x}, {y}) matches no "
-                         "node on the observed boundary")
+        raise ValueError(f"observation point ({x}, {y}) in {path} matches "
+                         "no node on the observed boundary")
     counts = np.bincount(pos, minlength=nodes.shape[0])
     if np.any(counts > 1):
         x, y = mesh.vertices[nodes[np.argmax(counts > 1)]]
-        raise ValueError(f"observation file lists node ({x}, {y}) "
+        raise ValueError(f"observation file {path} lists node ({x}, {y}) "
                          "more than once")
     values = np.empty(nodes.shape[0])
     values[pos] = data[:, 2]

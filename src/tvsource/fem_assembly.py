@@ -4,8 +4,9 @@ Conventions: the diffusion term is integrated exactly (gradients are
 constant per triangle); the reaction and boundary coefficient terms use the
 vertex rule, matching the lumped metric of the proximal steps.  Piecewise
 linear fields are plain nodal vectors, piecewise constant vector fields are
-(n_triangles, 2) arrays.  Operators are SymmetricStencil matrices on the
-mesh's stencil offsets; element blocks and nodal loads are summed with
+(n_triangles, 2) arrays.  Volume operators are SymmetricStencil matrices
+on the mesh's stencil offsets, the boundary mass a dense matrix on the
+observed nodes; element blocks and nodal loads are summed with
 ``np.bincount``, in element order.
 
 The element gradient and its adjoint, applied at every primal-dual step,
@@ -136,15 +137,20 @@ def assemble_mass(mesh: TriMesh):
     return M, M @ np.ones(mesh.n_vertices)
 
 
-def assemble_boundary_mass(mesh: TriMesh,
-                           gamma: GammaSpec) -> SymmetricStencil:
-    """Mass matrix of the observation boundary, supported on its nodes."""
+def assemble_boundary_mass(mesh: TriMesh, gamma: GammaSpec):
+    """The sorted nodes of the observation boundary and its mass matrix on
+    them, a dense (m, m) array in the order of the nodes: the only block
+    of the boundary mass that is not zero."""
     mask = np.isin(mesh.edge_sides, list(gamma.sides))
     if not np.any(mask):
         raise ValueError("observation boundary matches no mesh edges")
-    return _assemble_from_blocks(
-        mesh, mesh.boundary_edges[mask],
-        mesh.edge_lengths[mask][:, None, None] * _EDGE_BLOCK)
+    nodes = mesh.side_nodes(gamma.sides)
+    m = nodes.shape[0]
+    local = np.searchsorted(nodes, mesh.boundary_edges[mask])
+    blocks = mesh.edge_lengths[mask][:, None, None] * _EDGE_BLOCK
+    M = np.bincount((local[:, :, None] * m + local[:, None, :]).ravel(),
+                    blocks.ravel(), m * m)
+    return nodes, M.reshape(m, m)
 
 
 def neumann_load(mesh: TriMesh, j: NeumannData) -> np.ndarray:

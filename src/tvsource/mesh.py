@@ -273,25 +273,22 @@ def prolong_p1(coarse: np.ndarray, coarse_mesh: TriMesh,
 
 def prolong_p0(coarse: np.ndarray, coarse_mesh: TriMesh,
                fine_mesh: TriMesh) -> np.ndarray:
-    """Inject per-triangle values onto the refined mesh by centroid lookup.
+    """Inject per-triangle values onto the refined mesh.
 
-    Each fine triangle takes the value of the coarse triangle containing its
-    centroid, so componentwise bounds are preserved exactly.
+    Each fine triangle takes the value of the coarse triangle containing
+    it, so componentwise bounds are preserved exactly.  Triangle
+    2*(iy*level + ix) + upper is the lower (0) or upper (1) half of cell
+    (ix, iy); each coarse cell holds 2 x 2 fine cells.
     """
     _check_nested(coarse_mesh, fine_mesh)
     coarse = np.asarray(coarse, dtype=float)
     if coarse.shape[0] != coarse_mesh.n_triangles:
         raise ValueError("field length does not match coarse mesh")
-    (ax, _), (ay, _) = coarse_mesh.box
-    lc = coarse_mesh.level
-    hx = (coarse_mesh.box[0][1] - ax) / lc
-    hy = (coarse_mesh.box[1][1] - ay) / lc
-    cen = fine_mesh.centroids
-    ix = np.clip(((cen[:, 0] - ax) / hx).astype(int), 0, lc - 1)
-    iy = np.clip(((cen[:, 1] - ay) / hy).astype(int), 0, lc - 1)
-    # local coordinates decide lower (eta < xi) vs upper coarse triangle
-    xi = (cen[:, 0] - ax) / hx - ix
-    eta = (cen[:, 1] - ay) / hy - iy
-    upper = (eta > xi).astype(int)
-    parent = 2 * (iy * lc + ix) + upper
-    return coarse[parent]
+    lc, comps = coarse_mesh.level, coarse.shape[1:]
+    cv = coarse.reshape(lc, lc, 2, *comps)  # [cy, cx, upper]
+    fv = np.empty((lc, 2, lc, 2, 2) + comps)  # [cy, dy, cx, dx, upper]
+    # the two fine cells on the coarse diagonal are split along it too
+    fv[:, 0, :, 0] = fv[:, 1, :, 1] = cv
+    fv[:, 0, :, 1] = cv[:, :, :1]  # below the diagonal: the lower half
+    fv[:, 1, :, 0] = cv[:, :, 1:]  # above it: the upper half
+    return fv.reshape(4 * coarse.shape[0], *comps)

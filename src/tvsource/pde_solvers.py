@@ -16,7 +16,8 @@ that misses it is polished by CG.  No factorization is kept: each solve
 factors A for itself.  The data misfit reads the state only on the
 observed boundary Gamma, so the optimizer works with the solution map
 restricted to Gamma (BoundaryMap), built once per problem from one
-factorization, and needs no solve per iteration or after it.
+factorization, and needs no solve per iteration or after it.  Boundary
+quantities are Gamma-vectors: one value per node of ``gamma_nodes``.
 """
 
 from __future__ import annotations
@@ -70,13 +71,11 @@ class BoundaryMap:
     and Gamma the m observed nodes, G = L[:, Gamma] is an (n, m) matrix.
     By symmetry the trace on Gamma of the state with volume load b is
     G^T b + G^T b_flux, and the adjoint state loaded by a boundary residual
-    r on Gamma is G M r, with M the boundary mass matrix on Gamma.
+    r on Gamma is G M r, with M the boundary mass ``DiscreteProblem.M_gamma``.
     """
 
     G: np.ndarray           # (n, m)
     flux_trace: np.ndarray  # (m,) trace on Gamma of the zero-source state
-    M: np.ndarray           # (m, m) dense boundary mass on Gamma
-    R: np.ndarray           # lower Cholesky factor of M, M = R R^T
 
     def trace(self, load: np.ndarray) -> np.ndarray:
         """Trace on Gamma of the state with volume load ``load`` (w * f)
@@ -93,8 +92,8 @@ class DiscreteProblem:
         self.cg_tol = cg_tol
         self.A = assemble_stiffness(prob.mesh, prob.coeffs)
         self.M, self.w = assemble_mass(prob.mesh)
-        self.M_gamma = assemble_boundary_mass(prob.mesh, prob.gamma)
-        self.gamma_nodes = prob.mesh.side_nodes(prob.gamma.sides)
+        self.gamma_nodes, self.M_gamma = assemble_boundary_mass(
+            prob.mesh, prob.gamma)
         self.b_flux = neumann_load(prob.mesh, prob.neumann)
         self.pure_neumann = prob.coeffs.is_pure_neumann
         self.domain_volume = float(self.w.sum())
@@ -118,19 +117,16 @@ class DiscreteProblem:
         factorization is dropped once G is built, so the loop holds G alone.
         The work arrays of a block solve next to G and the factorization
         set the peak memory of the build (at level 64, 0.6 MB lower than
-        with eight columns, for 25 ms more).  The boundary mass on Gamma
-        is read from ``M_gamma`` in the same chunks."""
+        with eight columns, for 25 ms more)."""
         nodes, n = self.gamma_nodes, self.mesh.n_vertices
-        m = nodes.shape[0]
-        G, M = np.empty((n, m)), np.empty((m, m))
+        G = np.empty((n, nodes.shape[0]))
         factor = self._factor()
-        for start in range(0, m, 4):
+        for start in range(0, nodes.shape[0], 4):
             cols = nodes[start:start + 4]
             unit = np.zeros((n, cols.shape[0]))
             unit[cols, np.arange(cols.shape[0])] = 1.0
             G[:, start:start + cols.shape[0]] = self._solve(unit, factor)
-            M[:, start:start + cols.shape[0]] = (self.M_gamma @ unit)[nodes]
-        return BoundaryMap(G, G.T @ self.b_flux, M, np.linalg.cholesky(M))
+        return BoundaryMap(G, G.T @ self.b_flux)
 
     def release_loop_arrays(self):
         """Free the arrays the primal-dual loop reads: the boundary map and
@@ -153,7 +149,7 @@ class DiscreteProblem:
         return float(np.sqrt(u @ (self.K_unit @ u) + u @ (self.M @ u)))
 
     def gamma_norm(self, r) -> float:
-        """L2 norm over the observation boundary of a nodal vector."""
+        """L2 norm over the observation boundary of a Gamma-vector."""
         return float(np.sqrt(r @ (self.M_gamma @ r)))
 
     # -- solves ------------------------------------------------------------
@@ -194,13 +190,20 @@ class DiscreteProblem:
                              f"{nodes.shape[0]} observed boundary nodes")
         return z.values
 
-    def solve_adjoint(self, u_state: P1Field, z: Observation) -> P1Field:
-        """Adjoint state loaded by the data misfit on the observed boundary."""
-        return self._solve(self.M_gamma @ _residual(self, u_state, z))
+    def solve_adjoint(self, u_gamma: np.ndarray, z: Observation) -> P1Field:
+        """Adjoint state loaded by the data misfit of the state's trace
+        ``u_gamma`` on the observed boundary."""
+        return self._solve(self._gamma_load(u_gamma - self.observed_values(z)))
 
-    def solve_gamma_loaded(self, g: P1Field) -> P1Field:
-        """Solve with boundary load (g, .) over the observed sides."""
-        return self._solve(self.M_gamma @ g)
+    def solve_gamma_loaded(self, g: np.ndarray) -> P1Field:
+        """Solve with boundary load (g, .) over Gamma, g a Gamma-vector."""
+        return self._solve(self._gamma_load(g))
+
+    def _gamma_load(self, g: np.ndarray) -> np.ndarray:
+        """The nodal load (g, .) over Gamma of a Gamma-vector g."""
+        load = np.zeros(self.mesh.n_vertices)
+        load[self.gamma_nodes] = self.M_gamma @ g
+        return load
 
     def solve_dirichlet(self, f: P1Field,
                         boundary_values: np.ndarray) -> P1Field:
@@ -239,15 +242,8 @@ def _checked_solve(A, factor: BlockTridiagonalFactor, rhs, tol: float):
     return x.reshape(shape)
 
 
-def misfit(dp: DiscreteProblem, u_state: P1Field, z: Observation) -> float:
-    """Half the squared observation-boundary distance between trace and data."""
-    r = _residual(dp, u_state, z)
+def misfit(dp: DiscreteProblem, u_gamma: np.ndarray, z: Observation) -> float:
+    """Half the squared observation-boundary distance between the state's
+    trace ``u_gamma`` and the data."""
+    r = u_gamma - dp.observed_values(z)
     return 0.5 * float(r @ (dp.M_gamma @ r))
-
-
-def _residual(dp: DiscreteProblem, u_state: P1Field,
-              z: Observation) -> P1Field:
-    """Nodal vector of the state minus the data on the observed nodes."""
-    r = np.array(u_state, dtype=float)
-    r[dp.gamma_nodes] -= dp.observed_values(z)
-    return r

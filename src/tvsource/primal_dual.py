@@ -121,18 +121,19 @@ def smooth_operator_norm(dp) -> float:
 
     The operator maps a source increment v through the state and the
     boundary-loaded adjoint solve, v -> G M G^T W v in the terms of
-    ``BoundaryMap`` (W the lumped weights, M = R R^T).  It is symmetric
-    positive semi-definite in the weighted nodal product, and its norm is
-    the largest eigenvalue of the m x m matrix R^T G^T W G R, which has the
-    same nonzero spectrum.  This is the sharp value the analytic
-    certificate bounds by c_gamma^2/c1^2.
+    ``BoundaryMap`` (W the lumped weights, M = R R^T the boundary mass
+    ``dp.M_gamma``).  It is symmetric positive semi-definite in the
+    weighted nodal product, and its norm is the largest eigenvalue of the
+    m x m matrix R^T G^T W G R, which has the same nonzero spectrum.
+    This is the sharp value the analytic certificate bounds by
+    c_gamma^2/c1^2.
     """
-    bmap = dp.boundary_map
-    G, w = bmap.G, dp.w[:, None]
+    G, w = dp.boundary_map.G, dp.w[:, None]
+    R = np.linalg.cholesky(dp.M_gamma)
     # G^T W G eight columns at a time: no n x m temporary next to G
     gwg = np.hstack([G.T @ (w * G[:, j:j + 8])
                      for j in range(0, G.shape[1], 8)])
-    return float(np.linalg.eigvalsh(bmap.R.T @ gwg @ bmap.R)[-1])
+    return float(np.linalg.eigvalsh(R.T @ gwg @ R)[-1])
 
 
 def certify_steps_empirical(params: PdParams,
@@ -252,10 +253,9 @@ class PdDriver:
         negative value beyond round-off means the certificate is violated.
         """
         dp, prm = self.dp, self.params
-        bmap = dp.boundary_map
-        v = bmap.R.T @ (bmap.G.T @ (dp.w * delta_f))
+        u = dp.boundary_map.G.T @ (dp.w * delta_f)  # its state's trace
         t_f = dp.lumped_inner(delta_f, delta_f) / prm.tau
-        t_smooth = float(v @ v)  # <delta_f, adjoint of its state>_w
+        t_smooth = float(u @ (dp.M_gamma @ u))  # <delta_f, its adjoint>_w
         t_cross = 2.0 * prm.rho * gradient_pairing(dp.mesh, delta_f, delta_p)
         q = np.ravel(delta_p) ** 2
         q *= dp.mesh.gradient_table.weights
@@ -301,7 +301,7 @@ class PdDriver:
         for n in range(prm.max_iter + 1):
             u_gamma = bmap.trace(dp.w * f)
             r = u_gamma - z_gamma
-            m_r = bmap.M @ r
+            m_r = dp.M_gamma @ r
             u_a = bmap.G @ m_r
             f_next = self.primal_step(f, p, u_a)
             tol_val, g0_norm = self.stopping_value(f, f_next, g0_norm)

@@ -45,6 +45,19 @@ def dense(A: SymmetricStencil) -> np.ndarray:
     return out
 
 
+def dense_boundary_mass(dp) -> np.ndarray:
+    """The n x n boundary mass of a problem's observed sides, summed edge
+    by edge into a dense matrix."""
+    mesh, n = dp.mesh, dp.mesh.n_vertices
+    on_gamma = np.isin(mesh.edge_sides, list(dp.prob.gamma.sides))
+    out = np.zeros((n, n))
+    for edge, length in zip(mesh.boundary_edges[on_gamma],
+                            mesh.edge_lengths[on_gamma]):
+        np.add.at(out, np.ix_(edge, edge),
+                  length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+    return out
+
+
 def stencil(A: np.ndarray) -> SymmetricStencil:
     """A dense symmetric matrix as a SymmetricStencil: its upper diagonals
     that hold a nonzero entry."""

@@ -174,7 +174,7 @@ class TestExports:
         z = synthesize_observation(dp, f_truth, 1e-2, 5)
         path = tmp_path / "obs.csv"
         write_observation_csv(dp.mesh, z, str(path))
-        back = read_observation_csv(str(path), dp.mesh, dp.prob.gamma)
+        back = read_observation_csv(str(path), dp.mesh, dp.gamma_nodes)
         assert np.array_equal(back.nodes, z.nodes)
         assert np.array_equal(back.values, z.values)
 
@@ -195,7 +195,7 @@ class TestExports:
 
         path, dp = self._edited_observation(tmp_path, repeat_first_row)
         with pytest.raises(ValueError, match="more than once"):
-            read_observation_csv(path, dp.mesh, dp.prob.gamma)
+            read_observation_csv(path, dp.mesh, dp.gamma_nodes)
 
     def test_observation_non_finite_value_rejected(self, tmp_path):
         def nan_value(lines):
@@ -203,7 +203,7 @@ class TestExports:
 
         path, dp = self._edited_observation(tmp_path, nan_value)
         with pytest.raises(ValueError, match="non-finite"):
-            read_observation_csv(path, dp.mesh, dp.prob.gamma)
+            read_observation_csv(path, dp.mesh, dp.gamma_nodes)
 
     def test_observation_off_boundary_point_rejected(self, tmp_path):
         def move_to_interior(lines):
@@ -212,7 +212,7 @@ class TestExports:
 
         path, dp = self._edited_observation(tmp_path, move_to_interior)
         with pytest.raises(ValueError, match="matches no node"):
-            read_observation_csv(path, dp.mesh, dp.prob.gamma)
+            read_observation_csv(path, dp.mesh, dp.gamma_nodes)
 
 
 # The line-by-line writers the np.savetxt ones replaced, kept as the
@@ -320,7 +320,7 @@ def test_observation_csv_roundtrip_is_exact(values):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "obs.csv")
         write_observation_csv(dp.mesh, z, path)
-        back = read_observation_csv(path, dp.mesh, dp.prob.gamma)
+        back = read_observation_csv(path, dp.mesh, dp.gamma_nodes)
     assert np.array_equal(back.nodes, z.nodes)
     assert np.array_equal(_bits(back.values), _bits(values))
 
@@ -613,6 +613,46 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
             f"tvsource: error: observation file {obs} holds no data rows"]
+
+    def test_config_file_not_utf8_one_line_exit_2(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_bytes(b"\xff{}")
+        assert cli_main(["bench", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"tvsource: error: config file {cfg} is not valid JSON: ")
+        assert captured.out == "" and not out.exists()
+
+    # case -> edit of the observation file's lines (lines[0] the header)
+    UNREADABLE_OBSERVATION = {
+        "non_numeric_entry": lambda lines: lines.__setitem__(
+            1, lines[1].rsplit(",", 1)[0] + ",abc"),
+        "one_short_row": lambda lines: lines.__setitem__(
+            3, lines[3].rsplit(",", 1)[0]),
+        "one_row_of_two_columns": lambda lines: lines.__setitem__(
+            slice(1, None), [lines[1].rsplit(",", 1)[0]]),
+    }
+
+    @pytest.mark.parametrize("case", list(UNREADABLE_OBSERVATION))
+    def test_solve_unreadable_observation_one_line_exit_2(self, tmp_path,
+                                                          capsys, case):
+        dp, f_truth = benchmark_dp(4)
+        obs, out = tmp_path / "obs.csv", tmp_path / "out"
+        write_observation_csv(dp.mesh,
+                              synthesize_observation(dp, f_truth, 0.0, 0),
+                              str(obs))
+        lines = obs.read_text().splitlines()
+        self.UNREADABLE_OBSERVATION[case](lines)
+        obs.write_text("\n".join(lines) + "\n")
+        assert cli_main(["solve", str(obs), "--level", "4",
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"tvsource: error: observation file {obs}")
+        assert captured.out == "" and not out.exists()
 
     def test_solver_failure_one_line_exit_1(self, tmp_path, capsys,
                                             monkeypatch):

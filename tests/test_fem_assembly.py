@@ -16,7 +16,7 @@ from tvsource.experiment import (ExperimentConfig, benchmark_flux,
                                  synthesize_observation)
 from tvsource.tv_calculus import gradient_pairing, tv_value
 
-from conftest import benchmark_dp, dense, random_dp
+from conftest import benchmark_dp, dense, dense_boundary_mass, random_dp
 
 # two-triangle unit-level mesh of (-1,1)^2, nodes ordered
 # (-1,-1), (1,-1), (-1,1), (1,1); assembled by hand from the
@@ -92,8 +92,8 @@ def _dense_assembly(n, conn, blocks):
 
 
 def _dense_references(dp):
-    """Dense stiffness, unit stiffness, mass and boundary mass of a problem,
-    from per-element blocks."""
+    """Dense stiffness, unit stiffness and mass of a problem, from
+    per-element blocks."""
     mesh, coeffs = dp.mesh, dp.prob.coeffs
     n = mesh.n_vertices
     A, K = (_dense_assembly(n, mesh.triangles, [
@@ -108,12 +108,7 @@ def _dense_references(dp):
     A += np.diag(diag)
     M = _dense_assembly(n, mesh.triangles,
                         [area * UNIT_ELEMENT_MASS for area in mesh.areas])
-    on_gamma = np.isin(mesh.edge_sides, list(dp.prob.gamma.sides))
-    M_gamma = _dense_assembly(n, mesh.boundary_edges[on_gamma], [
-        length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-        for length in mesh.edge_lengths[on_gamma]])
-    return {"A": (dp.A, A), "K_unit": (dp.K_unit, K), "M": (dp.M, M),
-            "M_gamma": (dp.M_gamma, M_gamma)}
+    return {"A": (dp.A, A), "K_unit": (dp.K_unit, K), "M": (dp.M, M)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,7 +118,9 @@ def test_operators_match_dense_element_assembly(level, seed, reaction,
                                                 boundary_term, gamma):
     # random SPD diffusion with beta > 0, sigma > 0 or pure Neumann: every
     # stored operator is the dense element-by-element sum, and its products
-    # with one vector and with a block of vectors are the dense products
+    # with one vector and with a block of vectors are the dense products;
+    # the boundary mass is the block on the observed nodes of its dense
+    # n x n sum, which vanishes outside that block
     dp, rng = random_dp(level, seed, reaction, boundary_term, gamma)
     n = dp.mesh.n_vertices
     refs = _dense_references(dp)
@@ -137,11 +134,12 @@ def test_operators_match_dense_element_assembly(level, seed, reaction,
                 atol=1e-13 * np.max(np.abs(ref) @ np.abs(X)), err_msg=name)
     M = refs["M"][1]
     np.testing.assert_allclose(dp.w, M.sum(axis=1), rtol=1e-13)
-    nodes = dp.gamma_nodes
-    np.testing.assert_allclose(
-        dp.boundary_map.M,
-        refs["M_gamma"][1][np.ix_(nodes, nodes)], rtol=0,
-        atol=1e-14 * dp.mesh.edge_lengths.max())
+    nodes, M_full = dp.gamma_nodes, dense_boundary_mass(dp)
+    block = M_full[np.ix_(nodes, nodes)]
+    np.testing.assert_allclose(dp.M_gamma, block, rtol=0,
+                               atol=1e-14 * dp.mesh.edge_lengths.max())
+    M_full[np.ix_(nodes, nodes)] = 0.0
+    assert not np.any(M_full)
 
 
 def test_ellipticity_violation_rejected():
@@ -171,11 +169,11 @@ def test_coercivity_with_benchmark_coefficients(rng):
 def test_trace_bound(rng):
     dp, _ = benchmark_dp(8)
     gamma_all = GammaSpec(frozenset({"bottom", "top", "left", "right"}))
-    M_bnd = assemble_boundary_mass(dp.mesh, gamma_all)
+    nodes, M_bnd = assemble_boundary_mass(dp.mesh, gamma_all)
     c_gamma = np.sqrt(3.0)
     for _ in range(100):
         u = rng.standard_normal(dp.mesh.n_vertices)
-        trace_norm = np.sqrt(u @ (M_bnd @ u))
+        trace_norm = np.sqrt(u[nodes] @ (M_bnd @ u[nodes]))
         assert trace_norm <= c_gamma * dp.h1_norm(u) * (1 + 1e-12)
 
 
@@ -209,28 +207,28 @@ class TestMass:
 class TestBoundaryMass:
     def test_side_measures(self):
         mesh = build_structured(4)
-        ones = np.ones(mesh.n_vertices)
-        M_b = assemble_boundary_mass(mesh, GammaSpec(frozenset({"bottom"})))
-        assert abs(ones @ (M_b @ ones) - 2.0) <= 1e-12
-        M_bl = assemble_boundary_mass(
-            mesh, GammaSpec(frozenset({"bottom", "left"})))
-        assert abs(ones @ (M_bl @ ones) - 4.0) <= 1e-12
+        for sides, measure in ((("bottom",), 2.0), (("bottom", "left"), 4.0)):
+            nodes, M = assemble_boundary_mass(mesh, GammaSpec(frozenset(sides)))
+            ones = np.ones(nodes.shape[0])
+            assert abs(ones @ (M @ ones) - measure) <= 1e-12
 
     def test_single_edge_block(self):
         mesh = build_structured(1)  # one bottom edge of length 2
-        M_b = dense(assemble_boundary_mass(mesh,
-                                           GammaSpec(frozenset({"bottom"}))))
-        block = M_b[np.ix_([0, 1], [0, 1])]
-        assert np.allclose(block, 2.0 / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]]),
+        nodes, M_b = assemble_boundary_mass(mesh,
+                                            GammaSpec(frozenset({"bottom"})))
+        assert np.array_equal(nodes, [0, 1])
+        assert np.allclose(M_b, 2.0 / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]]),
                            atol=1e-14)
-        assert np.max(np.abs(M_b[2:, :])) == 0.0
 
     def test_supported_only_on_marked_nodes(self):
+        # the matrix is on the marked side's nodes, in their order, and
+        # couples each node with itself and its neighbours on the side only
         mesh = build_structured(4)
-        M_b = assemble_boundary_mass(mesh, GammaSpec(frozenset({"top"})))
-        nodes = np.unique(np.nonzero(dense(M_b))[0])
-        top = mesh.side_nodes({"top"})
-        assert np.array_equal(nodes, top)
+        nodes, M_b = assemble_boundary_mass(mesh,
+                                            GammaSpec(frozenset({"top"})))
+        assert np.array_equal(nodes, mesh.side_nodes({"top"}))
+        i, j = np.nonzero(M_b)
+        assert np.all(np.abs(i - j) <= 1) and np.all(np.diag(M_b) > 0)
 
 
 class TestNeumannLoad:

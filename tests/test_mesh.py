@@ -149,12 +149,16 @@ class TestProlongP0:
         assert np.max(np.abs(out)) == np.max(np.abs(p))
 
     def test_checkerboard_matches_centroid_parent(self, rng):
-        coarse, fine = build_structured(2), build_structured(4)
-        p = rng.standard_normal((coarse.n_triangles, 2))
-        out = prolong_p0(p, coarse, fine)
-        for t, cen in enumerate(fine.centroids):
-            parent = _containing_coarse_triangle(coarse, cen)
-            assert np.array_equal(out[t], p[parent])
+        # each fine triangle copies the coarse one holding its centroid,
+        # for scalar and 2-vector fields
+        for level, comps in ((1, (2,)), (2, (2,)), (3, ()), (3, (2,))):
+            coarse, fine = build_structured(level), build_structured(2 * level)
+            p = rng.standard_normal((coarse.n_triangles, *comps))
+            out = prolong_p0(p, coarse, fine)
+            assert out.shape == (fine.n_triangles, *comps)
+            for t, cen in enumerate(fine.centroids):
+                parent = _containing_coarse_triangle(coarse, cen)
+                assert np.array_equal(out[t], p[parent])
 
     def test_level_mismatch_rejected(self):
         with pytest.raises(ValueError):

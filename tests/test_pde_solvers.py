@@ -13,7 +13,7 @@ from tvsource.mesh import GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, Observation, ProblemDef, misfit
 from tvsource.sparse_linalg import cg_solve
 
-from conftest import benchmark_dp, dense, random_dp
+from conftest import benchmark_dp, dense, dense_boundary_mass, random_dp
 
 
 def _problem(level, beta=0.0, flux=None, gamma=("bottom",)):
@@ -51,9 +51,8 @@ def test_pure_neumann_affine_manufactured():
 
 def test_adjoint_vanishes_on_matched_data():
     dp, f_truth = benchmark_dp(4)
-    u = dp.solve_state(f_truth)
-    z = Observation(dp.gamma_nodes, u[dp.gamma_nodes])
-    u_a = dp.solve_adjoint(u, z)
+    u_gamma = dp.solve_state(f_truth)[dp.gamma_nodes]
+    u_a = dp.solve_adjoint(u_gamma, Observation(dp.gamma_nodes, u_gamma))
     assert np.max(np.abs(u_a)) <= 1e-10
 
 
@@ -61,18 +60,18 @@ def test_misfit_and_adjoint_reject_an_observation_of_other_nodes():
     # exact data moved onto the left side's nodes, or with the last node
     # dropped, read as misfits of 1.10 and 0.30 when embedded; both refuse it
     dp, f_truth = benchmark_dp(8)
-    u = dp.solve_state(f_truth)
     nodes = dp.gamma_nodes
-    z = Observation(nodes, u[nodes])
-    assert misfit(dp, u, z) <= 1e-20
+    u_gamma = dp.solve_state(f_truth)[nodes]
+    z = Observation(nodes, u_gamma)
+    assert misfit(dp, u_gamma, z) <= 1e-20
     left = dp.mesh.side_nodes(("left",))
     assert left.shape == nodes.shape and not np.array_equal(left, nodes)
     for bad in (Observation(left, z.values),
                 Observation(nodes[:-1], z.values[:-1])):
         with pytest.raises(ValueError, match="observed boundary nodes"):
-            misfit(dp, u, bad)
+            misfit(dp, u_gamma, bad)
         with pytest.raises(ValueError, match="observed boundary nodes"):
-            dp.solve_adjoint(u, bad)
+            dp.solve_adjoint(u_gamma, bad)
 
 
 @settings(max_examples=30, deadline=None)
@@ -98,10 +97,10 @@ def test_adjoint_gradient_identity(seed, reaction, boundary_term):
     for _ in range(3):
         f = rng.uniform(-1.0, 3.0, dp.mesh.n_vertices)
         xi = rng.standard_normal(dp.mesh.n_vertices)
-        u = dp.solve_state(f)
-        u_a = dp.solve_adjoint(u, z)
-        u_bar = dp.solve_source_part(xi)
-        lhs = float((u[nodes] - z.values) @ (dp.M_gamma @ u_bar)[nodes])
+        u_gamma = dp.solve_state(f)[nodes]
+        u_a = dp.solve_adjoint(u_gamma, z)
+        u_bar = dp.solve_source_part(xi)[nodes]
+        lhs = float((u_gamma - z.values) @ (dp.M_gamma @ u_bar))
         rhs = dp.lumped_inner(xi, u_a)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-12)
 
@@ -114,12 +113,15 @@ def test_gradient_matches_central_differences(rng):
     dp, f_truth = benchmark_dp(4)
     z = synthesize_observation(dp, f_truth, 1e-2, 11)
 
+    def trace(f):
+        return dp.solve_state(f)[dp.gamma_nodes]
+
     def L(f):
-        return misfit(dp, dp.solve_state(f), z)
+        return misfit(dp, trace(f), z)
 
     f = rng.uniform(-1.0, 3.0, dp.mesh.n_vertices)
     xi = rng.standard_normal(dp.mesh.n_vertices)
-    u_a = dp.solve_adjoint(dp.solve_state(f), z)
+    u_a = dp.solve_adjoint(trace(f), z)
     deriv = dp.lumped_inner(xi, u_a)
     errs = []
     for eps in (1e-3, 1e-4):
@@ -212,7 +214,7 @@ def test_quadratic_form_of_linearized_misfit_nonnegative(rng):
         xi = rng.standard_normal(dp.mesh.n_vertices)
         u_shift = dp.solve_state(f + xi)
         u_bar = u_shift - u_f
-        value = dp.gamma_norm(u_bar) ** 2
+        value = dp.gamma_norm(u_bar[dp.gamma_nodes]) ** 2
         assert value >= 0.0
         direct = dp.solve_source_part(xi)
         assert np.max(np.abs(u_bar - direct)) <= 1e-8 * max(
@@ -323,10 +325,35 @@ def test_boundary_map_matches_full_solves(level, seed, reaction,
         u_gamma = bmap.trace(dp.w * f)
         assert (np.linalg.norm(u_gamma - u[nodes])
                 <= 1e-12 * np.linalg.norm(u[nodes]))
-        u_a = dp.solve_adjoint(u, z)
-        u_a_map = bmap.G @ (bmap.M @ (u_gamma - z.values))
+        u_a = dp.solve_adjoint(u[nodes], z)
+        u_a_map = bmap.G @ (dp.M_gamma @ (u_gamma - z.values))
         assert np.linalg.norm(u_a_map - u_a) <= 1e-10 * np.linalg.norm(u_a)
-    assert np.allclose(bmap.R @ bmap.R.T, bmap.M, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16), *FACTOR_CASES[1:],
+       st.sampled_from([("bottom",), ("bottom", "left")]))
+def test_gamma_vector_forms_match_the_nodal_forms(level, seed, reaction,
+                                                 boundary_term, gamma):
+    # the boundary norm, the misfit and the adjoint load read on the
+    # observed nodes equal their n-space forms with the dense n x n
+    # boundary mass, whatever the nodal vector holds off Gamma
+    dp, rng = random_dp(level, seed, reaction, boundary_term, gamma)
+    nodes, n = dp.gamma_nodes, dp.mesh.n_vertices
+    M_full = dense_boundary_mass(dp)
+    u = rng.standard_normal(n)
+    z = Observation(nodes, rng.standard_normal(nodes.shape[0]))
+    r = u.copy()
+    r[nodes] -= z.values
+    assert dp.gamma_norm(u[nodes]) == pytest.approx(
+        math.sqrt(u @ M_full @ u), rel=1e-13)
+    assert misfit(dp, u[nodes], z) == pytest.approx(0.5 * r @ M_full @ r,
+                                                    rel=1e-13)
+    loads = []
+    with mock.patch.object(dp, "_solve", loads.append):
+        dp.solve_adjoint(u[nodes], z)
+    assert np.all(np.abs(loads[0] - M_full @ r)
+                  <= 1e-13 * (np.abs(M_full) @ np.abs(r)))
 
 
 class _SpoiledFactor(pde_solvers.BlockTridiagonalFactor):

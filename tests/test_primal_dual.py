@@ -77,8 +77,10 @@ class TestSmoothOperatorNorm:
         # the operator column by column; it is self-adjoint in the lumped
         # product, so W^(1/2) T W^(-1/2) is symmetric with the same spectrum
         dp, _ = benchmark_dp(4)
-        T = np.column_stack([dp.solve_gamma_loaded(dp.solve_source_part(e))
-                             for e in np.eye(dp.mesh.n_vertices)])
+        nodes = dp.gamma_nodes
+        T = np.column_stack([
+            dp.solve_gamma_loaded(dp.solve_source_part(e)[nodes])
+            for e in np.eye(dp.mesh.n_vertices)])
         sw = np.sqrt(dp.w)
         sym = sw[:, None] * T / sw[None, :]
         assert np.allclose(sym, sym.T, rtol=0, atol=1e-9 * np.abs(sym).max())
@@ -88,7 +90,7 @@ class TestSmoothOperatorNorm:
         # the power-iteration estimate it replaced is a Rayleigh quotient,
         # a value from below
         estimate = weighted_power_iteration(
-            lambda v: dp.solve_gamma_loaded(dp.solve_source_part(v)),
+            lambda v: dp.solve_gamma_loaded(dp.solve_source_part(v)[nodes]),
             dp.w, 20240901, 1e-3, 200)
         assert exact >= estimate
 
@@ -216,8 +218,8 @@ class TestBNorm:
         for _ in range(5):
             df = rng.standard_normal(dp.mesh.n_vertices)
             dpv = rng.standard_normal((dp.mesh.n_triangles, 2))
-            t_smooth = dp.lumped_inner(
-                df, dp.solve_gamma_loaded(dp.solve_source_part(df)))
+            t_smooth = dp.lumped_inner(df, dp.solve_gamma_loaded(
+                dp.solve_source_part(df)[dp.gamma_nodes]))
             expected = (dp.lumped_inner(df, df) / params.tau - t_smooth
                         - 2.0 * params.rho * gradient_pairing(dp.mesh, df,
                                                               dpv)
@@ -305,7 +307,7 @@ def test_adjoint_identity_along_iterations(rng):
     cert = certify_steps_empirical(params, dp)
     driver = PdDriver(dp, params, certificate=cert)
     xi = rng.standard_normal(dp.mesh.n_vertices)
-    m_u_bar = (dp.M_gamma @ dp.solve_source_part(xi))[dp.gamma_nodes]
+    m_u_bar = dp.M_gamma @ dp.solve_source_part(xi)[dp.gamma_nodes]
 
     def check(n, f, p, u_gamma, u_a):
         lhs = float((u_gamma - z.values) @ m_u_bar)
@@ -399,8 +401,7 @@ def test_variational_inequality_at_stop(rng):
     # holds up to the projected-gradient residual, uniformly over samples
     driver, state, z, _, _ = _short_run(max_iter=400, tau=12.0, record=False)
     dp, params = driver.dp, driver.params
-    u = dp.solve_state(state.f)
-    u_a = dp.solve_adjoint(u, z)
+    u_a = dp.solve_adjoint(dp.solve_state(state.f)[dp.gamma_nodes], z)
     f_next = driver.primal_step(state.f, state.p, u_a)
     g_norm = dp.lumped_norm((state.f - f_next) / params.tau)
     d = div_adjoint(dp.mesh, state.p)
