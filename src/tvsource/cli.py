@@ -135,13 +135,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    """The level is set up once and the observation file read before the
-    output directory is created, so invalid input writes nothing."""
+    """Set-up (nothing factored), the observation file and the driver's
+    step-size certificate come before the output directory: a rejected file
+    or tau writes nothing, and a malformed file costs no factorization."""
     config = _config_from_args(args)
-    dp, _, params, certificate = config.setup_level(args.level)
+    dp, _, params = config.setup_level(args.level)
     z = read_observation_csv(args.observation, dp.mesh, dp.gamma_nodes)
+    driver = primal_dual.PdDriver(dp, params)
     os.makedirs(config.out_dir, exist_ok=True)
-    state = primal_dual.run(dp, z, params, certificate=certificate)
+    state = driver.run(z)
     fmt = config.export_format
     if fmt != "none":
         export_field(dp.mesh, state.f,
@@ -211,13 +213,17 @@ def cmd_check(_args) -> int:
 
 def main(argv=None) -> int:
     """Run one subcommand; invalid input ends it with one line and code 2,
-    a solve that does not converge or factor with one line and code 1."""
+    a solve that does not converge or factor, or an allocation that fails,
+    with one line and code 1."""
     args = build_parser().parse_args(argv)
     handlers = {"bench": cmd_bench, "solve": cmd_solve, "check": cmd_check}
     try:
         return handlers[args.command](args)
     except (CgConvergenceError, FactorizationError) as exc:
         print(f"tvsource: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"tvsource: error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"tvsource: error: {exc}", file=sys.stderr)

@@ -20,8 +20,7 @@ import numpy as np
 from .fem_assembly import CoefficientSet, NeumannData, P1Field
 from .mesh import GammaSpec, TriMesh, build_structured
 from .pde_solvers import DiscreteProblem, Observation, ProblemDef
-from .primal_dual import (LevelRun, MultilevelError, PdParams,
-                          certify_steps_empirical, multilevel_run)
+from .primal_dual import LevelRun, MultilevelError, PdParams, multilevel_run
 
 GAMMA_CASES = {
     "bottom": ("bottom",),
@@ -186,13 +185,12 @@ class ExperimentConfig:
                         record_b_norms=self.record_b_norms)
 
     def setup_level(self, level: int):
-        """The level's assembled problem, truth source, iteration parameters
-        and step-size certificate (the computed, empirical one)."""
+        """The level's assembled problem, truth source and iteration
+        parameters; nothing is factored."""
         prob, f_truth = build_benchmark_problem(level, self.gamma_case,
                                                 self.box)
         dp = DiscreteProblem(prob)
-        params = self.level_params(dp.mesh.mesh_size)
-        return dp, f_truth, params, certify_steps_empirical(params, dp)
+        return dp, f_truth, self.level_params(dp.mesh.mesh_size)
 
 
 def read_config_file(path: str) -> dict:
@@ -274,7 +272,7 @@ def run_benchmark(config: ExperimentConfig):
     truths: dict[int, tuple[P1Field, np.ndarray]] = {}
 
     def make_level(level):
-        dp, f_truth, params, certificate = config.setup_level(level)
+        dp, f_truth, params = config.setup_level(level)
         truth_trace = dp.boundary_map.trace(dp.w * f_truth)
         truths[level] = (f_truth, truth_trace)
         theta_l = config.noise_coef * dp.mesh.mesh_size * math.sqrt(params.rho)
@@ -287,7 +285,7 @@ def run_benchmark(config: ExperimentConfig):
                 dp.mesh.vertices[dp.gamma_nodes])]
         z = synthesize_observation(dp, f_truth, theta_l, [config.seed, level],
                                    u_gamma=observed)
-        return dp, z, params, certificate
+        return dp, z, params
 
     try:
         runs = multilevel_run(config.levels, make_level)

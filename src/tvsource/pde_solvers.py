@@ -91,18 +91,17 @@ class DiscreteProblem:
         self.mesh = prob.mesh
         self.cg_tol = cg_tol
         self.A = assemble_stiffness(prob.mesh, prob.coeffs)
+        # unit stiffness (H1 norm, certificate's gradient norm); here, next
+        # to A and before any boundary map, its temporaries never meet G
+        # and the level-64 bench peak RSS measured lowest
+        self.K_unit = assemble_stiffness(prob.mesh,
+                                         unit_coefficients(prob.mesh))
         self.M, self.w = assemble_mass(prob.mesh)
         self.gamma_nodes, self.M_gamma = assemble_boundary_mass(
             prob.mesh, prob.gamma)
         self.b_flux = neumann_load(prob.mesh, prob.neumann)
         self.pure_neumann = prob.coeffs.is_pure_neumann
         self.domain_volume = float(self.w.sum())
-
-    @functools.cached_property
-    def K_unit(self):
-        """Unit-diffusion stiffness matrix: the H1 seminorm and the discrete
-        gradient norm of the step-size certificate."""
-        return assemble_stiffness(self.mesh, unit_coefficients(self.mesh))
 
     def _factor(self) -> BlockTridiagonalFactor:
         """A new factorization of A; in the pure-Neumann case of A grounded

@@ -93,19 +93,15 @@ def trace_constant(box_bounds) -> float:
 
 
 def _certificate(params: PdParams, dp: DiscreteProblem,
-                 smooth_bound=None) -> StepCertificate:
-    """Evaluate the step-size condition on the problem's domain box.
-
-    ``smooth_bound`` maps the problem to s; None takes the analytic worst
-    case c_gamma^2/c1^2.  It is called after the gradient norm, so that
-    the unit stiffness is assembled before the first solve factors A and
-    the assembly's temporaries do not add to the factor's memory peak.
-    """
+                 s: float | None = None) -> StepCertificate:
+    """Evaluate the step-size condition on the problem's domain box with
+    the smooth bound ``s``; None takes the analytic worst case
+    c_gamma^2/c1^2."""
     c1 = coercivity_c1(dp.prob.coeffs.alpha_lower, len(dp.mesh.box),
                        dp.domain_volume)
     cg = trace_constant(dp.mesh.box)
     gnorm = grad_operator_norm(dp.K_unit, dp.w)
-    s = cg**2 / c1**2 if smooth_bound is None else smooth_bound(dp)
+    s = cg**2 / c1**2 if s is None else s
     lhs = (1.0 / params.tau - s) * (params.theta / params.tau)
     rhs = params.rho**2 * gnorm**2
     return StepCertificate(c1, cg, gnorm, s, lhs, rhs, lhs > rhs)
@@ -113,7 +109,7 @@ def _certificate(params: PdParams, dp: DiscreteProblem,
 
 def certify_steps(params: PdParams, dp: DiscreteProblem) -> StepCertificate:
     """Evaluate the step-size condition with the analytic worst-case bound."""
-    return _certificate(params, dp, None)
+    return _certificate(params, dp)
 
 
 def smooth_operator_norm(dp) -> float:
@@ -145,7 +141,7 @@ def certify_steps_empirical(params: PdParams,
     rounding, certifies practical step sizes while keeping every
     monotonicity guarantee of the iteration.
     """
-    return _certificate(params, dp, smooth_operator_norm)
+    return _certificate(params, dp, smooth_operator_norm(dp))
 
 
 @dataclass
@@ -192,20 +188,18 @@ def extrapolate(f_new: P1Field, f_old: P1Field) -> P1Field:
 
 
 class PdDriver:
-    """Primal-dual iteration bound to one assembled problem."""
+    """Primal-dual iteration bound to one assembled problem; raises
+    ValueError unless ``certify_steps_empirical`` admits its steps there."""
 
-    def __init__(self, dp: DiscreteProblem, params: PdParams,
-                 certificate: StepCertificate | None = None):
+    def __init__(self, dp: DiscreteProblem, params: PdParams):
         self.dp = dp
         self.params = params
         self.box = self.dp.prob.box
-        if certificate is None:
-            certificate = certify_steps(params, dp)
-        self.certificate = certificate
-        if not certificate.valid:
+        self.certificate = cert = certify_steps_empirical(params, dp)
+        if not cert.valid:
             raise ValueError(
-                f"step-size condition violated: lhs {certificate.lhs:.6g} "
-                f"<= rhs {certificate.rhs:.6g}; decrease tau or rho")
+                f"step-size condition violated: lhs {cert.lhs:.6g} "
+                f"<= rhs {cert.rhs:.6g}; decrease tau or rho")
         self._t1, self._t2 = params.stopping_offsets(self.dp.mesh.mesh_size)
 
     # -- single updates ------------------------------------------------------
@@ -330,9 +324,8 @@ class PdDriver:
 
 
 def run(dp: DiscreteProblem, z: Observation, params: PdParams, f0=None,
-        p0=None, certificate: StepCertificate | None = None,
-        on_iteration=None) -> PdState:
-    return PdDriver(dp, params, certificate).run(z, f0, p0, on_iteration)
+        p0=None, on_iteration=None) -> PdState:
+    return PdDriver(dp, params).run(z, f0, p0, on_iteration)
 
 
 @dataclass
@@ -358,9 +351,9 @@ def multilevel_run(levels, make_level, on_iteration=None) -> list[LevelRun]:
     """Run the iteration level by level with warm-started iterates.
 
     ``levels`` must start at 4 and double at every step.  ``make_level``
-    maps a level to its (problem, observation, params, certificate); the
-    first level starts from compatible_start, and the final iterate pair of
-    each level is interpolated onto the next mesh as its starting point.
+    maps a level to its (problem, observation, params); the first level
+    starts from compatible_start, and the final iterate pair of each level
+    is interpolated onto the next mesh as its starting point.
     A level's boundary map and gradient table are released once its run
     has ended.
     """
@@ -373,13 +366,12 @@ def multilevel_run(levels, make_level, on_iteration=None) -> list[LevelRun]:
     prev = None
     for level in levels:
         try:
-            dp, z, params, certificate = make_level(level)
+            dp, z, params = make_level(level)
             f0 = p0 = None
             if prev is not None:
                 f0 = prolong_p1(prev.state.f, prev.problem.mesh, dp.mesh)
                 p0 = prolong_p0(prev.state.p, prev.problem.mesh, dp.mesh)
-            state = run(dp, z, params, f0=f0, p0=p0, certificate=certificate,
-                        on_iteration=on_iteration)
+            state = run(dp, z, params, f0=f0, p0=p0, on_iteration=on_iteration)
         except Exception as exc:
             raise MultilevelError(level, results, exc) from exc
         dp.release_loop_arrays()

@@ -20,8 +20,8 @@ from tvsource.fem_assembly import div_adjoint, elem_gradient
 from tvsource.mesh import build_structured
 from tvsource.pde_solvers import DiscreteProblem, misfit
 from tvsource.primal_dual import (PdDriver, PdParams, certify_steps,
-                                  certify_steps_empirical, coercivity_c1,
-                                  compatible_start, trace_constant)
+                                  coercivity_c1, compatible_start,
+                                  trace_constant)
 from tvsource.tv_calculus import gradient_pairing, subgradient_witness, tv_value
 
 from conftest import benchmark_dp
@@ -98,8 +98,7 @@ def test_criterion_4_algorithm_rate():
     h = dp.mesh.mesh_size
     params = PdParams(rho=1e-3 * math.sqrt(h), tau=5.0, theta=5e-2,
                       max_iter=600, record_b_norms=True)
-    cert = certify_steps_empirical(params, dp)
-    driver = PdDriver(dp, params, certificate=cert)
+    driver = PdDriver(dp, params)
     f0, p0 = compatible_start(dp)
     state = driver.run(z, f0=f0, p0=p0)
     bn = np.array([r.step_b_norm_sq for r in state.history
@@ -212,8 +211,7 @@ def test_criterion_9_proximal_step_oracles():
     prob, _ = build_benchmark_problem(2)
     dp = DiscreteProblem(prob, cg_tol=1e-13)
     params = PdParams(rho=1e-3, tau=0.7, theta=5e-2)
-    driver = PdDriver(dp, params,
-                      certificate=certify_steps_empirical(params, dp))
+    driver = PdDriver(dp, params)
     lo, hi = driver.box
 
     def quad_argmin(obj, a, b):

@@ -510,6 +510,7 @@ class TestCli:
     INVALID = {
         "solve_rho_zero": (None, ["--rho-coef", "0"], "rho"),
         "solve_rho_negative": (None, ["--rho-coef", "-1"], "rho"),
+        "solve_tau_uncertified": (None, ["--tau", "100"], "step-size"),
         "bench_rho_zero": (None, ["--rho-coef", "0"], "rho"),
         "bench_config_unknown_key": ({"rho": 1e-3}, [], "rho"),
         "bench_box_reversed": (None, ["--box", "3,1"], "box"),
@@ -637,7 +638,15 @@ class TestCli:
 
     @pytest.mark.parametrize("case", list(UNREADABLE_OBSERVATION))
     def test_solve_unreadable_observation_one_line_exit_2(self, tmp_path,
-                                                          capsys, case):
+                                                          capsys, monkeypatch,
+                                                          case):
+        # set-up factors nothing, and the driver, whose certificate builds
+        # the boundary map, is built only after the file is read
+        import tvsource.pde_solvers as pde
+
+        def no_factor(*args, **kwargs):
+            raise AssertionError("A was factored before the file was read")
+
         dp, f_truth = benchmark_dp(4)
         obs, out = tmp_path / "obs.csv", tmp_path / "out"
         write_observation_csv(dp.mesh,
@@ -646,6 +655,7 @@ class TestCli:
         lines = obs.read_text().splitlines()
         self.UNREADABLE_OBSERVATION[case](lines)
         obs.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(pde, "BlockTridiagonalFactor", no_factor)
         assert cli_main(["solve", str(obs), "--level", "4",
                          "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -654,11 +664,32 @@ class TestCli:
             f"tvsource: error: observation file {obs}")
         assert captured.out == "" and not out.exists()
 
+    def test_solve_out_of_memory_one_line_exit_1(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # numpy raises a MemoryError when it cannot allocate a level's mesh;
+        # the stand-in raises numpy's message without allocating anything
+        message = ("Unable to allocate 71.1 PiB for an array with shape "
+                   "(100000001, 100000001) and data type float64")
+
+        def no_memory(level):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(tvsource.experiment, "build_structured",
+                            no_memory)
+        obs, out = tmp_path / "obs.csv", tmp_path / "out"
+        obs.write_text("node_x1,node_x2,z_value\n")
+        assert cli_main(["solve", str(obs), "--level", "100000000",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"tvsource: error: out of memory: {message}"]
+        assert captured.out == "" and not out.exists()
+
     def test_solver_failure_one_line_exit_1(self, tmp_path, capsys,
                                             monkeypatch):
-        # the only solve of `solve` builds the boundary map during set-up:
-        # its factored solution misses the solve tolerance, CG fails to
-        # polish it, and the run never starts
+        # the only solve of `solve` builds the boundary map when the driver
+        # certifies its steps: its factored solution misses the solve
+        # tolerance, CG fails to polish it, and the run never starts
         import tvsource.pde_solvers as pde
         real_solve = pde.BlockTridiagonalFactor.solve
         runs = []
@@ -676,7 +707,7 @@ class TestCli:
                               str(obs))
         monkeypatch.setattr(pde.BlockTridiagonalFactor, "solve", spoiled)
         monkeypatch.setattr(pde, "cg_solve", stalled_cg)
-        monkeypatch.setattr(tvsource.primal_dual, "run",
+        monkeypatch.setattr(tvsource.primal_dual.PdDriver, "run",
                             lambda *args, **kwargs: runs.append(args))
         code = cli_main(["solve", str(obs), "--level", "4", "--max-iter",
                          "3", "--out", str(tmp_path / "out")])

@@ -362,10 +362,9 @@ class TestKernelsMatchReference:
         params = primal_dual.PdParams(
             rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho,
             tau=5.0, theta=5e-2, max_iter=40)
-        cert = primal_dual.certify_steps_empirical(params, dp)
 
         def run():
-            state = primal_dual.run(dp, z, params, certificate=cert)
+            state = primal_dual.run(dp, z, params)
             assert state.n == 40
             return state, np.array([r.objective for r in state.history])
 

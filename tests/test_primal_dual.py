@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -66,10 +67,20 @@ class TestCertificate:
         assert cert.valid
 
     def test_driver_refuses_invalid_certificate(self):
+        # tau above 1/s (s = 0.053 here) makes the condition's left side
+        # negative
         dp, _ = benchmark_dp(4)
-        params = PdParams(rho=8.409e-4, tau=1.0, theta=5e-2)
+        params = PdParams(rho=8.409e-4, tau=100.0, theta=5e-2)
         with pytest.raises(ValueError, match="step-size"):
             PdDriver(dp, params)
+
+    def test_driver_makes_the_empirical_certificate(self):
+        dp, _ = benchmark_dp(4, "bottom_left")
+        params = PdParams(rho=8.409e-4, tau=5.0, theta=5e-2)
+        cert = PdDriver(dp, params).certificate
+        ref = certify_steps_empirical(params, dp)
+        for f in dataclasses.fields(ref):
+            assert getattr(cert, f.name) == getattr(ref, f.name), f.name
 
 
 class TestSmoothOperatorNorm:
@@ -127,9 +138,7 @@ def driver2():
     """Small driver on the level-2 benchmark problem."""
     prob, _ = build_benchmark_problem(2)
     dp = DiscreteProblem(prob, cg_tol=1e-13)
-    params = PdParams(rho=1e-3, tau=0.7, theta=5e-2)
-    cert = certify_steps_empirical(params, dp)
-    return PdDriver(dp, params, certificate=cert)
+    return PdDriver(dp, PdParams(rho=1e-3, tau=0.7, theta=5e-2))
 
 
 def _quadratic_argmin_on_interval(obj, lo, hi):
@@ -252,10 +261,8 @@ def test_b_norm_nonnegative_under_valid_certificate(level, seed, reaction,
     s, g = probe.smooth_bound, probe.grad_norm
     # 1/tau at which (1/tau - s) * theta / tau equals rho^2 g^2
     inv_tau = 0.5 * (s + math.sqrt(s**2 + 4.0 * rho**2 * g**2 / theta))
-    params = PdParams(rho=rho, tau=fraction / inv_tau, theta=theta)
-    cert = certify_steps_empirical(params, dp)
-    assert cert.valid
-    driver = PdDriver(dp, params, cert)
+    driver = PdDriver(dp, PdParams(rho=rho, tau=fraction / inv_tau,
+                                   theta=theta))
     for _ in range(5):
         df = rng.standard_normal(dp.mesh.n_vertices)
         dpv = rng.standard_normal((dp.mesh.n_triangles, 2))
@@ -268,9 +275,8 @@ def _short_run(level=4, max_iter=60, tau=5.0, record=True):
     params = PdParams(
         rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho, tau=tau,
         theta=5e-2, max_iter=max_iter, record_b_norms=record)
-    cert = certify_steps_empirical(params, dp)
     f0, p0 = compatible_start(dp)
-    driver = PdDriver(dp, params, certificate=cert)
+    driver = PdDriver(dp, params)
     return driver, driver.run(z, f0=f0, p0=p0), z, f0, p0
 
 
@@ -304,8 +310,7 @@ def test_adjoint_identity_along_iterations(rng):
     params = PdParams(
         rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho, tau=5.0,
         theta=5e-2, max_iter=20)
-    cert = certify_steps_empirical(params, dp)
-    driver = PdDriver(dp, params, certificate=cert)
+    driver = PdDriver(dp, params)
     xi = rng.standard_normal(dp.mesh.n_vertices)
     m_u_bar = dp.M_gamma @ dp.solve_source_part(xi)[dp.gamma_nodes]
 
@@ -321,24 +326,24 @@ def test_adjoint_identity_along_iterations(rng):
 
 
 def test_run_factors_nothing_after_set_up(monkeypatch):
-    # set-up builds the boundary map from the level's one factorization;
-    # the run, its B-norm checks and its final trace need no other, and
-    # the trace it keeps is that of a full state solve at its last iterate
+    # building the driver certifies its steps, which builds the boundary
+    # map from the level's one factorization; the run, its B-norm checks
+    # and its final trace need no other, and the trace it keeps is that of
+    # a full state solve at its last iterate
     prob, f_truth = build_benchmark_problem(8, "bottom_left")
     dp = DiscreteProblem(prob)
     params = ExperimentConfig(max_iter=30, record_b_norms=True).level_params(
         dp.mesh.mesh_size)
-    cert = certify_steps_empirical(params, dp)
+    driver = PdDriver(dp, params)
     z = synthesize_observation(dp, f_truth, 1e-2, 3)
     traces = []
 
     def no_factor(*args, **kwargs):
-        raise AssertionError("A was factored after set-up")
+        raise AssertionError("A was factored after the driver was built")
 
     monkeypatch.setattr(pde_solvers, "BlockTridiagonalFactor", no_factor)
-    state = run(dp, z, params, certificate=cert,
-                on_iteration=lambda n, f, p, u_gamma, u_a:
-                traces.append(u_gamma))
+    state = driver.run(z, on_iteration=lambda n, f, p, u_gamma, u_a:
+                       traces.append(u_gamma))
     monkeypatch.undo()
     assert state.n == 30 and not hasattr(state, "u")
     assert all(t.shape == dp.gamma_nodes.shape for t in traces)
@@ -366,8 +371,7 @@ def test_run_raises_when_dual_leaves_ball(monkeypatch):
     params = PdParams(
         rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho, tau=5.0,
         theta=5e-2, max_iter=5)
-    driver = PdDriver(dp, params, certificate=certify_steps_empirical(
-        params, dp))
+    driver = PdDriver(dp, params)
     monkeypatch.setattr(primal_dual, "project_dual_ball", lambda q: 1.5 * q)
     with pytest.raises(RuntimeError, match="dual iterate left the unit ball"):
         driver.run(z)
@@ -381,14 +385,13 @@ def test_run_rejects_an_observation_of_other_nodes():
     params = PdParams(
         rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho, tau=5.0,
         theta=5e-2, max_iter=5)
-    cert = certify_steps_empirical(params, dp)
     left = dp.mesh.side_nodes(("left",))
     assert left.shape == z.nodes.shape and not np.array_equal(left, z.nodes)
     for bad in (Observation(left, z.values),
                 Observation(z.nodes[:-1], z.values[:-1]),
                 Observation(z.nodes, z.values[:-1])):
         with pytest.raises(ValueError, match="observed boundary nodes"):
-            run(dp, bad, params, certificate=cert)
+            run(dp, bad, params)
 
 
 def test_run_rejects_bad_rho():
@@ -433,13 +436,13 @@ def test_variational_inequality_at_stop(rng):
 
 class TestMultilevel:
     @staticmethod
-    def _make_level(level):
+    def _make_level(level, tau=5.0):
         dp, f_truth = benchmark_dp(level)
         z = synthesize_observation(dp, f_truth, 0.0, [0, level])
         params = PdParams(
             rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho,
-            tau=5.0, theta=5e-2, max_iter=25)
-        return dp, z, params, certify_steps_empirical(params, dp)
+            tau=tau, theta=5e-2, max_iter=25)
+        return dp, z, params
 
     def test_levels_must_double_from_four(self):
         with pytest.raises(ValueError):
@@ -451,8 +454,7 @@ class TestMultilevel:
 
     def test_single_level_equals_plain_run(self):
         runs = multilevel_run([4], self._make_level)
-        dp, z, params, cert = self._make_level(4)
-        state = run(dp, z, params, certificate=cert)
+        state = run(*self._make_level(4))
         assert np.allclose(runs[0].state.f, state.f, atol=1e-12)
         assert np.allclose(runs[0].state.p, state.p, atol=1e-12)
 
@@ -486,13 +488,9 @@ class TestMultilevel:
         assert [r.level for r in excinfo.value.completed] == [4]
 
     def test_invalid_certificate_fails_its_level(self):
-        def uncertified_at_8(level):
-            dp, z, params, cert = self._make_level(level)
-            if level == 8:
-                cert = certify_steps(params, dp)  # tau 5 fails it
-            return dp, z, params, cert
-
+        # tau 15 lies between the largest steps certified at level 8 (14.3)
+        # and at level 4 (16.4)
         with pytest.raises(MultilevelError, match="step-size") as excinfo:
-            multilevel_run([4, 8], uncertified_at_8)
+            multilevel_run([4, 8], lambda level: self._make_level(level, 15.0))
         assert excinfo.value.level == 8
         assert [r.level for r in excinfo.value.completed] == [4]
