@@ -31,10 +31,6 @@ def _parse_levels(text: str):
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _parse_box(text: str):
-    return tuple(float(tok) for tok in text.split(","))
-
-
 def _add_common(p: argparse.ArgumentParser):
     """Flags shared by bench and solve; each dest is an ExperimentConfig field."""
     p.add_argument("--gamma", choices=sorted(experiment.GAMMA_CASES),
@@ -44,8 +40,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--theta", type=float, default=None, help="dual weight")
     p.add_argument("--rho-coef", type=float, default=None,
                    help="regularization: rho = rho_coef * sqrt(h)")
-    p.add_argument("--box", type=_parse_box, default=None,
-                   metavar="LO,HI", help="pointwise source bounds")
+    p.add_argument("--box", nargs=2, type=float, default=None,
+                   metavar=("LO", "HI"), help="pointwise source bounds")
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--out", dest="out_dir", metavar="OUT", default=None,
                    help="output directory")
@@ -103,8 +99,9 @@ def _config_from_args(args) -> ExperimentConfig:
                              "or with the levels of a --config file")
         fields["levels"] = (4, 8, 16, 32, 64)
     for f in dataclasses.fields(ExperimentConfig):
-        if getattr(args, f.name, None) is not None:
-            fields[f.name] = getattr(args, f.name)
+        value = getattr(args, f.name, None)
+        if value is not None:
+            fields[f.name] = tuple(value) if type(value) is list else value
     return ExperimentConfig(**fields)
 
 
@@ -122,9 +119,8 @@ def cmd_bench(args) -> int:
         experiment.write_table(exc.records,
                                os.path.join(config.out_dir, "table.csv"),
                                incomplete=str(exc))
-        print(f"benchmark aborted: {exc}", file=sys.stderr)
-        print(f"partial table written to {config.out_dir}/table.csv",
-              file=sys.stderr)
+        print(f"tvsource: error: benchmark aborted: {exc}; partial table "
+              f"written to {config.out_dir}/table.csv", file=sys.stderr)
         return 1
     experiment.export_benchmark(config, records, runs)
     print(experiment.RunRecord.CSV_HEADER)
@@ -192,18 +188,18 @@ def cmd_check(_args) -> int:
 
     xi = rng.standard_normal(dp.mesh.n_vertices)
     z = experiment.synthesize_observation(dp, f_truth, 0.0, 0)
-    nodes = dp.gamma_nodes
-    u_gamma = dp.solve_state(f)[nodes]
-    u_a = dp.solve_adjoint(u_gamma, z)
-    u_bar = dp.solve_source_part(xi)[nodes]
-    lhs = float((u_gamma - z.values) @ (dp.M_gamma @ u_bar))
+    # the trace and the adjoint state through G, as PdDriver.run reads
+    # them, against an independent solve
+    bmap = dp.boundary_map
+    r = bmap.trace(dp.w * f) - z.values
+    u_a = bmap.G @ (dp.M_gamma @ r)
+    u_bar = dp.solve_source_part(xi)[dp.gamma_nodes]
+    lhs = float(r @ (dp.M_gamma @ u_bar))
     rhs = dp.lumped_inner(xi, u_a)
-    report("adjoint gradient identity",
-           abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1.0),
+    report("adjoint gradient identity", abs(lhs - rhs) <= 1e-8 * abs(lhs),
            f"|lhs-rhs|={abs(lhs - rhs):.2e}")
 
-    dp8 = DiscreteProblem(build_benchmark_problem(8)[0])
-    gn8 = grad_operator_norm(dp8.K_unit, dp8.w)
+    gn8 = grad_operator_norm(build_structured(8).grads)
     report("gradient norm scales like 1/h", 1.9 <= gn8 / cert.grad_norm <= 2.1,
            f"ratio={gn8 / cert.grad_norm:.3f}")
 

@@ -108,14 +108,20 @@ def synthesize_observation(dp: DiscreteProblem, f_truth: P1Field,
     read from the boundary map at ``f_truth``.  Noise stream: PCG64 seeded
     with ``seed``, one uniform(-1,1) draw per observation node in
     increasing node order, scaled by ``theta_level``.  The recorded noise
-    level is the boundary L2 norm of the perturbation.
+    level is the boundary L2 norm of the perturbation; raises ValueError
+    when it is not finite.
     """
     if u_gamma is None:
         u_gamma = dp.boundary_map.trace(dp.w * f_truth)
     nodes = dp.gamma_nodes
     rng = np.random.default_rng(seed)
     noise = theta_level * rng.uniform(-1.0, 1.0, size=nodes.shape[0])
-    return Observation(nodes, u_gamma + noise, dp.gamma_norm(noise))
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        noise_level = dp.gamma_norm(noise)
+    if not math.isfinite(noise_level):
+        raise ValueError(f"the noise level is {noise_level}: the noise scale "
+                         f"{theta_level:.3g} is out of range")
+    return Observation(nodes, u_gamma + noise, noise_level)
 
 
 @dataclass(frozen=True)

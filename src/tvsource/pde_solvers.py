@@ -91,9 +91,9 @@ class DiscreteProblem:
         self.mesh = prob.mesh
         self.cg_tol = cg_tol
         self.A = assemble_stiffness(prob.mesh, prob.coeffs)
-        # unit stiffness (H1 norm, certificate's gradient norm); here, next
-        # to A and before any boundary map, its temporaries never meet G
-        # and the level-64 bench peak RSS measured lowest
+        # unit stiffness (H1 norm); here, next to A and before any boundary
+        # map, its temporaries never meet G and the level-64 bench peak RSS
+        # measured lowest
         self.K_unit = assemble_stiffness(prob.mesh,
                                          unit_coefficients(prob.mesh))
         self.M, self.w = assemble_mass(prob.mesh)

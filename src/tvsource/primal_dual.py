@@ -30,12 +30,12 @@ from .tv_calculus import gradient_pairing, project_dual_ball, tv_value
 
 @dataclass(frozen=True)
 class PdParams:
-    """Step sizes and run controls."""
+    """Step sizes and run controls; ExperimentConfig holds their defaults."""
 
     rho: float
-    tau: float = 2e-4
-    theta: float = 5e-2
-    max_iter: int = 600
+    tau: float
+    theta: float
+    max_iter: int
     record_b_norms: bool = False
 
     def __post_init__(self):
@@ -100,7 +100,7 @@ def _certificate(params: PdParams, dp: DiscreteProblem,
     c1 = coercivity_c1(dp.prob.coeffs.alpha_lower, len(dp.mesh.box),
                        dp.domain_volume)
     cg = trace_constant(dp.mesh.box)
-    gnorm = grad_operator_norm(dp.K_unit, dp.w)
+    gnorm = grad_operator_norm(dp.mesh.grads)
     s = cg**2 / c1**2 if s is None else s
     lhs = (1.0 / params.tau - s) * (params.theta / params.tau)
     rhs = params.rho**2 * gnorm**2
@@ -264,6 +264,7 @@ class PdDriver:
 
     # -- full run --------------------------------------------------------------
 
+    @np.errstate(over="ignore")  # an overflow fails the finiteness checks
     def run(self, z: Observation, f0: P1Field | None = None,
             p0: P0VecField | None = None, on_iteration=None) -> PdState:
         """Iterate until the stopping functional is nonpositive or max_iter.
@@ -278,7 +279,8 @@ class PdDriver:
         u_gamma, u_a)`` is called at every iterate with the state's trace
         on Gamma (one value per observed node) and the adjoint state u_a.
         Raises ValueError unless ``z`` holds one value at each of the
-        problem's observed nodes.
+        problem's observed nodes, and when the objective of an iterate (the
+        misfit plus rho times its total variation) is not finite.
         """
         dp, prm = self.dp, self.params
         lo, hi = self.box
@@ -301,6 +303,11 @@ class PdDriver:
             tol_val, g0_norm = self.stopping_value(f, f_next, g0_norm)
             misfit = 0.5 * float(r @ m_r)
             record = IterationRecord(n, self.objective(f, misfit), tol_val)
+            if not math.isfinite(record.objective):  # and so the misfit
+                raise ValueError(
+                    f"the objective is {record.objective} (data misfit "
+                    f"{misfit}) at iteration {n}: the observation values "
+                    "are out of range")
             state.history.append(record)
             if on_iteration is not None:
                 on_iteration(n, f, p, u_gamma, u_a)

@@ -1,6 +1,6 @@
 """Sparse symmetric operators and solves: a diagonal-storage operator
-type, a block-tridiagonal factorization, Jacobi-preconditioned CG and a
-power iteration.
+type, a block-tridiagonal factorization, Jacobi-preconditioned CG, and a
+bound on the norm of the discrete gradient.
 
 Every operator assembled on a mesh from ``build_structured`` has its
 nonzero entries on a few fixed diagonals (TriMesh.stencil_offsets), which
@@ -77,7 +77,7 @@ class SolveReport:
 
 
 class CgConvergenceError(RuntimeError):
-    """CG or the power iteration did not converge; carries the report."""
+    """CG did not converge; carries the report."""
 
     def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
@@ -237,41 +237,21 @@ def cg_solve(A: SymmetricStencil, b: np.ndarray, tol: float = 1e-10,
     return x, report
 
 
-def weighted_power_iteration(apply, w: np.ndarray, seed: int, tol: float,
-                             max_iter: int) -> float:
-    """Largest eigenvalue of an operator that is self-adjoint and positive
-    semi-definite in the weighted product <u, v>_w = sum(w*u*v).
+def grad_operator_norm(grads: np.ndarray) -> float:
+    """Bound from above of the largest ratio ||grad v|| / ||v||_w over the
+    piecewise-linear space, in the lumped-weight norm of the proximal
+    steps, from each triangle's basis gradients ``grads`` (n_t, 3, 2).
 
-    Power iteration from a seeded random start; stops when the Rayleigh
-    quotient changes by at most ``tol`` relative.  Raises
-    CgConvergenceError if that does not happen within ``max_iter`` steps.
+    With G_T a triangle's gradients and v_T its three nodal values,
+    ||grad v||^2 = sum_T |T| |G_T^T v_T|^2 <= sum_T 3 lam_T (|T|/3) |v_T|^2
+    <= 3 max_T lam_T ||v||_w^2, lam_T the largest eigenvalue of G_T^T G_T,
+    since the shares |T|/3 sum to the lumped weights (Fried, J. Sound Vib.
+    1972).  Closed form; scales like 1/h on quasi-uniform meshes.
     """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(w.shape[0])
-    v /= np.sqrt(w @ v**2)
-    lam_prev = 0.0
-    for _ in range(max_iter):
-        u = apply(v)
-        lam = v @ (w * u)  # Rayleigh quotient, ||v||_w = 1
-        u_norm = np.sqrt(w @ u**2)
-        if u_norm == 0.0:
-            return 0.0
-        v = u / u_norm
-        if abs(lam - lam_prev) <= tol * abs(lam):
-            return float(lam)
-        lam_prev = lam
-    raise CgConvergenceError(
-        f"power iteration did not converge in {max_iter} steps",
-        SolveReport(max_iter, float("nan"), False))
-
-
-def grad_operator_norm(K: SymmetricStencil, w: np.ndarray) -> float:
-    """Estimate from below of the largest ratio ||grad v|| / ||v|| over the
-    piecewise-linear space, by power iteration (tolerance 1e-6, at most
-    20000 steps; a Rayleigh quotient never exceeds the largest eigenvalue)
-    on the generalized eigenproblem pairing the unit-diffusion stiffness
-    matrix K with the lumped mass weights w, the inner product of the
-    proximal steps.  Scales like 1/h on quasi-uniform meshes.
-    """
-    return float(np.sqrt(weighted_power_iteration(
-        lambda v: (K @ v) / w, w, 12345, 1e-6, 20000)))
+    a, b, c = (np.einsum("ij,ij->i", grads[..., k], grads[..., l])
+               for k, l in ((0, 0), (0, 1), (1, 1)))
+    b *= 2.0
+    lam2 = np.hypot(a - c, b, out=b)  # 2 lam_T = a + c + hypot(a - c, 2b)
+    lam2 += a
+    lam2 += c
+    return float(np.sqrt(1.5 * lam2.max()))

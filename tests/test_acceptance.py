@@ -196,7 +196,7 @@ def test_criterion_7_tv_duality():
 def test_criterion_8_constants():
     c1 = coercivity_c1(0.1, 2, 4.0)
     cg = trace_constant(((-1.0, 1.0), (-1.0, 1.0)))
-    params = PdParams(rho=8.409e-4, tau=2e-4, theta=5e-2)
+    params = PdParams(rho=8.409e-4, tau=2e-4, theta=5e-2, max_iter=600)
     cert = certify_steps(params, benchmark_dp(4)[0])
     ok = (abs(c1 - 0.025) <= 1e-12
           and abs(cg - math.sqrt(3.0)) <= 1e-12
@@ -210,7 +210,7 @@ def test_criterion_9_proximal_step_oracles():
     rng = np.random.default_rng(9)
     prob, _ = build_benchmark_problem(2)
     dp = DiscreteProblem(prob, cg_tol=1e-13)
-    params = PdParams(rho=1e-3, tau=0.7, theta=5e-2)
+    params = PdParams(rho=1e-3, tau=0.7, theta=5e-2, max_iter=600)
     driver = PdDriver(dp, params)
     lo, hi = driver.box
 

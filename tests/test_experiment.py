@@ -513,7 +513,7 @@ class TestCli:
         "solve_tau_uncertified": (None, ["--tau", "100"], "step-size"),
         "bench_rho_zero": (None, ["--rho-coef", "0"], "rho"),
         "bench_config_unknown_key": ({"rho": 1e-3}, [], "rho"),
-        "bench_box_reversed": (None, ["--box", "3,1"], "box"),
+        "bench_box_reversed": (None, ["--box", "3", "1"], "box"),
         "bench_rho_one_on_coarsest_level": (None, ["--rho-coef", "1.2"],
                                             "rho"),
         "bench_config_export_format": ({"export_format": "xml"}, [],
@@ -790,6 +790,74 @@ class TestCli:
                                   timeout=120)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+    def test_solve_does_not_import_numpy_random(self, tmp_path):
+        # the step-size certificate draws no random number
+        dp, f_truth = benchmark_dp(4)
+        obs = tmp_path / "obs.csv"
+        write_observation_csv(dp.mesh,
+                              synthesize_observation(dp, f_truth, 0.0, 0),
+                              str(obs))
+        code = ("import sys; from tvsource.cli import main; "
+                "code = main(sys.argv[1:]); "
+                "print(code, 'numpy.random' in sys.modules)")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "solve", str(obs), "--level", "4",
+             "--max-iter", "2", "--format", "none", "--out",
+             str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+    def test_box_takes_a_negative_lower_bound(self, tmp_path):
+        # the default box written out gives the default table
+        argv = ["bench", "--levels", "4,8", "--max-iter", "20", "--format",
+                "none", "--out"]
+        assert cli_main(argv + [str(tmp_path / "a")]) == 0
+        assert cli_main(argv + [str(tmp_path / "b"), "--box", "-1", "3"]) == 0
+        assert ((tmp_path / "a" / "table.csv").read_bytes()
+                == (tmp_path / "b" / "table.csv").read_bytes())
+
+    def test_solve_overflowing_observation_one_line_exit_2(self, tmp_path,
+                                                            capsys):
+        # finite values whose misfit overflows: an error, not a result (and
+        # no RuntimeWarning, which the test settings make an exception)
+        dp, _ = benchmark_dp(4)
+        obs = tmp_path / "obs.csv"
+        z = Observation(dp.gamma_nodes, np.full(dp.gamma_nodes.shape, 1e155))
+        write_observation_csv(dp.mesh, z, str(obs))
+        code = cli_main(["solve", str(obs), "--level", "4", "--out",
+                         str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("tvsource: error: ")
+        assert "data misfit inf" in lines[0]
+
+    def test_bench_overflowing_noise_one_line_exit_1(self, tmp_path, capsys):
+        code = cli_main(["bench", "--levels", "4,8", "--max-iter", "50",
+                         "--noise-coef", "1e200", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("tvsource: error: ")
+        assert "noise level is inf" in lines[0]
+        table = (tmp_path / "table.csv").read_text().splitlines()
+        assert len(table) == 2 and table[1].startswith("# incomplete: level 4")
+
+    def test_check_reads_the_boundary_map(self, capsys, monkeypatch):
+        # a boundary map off by 1e-6 relative fails the adjoint line
+        import tvsource.pde_solvers as pde
+        real_map = pde.BoundaryMap
+        monkeypatch.setattr(pde, "BoundaryMap", lambda G, flux_trace:
+                            real_map(G * (1.0 + 1e-6), flux_trace))
+        assert cli_main(["check"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "FAIL" in line] == [
+            line for line in out if "adjoint gradient identity" in line]
+        assert out[-1] == "1 failure(s)"
 
     def test_solve_from_observation_file(self, tmp_path, capsys):
         dp, f_truth = benchmark_dp(4)

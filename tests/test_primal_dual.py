@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +17,9 @@ from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   coercivity_c1, compatible_start, extrapolate,
                                   multilevel_run, run, smooth_operator_norm,
                                   trace_constant)
-from tvsource.sparse_linalg import weighted_power_iteration
 from tvsource.tv_calculus import gradient_pairing
 
-from conftest import benchmark_dp, random_dp
+from conftest import benchmark_dp, dense, random_dp
 
 
 class TestConstants:
@@ -46,7 +46,7 @@ class TestConstants:
 
 class TestCertificate:
     def test_reference_arithmetic(self):
-        params = PdParams(rho=8.409e-4, tau=2e-4, theta=5e-2)
+        params = PdParams(rho=8.409e-4, tau=2e-4, theta=5e-2, max_iter=600)
         cert = certify_steps(params, benchmark_dp(4)[0])
         assert cert.c1 == pytest.approx(0.025, abs=1e-12)
         assert cert.c_gamma == pytest.approx(math.sqrt(3.0), abs=1e-12)
@@ -55,13 +55,13 @@ class TestCertificate:
         assert cert.valid
 
     def test_too_large_tau_invalid(self):
-        params = PdParams(rho=8.409e-4, tau=1.0, theta=5e-2)
+        params = PdParams(rho=8.409e-4, tau=1.0, theta=5e-2, max_iter=600)
         cert = certify_steps(params, benchmark_dp(4)[0])
         assert cert.lhs < 0 and not cert.valid
 
     def test_empirical_bound_is_much_sharper(self):
         dp, _ = benchmark_dp(4)
-        params = PdParams(rho=8.409e-4, tau=5.0, theta=5e-2)
+        params = PdParams(rho=8.409e-4, tau=5.0, theta=5e-2, max_iter=600)
         cert = certify_steps_empirical(params, dp)
         assert cert.smooth_bound < 1.0  # analytic bound is 4800
         assert cert.valid
@@ -70,13 +70,14 @@ class TestCertificate:
         # tau above 1/s (s = 0.053 here) makes the condition's left side
         # negative
         dp, _ = benchmark_dp(4)
-        params = PdParams(rho=8.409e-4, tau=100.0, theta=5e-2)
+        params = PdParams(rho=8.409e-4, tau=100.0, theta=5e-2,
+                          max_iter=600)
         with pytest.raises(ValueError, match="step-size"):
             PdDriver(dp, params)
 
     def test_driver_makes_the_empirical_certificate(self):
         dp, _ = benchmark_dp(4, "bottom_left")
-        params = PdParams(rho=8.409e-4, tau=5.0, theta=5e-2)
+        params = PdParams(rho=8.409e-4, tau=5.0, theta=5e-2, max_iter=600)
         cert = PdDriver(dp, params).certificate
         ref = certify_steps_empirical(params, dp)
         for f in dataclasses.fields(ref):
@@ -98,27 +99,33 @@ class TestSmoothOperatorNorm:
         ref = np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1]
         exact = smooth_operator_norm(dp)
         assert exact == pytest.approx(ref, rel=1e-10)
-        # the power-iteration estimate it replaced is a Rayleigh quotient,
-        # a value from below
-        estimate = weighted_power_iteration(
-            lambda v: dp.solve_gamma_loaded(dp.solve_source_part(v)[nodes]),
-            dp.w, 20240901, 1e-3, 200)
-        assert exact >= estimate
+
+
+@pytest.mark.parametrize("level", [4, 8])
+def test_certificate_grad_norm_bounds_dense_eigenvalue(level):
+    # the certificate's gradient norm is a bound: its square is at least
+    # the largest eigenvalue of the unit stiffness in the lumped metric
+    dp, _ = benchmark_dp(level)
+    params = PdParams(rho=8.409e-4, tau=5.0, theta=5e-2, max_iter=600)
+    cert = PdDriver(dp, params).certificate
+    lam = scipy.linalg.eigh(dense(dp.K_unit), np.diag(dp.w),
+                            eigvals_only=True)[-1]
+    assert cert.grad_norm**2 >= lam
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        PdParams(rho=0.0)
-    with pytest.raises(ValueError):
-        PdParams(rho=1.0)
-    with pytest.raises(ValueError):
-        PdParams(rho=0.5, tau=-1.0)
-    with pytest.raises(ValueError):
-        PdParams(rho=0.5, max_iter=0)
+    valid = dict(rho=0.5, tau=5.0, theta=5e-2, max_iter=600)
+    for bad in ({"rho": 0.0}, {"rho": 1.0}, {"tau": -1.0}, {"theta": 0.0},
+                {"max_iter": 0}):
+        with pytest.raises(ValueError):
+            PdParams(**{**valid, **bad})
+    # ExperimentConfig is the one home of the defaults
+    with pytest.raises(TypeError):
+        PdParams(rho=0.5)
 
 
 def test_stopping_offsets_reference_values():
-    params = PdParams(rho=0.5)
+    params = PdParams(rho=0.5, tau=5.0, theta=5e-2, max_iter=600)
     h4 = math.sqrt(8.0) / 4.0
     t1, t2 = params.stopping_offsets(h4)
     assert t1 == pytest.approx(8.409e-6, rel=1e-4)
@@ -138,7 +145,8 @@ def driver2():
     """Small driver on the level-2 benchmark problem."""
     prob, _ = build_benchmark_problem(2)
     dp = DiscreteProblem(prob, cg_tol=1e-13)
-    return PdDriver(dp, PdParams(rho=1e-3, tau=0.7, theta=5e-2))
+    return PdDriver(dp, PdParams(rho=1e-3, tau=0.7, theta=5e-2,
+                                 max_iter=600))
 
 
 def _quadratic_argmin_on_interval(obj, lo, hi):
@@ -208,7 +216,7 @@ class TestBNorm:
 
     def test_pure_dual_block(self, rng):
         # the flat area weights give the bits of the (n_t, 2) broadcast
-        params = PdParams(rho=1e-3, tau=1e-4)
+        params = PdParams(rho=1e-3, tau=1e-4, theta=5e-2, max_iter=600)
         for level in (4, 16, 64):
             dp, _ = benchmark_dp(level)
             driver = PdDriver(dp, params)
@@ -257,12 +265,13 @@ def test_b_norm_nonnegative_under_valid_certificate(level, seed, reaction,
     # value, stays positive on random iterate differences of any balance
     dp, rng = random_dp(level, seed, reaction, boundary_term, gamma)
     theta = 5e-2
-    probe = certify_steps_empirical(PdParams(rho=rho, theta=theta), dp)
+    probe = certify_steps_empirical(
+        PdParams(rho=rho, tau=1.0, theta=theta, max_iter=600), dp)
     s, g = probe.smooth_bound, probe.grad_norm
     # 1/tau at which (1/tau - s) * theta / tau equals rho^2 g^2
     inv_tau = 0.5 * (s + math.sqrt(s**2 + 4.0 * rho**2 * g**2 / theta))
     driver = PdDriver(dp, PdParams(rho=rho, tau=fraction / inv_tau,
-                                   theta=theta))
+                                   theta=theta, max_iter=600))
     for _ in range(5):
         df = rng.standard_normal(dp.mesh.n_vertices)
         dpv = rng.standard_normal((dp.mesh.n_triangles, 2))
@@ -283,7 +292,7 @@ def _short_run(level=4, max_iter=60, tau=5.0, record=True):
 def test_default_start_is_compatible_start():
     dp, f_truth = benchmark_dp(4)
     z = synthesize_observation(dp, f_truth, 0.0, 0)
-    params = PdParams(rho=8.409e-4, max_iter=5)
+    params = PdParams(rho=8.409e-4, tau=5.0, theta=5e-2, max_iter=5)
     f0, p0 = compatible_start(dp)
     from_default = run(dp, z, params)
     from_compatible = run(dp, z, params, f0=f0, p0=p0)
@@ -396,7 +405,7 @@ def test_run_rejects_an_observation_of_other_nodes():
 
 def test_run_rejects_bad_rho():
     with pytest.raises(ValueError):
-        PdParams(rho=0.0, tau=5.0)
+        PdParams(rho=0.0, tau=5.0, theta=5e-2, max_iter=600)
 
 
 def test_variational_inequality_at_stop(rng):
