@@ -131,15 +131,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    """Set-up (nothing factored), the observation file and the driver's
-    step-size certificate come before the output directory: a rejected file
-    or tau writes nothing, and a malformed file costs no factorization."""
+    """Set-up (nothing factored), the observation file, the driver's
+    step-size certificate and the run come before the output directory: a
+    rejected file, tau or run writes nothing, and a malformed file costs no
+    factorization."""
     config = _config_from_args(args)
     dp, _, params = config.setup_level(args.level)
     z = read_observation_csv(args.observation, dp.mesh, dp.gamma_nodes)
-    driver = primal_dual.PdDriver(dp, params)
+    state = primal_dual.PdDriver(dp, params).run(z)
     os.makedirs(config.out_dir, exist_ok=True)
-    state = driver.run(z)
     fmt = config.export_format
     if fmt != "none":
         export_field(dp.mesh, state.f,
@@ -148,7 +148,7 @@ def cmd_solve(args) -> int:
                      fmt, name="reconstruction")
     print(f"stopped after {state.n} iterations, "
           f"final tolerance {state.final_tolerance:.4e}, "
-          f"objective {state.history[-1].objective:.6e}")
+          f"objective {state.objective:.6e}")
     return 0
 
 

@@ -286,7 +286,8 @@ def run_benchmark(config: ExperimentConfig):
         if config.truth_refine:
             fine_prob, fine_truth = build_benchmark_problem(
                 2 * level, config.gamma_case, config.box)
-            u_fine = DiscreteProblem(fine_prob).solve_state(fine_truth)
+            u_fine = DiscreteProblem(fine_prob,
+                                     state_only=True).solve_state(fine_truth)
             observed = u_fine[fine_prob.mesh.nearest_nodes(
                 dp.mesh.vertices[dp.gamma_nodes])]
         z = synthesize_observation(dp, f_truth, theta_l, [config.seed, level],

@@ -171,9 +171,9 @@ def elem_gradient(mesh: TriMesh, f: P1Field) -> P0VecField:
     """
     tab = mesh.gradient_table
     f = np.asarray(f, dtype=float)
-    g = np.take(f, tab.nodes[0])
+    g = f.take(tab.nodes[0])
     g *= tab.coefs[0]
-    h = np.take(f, tab.nodes[1])
+    h = f.take(tab.nodes[1])
     h *= tab.coefs[1]
     g += h
     g += 0.0  # a zero sums to +0.0, as the dropped term 0.0 * f makes it
@@ -187,7 +187,7 @@ def div_adjoint(mesh: TriMesh, p: P0VecField) -> np.ndarray:
     result with any nodal vector reproduces the gradient pairing exactly.
     """
     # row 3*t + i holds |T| grad(phi_i) * p[t], summed over the components
-    terms = np.repeat(np.asarray(p, dtype=float), 3, axis=0)
+    terms = np.asarray(p, dtype=float).repeat(3, axis=0)
     terms *= mesh.gradient_table.area_grads
     return np.bincount(mesh.triangles.ravel(), terms[:, 0] + terms[:, 1],
                        mesh.n_vertices)

@@ -23,6 +23,7 @@ quantities are Gamma-vectors: one value per node of ``gamma_nodes``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,25 +81,33 @@ class BoundaryMap:
     def trace(self, load: np.ndarray) -> np.ndarray:
         """Trace on Gamma of the state with volume load ``load`` (w * f)
         and the flux data."""
-        return self.G.T @ load + self.flux_trace
+        u = self.G.T @ load
+        u += self.flux_trace
+        return u
 
 
 class DiscreteProblem:
     """Assembled operators for one ProblemDef, reusable across many solves."""
 
-    def __init__(self, prob: ProblemDef, cg_tol: float = DEFAULT_CG_TOL):
+    def __init__(self, prob: ProblemDef, cg_tol: float = DEFAULT_CG_TOL, *,
+                 state_only: bool = False):
+        """Assemble the operators; ``state_only`` assembles only what
+        ``solve_state`` reads (A, the mass and its lumped weights, the flux
+        load) and leaves out ``K_unit`` and the boundary mass."""
         self.prob = prob
         self.mesh = prob.mesh
         self.cg_tol = cg_tol
         self.A = assemble_stiffness(prob.mesh, prob.coeffs)
-        # unit stiffness (H1 norm); here, next to A and before any boundary
-        # map, its temporaries never meet G and the level-64 bench peak RSS
-        # measured lowest
-        self.K_unit = assemble_stiffness(prob.mesh,
-                                         unit_coefficients(prob.mesh))
+        if not state_only:
+            # unit stiffness (H1 norm); here, next to A and before any
+            # boundary map, its temporaries never meet G and the level-64
+            # bench peak RSS measured lowest
+            self.K_unit = assemble_stiffness(prob.mesh,
+                                             unit_coefficients(prob.mesh))
         self.M, self.w = assemble_mass(prob.mesh)
-        self.gamma_nodes, self.M_gamma = assemble_boundary_mass(
-            prob.mesh, prob.gamma)
+        if not state_only:
+            self.gamma_nodes, self.M_gamma = assemble_boundary_mass(
+                prob.mesh, prob.gamma)
         self.b_flux = neumann_load(prob.mesh, prob.neumann)
         self.pure_neumann = prob.coeffs.is_pure_neumann
         self.domain_volume = float(self.w.sum())
@@ -139,7 +148,9 @@ class DiscreteProblem:
         return float(np.sum(self.w * u * v))
 
     def lumped_norm(self, u) -> float:
-        return float(np.sqrt(np.sum(self.w * u * u)))
+        q = self.w * u
+        q *= u
+        return math.sqrt(q.sum())
 
     def l2_norm(self, u) -> float:
         return float(np.sqrt(u @ (self.M @ u)))

@@ -147,7 +147,7 @@ def certify_steps_empirical(params: PdParams,
 @dataclass
 class IterationRecord:
     n: int
-    objective: float
+    misfit: float  # data misfit of the iterate
     tolerance: float
     step_b_norm_sq: float | None = None
 
@@ -162,6 +162,7 @@ class PdState:
     history: list = field(default_factory=list)
     stopped_by_tolerance: bool = False
     u_gamma: np.ndarray | None = None  # trace on Gamma of the state at f
+    objective: float = math.nan  # misfit + rho * TV at f
 
     @property
     def final_tolerance(self) -> float:
@@ -184,7 +185,9 @@ def compatible_start(dp: DiscreteProblem):
 
 def extrapolate(f_new: P1Field, f_old: P1Field) -> P1Field:
     """Over-relaxed point 2*f_new - f_old (may leave the box on purpose)."""
-    return 2.0 * f_new - f_old
+    out = 2.0 * f_new
+    out -= f_old
+    return out
 
 
 class PdDriver:
@@ -206,21 +209,32 @@ class PdDriver:
 
     def div_rep(self, p: P0VecField) -> np.ndarray:
         """Nodal representer of div p in the lumped metric."""
-        return -div_adjoint(self.dp.mesh, p) / self.dp.w
+        d = div_adjoint(self.dp.mesh, p)
+        np.negative(d, out=d)
+        d /= self.dp.w
+        return d
 
     def primal_step(self, f: P1Field, p: P0VecField,
                     u_adjoint: P1Field) -> P1Field:
-        """Exact solution of the box-constrained primal proximal subproblem."""
+        """Exact solution of the box-constrained primal proximal subproblem,
+        clamp_box(f - tau * (u_adjoint - rho * div_rep(p)))."""
         lo, hi = self.box
-        step = f - self.params.tau * (u_adjoint
-                                      - self.params.rho * self.div_rep(p))
-        return np.clip(step, lo, hi)
+        step = self.div_rep(p)
+        step *= self.params.rho
+        np.subtract(u_adjoint, step, out=step)
+        step *= self.params.tau
+        np.subtract(f, step, out=step)
+        # clip keeps a -0.0 at a zero bound, as np.maximum would not; the
+        # method skips np.clip's dispatch
+        return step.clip(lo, hi, out=step)
 
     def dual_step(self, p: P0VecField, f_tilde: P1Field) -> P0VecField:
-        """Exact solution of the ball-constrained dual proximal subproblem."""
-        scale = self.params.tau * self.params.rho / self.params.theta
-        return project_dual_ball(p + scale * elem_gradient(self.dp.mesh,
-                                                           f_tilde))
+        """Exact solution of the ball-constrained dual proximal subproblem,
+        project_ball(p + (tau*rho/theta) * grad f_tilde)."""
+        step = elem_gradient(self.dp.mesh, f_tilde)
+        step *= self.params.tau * self.params.rho / self.params.theta
+        step += p
+        return project_dual_ball(step)
 
     def stopping_value(self, f: P1Field, f_next: P1Field,
                        g0_norm: float | None = None) -> tuple[float, float]:
@@ -231,7 +245,9 @@ class PdDriver:
         run's first iterate (this one, when None).  Returns the value and
         g0_norm.
         """
-        g_norm = self.dp.lumped_norm((f - f_next) / self.params.tau)
+        residual = f - f_next
+        residual /= self.params.tau
+        g_norm = self.dp.lumped_norm(residual)
         if g0_norm is None:
             g0_norm = g_norm
         return g_norm - self._t1 - self._t2 * g0_norm, g0_norm
@@ -253,7 +269,7 @@ class PdDriver:
         t_cross = 2.0 * prm.rho * gradient_pairing(dp.mesh, delta_f, delta_p)
         q = np.ravel(delta_p) ** 2
         q *= dp.mesh.gradient_table.weights
-        t_p = prm.theta / prm.tau * float(np.sum(q))
+        t_p = prm.theta / prm.tau * float(q.sum())
         value = t_f - t_smooth - t_cross + t_p
         scale = abs(t_f) + abs(t_smooth) + abs(t_cross) + abs(t_p)
         if value < -1e-10 * max(scale, 1e-300):
@@ -269,18 +285,24 @@ class PdDriver:
             p0: P0VecField | None = None, on_iteration=None) -> PdState:
         """Iterate until the stopping functional is nonpositive or max_iter.
 
-        The history carries the objective and stopping value at every
+        The history carries the data misfit and stopping value at every
         visited iterate, and (when enabled) the preconditioner norm of each
-        step taken.  A start not given is taken from compatible_start.
+        step taken; ``PdState.objective`` is the objective (``objective``:
+        the misfit plus rho times the total variation) at the last iterate
+        only.  A start not given is taken from compatible_start.
 
         The iteration reads the state only on the observed boundary, through
         the problem's BoundaryMap, and makes no PDE solve; the last
         iterate's trace is ``PdState.u_gamma``.  ``on_iteration(n, f, p,
         u_gamma, u_a)`` is called at every iterate with the state's trace
-        on Gamma (one value per observed node) and the adjoint state u_a.
+        on Gamma (one value per observed node) and the adjoint state u_a;
+        the run never writes to an array it has handed over.  A hook that
+        wants every iterate's objective computes it there, as
+        ``objective(f, pde_solvers.misfit(dp, u_gamma, z))``.
         Raises ValueError unless ``z`` holds one value at each of the
-        problem's observed nodes, and when the objective of an iterate (the
-        misfit plus rho times its total variation) is not finite.
+        problem's observed nodes, and when the misfit of an iterate is not
+        finite, before any step from it: a NaN in f makes it NaN, and the
+        total variation of an f clipped to its finite box is finite.
         """
         dp, prm = self.dp, self.params
         lo, hi = self.box
@@ -298,33 +320,32 @@ class PdDriver:
             u_gamma = bmap.trace(dp.w * f)
             r = u_gamma - z_gamma
             m_r = dp.M_gamma @ r
+            misfit = 0.5 * float(r @ m_r)
+            if not math.isfinite(misfit):  # before a step from this iterate
+                raise ValueError(
+                    f"data misfit {misfit} at iteration {n}: the "
+                    "observation values are out of range")
             u_a = bmap.G @ m_r
             f_next = self.primal_step(f, p, u_a)
             tol_val, g0_norm = self.stopping_value(f, f_next, g0_norm)
-            misfit = 0.5 * float(r @ m_r)
-            record = IterationRecord(n, self.objective(f, misfit), tol_val)
-            if not math.isfinite(record.objective):  # and so the misfit
-                raise ValueError(
-                    f"the objective is {record.objective} (data misfit "
-                    f"{misfit}) at iteration {n}: the observation values "
-                    "are out of range")
+            record = IterationRecord(n, misfit, tol_val)
             state.history.append(record)
             if on_iteration is not None:
                 on_iteration(n, f, p, u_gamma, u_a)
             if tol_val <= 0.0 or n == prm.max_iter:
                 break
 
-            f_tilde = extrapolate(f_next, f)
-            p_next = self.dual_step(p, f_tilde)
-            if not (np.all(f_next >= lo) and np.all(f_next <= hi)):
+            p_next = self.dual_step(p, extrapolate(f_next, f))
+            if not (lo <= f_next.min() and f_next.max() <= hi):
                 raise RuntimeError(
                     f"primal iterate left the box at iteration {n + 1}")
-            if not np.max(np.abs(p_next)) <= 1.0 + 1e-15:
+            if not abs(p_next).max() <= 1.0 + 1e-15:
                 raise RuntimeError(
                     f"dual iterate left the unit ball at iteration {n + 1}")
             if prm.record_b_norms:
                 record.step_b_norm_sq = self.b_norm_sq(f_next - f, p_next - p)
             f, p = f_next, p_next
+        state.objective = self.objective(f, misfit)
         state.f, state.p, state.n, state.u_gamma = f, p, n, u_gamma
         state.stopped_by_tolerance = tol_val <= 0.0
         return state

@@ -44,7 +44,7 @@ def subgradient_witness(mesh: TriMesh, f: P1Field) -> P0VecField:
 def project_dual_ball(p: P0VecField) -> P0VecField:
     """Componentwise clamp onto [-1, 1]: the exact nearest point of the
     componentwise unit ball in any weighted elementwise metric."""
-    return np.clip(p, -1.0, 1.0)
+    return p.clip(-1.0, 1.0)
 
 
 def project_dual_ball_isotropic(p: P0VecField) -> P0VecField:

@@ -4,19 +4,63 @@ import numpy as np
 import pytest
 
 from tvsource.experiment import build_benchmark_problem
-from tvsource.fem_assembly import CoefficientSet, NeumannData
+from tvsource.fem_assembly import (CoefficientSet, NeumannData, div_adjoint,
+                                   elem_gradient)
 from tvsource.mesh import GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, ProblemDef
 from tvsource.sparse_linalg import SymmetricStencil
+from tvsource.tv_calculus import tv_value
 
 
 @functools.lru_cache(maxsize=None)
 def benchmark_dp(level: int, gamma_case: str = "bottom",
-                 cg_tol: float = 1e-12):
+                 cg_tol: float = 1e-12, box=(-1.0, 3.0)):
     """Assembled benchmark problem, cached across tests (treated read-only)."""
-    prob, f_truth = build_benchmark_problem(level, gamma_case)
+    prob, f_truth = build_benchmark_problem(level, gamma_case, box)
     dp = DiscreteProblem(prob, cg_tol=cg_tol)
     return dp, f_truth
+
+
+def reference_primal_step(driver, f, p, u_a):
+    """The primal step as one expression: new arrays at every operation and
+    np.clip onto the box."""
+    prm, (lo, hi) = driver.params, driver.box
+    div_rep = -div_adjoint(driver.dp.mesh, p) / driver.dp.w
+    return np.clip(f - prm.tau * (u_a - prm.rho * div_rep), lo, hi)
+
+
+def reference_run(driver, z, f0, p0):
+    """``driver.run(z, f0, p0)`` written one expression per update, with
+    np.clip and np.sum, and the objective (misfit plus rho * TV) evaluated
+    at every iterate: the reference for the run's bits.  Returns the visited (f, p)
+    pairs and the misfit, stopping-value and objective histories."""
+    dp, prm = driver.dp, driver.params
+    mesh, (lo, hi) = dp.mesh, driver.box
+    G, flux_trace = dp.boundary_map.G, dp.boundary_map.flux_trace
+    t1, t2 = prm.stopping_offsets(mesh.mesh_size)
+    f = np.clip(np.asarray(f0, dtype=float), lo, hi)
+    p = np.clip(np.asarray(p0, dtype=float), -1.0, 1.0)
+    iterates, misfits, tolerances, objectives = [], [], [], []
+    g0_norm = None
+    for n in range(prm.max_iter + 1):
+        r = G.T @ (dp.w * f) + flux_trace - z.values
+        m_r = dp.M_gamma @ r
+        f_next = reference_primal_step(driver, f, p, G @ m_r)
+        g = (f - f_next) / prm.tau
+        g_norm = float(np.sqrt(np.sum(dp.w * g * g)))
+        g0_norm = g_norm if g0_norm is None else g0_norm
+        misfit = 0.5 * float(r @ m_r)
+        iterates.append((f, p))
+        misfits.append(misfit)
+        tolerances.append(g_norm - t1 - t2 * g0_norm)
+        objectives.append(misfit + prm.rho * tv_value(mesh, f))
+        if tolerances[-1] <= 0.0 or n == prm.max_iter:
+            break
+        f_tilde = 2.0 * f_next - f
+        scale = prm.tau * prm.rho / prm.theta
+        p = np.clip(p + scale * elem_gradient(mesh, f_tilde), -1.0, 1.0)
+        f = f_next
+    return iterates, misfits, tolerances, objectives
 
 
 def random_dp(level, seed, reaction, boundary_term, gamma=("bottom",)):

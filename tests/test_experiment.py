@@ -431,6 +431,29 @@ class TestBenchmarkRun:
             assert dist.min() <= 1e-12
             assert value == u_fine[np.argmin(dist)]
 
+    def test_truth_refine_assembles_only_the_state_operators(
+            self, tmp_path, monkeypatch):
+        # the refined mesh's one state solve reads A, the weights and the
+        # flux load: no unit stiffness and no boundary mass there
+        import tvsource.pde_solvers as pde
+        calls = []
+
+        def counting(name):
+            real = getattr(pde, name)
+
+            def wrapper(mesh, *args):
+                calls.append((name, mesh.level))
+                return real(mesh, *args)
+            return wrapper
+
+        for name in ("assemble_stiffness", "assemble_boundary_mass"):
+            monkeypatch.setattr(pde, name, counting(name))
+        run_benchmark(_tiny_config(tmp_path, truth_refine=True, max_iter=1))
+        assert sorted(calls) == [("assemble_boundary_mass", 4),
+                                 ("assemble_stiffness", 4),
+                                 ("assemble_stiffness", 4),
+                                 ("assemble_stiffness", 8)]
+
     def test_level_failure_yields_partial_flagged_table(self, tmp_path,
                                                         monkeypatch):
         import tvsource.experiment as exp
@@ -835,6 +858,17 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("tvsource: error: ")
         assert "data misfit inf" in lines[0]
+
+    def test_solve_overflowing_observation_writes_nothing(self, tmp_path):
+        # the run rejects the data before the output directory is made
+        dp, _ = benchmark_dp(4)
+        obs = tmp_path / "obs.csv"
+        z = Observation(dp.gamma_nodes, np.full(dp.gamma_nodes.shape, 1e155))
+        write_observation_csv(dp.mesh, z, str(obs))
+        out = tmp_path / "out"
+        assert cli_main(["solve", str(obs), "--level", "4", "--out",
+                         str(out)]) == 2
+        assert not out.exists()
 
     def test_bench_overflowing_noise_one_line_exit_1(self, tmp_path, capsys):
         code = cli_main(["bench", "--levels", "4,8", "--max-iter", "50",

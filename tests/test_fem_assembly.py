@@ -366,13 +366,15 @@ class TestKernelsMatchReference:
         def run():
             state = primal_dual.run(dp, z, params)
             assert state.n == 40
-            return state, np.array([r.objective for r in state.history])
+            return state, np.array([r.misfit for r in state.history])
 
-        state, objectives = run()
+        state, misfits = run()
         monkeypatch.setattr(primal_dual, "elem_gradient", _ref_elem_gradient)
         monkeypatch.setattr(primal_dual, "div_adjoint", _ref_div_adjoint)
         monkeypatch.setattr(primal_dual, "tv_value", _ref_tv_value)
-        ref_state, ref_objectives = run()
+        ref_state, ref_misfits = run()
         assert state.f.tobytes() == ref_state.f.tobytes()
         assert state.p.tobytes() == ref_state.p.tobytes()
-        assert objectives.tobytes() == ref_objectives.tobytes()
+        assert misfits.tobytes() == ref_misfits.tobytes()
+        assert (np.float64(state.objective).tobytes()
+                == np.float64(ref_state.objective).tobytes())

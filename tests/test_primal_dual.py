@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tvsource.experiment import (ExperimentConfig, build_benchmark_problem,
                                  synthesize_observation)
@@ -19,7 +20,8 @@ from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   trace_constant)
 from tvsource.tv_calculus import gradient_pairing
 
-from conftest import benchmark_dp, dense, random_dp
+from conftest import (benchmark_dp, dense, random_dp, reference_primal_step,
+                      reference_run)
 
 
 class TestConstants:
@@ -298,17 +300,21 @@ def test_default_start_is_compatible_start():
     from_compatible = run(dp, z, params, f0=f0, p0=p0)
     assert np.array_equal(from_default.f, from_compatible.f)
     assert np.array_equal(from_default.p, from_compatible.p)
-    assert ([r.objective for r in from_default.history]
-            == [r.objective for r in from_compatible.history])
+    assert ([r.misfit for r in from_default.history]
+            == [r.misfit for r in from_compatible.history])
+    assert from_default.objective == from_compatible.objective
 
 
 def test_run_descends_and_stays_feasible():
-    driver, state, z, _, _ = _short_run()
+    driver, state, z, f0, _ = _short_run()
     lo, hi = driver.box
     assert np.all(state.f >= lo) and np.all(state.f <= hi)
     assert np.max(np.abs(state.p)) <= 1.0
     assert state.history[0].tolerance > 0.0
-    assert state.history[-1].objective <= state.history[0].objective
+    assert state.objective == driver.objective(state.f,
+                                               state.history[-1].misfit)
+    assert state.objective <= driver.objective(np.clip(f0, lo, hi),
+                                               state.history[0].misfit)
     assert len(state.history) == state.n + 1
 
 
@@ -384,6 +390,80 @@ def test_run_raises_when_dual_leaves_ball(monkeypatch):
     monkeypatch.setattr(primal_dual, "project_dual_ball", lambda q: 1.5 * q)
     with pytest.raises(RuntimeError, match="dual iterate left the unit ball"):
         driver.run(z)
+
+
+def _bytes(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.sampled_from([4, 8]),
+       st.sampled_from([(-1.0, 3.0), (0.0, 3.0)]), st.integers(20, 40),
+       st.floats(0.5, 12.0), st.integers(0, 3))
+def test_run_is_bit_identical_to_reference_loop(data, level, box, max_iter,
+                                                tau, seed):
+    # the in-place loop, with the objective at its last iterate only,
+    # visits the bits of the loop written one expression per update; -0.0
+    # entries in the start meet the zero bound of the box (0, 3)
+    dp, f_truth = benchmark_dp(level, box=box)
+    z = synthesize_observation(dp, f_truth, 1e-2, seed)
+    rho = ExperimentConfig().level_params(dp.mesh.mesh_size).rho
+    driver = PdDriver(dp, PdParams(rho=rho, tau=tau, theta=5e-2,
+                                   max_iter=max_iter))
+    n, nt = dp.mesh.n_vertices, dp.mesh.n_triangles
+    f0 = data.draw(arrays(np.float64, n, elements=st.floats(*box)))
+    f0[data.draw(arrays(bool, n))] = -0.0
+    p0 = data.draw(arrays(np.float64, (nt, 2), elements=st.floats(-1, 1)))
+    p0[data.draw(arrays(bool, (nt, 2)))] = -0.0
+
+    # a balanced adjoint makes the step f - tau * 0.0, which keeps -0.0
+    u_a = rho * driver.div_rep(p0)
+    assert (driver.primal_step(f0, p0, u_a).tobytes()
+            == reference_primal_step(driver, f0, p0, u_a).tobytes())
+
+    visited, hook_objectives = [], []
+
+    def hook(n, f, p, u_gamma, u_a):
+        visited.append((f, p))
+        hook_objectives.append(driver.objective(
+            f, pde_solvers.misfit(dp, u_gamma, z)))
+
+    state = driver.run(z, f0, p0, on_iteration=hook)
+    iterates, misfits, tolerances, objectives = reference_run(
+        driver, z, f0, p0)
+    assert len(visited) == len(iterates) == state.n + 1
+    # the objective at every iterate, as a hook computes it
+    assert _bytes(hook_objectives) == _bytes(objectives)
+    for (f, p), (f_ref, p_ref) in zip(visited, iterates):
+        assert f.tobytes() == f_ref.tobytes()
+        assert p.tobytes() == p_ref.tobytes()
+    assert state.f.tobytes() == iterates[-1][0].tobytes()
+    assert state.p.tobytes() == iterates[-1][1].tobytes()
+    assert _bytes([r.misfit for r in state.history]) == _bytes(misfits)
+    assert _bytes([r.tolerance for r in state.history]) == _bytes(tolerances)
+    assert _bytes(state.objective) == _bytes(objectives[-1])
+
+
+def test_run_with_nan_start_raises_before_a_step():
+    driver, _, z, f0, p0 = _short_run(record=False)
+    steps = []
+    driver.primal_step = lambda *args: steps.append(args)
+    f0 = f0.copy()
+    f0[3] = np.nan
+    with pytest.raises(ValueError, match="data misfit nan at iteration 0"):
+        driver.run(z, f0, p0, on_iteration=lambda *args: steps.append(args))
+    assert steps == []
+
+
+def test_run_never_writes_to_a_handed_over_array():
+    # a hook that keeps references sees the same bytes at the end of the
+    # run as when it got them
+    driver, _, z, f0, p0 = _short_run(record=False)
+    kept = []
+    driver.run(z, f0, p0, on_iteration=lambda n, *arrays: kept.extend(
+        (a, a.tobytes()) for a in arrays))
+    assert len(kept) == 4 * 61
+    assert all(a.tobytes() == b for a, b in kept)
 
 
 def test_run_rejects_an_observation_of_other_nodes():
