@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -25,6 +26,18 @@ from .primal_dual import certify_steps
 from .sparse_linalg import (CgConvergenceError, FactorizationError,
                             grad_operator_norm)
 from .tv_calculus import gradient_pairing, subgradient_witness, tv_value
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a negative number in exponent form, such as
+    ``--box -1e0 3``, as a value.  argparse's own pattern (Python 3.11)
+    takes only forms like -1 and -1.5 for numbers and -1e0 for an unknown
+    option.  The subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
 
 def _parse_levels(text: str):
@@ -51,7 +64,7 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tvsource",
         description="TV-regularized reconstruction of elliptic source terms "
                     "from partial boundary observations")

@@ -363,13 +363,33 @@ def export_field(mesh: TriMesh, values: np.ndarray, path: str,
         raise OSError(f"cannot write field to {path}: {exc}") from exc
 
 
+# rows per formatting pass: the text of a whole field at once would raise
+# the peak memory of an export
+_BLOCK_ROWS = 256
+
+
+def _write_rows(fh, fmt: str, rows: np.ndarray):
+    """Write ``fmt % tuple(row)`` and a newline for each row of a 2-D array,
+    the bytes np.savetxt writes, formatted one block of rows per %."""
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        fh.write(((fmt + "\n") * block.shape[0])
+                 % tuple(block.ravel().tolist()))
+
+
+def _write_csv(path, header: str, fmt: str, rows: np.ndarray):
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        _write_rows(fh, fmt, rows)
+
+
 def _write_csv_field(mesh, comps, nodal, path):
     points = mesh.vertices if nodal else mesh.centroids
     k = comps.shape[1]
     names = ["value"] if k == 1 else [f"value_{j + 1}" for j in range(k)]
-    np.savetxt(path, np.column_stack([points, comps]), delimiter=",",
-               fmt=["%.10e", "%.10e"] + ["%.17g"] * k, comments="",
-               header=",".join(["x1", "x2"] + names))
+    _write_csv(path, ",".join(["x1", "x2"] + names),
+               ",".join(["%.10e", "%.10e"] + ["%.17g"] * k),
+               np.column_stack([points, comps]))
 
 
 def _write_vtk_field(mesh, comps, nodal, path, name):
@@ -379,9 +399,9 @@ def _write_vtk_field(mesh, comps, nodal, path, name):
         fh.write(f"{name}\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_vertices} float\n")
-        np.savetxt(fh, mesh.vertices, fmt="%.10e %.10e 0.0")
+        _write_rows(fh, "%.10e %.10e 0.0", mesh.vertices)
         fh.write(f"CELLS {nt} {4 * nt}\n")
-        np.savetxt(fh, mesh.triangles, fmt="3 %d %d %d")
+        _write_rows(fh, "3 %d %d %d", mesh.triangles)
         fh.write(f"CELL_TYPES {nt}\n")
         fh.write("5\n" * nt)
         fh.write(f"{'POINT_DATA' if nodal else 'CELL_DATA'} "
@@ -392,13 +412,12 @@ def _write_vtk_field(mesh, comps, nodal, path, name):
             fh.write(f"VECTORS {name} float\n")
             # VTK vectors have three components
             comps = np.pad(comps, ((0, 0), (0, max(0, 3 - comps.shape[1]))))
-        np.savetxt(fh, comps, fmt="%.10e")
+        _write_rows(fh, " ".join(["%.10e"] * comps.shape[1]), comps)
 
 
 def write_observation_csv(mesh: TriMesh, z: Observation, path: str):
-    np.savetxt(path, np.column_stack([mesh.vertices[z.nodes], z.values]),
-               fmt=["%.10e", "%.10e", "%.17g"], delimiter=",", comments="",
-               header="node_x1,node_x2,z_value")
+    _write_csv(path, "node_x1,node_x2,z_value", "%.10e,%.10e,%.17g",
+               np.column_stack([mesh.vertices[z.nodes], z.values]))
 
 
 def read_observation_csv(path: str, mesh: TriMesh,

@@ -9,13 +9,15 @@ on the mesh's stencil offsets, the boundary mass a dense matrix on the
 observed nodes; element blocks and nodal loads are summed with
 ``np.bincount``, in element order.
 
-The element gradient and its adjoint, applied at every primal-dual step,
-read the mesh's ``gradient_table``: contiguous flat arrays built once per
-mesh.  The gradient takes the two nonzero basis-gradient terms of each
-component, two gathers and two products; the adjoint multiplies the
-stored products areas * grads by the repeated dual field and scatters
-them with ``np.bincount`` over ``triangles.ravel()``.  Both give the
-same bits as the element-by-element sums they replace.
+The element gradient and its adjoint read the mesh's ``gradient_table``:
+contiguous flat arrays built once per mesh, holding the two nonzero
+basis-gradient terms of each (triangle, component) entry.  Both go
+through one pair of kernels that take a two-term coefficient table:
+``table_gather`` (one gather, one product, one add) and ``table_scatter``
+(one product and one ``np.bincount``).  The gradient passes the mesh's
+coefficients and gives the bits of the element-by-element sum; the
+adjoint passes them times the triangle areas.  The primal-dual driver
+passes its own copies with the step constants folded in.
 """
 
 from __future__ import annotations
@@ -162,6 +164,27 @@ def neumann_load(mesh: TriMesh, j: NeumannData) -> np.ndarray:
                        mesh.n_vertices)
 
 
+def table_gather(nodes: np.ndarray, coefs: np.ndarray,
+                 f: np.ndarray) -> np.ndarray:
+    """``coefs[0] * f[nodes[0]] + coefs[1] * f[nodes[1]]``, a flat array.
+
+    ``nodes`` and ``coefs`` are (2, k) arrays, a two-term coefficient
+    table such as the mesh's ``gradient_table``; ``f`` is a float array.
+    """
+    g = f.take(nodes)
+    g *= coefs
+    return g[0] + g[1]
+
+
+def table_scatter(nodes: np.ndarray, coefs: np.ndarray, q: np.ndarray,
+                  n: int) -> np.ndarray:
+    """Nodal sums of ``coefs[j, k] * q[k]`` at node ``nodes[j, k]``: the
+    adjoint of ``table_gather``, summed in the order of the flat (2, k)
+    table, row 0 first.  ``q`` holds k values in C order."""
+    terms = coefs * q.reshape(-1)
+    return np.bincount(nodes.ravel(), terms.ravel(), n)
+
+
 def elem_gradient(mesh: TriMesh, f: P1Field) -> P0VecField:
     """Exact per-triangle gradient of a piecewise-linear field.
 
@@ -170,12 +193,7 @@ def elem_gradient(mesh: TriMesh, f: P1Field) -> P0VecField:
     bit for bit.
     """
     tab = mesh.gradient_table
-    f = np.asarray(f, dtype=float)
-    g = f.take(tab.nodes[0])
-    g *= tab.coefs[0]
-    h = f.take(tab.nodes[1])
-    h *= tab.coefs[1]
-    g += h
+    g = table_gather(tab.nodes, tab.coefs, np.asarray(f, dtype=float))
     g += 0.0  # a zero sums to +0.0, as the dropped term 0.0 * f makes it
     return g.reshape(-1, 2)
 
@@ -185,9 +203,8 @@ def div_adjoint(mesh: TriMesh, p: P0VecField) -> np.ndarray:
 
     The i-th entry is the pairing of grad(phi_i) with p, so dotting the
     result with any nodal vector reproduces the gradient pairing exactly.
+    It scatters the gradient table's two terms times the triangle areas.
     """
-    # row 3*t + i holds |T| grad(phi_i) * p[t], summed over the components
-    terms = np.asarray(p, dtype=float).repeat(3, axis=0)
-    terms *= mesh.gradient_table.area_grads
-    return np.bincount(mesh.triangles.ravel(), terms[:, 0] + terms[:, 1],
-                       mesh.n_vertices)
+    tab = mesh.gradient_table
+    return table_scatter(tab.nodes, tab.coefs * tab.weights,
+                         np.asarray(p, dtype=float), mesh.n_vertices)

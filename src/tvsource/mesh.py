@@ -123,10 +123,9 @@ class GradientTable(NamedTuple):
     ``coefs[0, k] * f[nodes[0, k]] + coefs[1, k] * f[nodes[1, k]]``.
     """
 
-    nodes: np.ndarray       # (2, 2 n_t) int: the two vertices of entry k
-    coefs: np.ndarray       # (2, 2 n_t): their basis-gradient coefficients
-    area_grads: np.ndarray  # (3 n_t, 2): areas * grads, row 3*t + i
-    weights: np.ndarray     # (2 n_t,): the area of triangle t at entry k
+    nodes: np.ndarray    # (2, 2 n_t) int: the two vertices of entry k
+    coefs: np.ndarray    # (2, 2 n_t): their basis-gradient coefficients
+    weights: np.ndarray  # (2 n_t,): the area of triangle t at entry k
 
 
 def _gradient_table(triangles, areas, grads) -> GradientTable:
@@ -153,9 +152,8 @@ def _gradient_table(triangles, areas, grads) -> GradientTable:
         nodes[1, :, c] = np.where(last, triangles[:, 2], triangles[:, 1])
         coefs[0, :, c] = np.where(first, g[:, 0], g[:, 1])
         coefs[1, :, c] = np.where(last, g[:, 2], g[:, 1])
-    area_grads = (areas[:, None, None] * grads).reshape(-1, 2)
     return GradientTable(nodes.reshape(2, -1), coefs.reshape(2, -1),
-                         area_grads, np.repeat(areas, 2))
+                         np.repeat(areas, 2))
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,19 @@ One iteration from (f_n, p_n):
     f~      = 2 f_{n+1} - f_n
     p_{n+1} = project_ball( p_n + (tau*rho/theta) * grad f~ )
 
-where u_a is the adjoint state of the data misfit and div_rep is the
-weighted nodal representer of the divergence.  Both updates solve their
-proximal subproblems exactly in the lumped metric.  A step-size certificate
+where u_a is the adjoint state of the data misfit and div_rep = -D^T p / w
+is the weighted nodal representer of the divergence (D the element
+gradient, w the lumped weights).  Both updates solve their proximal
+subproblems exactly in the lumped metric.  A step-size certificate
 (coercivity constant, trace constant, discrete gradient norm) is checked
 before a run; under it the iterate differences are monotone in the induced
 preconditioner norm and decay like O(1/n).
+
+The driver folds the step constants into its own copies of the mesh's
+two-term gradient table once, so that a step is a few array operations:
+the primal step is clamp_box(f - tau * u_a - (tau*rho/w) D^T p) and the
+dual step project_ball(p + (tau*rho/theta) D f~).  Only the rounding
+differs from the formulas above.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem_assembly import P0VecField, P1Field, div_adjoint, elem_gradient
+from .fem_assembly import P0VecField, P1Field, table_gather, table_scatter
 from .mesh import prolong_p0, prolong_p1
 from .pde_solvers import DiscreteProblem, Observation
 from .sparse_linalg import grad_operator_norm
@@ -183,16 +190,16 @@ def compatible_start(dp: DiscreteProblem):
     return f0, p0
 
 
-def extrapolate(f_new: P1Field, f_old: P1Field) -> P1Field:
-    """Over-relaxed point 2*f_new - f_old (may leave the box on purpose)."""
-    out = 2.0 * f_new
-    out -= f_old
-    return out
-
-
 class PdDriver:
     """Primal-dual iteration bound to one assembled problem; raises
-    ValueError unless ``certify_steps_empirical`` admits its steps there."""
+    ValueError unless ``certify_steps_empirical`` admits its steps there.
+
+    Next to the certificate it builds the step tables: the mesh's two-term
+    gradient table (``GradientTable``) with its coefficients times
+    sigma = tau*rho/theta for the dual step, and times
+    |T| * tau*rho / w[node] for the divergence of the primal step, and the
+    weights w / tau^2 of the stopping norm.
+    """
 
     def __init__(self, dp: DiscreteProblem, params: PdParams):
         self.dp = dp
@@ -204,26 +211,22 @@ class PdDriver:
                 f"step-size condition violated: lhs {cert.lhs:.6g} "
                 f"<= rhs {cert.rhs:.6g}; decrease tau or rho")
         self._t1, self._t2 = params.stopping_offsets(self.dp.mesh.mesh_size)
+        tab, tau_rho = dp.mesh.gradient_table, params.tau * params.rho
+        self._nodes = tab.nodes
+        self._grad_coefs = tab.coefs * (tau_rho / params.theta)
+        self._div_coefs = tab.coefs * tab.weights * tau_rho / dp.w[tab.nodes]
+        self._w_tau2 = dp.w / params.tau**2
 
     # -- single updates ------------------------------------------------------
-
-    def div_rep(self, p: P0VecField) -> np.ndarray:
-        """Nodal representer of div p in the lumped metric."""
-        d = div_adjoint(self.dp.mesh, p)
-        np.negative(d, out=d)
-        d /= self.dp.w
-        return d
 
     def primal_step(self, f: P1Field, p: P0VecField,
                     u_adjoint: P1Field) -> P1Field:
         """Exact solution of the box-constrained primal proximal subproblem,
-        clamp_box(f - tau * (u_adjoint - rho * div_rep(p)))."""
+        clamp_box(f - tau * u_adjoint - (tau*rho/w) D^T p)."""
         lo, hi = self.box
-        step = self.div_rep(p)
-        step *= self.params.rho
-        np.subtract(u_adjoint, step, out=step)
-        step *= self.params.tau
+        step = u_adjoint * self.params.tau
         np.subtract(f, step, out=step)
+        step -= table_scatter(self._nodes, self._div_coefs, p, f.shape[0])
         # clip keeps a -0.0 at a zero bound, as np.maximum would not; the
         # method skips np.clip's dispatch
         return step.clip(lo, hi, out=step)
@@ -231,23 +234,21 @@ class PdDriver:
     def dual_step(self, p: P0VecField, f_tilde: P1Field) -> P0VecField:
         """Exact solution of the ball-constrained dual proximal subproblem,
         project_ball(p + (tau*rho/theta) * grad f_tilde)."""
-        step = elem_gradient(self.dp.mesh, f_tilde)
-        step *= self.params.tau * self.params.rho / self.params.theta
-        step += p
-        return project_dual_ball(step)
+        step = table_gather(self._nodes, self._grad_coefs, f_tilde)
+        step += p.reshape(-1)
+        return project_dual_ball(step.reshape(p.shape))
 
-    def stopping_value(self, f: P1Field, f_next: P1Field,
+    def stopping_value(self, residual: P1Field,
                        g0_norm: float | None = None) -> tuple[float, float]:
-        """Stopping functional at f, given its primal step f_next.
+        """Stopping functional at f, given the residual f - f_next of its
+        primal step.
 
         The lumped norm of the fixed-point residual (f - f_next) / tau minus
         the offsets t1 and t2 * g0_norm, where g0_norm is that norm at the
         run's first iterate (this one, when None).  Returns the value and
-        g0_norm.
+        g0_norm; a NaN in f_next makes the value NaN.
         """
-        residual = f - f_next
-        residual /= self.params.tau
-        g_norm = self.dp.lumped_norm(residual)
+        g_norm = math.sqrt((self._w_tau2 * residual) @ residual)
         if g0_norm is None:
             g0_norm = g_norm
         return g_norm - self._t1 - self._t2 * g0_norm, g0_norm
@@ -313,33 +314,40 @@ class PdDriver:
             np.asarray(default_p if p0 is None else p0, dtype=float))
         state = PdState(f=f, p=p, n=0)
         z_gamma = dp.observed_values(z)
-        bmap = dp.boundary_map
+        w, M_gamma, bmap = dp.w, dp.M_gamma, dp.boundary_map
+        G, trace, history = bmap.G, bmap.trace, state.history
+        primal_step, dual_step = self.primal_step, self.dual_step
+        stopping_value, max_iter = self.stopping_value, prm.max_iter
 
         g0_norm = None
-        for n in range(prm.max_iter + 1):
-            u_gamma = bmap.trace(dp.w * f)
+        for n in range(max_iter + 1):
+            u_gamma = trace(w * f)
             r = u_gamma - z_gamma
-            m_r = dp.M_gamma @ r
+            m_r = M_gamma @ r
             misfit = 0.5 * float(r @ m_r)
             if not math.isfinite(misfit):  # before a step from this iterate
                 raise ValueError(
                     f"data misfit {misfit} at iteration {n}: the "
                     "observation values are out of range")
-            u_a = bmap.G @ m_r
-            f_next = self.primal_step(f, p, u_a)
-            tol_val, g0_norm = self.stopping_value(f, f_next, g0_norm)
+            u_a = G @ m_r
+            f_next = primal_step(f, p, u_a)
+            residual = f - f_next
+            tol_val, g0_norm = stopping_value(residual, g0_norm)
             record = IterationRecord(n, misfit, tol_val)
-            state.history.append(record)
+            history.append(record)
             if on_iteration is not None:
                 on_iteration(n, f, p, u_gamma, u_a)
-            if tol_val <= 0.0 or n == prm.max_iter:
+            if tol_val <= 0.0 or n == max_iter:
                 break
 
-            p_next = self.dual_step(p, extrapolate(f_next, f))
-            if not (lo <= f_next.min() and f_next.max() <= hi):
+            # after the clip only a NaN leaves the box, and a NaN in f_next
+            # makes its stopping value NaN
+            if math.isnan(tol_val):
                 raise RuntimeError(
                     f"primal iterate left the box at iteration {n + 1}")
-            if not abs(p_next).max() <= 1.0 + 1e-15:
+            # the extrapolated point f~ = f_next - (f - f_next)
+            p_next = dual_step(p, np.subtract(f_next, residual, out=residual))
+            if not abs(p_next).max() <= 1.0 + 1e-15:  # NaN fails it too
                 raise RuntimeError(
                     f"dual iterate left the unit ball at iteration {n + 1}")
             if prm.record_b_norms:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tvsource.experiment import build_benchmark_problem
-from tvsource.fem_assembly import (CoefficientSet, NeumannData, div_adjoint,
-                                   elem_gradient)
+from tvsource.fem_assembly import CoefficientSet, NeumannData, div_adjoint
 from tvsource.mesh import GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, ProblemDef
 from tvsource.sparse_linalg import SymmetricStencil
@@ -21,22 +20,42 @@ def benchmark_dp(level: int, gamma_case: str = "bottom",
     return dp, f_truth
 
 
+def div_rep(driver, p):
+    """Nodal representer -D^T p / w of the divergence, as the textbook
+    primal step writes it."""
+    return -div_adjoint(driver.dp.mesh, p) / driver.dp.w
+
+
+def step_tables(dp, params):
+    """The nodes and the folded coefficient tables of a driver's dual and
+    primal steps, built here from the mesh: sigma * coefs, with sigma =
+    tau*rho/theta, and coefs * |T| * tau*rho / w[node]."""
+    tab = dp.mesh.gradient_table
+    tau_rho = params.tau * params.rho
+    return (tab.nodes, tab.coefs * (tau_rho / params.theta),
+            tab.coefs * tab.weights * tau_rho / dp.w[tab.nodes])
+
+
 def reference_primal_step(driver, f, p, u_a):
-    """The primal step as one expression: new arrays at every operation and
-    np.clip onto the box."""
+    """The primal step as one expression, clip(f - tau*u_a - (tau*rho/w)
+    D^T p): new arrays at every operation, np.add.at for the divergence
+    and np.clip onto the box."""
     prm, (lo, hi) = driver.params, driver.box
-    div_rep = -div_adjoint(driver.dp.mesh, p) / driver.dp.w
-    return np.clip(f - prm.tau * (u_a - prm.rho * div_rep), lo, hi)
+    nodes, _, div = step_tables(driver.dp, prm)
+    d = np.zeros(driver.dp.mesh.n_vertices)
+    np.add.at(d, nodes.ravel(), (div * np.ravel(p)).ravel())
+    return np.clip(f - prm.tau * u_a - d, lo, hi)
 
 
 def reference_run(driver, z, f0, p0):
     """``driver.run(z, f0, p0)`` written one expression per update, with
-    np.clip and np.sum, and the objective (misfit plus rho * TV) evaluated
+    np.clip, and the objective (misfit plus rho * TV) evaluated
     at every iterate: the reference for the run's bits.  Returns the visited (f, p)
     pairs and the misfit, stopping-value and objective histories."""
     dp, prm = driver.dp, driver.params
     mesh, (lo, hi) = dp.mesh, driver.box
     G, flux_trace = dp.boundary_map.G, dp.boundary_map.flux_trace
+    nodes, grad, _ = step_tables(dp, prm)
     t1, t2 = prm.stopping_offsets(mesh.mesh_size)
     f = np.clip(np.asarray(f0, dtype=float), lo, hi)
     p = np.clip(np.asarray(p0, dtype=float), -1.0, 1.0)
@@ -46,8 +65,8 @@ def reference_run(driver, z, f0, p0):
         r = G.T @ (dp.w * f) + flux_trace - z.values
         m_r = dp.M_gamma @ r
         f_next = reference_primal_step(driver, f, p, G @ m_r)
-        g = (f - f_next) / prm.tau
-        g_norm = float(np.sqrt(np.sum(dp.w * g * g)))
+        residual = f - f_next
+        g_norm = float(np.sqrt(dp.w / prm.tau**2 * residual @ residual))
         g0_norm = g_norm if g0_norm is None else g0_norm
         misfit = 0.5 * float(r @ m_r)
         iterates.append((f, p))
@@ -56,9 +75,9 @@ def reference_run(driver, z, f0, p0):
         objectives.append(misfit + prm.rho * tv_value(mesh, f))
         if tolerances[-1] <= 0.0 or n == prm.max_iter:
             break
-        f_tilde = 2.0 * f_next - f
-        scale = prm.tau * prm.rho / prm.theta
-        p = np.clip(p + scale * elem_gradient(mesh, f_tilde), -1.0, 1.0)
+        f_tilde = f_next - (f - f_next)
+        step = grad[0] * f_tilde[nodes[0]] + grad[1] * f_tilde[nodes[1]]
+        p = np.clip(p + step.reshape(p.shape), -1.0, 1.0)
         f = f_next
     return iterates, misfits, tolerances, objectives
 

@@ -307,6 +307,31 @@ class TestWritersMatchReference:
         assert out.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "vtk"])
+def test_writers_match_reference_across_blocks(tmp_path, monkeypatch, fmt):
+    # blocks of 7 rows split every section of a level-4 file, none evenly
+    monkeypatch.setattr(tvsource.experiment, "_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(3)
+    mesh = build_structured(4)
+    for nodal, comps in [(True, 1), (False, 2)]:
+        values = TestWritersMatchReference._values(
+            mesh.n_vertices if nodal else mesh.n_triangles, comps, rng)
+        out, ref = tmp_path / f"out.{fmt}", tmp_path / f"ref.{fmt}"
+        export_field(mesh, values if comps > 1 else values[:, 0], str(out),
+                     fmt, name="field")
+        if fmt == "csv":
+            _ref_csv_field(mesh, values, nodal, str(ref))
+        else:
+            _ref_vtk_field(mesh, values, nodal, str(ref), "field")
+        assert out.read_bytes() == ref.read_bytes()
+    dp, _ = benchmark_dp(16)
+    z = Observation(dp.gamma_nodes, np.resize(EDGE_VALUES, 17))
+    out, ref = tmp_path / "out_obs.csv", tmp_path / "ref_obs.csv"
+    write_observation_csv(dp.mesh, z, str(out))
+    _ref_observation_csv(dp.mesh, z, str(ref))
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
@@ -842,6 +867,18 @@ class TestCli:
         assert cli_main(argv + [str(tmp_path / "b"), "--box", "-1", "3"]) == 0
         assert ((tmp_path / "a" / "table.csv").read_bytes()
                 == (tmp_path / "b" / "table.csv").read_bytes())
+
+    def test_box_takes_a_negative_bound_in_exponent_form(self, tmp_path):
+        argv = ["bench", "--levels", "4", "--max-iter", "20", "--format",
+                "none", "--out"]
+        assert cli_main(argv + [str(tmp_path / "a")]) == 0
+        assert cli_main(argv + [str(tmp_path / "b"), "--box", "-1e0",
+                                "3"]) == 0
+        assert ((tmp_path / "a" / "table.csv").read_bytes()
+                == (tmp_path / "b" / "table.csv").read_bytes())
+        args = tvsource.cli.build_parser().parse_args(
+            ["solve", "obs.csv", "--level", "4", "--box", "-.5E+0", "2e0"])
+        assert args.box == [-0.5, 2.0]
 
     def test_solve_overflowing_observation_one_line_exit_2(self, tmp_path,
                                                             capsys):

@@ -16,7 +16,8 @@ from tvsource.experiment import (ExperimentConfig, benchmark_flux,
                                  synthesize_observation)
 from tvsource.tv_calculus import gradient_pairing, tv_value
 
-from conftest import benchmark_dp, dense, dense_boundary_mass, random_dp
+from conftest import (benchmark_dp, dense, dense_boundary_mass, random_dp,
+                      step_tables)
 
 # two-triangle unit-level mesh of (-1,1)^2, nodes ordered
 # (-1,-1), (1,-1), (-1,1), (1,1); assembled by hand from the
@@ -253,15 +254,23 @@ class TestNeumannLoad:
 @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
 def test_scatters_equal_add_at_references(level, seed):
     # the divergence and the flux load sum the same terms in the same order
-    # as np.einsum and np.add.at would, so the results are equal bit for bit
+    # as np.add.at would, so the results are equal bit for bit; the
+    # divergence sums the gradient table's two terms row by row, and is
+    # the three-term element sum up to rounding
     mesh = build_structured(level)
     rng = np.random.default_rng(seed)
     n = mesh.n_vertices
     p = rng.standard_normal((mesh.n_triangles, 2))
+    tab = mesh.gradient_table
     ref = np.zeros(n)
-    np.add.at(ref, mesh.triangles.ravel(),
-              np.einsum("t,tia,ta->ti", mesh.areas, mesh.grads, p).ravel())
-    assert np.array_equal(div_adjoint(mesh, p), ref)
+    np.add.at(ref, tab.nodes.ravel(),
+              (tab.coefs * tab.weights * p.ravel()).ravel())
+    div = div_adjoint(mesh, p)
+    assert np.array_equal(div, ref)
+    terms = np.einsum("t,tia,ta->tia", mesh.areas, mesh.grads, p)
+    bound = np.bincount(mesh.triangles.ravel(),
+                        np.abs(terms).sum(axis=2).ravel(), n)
+    assert np.all(np.abs(div - _ref_div_adjoint(mesh, p)) <= 1e-14 * bound)
     flux = NeumannData(rng.standard_normal(len(mesh.boundary_edges)))
     ref = np.zeros(n)
     np.add.at(ref, mesh.boundary_edges.ravel(),
@@ -356,7 +365,9 @@ class TestKernelsMatchReference:
 
     def test_loop_matches_reference_kernels(self, monkeypatch):
         # 40 primal-dual iterations at level 8 end on the same bits with
-        # the element-by-element kernels
+        # the step kernels written as fancy indexing and np.add.at over
+        # step tables built in the test, and the element-by-element total
+        # variation
         dp, f_truth = benchmark_dp(8)
         z = synthesize_observation(dp, f_truth, 0.0, 0)
         params = primal_dual.PdParams(
@@ -368,11 +379,26 @@ class TestKernelsMatchReference:
             assert state.n == 40
             return state, np.array([r.misfit for r in state.history])
 
+        nodes, grad, div = step_tables(dp, params)
+        calls = []
+
+        def ref_gather(_nodes, _coefs, f):  # the dual step's gradient
+            calls.append("gather")
+            return grad[0] * f[nodes[0]] + grad[1] * f[nodes[1]]
+
+        def ref_scatter(_nodes, _coefs, q, n):  # the primal step's div
+            calls.append("scatter")
+            out = np.zeros(n)
+            np.add.at(out, nodes.ravel(), (div * np.ravel(q)).ravel())
+            return out
+
         state, misfits = run()
-        monkeypatch.setattr(primal_dual, "elem_gradient", _ref_elem_gradient)
-        monkeypatch.setattr(primal_dual, "div_adjoint", _ref_div_adjoint)
+        monkeypatch.setattr(primal_dual, "table_gather", ref_gather)
+        monkeypatch.setattr(primal_dual, "table_scatter", ref_scatter)
         monkeypatch.setattr(primal_dual, "tv_value", _ref_tv_value)
         ref_state, ref_misfits = run()
+        # every step ran on the reference kernels
+        assert calls.count("gather") == 40 and calls.count("scatter") == 41
         assert state.f.tobytes() == ref_state.f.tobytes()
         assert state.p.tobytes() == ref_state.p.tobytes()
         assert misfits.tobytes() == ref_misfits.tobytes()

@@ -15,13 +15,13 @@ from tvsource import pde_solvers, primal_dual
 from tvsource.pde_solvers import DiscreteProblem, Observation
 from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   certify_steps, certify_steps_empirical,
-                                  coercivity_c1, compatible_start, extrapolate,
+                                  coercivity_c1, compatible_start,
                                   multilevel_run, run, smooth_operator_norm,
                                   trace_constant)
 from tvsource.tv_calculus import gradient_pairing
 
-from conftest import (benchmark_dp, dense, random_dp, reference_primal_step,
-                      reference_run)
+from conftest import (benchmark_dp, dense, div_rep, random_dp,
+                      reference_primal_step, reference_run)
 
 
 class TestConstants:
@@ -134,14 +134,6 @@ def test_stopping_offsets_reference_values():
     assert t2 == pytest.approx(8.409e-5, rel=1e-4)
 
 
-def test_extrapolate(rng):
-    f_old = rng.standard_normal(10)
-    assert np.array_equal(extrapolate(f_old, f_old), f_old)
-    assert np.array_equal(extrapolate(np.ones(3), np.zeros(3)), 2.0 * np.ones(3))
-    f_new = rng.standard_normal(10)
-    assert np.allclose(extrapolate(f_new, f_old), 2 * f_new - f_old)
-
-
 @pytest.fixture(scope="module")
 def driver2():
     """Small driver on the level-2 benchmark problem."""
@@ -195,18 +187,58 @@ def test_dual_step_matches_separable_oracle(driver2, rng):
                 assert abs(step[t, j] - best) <= 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 8, 16]),
+       st.sampled_from([(-1.0, 3.0), (0.0, 3.0)]), st.floats(0.5, 8.0),
+       st.integers(0, 2**32 - 1))
+def test_folded_steps_match_textbook_steps(level, box, tau, seed):
+    # the steps with the constants folded into the driver's tables equal
+    # the textbook updates up to rounding in each of their terms
+    dp, _ = benchmark_dp(level, box=box)
+    rho = ExperimentConfig().level_params(dp.mesh.mesh_size).rho
+    driver = PdDriver(dp, PdParams(rho=rho, tau=tau, theta=5e-2,
+                                   max_iter=1))
+    mesh, w, (lo, hi) = dp.mesh, dp.w, box
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(lo, hi, mesh.n_vertices)
+    f_tilde = rng.uniform(2 * lo - hi, 2 * hi - lo, mesh.n_vertices)
+    p = rng.uniform(-1.0, 1.0, (mesh.n_triangles, 2))
+    u_a = 1e-3 * rng.standard_normal(mesh.n_vertices)
+    sigma = tau * rho / 5e-2
+
+    textbook = np.clip(f - tau * (u_a - rho * div_rep(driver, p)), lo, hi)
+    tab = mesh.gradient_table
+    abs_div = np.bincount(tab.nodes.ravel(),
+                          (np.abs(tab.coefs) * tab.weights
+                           * np.abs(p).ravel()).ravel(), mesh.n_vertices)
+    scale = np.abs(f) + tau * np.abs(u_a) + tau * rho * abs_div / w
+    assert np.all(np.abs(driver.primal_step(f, p, u_a) - textbook)
+                  <= 1e-13 * scale)
+
+    textbook = np.clip(p + sigma * elem_gradient(mesh, f_tilde), -1.0, 1.0)
+    abs_grad = (np.abs(tab.coefs) * np.abs(f_tilde)[tab.nodes]).sum(axis=0)
+    scale = np.abs(p) + sigma * abs_grad.reshape(p.shape)
+    assert np.all(np.abs(driver.dual_step(p, f_tilde) - textbook)
+                  <= 1e-13 * scale)
+
+    # and the stopping norm, the lumped norm of the residual over tau
+    residual = f - f_tilde
+    _, g_norm = driver.stopping_value(residual)
+    assert g_norm == pytest.approx(dp.lumped_norm(residual / tau), rel=1e-13)
+
+
 def test_stopping_value_negative_at_fixed_point(driver2, rng):
     dp = driver2.dp
     lo, hi = driver2.box
     f = rng.uniform(lo + 0.2, hi - 0.2, dp.mesh.n_vertices)
     p = rng.uniform(-1, 1, (dp.mesh.n_triangles, 2))
-    u_a = driver2.params.rho * driver2.div_rep(p)  # balances the dual pull
+    u_a = driver2.params.rho * div_rep(driver2, p)  # balances the dual pull
     f_next = driver2.primal_step(f, p, u_a)
     assert np.max(np.abs(f - f_next)) / driver2.params.tau <= 1e-12
-    value, g0_norm = driver2.stopping_value(f, f_next, g0_norm=1.0)
+    value, g0_norm = driver2.stopping_value(f - f_next, g0_norm=1.0)
     assert value < 0.0 and g0_norm == 1.0
     # without a first-iterate norm, this iterate's residual norm is used
-    _, g0_norm = driver2.stopping_value(f, f_next)
+    _, g0_norm = driver2.stopping_value(f - f_next)
     assert g0_norm <= 1e-12
 
 
@@ -392,6 +424,25 @@ def test_run_raises_when_dual_leaves_ball(monkeypatch):
         driver.run(z)
 
 
+def test_run_raises_when_primal_iterate_leaves_the_box():
+    # after the clip only a NaN leaves the box; the check reads it from the
+    # step's stopping value, before the dual step
+    driver, _, z, f0, p0 = _short_run(record=False)
+    primal_step, dual_steps = driver.primal_step, []
+
+    def nan_step(f, p, u_a):
+        out = primal_step(f, p, u_a)
+        out[3] = np.nan
+        return out
+
+    driver.primal_step = nan_step
+    driver.dual_step = lambda *args: dual_steps.append(args)
+    with pytest.raises(RuntimeError,
+                       match="primal iterate left the box at iteration 1"):
+        driver.run(z, f0, p0)
+    assert dual_steps == []
+
+
 def _bytes(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
@@ -416,10 +467,16 @@ def test_run_is_bit_identical_to_reference_loop(data, level, box, max_iter,
     p0 = data.draw(arrays(np.float64, (nt, 2), elements=st.floats(-1, 1)))
     p0[data.draw(arrays(bool, (nt, 2)))] = -0.0
 
-    # a balanced adjoint makes the step f - tau * 0.0, which keeps -0.0
-    u_a = rho * driver.div_rep(p0)
+    u_a = data.draw(arrays(np.float64, n, elements=st.floats(-1, 1)))
     assert (driver.primal_step(f0, p0, u_a).tobytes()
             == reference_primal_step(driver, f0, p0, u_a).tobytes())
+    # with no adjoint and no dual pull the step is f - 0.0 - 0.0, which
+    # keeps -0.0, and so does the clip at a zero bound
+    zeros = np.zeros(n)
+    step = driver.primal_step(f0, 0.0 * p0, zeros)
+    assert (step.tobytes()
+            == reference_primal_step(driver, f0, 0.0 * p0, zeros).tobytes())
+    assert step.tobytes() == np.clip(f0, *box).tobytes()
 
     visited, hook_objectives = [], []
 
