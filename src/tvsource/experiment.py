@@ -8,6 +8,7 @@ together with optional field exports.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -332,9 +333,9 @@ def export_benchmark(config: ExperimentConfig, records, runs):
     for run_ in runs:
         mesh = run_.problem.mesh
         base = os.path.join(config.out_dir, f"level{run_.level}")
-        export_field(mesh, run_.state.f, f"{base}_f.{ext}", ext,
-                     name="reconstruction")
-        export_field(mesh, run_.state.p, f"{base}_p.{ext}", ext, name="dual")
+        _export_fields(mesh, [(run_.state.f, f"{base}_f.{ext}",
+                               "reconstruction"),
+                              (run_.state.p, f"{base}_p.{ext}", "dual")], ext)
         write_observation_csv(mesh, run_.observation,
                               f"{base}_observation.csv")
 
@@ -347,20 +348,33 @@ def export_field(mesh: TriMesh, values: np.ndarray, path: str,
     vector components expanded into extra columns.  Output is byte-stable
     for identical inputs.
     """
-    values = np.asarray(values, dtype=float)
-    nodal = values.shape[0] == mesh.n_vertices
-    if not nodal and values.shape[0] != mesh.n_triangles:
-        raise ValueError("field length matches neither nodes nor triangles")
-    comps = values.reshape(values.shape[0], -1)
+    _export_fields(mesh, [(values, path, name)], fmt)
+
+
+def _export_fields(mesh: TriMesh, fields, fmt: str):
+    """``export_field`` for each ``(values, path, name)`` of ``fields``, all
+    on ``mesh``; their VTK files share the POINTS and CELLS text, which is
+    formatted once."""
+    parsed = []
+    for values, path, name in fields:
+        values = np.asarray(values, dtype=float)
+        nodal = values.shape[0] == mesh.n_vertices
+        if not nodal and values.shape[0] != mesh.n_triangles:
+            raise ValueError("field length matches neither nodes nor "
+                             "triangles")
+        parsed.append((values.reshape(values.shape[0], -1), nodal, path,
+                       name))
     try:
         if fmt == "csv":
-            _write_csv_field(mesh, comps, nodal, path)
+            for comps, nodal, path, _ in parsed:
+                _write_csv_field(mesh, comps, nodal, path)
         elif fmt == "vtk":
-            _write_vtk_field(mesh, comps, nodal, path, name)
+            _write_vtk_fields(mesh, parsed)
         else:
             raise ValueError(f"unknown export format {fmt!r}")
     except OSError as exc:
-        raise OSError(f"cannot write field to {path}: {exc}") from exc
+        paths = ", ".join(path for _, path, _ in fields)
+        raise OSError(f"cannot write field to {paths}: {exc}") from exc
 
 
 # rows per formatting pass: the text of a whole field at once would raise
@@ -368,19 +382,21 @@ def export_field(mesh: TriMesh, values: np.ndarray, path: str,
 _BLOCK_ROWS = 256
 
 
-def _write_rows(fh, fmt: str, rows: np.ndarray):
-    """Write ``fmt % tuple(row)`` and a newline for each row of a 2-D array,
-    the bytes np.savetxt writes, formatted one block of rows per %."""
+def _write_rows(fhs, fmt: str, rows: np.ndarray):
+    """Write ``fmt % tuple(row)`` and a newline for each row of a 2-D array
+    into each file of ``fhs``, the bytes np.savetxt writes, formatted one
+    block of rows per %."""
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
-        fh.write(((fmt + "\n") * block.shape[0])
-                 % tuple(block.ravel().tolist()))
+        text = ((fmt + "\n") * block.shape[0]) % tuple(block.ravel().tolist())
+        for fh in fhs:
+            fh.write(text)
 
 
 def _write_csv(path, header: str, fmt: str, rows: np.ndarray):
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        _write_rows(fh, fmt, rows)
+        _write_rows([fh], fmt, rows)
 
 
 def _write_csv_field(mesh, comps, nodal, path):
@@ -392,27 +408,37 @@ def _write_csv_field(mesh, comps, nodal, path):
                np.column_stack([points, comps]))
 
 
-def _write_vtk_field(mesh, comps, nodal, path, name):
+def _write_vtk_fields(mesh, fields):
+    """One legacy ASCII VTK file per ``(comps, nodal, path, name)``, all
+    open at once, so that each block of the mesh's POINTS and CELLS is
+    formatted once and written into every file."""
     nt = mesh.n_triangles
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write(f"{name}\n")
-        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_vertices} float\n")
-        _write_rows(fh, "%.10e %.10e 0.0", mesh.vertices)
-        fh.write(f"CELLS {nt} {4 * nt}\n")
-        _write_rows(fh, "3 %d %d %d", mesh.triangles)
-        fh.write(f"CELL_TYPES {nt}\n")
-        fh.write("5\n" * nt)
-        fh.write(f"{'POINT_DATA' if nodal else 'CELL_DATA'} "
-                 f"{mesh.n_vertices if nodal else nt}\n")
-        if comps.shape[1] == 1:
-            fh.write(f"SCALARS {name} float 1\nLOOKUP_TABLE default\n")
-        else:
-            fh.write(f"VECTORS {name} float\n")
-            # VTK vectors have three components
-            comps = np.pad(comps, ((0, 0), (0, max(0, 3 - comps.shape[1]))))
-        _write_rows(fh, " ".join(["%.10e"] * comps.shape[1]), comps)
+    with contextlib.ExitStack() as stack:
+        fhs = [stack.enter_context(open(path, "w")) for *_, path, _ in fields]
+        for fh, (*_, name) in zip(fhs, fields):
+            fh.write("# vtk DataFile Version 2.0\n")
+            fh.write(f"{name}\n")
+            fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+            fh.write(f"POINTS {mesh.n_vertices} float\n")
+        _write_rows(fhs, "%.10e %.10e 0.0", mesh.vertices)
+        for fh in fhs:
+            fh.write(f"CELLS {nt} {4 * nt}\n")
+        _write_rows(fhs, "3 %d %d %d", mesh.triangles)
+        cell_types = f"CELL_TYPES {nt}\n" + "5\n" * nt
+        for fh, (comps, nodal, _, name) in zip(fhs, fields):
+            fh.write(cell_types)
+            fh.write(f"{'POINT_DATA' if nodal else 'CELL_DATA'} "
+                     f"{mesh.n_vertices if nodal else nt}\n")
+            k = comps.shape[1]
+            if k == 1:
+                fh.write(f"SCALARS {name} float 1\nLOOKUP_TABLE default\n")
+                fmt = "%.10e"
+            else:
+                fh.write(f"VECTORS {name} float\n")
+                # VTK vectors have three components: the missing ones are
+                # written as the text of a formatted 0.0
+                fmt = " ".join(["%.10e"] * k + [f"{0.0:.10e}"] * (3 - k))
+            _write_rows([fh], fmt, comps)
 
 
 def write_observation_csv(mesh: TriMesh, z: Observation, path: str):

@@ -23,7 +23,6 @@ quantities are Gamma-vectors: one value per node of ``gamma_nodes``.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,19 +120,29 @@ class DiscreteProblem:
     @functools.cached_property
     def boundary_map(self) -> BoundaryMap:
         """The solution map restricted to the observed nodes, built on first
-        use from one factorization of A, four columns at a time; the
-        factorization is dropped once G is built, so the loop holds G alone.
-        The work arrays of a block solve next to G and the factorization
-        set the peak memory of the build (at level 64, 0.6 MB lower than
-        with eight columns, for 25 ms more)."""
+        use by one checked block solve in place on G, which holds the unit
+        loads at the observed nodes (deflated in the pure-Neumann case) on
+        entry: G is the only n x m array of the build.  The factorization
+        is freed after its sweeps, so neither the residual check nor the
+        loop holds it."""
         nodes, n = self.gamma_nodes, self.mesh.n_vertices
-        G = np.empty((n, nodes.shape[0]))
-        factor = self._factor()
-        for start in range(0, nodes.shape[0], 4):
-            cols = nodes[start:start + 4]
-            unit = np.zeros((n, cols.shape[0]))
-            unit[cols, np.arange(cols.shape[0])] = 1.0
-            G[:, start:start + cols.shape[0]] = self._solve(unit, factor)
+        cols = np.arange(nodes.shape[0])
+        # the deflation -w/|Omega| of every unit load, bit for bit _solve's
+        shift = self.w * (-1.0 / self.domain_volume if self.pure_neumann
+                          else 0.0)
+
+        def unit_loads(chunk, out=None):
+            """Columns ``chunk`` (a slice) of the loads, in ``out`` if
+            given."""
+            j = cols[chunk]
+            b = np.empty((n, j.shape[0]), order="F") if out is None else out
+            b[:] = shift[:, None]
+            b[nodes[j], np.arange(j.shape[0])] += 1.0
+            return b
+
+        G = unit_loads(slice(None), np.empty((n, nodes.shape[0])))
+        G = self._recentred(_checked_solve(self.A, self._factor, unit_loads,
+                                           self.cg_tol, out=G))
         return BoundaryMap(G, G.T @ self.b_flux)
 
     def release_loop_arrays(self):
@@ -147,11 +156,6 @@ class DiscreteProblem:
     def lumped_inner(self, u, v) -> float:
         return float(np.sum(self.w * u * v))
 
-    def lumped_norm(self, u) -> float:
-        q = self.w * u
-        q *= u
-        return math.sqrt(q.sum())
-
     def l2_norm(self, u) -> float:
         return float(np.sqrt(u @ (self.M @ u)))
 
@@ -164,18 +168,20 @@ class DiscreteProblem:
 
     # -- solves ------------------------------------------------------------
 
-    def _solve(self, rhs, factor: BlockTridiagonalFactor | None = None):
+    def _solve(self, rhs):
         """Checked factored solution for one load (n,) or for each column of
-        an (n, k) block of loads, with ``factor`` (from ``_factor``) or, when
-        None, a factorization made for this call; a pure-Neumann load is
-        first deflated onto the range of A and its solution re-centred to
-        zero weighted mean."""
+        an (n, k) block of loads, with a factorization made for this call;
+        a pure-Neumann load is first deflated onto the range of A and its
+        solution re-centred to zero weighted mean."""
         if self.pure_neumann:
             rhs = rhs - np.multiply.outer(
                 self.w, rhs.sum(axis=0) / self.domain_volume)
-        if factor is None:
-            factor = self._factor()
-        x = _checked_solve(self.A, factor, rhs, self.cg_tol)
+        return self._recentred(
+            _checked_solve(self.A, self._factor, rhs, self.cg_tol))
+
+    def _recentred(self, x):
+        """``x``, in the pure-Neumann case shifted in place to zero weighted
+        mean (each column of a block)."""
         if self.pure_neumann:
             x -= (self.w @ x) / self.domain_volume
         return x
@@ -230,26 +236,36 @@ class DiscreteProblem:
         rhs = self.w * f - self.A @ u
         rhs[bnodes] = 0.0
         A_pin = self.A.pinned(bnodes)
-        factor = BlockTridiagonalFactor(A_pin, self.mesh.level + 1)
-        x = _checked_solve(A_pin, factor, rhs, self.cg_tol)
+        x = _checked_solve(A_pin, functools.partial(
+            BlockTridiagonalFactor, A_pin, self.mesh.level + 1), rhs,
+            self.cg_tol)
         x[bnodes] = u[bnodes]
         return x
 
 
-def _checked_solve(A, factor: BlockTridiagonalFactor, rhs, tol: float):
-    """Factored solution of A x = rhs for one load (n,) or for each column
-    of an (n, k) block.  Every column's residual is checked in one block
-    product; a column that misses the relative target ``tol`` is polished
-    by CG."""
-    x = factor.solve(rhs)
-    res = A @ x
-    res -= rhs
-    shape, n = x.shape, x.shape[0]
-    x, res, rhs = (np.reshape(a, (n, -1)) for a in (x, res, rhs))
-    for j in np.flatnonzero(np.linalg.norm(res, axis=0)
-                            > tol * np.linalg.norm(rhs, axis=0)):
-        x[:, j], _ = cg_solve(A, rhs[:, j], tol=tol, x0=x[:, j])
-    return x.reshape(shape)
+def _checked_solve(A, make_factor, rhs, tol: float, out=None):
+    """Solution of A x = b for one load b (n,) or for each column of an
+    (n, k) block, by a factorization from ``make_factor()`` that is freed
+    after its solve.  ``rhs`` is b; or, for a solve in place on ``out``,
+    which holds b on entry, a function that returns the columns of b in a
+    slice.  The residuals are checked four columns at a time, so the check
+    holds a few columns next to x and never the factorization; a column
+    that misses the relative target ``tol`` is polished by CG."""
+    x = make_factor().solve(rhs if out is None else out, out=out)
+    cols = np.reshape(x, (x.shape[0], -1))
+    for start in range(0, cols.shape[1], 4):
+        chunk = slice(start, start + 4)
+        # column-major copies: the stencil product runs along whole columns
+        x_c = np.asfortranarray(cols[:, chunk])
+        b = np.asfortranarray(rhs(chunk) if out is not None else np.reshape(
+            rhs, cols.shape)[:, chunk])
+        res = A @ x_c
+        res -= b
+        for j in np.flatnonzero(np.linalg.norm(res, axis=0)
+                                > tol * np.linalg.norm(b, axis=0)):
+            cols[:, start + j], _ = cg_solve(A, b[:, j], tol=tol,
+                                             x0=x_c[:, j])
+    return x
 
 
 def misfit(dp: DiscreteProblem, u_gamma: np.ndarray, z: Observation) -> float:

@@ -154,18 +154,30 @@ class BlockTridiagonalFactor:
                     f"block factorization failed at block row {i} of {nb}: "
                     f"{exc}") from exc
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, out: np.ndarray | None = None
+              ) -> np.ndarray:
         """Solution of A x = b, for one right-hand side b of shape (n,) or
-        an (n, k) block of k of them."""
+        an (n, k) block of k of them.  With ``out``, a C-contiguous float
+        array of b's shape (b itself, for a solve in place), the sweeps work
+        on an (n_blocks, m, k) view of it and ``out`` is returned."""
         inv, low = self.inv, self.low
-        x = np.array(b, dtype=float).reshape(*inv.shape[:2], -1)
+        if out is None:
+            out = np.array(b, dtype=float, order="C")
+        elif (out.shape != np.shape(b) or out.dtype != float
+              or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous float array of the "
+                             f"load's shape {np.shape(b)}, not {out.dtype} "
+                             f"{out.shape}")
+        elif out is not b:
+            out[...] = b
+        x = out.reshape(*inv.shape[:2], -1)  # a view: out is contiguous
         for i in range(len(x)):  # forward: row i becomes S_i^{-1} y_i
             if i:
                 x[i] -= _couple(*low[i - 1], x[i - 1])
             x[i] = inv[i] @ x[i]
         for i in range(len(x) - 2, -1, -1):  # backward
             x[i] -= inv[i] @ _couple(*low[i], x[i + 1], transpose=True)
-        return x.reshape(np.shape(b))
+        return out
 
 
 def cg_solve(A: SymmetricStencil, b: np.ndarray, tol: float = 1e-10,

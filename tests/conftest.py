@@ -20,6 +20,28 @@ def benchmark_dp(level: int, gamma_case: str = "bottom",
     return dp, f_truth
 
 
+def chunked_boundary_map(dp):
+    """G = L[:, Gamma] solved four columns at a time by one factorization:
+    each chunk's unit loads at the observed nodes deflated, solved and
+    re-centred as ``DiscreteProblem._solve`` does it.  The reference for
+    the one-block build of ``dp.boundary_map``."""
+    nodes, n = dp.gamma_nodes, dp.mesh.n_vertices
+    factor = dp._factor()
+    G = np.empty((n, nodes.shape[0]))
+    for start in range(0, nodes.shape[0], 4):
+        cols = nodes[start:start + 4]
+        unit = np.zeros((n, cols.shape[0]))
+        unit[cols, np.arange(cols.shape[0])] = 1.0
+        if dp.pure_neumann:
+            unit -= np.multiply.outer(dp.w, unit.sum(axis=0)
+                                      / dp.domain_volume)
+        x = factor.solve(unit)
+        if dp.pure_neumann:
+            x -= (dp.w @ x) / dp.domain_volume
+        G[:, start:start + cols.shape[0]] = x
+    return G
+
+
 def div_rep(driver, p):
     """Nodal representer -D^T p / w of the divergence, as the textbook
     primal step writes it."""

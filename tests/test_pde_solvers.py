@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,8 @@ from tvsource.mesh import GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, Observation, ProblemDef, misfit
 from tvsource.sparse_linalg import cg_solve
 
-from conftest import benchmark_dp, dense, dense_boundary_mass, random_dp
+from conftest import (benchmark_dp, chunked_boundary_map, dense,
+                      dense_boundary_mass, random_dp)
 
 
 def _problem(level, beta=0.0, flux=None, gamma=("bottom",)):
@@ -330,6 +332,49 @@ def test_boundary_map_matches_full_solves(level, seed, reaction,
         assert np.linalg.norm(u_a_map - u_a) <= 1e-10 * np.linalg.norm(u_a)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 16), *FACTOR_CASES[1:],
+       st.sampled_from([("bottom",), ("bottom", "left")]))
+def test_one_block_boundary_map_matches_the_chunked_build(level, seed,
+                                                          reaction,
+                                                          boundary_term,
+                                                          gamma):
+    # one block solve in place on G gives the G of four-column chunks to
+    # rounding, for pure-Neumann (grounded factor, deflated loads) and
+    # definite problems, and its flux trace is read from that G
+    dp, _ = random_dp(level, seed, reaction, boundary_term, gamma)
+    ref = chunked_boundary_map(dp)
+    bmap = dp.boundary_map
+    assert np.max(np.abs(bmap.G - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.array_equal(bmap.flux_trace, bmap.G.T @ dp.b_flux)
+
+
+@pytest.mark.parametrize("gamma_case", ["bottom", "bottom_left"])
+def test_benchmark_boundary_map_matches_the_chunked_build(gamma_case):
+    dp = DiscreteProblem(build_benchmark_problem(32, gamma_case)[0])
+    ref = chunked_boundary_map(dp)
+    assert np.max(np.abs(dp.boundary_map.G - ref)) <= 1e-14 * np.max(
+        np.abs(ref))
+
+
+@pytest.mark.parametrize("gamma_case", ["bottom", "bottom_left"])
+def test_boundary_map_build_holds_g_and_a_few_columns(gamma_case):
+    # the traced peak of the build is at most G, the factor's inverses
+    # (one block per grid row) and four column chunks of n x 4: the check
+    # runs after the factorization is freed, and a load block next to G,
+    # a second n x m array, exceeds the bound
+    dp = DiscreteProblem(build_benchmark_problem(32, gamma_case)[0])
+    n, m_rows = dp.mesh.n_vertices, dp.mesh.level + 1
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        G = dp.boundary_map.G
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= G.nbytes + n * m_rows * 8 + 4 * (n * 4 * 8)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 16), *FACTOR_CASES[1:],
        st.sampled_from([("bottom",), ("bottom", "left")]))
@@ -360,8 +405,8 @@ class _SpoiledFactor(pde_solvers.BlockTridiagonalFactor):
     """A factorization whose solutions miss any solve tolerance in their
     last column."""
 
-    def solve(self, b):
-        x = super().solve(b)
+    def solve(self, b, out=None):
+        x = super().solve(b, out)
         last = x[:, -1] if x.ndim == 2 else x
         last *= 1.0 + 1e-6
         return x
@@ -375,7 +420,7 @@ def test_boundary_map_column_missing_the_tolerance_is_polished():
     f, g = np.random.default_rng(5).standard_normal((2, prob.mesh.n_vertices,
                                                      2))
     paths = {  # name -> (the path's solution, the columns it polishes)
-        "boundary map": (lambda dp: dp.boundary_map.G, 5),  # one per chunk
+        "boundary map": (lambda dp: dp.boundary_map.G, 1),  # one block
         "one load": (lambda dp: dp.solve_state(f[:, 0]), 1),
         "block of loads": (lambda dp: dp._solve(f), 1),
         "Dirichlet": (lambda dp: dp.solve_dirichlet(f[:, 0], g[:, 0]), 1),

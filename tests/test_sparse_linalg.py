@@ -90,6 +90,33 @@ class TestBlockTridiagonalFactor:
             col = factor.solve(b[:, j])
             assert np.linalg.norm(x[:, j] - col) <= 1e-13 * np.linalg.norm(col)
 
+    @settings(max_examples=30, deadline=None)
+    @given(*OPERATOR_CASES, st.sampled_from([None, 1, 4, 9]))
+    def test_solve_in_place_equals_solve(self, level, seed, kind, k):
+        # the sweeps on a view of `out` give the bits of a solve on a copy,
+        # for one load and for a block, and `out` is what is returned; a
+        # column-major load is solved as its row-major copy
+        A, ground, _ = _structured_operator(level, seed, kind)
+        factor = BlockTridiagonalFactor(A, level + 1, ground)
+        shape = (A.shape[0],) if k is None else (A.shape[0], k)
+        b = np.random.default_rng(seed).standard_normal(shape)
+        x = factor.solve(b)
+        assert factor.solve(np.asfortranarray(b)).tobytes() == x.tobytes()
+        out = np.empty(shape)
+        assert factor.solve(b, out=out) is out
+        assert out.tobytes() == x.tobytes()
+        assert factor.solve(b, out=b) is b
+        assert b.tobytes() == x.tobytes()
+
+    def test_solve_rejects_an_out_it_cannot_fill(self):
+        A, ground, _ = _structured_operator(3, 0, "grounded")
+        factor = BlockTridiagonalFactor(A, 4, ground)
+        b = np.ones((16, 3))
+        for out in (np.empty(16), np.empty((16, 2)), np.empty((3, 16)).T,
+                    np.empty((16, 3), dtype=np.float32)):
+            with pytest.raises(ValueError, match="out must be"):
+                factor.solve(b, out=out)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 8), st.data())
     def test_coupling_outside_the_band_raises(self, level, data):
