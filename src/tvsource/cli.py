@@ -41,7 +41,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_levels(text: str):
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"levels must be integers separated by commas, such as 4,8,16; "
+            f"got {text!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -82,10 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="noise scale: theta_l = c * h_l * sqrt(rho_l)")
     p_bench.add_argument("--truth-refine", action="store_true", default=None,
                          help="synthesize data on a once-refined mesh")
-    p_bench.add_argument("--record-b-norms", action="store_true",
-                         default=None,
-                         help="check every step's preconditioner norm (no "
-                              "extra solves; not written out)")
     _add_common(p_bench)
 
     p_solve = sub.add_parser("solve", help="reconstruct from an observation file")

@@ -143,7 +143,6 @@ class ExperimentConfig:
     theta: float = 5e-2
     max_iter: int = 600
     box: tuple = (-1.0, 3.0)
-    record_b_norms: bool = False
     truth_refine: bool = False     # synthesize data on a once-refined mesh
     out_dir: str = "results"
     export_format: str = "csv"     # csv | vtk | none
@@ -155,7 +154,6 @@ class ExperimentConfig:
             return type(v) in (int, float) and -math.inf < v < math.inf
 
         positive = (lambda v: real(v) and v > 0, "a positive number")
-        flag = (lambda v: type(v) is bool, "true or false")
         text = (lambda v: type(v) is str, "a string")
         rules = {
             "levels": (lambda v: type(v) is tuple and v[:1] == (4,)
@@ -171,8 +169,8 @@ class ExperimentConfig:
             "noise_coef": (lambda v: real(v) and v >= 0,
                            "a non-negative number"),
             "rho_coef": positive, "tau": positive, "theta": positive,
-            "record_b_norms": flag,
-            "truth_refine": flag, "gamma_case": text, "out_dir": text,
+            "truth_refine": (lambda v: type(v) is bool, "true or false"),
+            "gamma_case": text, "out_dir": text,
             "export_format": (EXPORT_FORMATS.__contains__,
                               f"one of {list(EXPORT_FORMATS)}"),
         }
@@ -188,8 +186,7 @@ class ExperimentConfig:
         """Iteration parameters on a mesh of size h, with the mesh-coupled
         regularization rho = rho_coef * sqrt(h)."""
         return PdParams(rho=self.rho_coef * math.sqrt(h), tau=self.tau,
-                        theta=self.theta, max_iter=self.max_iter,
-                        record_b_norms=self.record_b_norms)
+                        theta=self.theta, max_iter=self.max_iter)
 
     def setup_level(self, level: int):
         """The level's assembled problem, truth source and iteration
@@ -287,8 +284,7 @@ def run_benchmark(config: ExperimentConfig):
         if config.truth_refine:
             fine_prob, fine_truth = build_benchmark_problem(
                 2 * level, config.gamma_case, config.box)
-            u_fine = DiscreteProblem(fine_prob,
-                                     state_only=True).solve_state(fine_truth)
+            u_fine = DiscreteProblem(fine_prob).solve_state(fine_truth)
             observed = u_fine[fine_prob.mesh.nearest_nodes(
                 dp.mesh.vertices[dp.gamma_nodes])]
         z = synthesize_observation(dp, f_truth, theta_l, [config.seed, level],

@@ -90,13 +90,6 @@ class NeumannData:
         object.__setattr__(self, "values", v)
 
 
-def unit_coefficients(mesh: TriMesh) -> CoefficientSet:
-    """alpha = identity, beta = 0, sigma = 0."""
-    alpha = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy()
-    return CoefficientSet(alpha, np.zeros(mesh.n_triangles),
-                          np.zeros(len(mesh.boundary_edges)), 1.0)
-
-
 def _assemble_from_blocks(mesh: TriMesh, conn, blocks) -> SymmetricStencil:
     """Sum symmetric element blocks, one (k, k) block per row of the (N, k)
     vertex array ``conn``, into the diagonals at ``mesh.stencil_offsets``.

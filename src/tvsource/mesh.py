@@ -205,6 +205,8 @@ def build_structured(level: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> TriMesh:
     if not isinstance(level, (int, np.integer)) or level < 1:
         raise ValueError(f"level must be a positive integer, got {level!r}")
     (ax, bx), (ay, by) = box
+    if not (-np.inf < ax < bx < np.inf and -np.inf < ay < by < np.inf):
+        raise ValueError(f"box {box} needs finite bounds a < b on each axis")
     n = level + 1
     xs = np.linspace(ax, bx, n)
     ys = np.linspace(ay, by, n)
@@ -230,8 +232,8 @@ def build_structured(level: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> TriMesh:
     edge_sides = np.tile(np.asarray(SIDE_TAGS), level)
 
     areas, grads = _triangle_geometry(vertices, triangles)
-    if np.any(areas <= 0):
-        raise AssertionError("non-positive triangle area in structured mesh")
+    if not np.all(areas > 0):
+        raise ValueError(f"box {box} gives triangles of non-positive area")
     return TriMesh(vertices, triangles, areas, grads, boundary_edges,
                    edge_lengths, edge_sides, int(level), box)
 

@@ -29,8 +29,7 @@ import numpy as np
 
 from .fem_assembly import (CoefficientSet, NeumannData, P1Field,
                            assemble_boundary_mass, assemble_mass,
-                           assemble_stiffness, neumann_load,
-                           unit_coefficients)
+                           assemble_stiffness, neumann_load)
 from .mesh import GammaSpec, TriMesh
 from .sparse_linalg import BlockTridiagonalFactor, cg_solve
 
@@ -88,25 +87,14 @@ class BoundaryMap:
 class DiscreteProblem:
     """Assembled operators for one ProblemDef, reusable across many solves."""
 
-    def __init__(self, prob: ProblemDef, cg_tol: float = DEFAULT_CG_TOL, *,
-                 state_only: bool = False):
-        """Assemble the operators; ``state_only`` assembles only what
-        ``solve_state`` reads (A, the mass and its lumped weights, the flux
-        load) and leaves out ``K_unit`` and the boundary mass."""
+    def __init__(self, prob: ProblemDef, cg_tol: float = DEFAULT_CG_TOL):
         self.prob = prob
         self.mesh = prob.mesh
         self.cg_tol = cg_tol
         self.A = assemble_stiffness(prob.mesh, prob.coeffs)
-        if not state_only:
-            # unit stiffness (H1 norm); here, next to A and before any
-            # boundary map, its temporaries never meet G and the level-64
-            # bench peak RSS measured lowest
-            self.K_unit = assemble_stiffness(prob.mesh,
-                                             unit_coefficients(prob.mesh))
         self.M, self.w = assemble_mass(prob.mesh)
-        if not state_only:
-            self.gamma_nodes, self.M_gamma = assemble_boundary_mass(
-                prob.mesh, prob.gamma)
+        self.gamma_nodes, self.M_gamma = assemble_boundary_mass(prob.mesh,
+                                                                prob.gamma)
         self.b_flux = neumann_load(prob.mesh, prob.neumann)
         self.pure_neumann = prob.coeffs.is_pure_neumann
         self.domain_volume = float(self.w.sum())
@@ -160,7 +148,13 @@ class DiscreteProblem:
         return float(np.sqrt(u @ (self.M @ u)))
 
     def h1_norm(self, u) -> float:
-        return float(np.sqrt(u @ (self.K_unit @ u) + u @ (self.M @ u)))
+        """The H1 norm of a P1 field: its L2 norm and the seminorm
+        sum_T |T| |grad u_T|^2, exact for P1, read from the mesh's
+        per-element gradients."""
+        mesh = self.mesh
+        g = np.einsum("tia,ti->ta", mesh.grads, u[mesh.triangles])
+        g *= g
+        return float(np.sqrt(mesh.areas @ g.sum(axis=1) + u @ (self.M @ u)))
 
     def gamma_norm(self, r) -> float:
         """L2 norm over the observation boundary of a Gamma-vector."""

@@ -24,7 +24,7 @@ differs from the formulas above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class PdParams:
     tau: float
     theta: float
     max_iter: int
-    record_b_norms: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.rho < 1.0):
@@ -152,28 +151,20 @@ def certify_steps_empirical(params: PdParams,
 
 
 @dataclass
-class IterationRecord:
-    n: int
-    misfit: float  # data misfit of the iterate
-    tolerance: float
-    step_b_norm_sq: float | None = None
-
-
-@dataclass
 class PdState:
-    """Iterate pair plus run history."""
+    """The last iterate pair of a run, its index n, and its stopping
+    value, trace on Gamma and objective."""
 
     f: P1Field
     p: P0VecField
     n: int
-    history: list = field(default_factory=list)
-    stopped_by_tolerance: bool = False
-    u_gamma: np.ndarray | None = None  # trace on Gamma of the state at f
-    objective: float = math.nan  # misfit + rho * TV at f
+    final_tolerance: float  # stopping value at f
+    u_gamma: np.ndarray  # trace on Gamma of the state at f
+    objective: float  # misfit + rho * TV at f
 
     @property
-    def final_tolerance(self) -> float:
-        return self.history[-1].tolerance if self.history else float("nan")
+    def stopped_by_tolerance(self) -> bool:
+        return self.final_tolerance <= 0.0
 
 
 def compatible_start(dp: DiscreteProblem):
@@ -198,13 +189,20 @@ class PdDriver:
     gradient table (``GradientTable``) with its coefficients times
     sigma = tau*rho/theta for the dual step, and times
     |T| * tau*rho / w[node] for the divergence of the primal step, and the
-    weights w / tau^2 of the stopping norm.
+    weights w / tau^2 of the stopping norm; raises ValueError, before the
+    certificate, when tau is so small that these weights overflow.
     """
 
     def __init__(self, dp: DiscreteProblem, params: PdParams):
         self.dp = dp
         self.params = params
         self.box = self.dp.prob.box
+        with np.errstate(divide="ignore", over="ignore"):
+            self._w_tau2 = dp.w / params.tau**2
+        if not np.isfinite(self._w_tau2).all():
+            raise ValueError(
+                f"tau {params.tau:.6g} is too small: the weights w / tau^2 "
+                "of the stopping norm overflow")
         self.certificate = cert = certify_steps_empirical(params, dp)
         if not cert.valid:
             raise ValueError(
@@ -215,7 +213,6 @@ class PdDriver:
         self._nodes = tab.nodes
         self._grad_coefs = tab.coefs * (tau_rho / params.theta)
         self._div_coefs = tab.coefs * tab.weights * tau_rho / dp.w[tab.nodes]
-        self._w_tau2 = dp.w / params.tau**2
 
     # -- single updates ------------------------------------------------------
 
@@ -286,38 +283,39 @@ class PdDriver:
             p0: P0VecField | None = None, on_iteration=None) -> PdState:
         """Iterate until the stopping functional is nonpositive or max_iter.
 
-        The history carries the data misfit and stopping value at every
-        visited iterate, and (when enabled) the preconditioner norm of each
-        step taken; ``PdState.objective`` is the objective (``objective``:
-        the misfit plus rho times the total variation) at the last iterate
-        only.  A start not given is taken from compatible_start.
+        ``PdState`` holds the last iterate with its stopping value and its
+        objective (``objective``: the misfit plus rho times the total
+        variation), evaluated there only.  A start not given is taken from
+        compatible_start.
 
         The iteration reads the state only on the observed boundary, through
         the problem's BoundaryMap, and makes no PDE solve; the last
         iterate's trace is ``PdState.u_gamma``.  ``on_iteration(n, f, p,
-        u_gamma, u_a)`` is called at every iterate with the state's trace
-        on Gamma (one value per observed node) and the adjoint state u_a;
-        the run never writes to an array it has handed over.  A hook that
-        wants every iterate's objective computes it there, as
-        ``objective(f, pde_solvers.misfit(dp, u_gamma, z))``.
+        u_gamma, u_a, stop)`` is called at every iterate with the state's
+        trace on Gamma (one value per observed node), the adjoint state u_a
+        and the iterate's stopping value; the run never writes to an array
+        it has handed over, so a hook may keep them.  A hook that wants
+        every iterate's objective computes it there, as
+        ``objective(f, pde_solvers.misfit(dp, u_gamma, z))``, and one that
+        checks the preconditioner norm of each step as ``b_norm_sq`` of
+        the differences of consecutive iterates.
         Raises ValueError unless ``z`` holds one value at each of the
         problem's observed nodes, and when the misfit of an iterate is not
         finite, before any step from it: a NaN in f makes it NaN, and the
         total variation of an f clipped to its finite box is finite.
         """
-        dp, prm = self.dp, self.params
+        dp = self.dp
         lo, hi = self.box
         default_f, default_p = compatible_start(dp)
         f = np.clip(np.asarray(default_f if f0 is None else f0, dtype=float),
                     lo, hi)
         p = project_dual_ball(
             np.asarray(default_p if p0 is None else p0, dtype=float))
-        state = PdState(f=f, p=p, n=0)
         z_gamma = dp.observed_values(z)
         w, M_gamma, bmap = dp.w, dp.M_gamma, dp.boundary_map
-        G, trace, history = bmap.G, bmap.trace, state.history
+        G, trace = bmap.G, bmap.trace
         primal_step, dual_step = self.primal_step, self.dual_step
-        stopping_value, max_iter = self.stopping_value, prm.max_iter
+        stopping_value, max_iter = self.stopping_value, self.params.max_iter
 
         g0_norm = None
         for n in range(max_iter + 1):
@@ -333,10 +331,8 @@ class PdDriver:
             f_next = primal_step(f, p, u_a)
             residual = f - f_next
             tol_val, g0_norm = stopping_value(residual, g0_norm)
-            record = IterationRecord(n, misfit, tol_val)
-            history.append(record)
             if on_iteration is not None:
-                on_iteration(n, f, p, u_gamma, u_a)
+                on_iteration(n, f, p, u_gamma, u_a, tol_val)
             if tol_val <= 0.0 or n == max_iter:
                 break
 
@@ -350,13 +346,8 @@ class PdDriver:
             if not abs(p_next).max() <= 1.0 + 1e-15:  # NaN fails it too
                 raise RuntimeError(
                     f"dual iterate left the unit ball at iteration {n + 1}")
-            if prm.record_b_norms:
-                record.step_b_norm_sq = self.b_norm_sq(f_next - f, p_next - p)
             f, p = f_next, p_next
-        state.objective = self.objective(f, misfit)
-        state.f, state.p, state.n, state.u_gamma = f, p, n, u_gamma
-        state.stopped_by_tolerance = tol_val <= 0.0
-        return state
+        return PdState(f, p, n, tol_val, u_gamma, self.objective(f, misfit))
 
 
 def run(dp: DiscreteProblem, z: Observation, params: PdParams, f0=None,

@@ -20,6 +20,27 @@ def benchmark_dp(level: int, gamma_case: str = "bottom",
     return dp, f_truth
 
 
+def unit_coefficients(mesh) -> CoefficientSet:
+    """alpha = identity, beta = 0, sigma = 0: the unit-diffusion stiffness."""
+    alpha = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy()
+    return CoefficientSet(alpha, np.zeros(mesh.n_triangles),
+                          np.zeros(len(mesh.boundary_edges)), 1.0)
+
+
+def b_norm_hook(driver):
+    """An ``on_iteration`` hook for ``driver.run`` and the list it fills:
+    the squared preconditioner norm ``driver.b_norm_sq`` of every step
+    taken, from consecutive iterates, which the hook may keep."""
+    norms, prev = [], []
+
+    def hook(n, f, p, *_):
+        if prev:
+            norms.append(driver.b_norm_sq(f - prev[0], p - prev[1]))
+        prev[:] = f, p
+
+    return hook, norms
+
+
 def chunked_boundary_map(dp):
     """G = L[:, Gamma] solved four columns at a time by one factorization:
     each chunk's unit loads at the observed nodes deflated, solved and

@@ -24,7 +24,7 @@ from tvsource.primal_dual import (PdDriver, PdParams, certify_steps,
                                   trace_constant)
 from tvsource.tv_calculus import gradient_pairing, subgradient_witness, tv_value
 
-from conftest import benchmark_dp
+from conftest import b_norm_hook, benchmark_dp
 
 # reference table: mesh sizes, regularization weights and noise magnitudes
 # per level; the level-16 mesh size is the formula value sqrt(8)/16 (the
@@ -97,12 +97,12 @@ def test_criterion_4_algorithm_rate():
     z = synthesize_observation(dp, f_truth, 0.0, 0)
     h = dp.mesh.mesh_size
     params = PdParams(rho=1e-3 * math.sqrt(h), tau=5.0, theta=5e-2,
-                      max_iter=600, record_b_norms=True)
+                      max_iter=600)
     driver = PdDriver(dp, params)
     f0, p0 = compatible_start(dp)
-    state = driver.run(z, f0=f0, p0=p0)
-    bn = np.array([r.step_b_norm_sq for r in state.history
-                   if r.step_b_norm_sq is not None])
+    hook, norms = b_norm_hook(driver)
+    state = driver.run(z, f0=f0, p0=p0, on_iteration=hook)
+    bn = np.array(norms)
     monotone = bool(np.all(bn[1:] <= bn[:-1] * (1.0 + 1e-8)))
     total = driver.b_norm_sq(state.f - f0, state.p - p0)
     n = np.arange(1, len(bn) + 1)

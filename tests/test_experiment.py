@@ -478,10 +478,10 @@ class TestBenchmarkRun:
             assert dist.min() <= 1e-12
             assert value == u_fine[np.argmin(dist)]
 
-    def test_truth_refine_assembles_only_the_state_operators(
+    def test_truth_refine_assembles_one_stiffness_per_mesh(
             self, tmp_path, monkeypatch):
-        # the refined mesh's one state solve reads A, the weights and the
-        # flux load: no unit stiffness and no boundary mass there
+        # each mesh assembles its A and its boundary mass, and nothing
+        # else of either kind: the H1 norm reads the element gradients
         import tvsource.pde_solvers as pde
         calls = []
 
@@ -497,7 +497,7 @@ class TestBenchmarkRun:
             monkeypatch.setattr(pde, name, counting(name))
         run_benchmark(_tiny_config(tmp_path, truth_refine=True, max_iter=1))
         assert sorted(calls) == [("assemble_boundary_mass", 4),
-                                 ("assemble_stiffness", 4),
+                                 ("assemble_boundary_mass", 8),
                                  ("assemble_stiffness", 4),
                                  ("assemble_stiffness", 8)]
 
@@ -597,6 +597,8 @@ class TestCli:
         "bench_config_max_iter_bool": ({"max_iter": True}, [], "max_iter"),
         "bench_config_isotropic_dual_string": ({"isotropic_dual": "no"}, [],
                                                "isotropic_dual"),
+        "bench_config_record_b_norms": ({"record_b_norms": True}, [],
+                                        "record_b_norms"),
         "bench_noise_coef_negative": (None, ["--noise-coef", "-1"],
                                       "noise_coef"),
         "bench_out_is_a_file": (None, [], "afile"),
@@ -941,6 +943,48 @@ class TestCli:
         assert "noise level is inf" in lines[0]
         table = (tmp_path / "table.csv").read_text().splitlines()
         assert len(table) == 2 and table[1].startswith("# incomplete: level 4")
+
+    def test_solve_tau_too_small_one_line_exit_2(self, tmp_path, capsys):
+        # tau^2 underflows, so the stopping norm's weights w / tau^2 would
+        # be inf; the certificate admits this tau (its lhs overflows to
+        # inf), the driver does not, and no numpy warning gets through
+        dp, f_truth = benchmark_dp(4)
+        obs, out = tmp_path / "obs.csv", tmp_path / "out"
+        write_observation_csv(
+            dp.mesh, synthesize_observation(dp, f_truth, 0.0, 0), str(obs))
+        code = cli_main(["solve", str(obs), "--level", "4", "--tau", "1e-170",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "tvsource: error: tau 1e-170 is too small: the weights "
+            "w / tau^2 of the stopping norm overflow"]
+
+    def test_bench_tau_too_small_fails_the_level(self, tmp_path, capsys):
+        # as a tau the certificate rejects: exit 1, one line, and a table
+        # that names the reason
+        code = cli_main(["bench", "--levels", "4,8", "--tau", "1e-170",
+                         "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "tvsource: error: benchmark aborted: level 4 failed: tau 1e-170 "
+            "is too small")
+        table = (tmp_path / "table.csv").read_text().splitlines()
+        assert len(table) == 2 and table[1].startswith(
+            "# incomplete: level 4 failed: tau 1e-170 is too small")
+
+    @pytest.mark.parametrize("levels", ["4,,8", "4,eight", ""])
+    def test_malformed_levels_name_the_format(self, capsys, levels):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["bench", "--levels", levels])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == (
+            "tvsource bench: error: argument --levels: levels must be "
+            "integers separated by commas, such as 4,8,16; got "
+            f"{levels!r}")
 
     def test_check_reads_the_boundary_map(self, capsys, monkeypatch):
         # a boundary map off by 1e-6 relative fails the adjoint line

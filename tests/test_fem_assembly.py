@@ -8,8 +8,7 @@ from tvsource import primal_dual
 from tvsource.fem_assembly import (CoefficientSet, NeumannData,
                                    assemble_boundary_mass, assemble_mass,
                                    assemble_stiffness, div_adjoint,
-                                   elem_gradient, neumann_load,
-                                   unit_coefficients)
+                                   elem_gradient, neumann_load)
 from tvsource.mesh import (GammaSpec, TriMesh, _triangle_geometry,
                            build_structured)
 from tvsource.experiment import (ExperimentConfig, benchmark_flux,
@@ -17,7 +16,7 @@ from tvsource.experiment import (ExperimentConfig, benchmark_flux,
 from tvsource.tv_calculus import gradient_pairing, tv_value
 
 from conftest import (benchmark_dp, dense, dense_boundary_mass, random_dp,
-                      step_tables)
+                      step_tables, unit_coefficients)
 
 # two-triangle unit-level mesh of (-1,1)^2, nodes ordered
 # (-1,-1), (1,-1), (-1,1), (1,1); assembled by hand from the
@@ -109,7 +108,8 @@ def _dense_references(dp):
     A += np.diag(diag)
     M = _dense_assembly(n, mesh.triangles,
                         [area * UNIT_ELEMENT_MASS for area in mesh.areas])
-    return {"A": (dp.A, A), "K_unit": (dp.K_unit, K), "M": (dp.M, M)}
+    K_unit = assemble_stiffness(mesh, unit_coefficients(mesh))
+    return {"A": (dp.A, A), "K_unit": (K_unit, K), "M": (dp.M, M)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -375,9 +375,11 @@ class TestKernelsMatchReference:
             tau=5.0, theta=5e-2, max_iter=40)
 
         def run():
-            state = primal_dual.run(dp, z, params)
+            stops = []
+            state = primal_dual.run(dp, z, params, on_iteration=lambda *a:
+                                    stops.append(a[-1]))
             assert state.n == 40
-            return state, np.array([r.misfit for r in state.history])
+            return state, np.array(stops)
 
         nodes, grad, div = step_tables(dp, params)
         calls = []
@@ -392,15 +394,15 @@ class TestKernelsMatchReference:
             np.add.at(out, nodes.ravel(), (div * np.ravel(q)).ravel())
             return out
 
-        state, misfits = run()
+        state, stops = run()
         monkeypatch.setattr(primal_dual, "table_gather", ref_gather)
         monkeypatch.setattr(primal_dual, "table_scatter", ref_scatter)
         monkeypatch.setattr(primal_dual, "tv_value", _ref_tv_value)
-        ref_state, ref_misfits = run()
+        ref_state, ref_stops = run()
         # every step ran on the reference kernels
         assert calls.count("gather") == 40 and calls.count("scatter") == 41
         assert state.f.tobytes() == ref_state.f.tobytes()
         assert state.p.tobytes() == ref_state.p.tobytes()
-        assert misfits.tobytes() == ref_misfits.tobytes()
+        assert stops.tobytes() == ref_stops.tobytes()
         assert (np.float64(state.objective).tobytes()
                 == np.float64(ref_state.objective).tobytes())

@@ -28,6 +28,19 @@ def test_rejects_bad_level(level):
         build_structured(level)
 
 
+@pytest.mark.parametrize("box", [((1.0, -1.0), (-1.0, 1.0)),
+                                 ((-1.0, 1.0), (1.0, -1.0)),
+                                 ((0.0, 0.0), (-1.0, 1.0)),
+                                 ((-1.0, np.inf), (-1.0, 1.0)),
+                                 ((-1.0, 1.0), (np.nan, 1.0))])
+def test_rejects_a_reversed_or_degenerate_box(box):
+    # a ValueError that names the box, raised before any geometry (and
+    # so before a numpy warning, which the test settings make an error)
+    with pytest.raises(ValueError, match=r"box \(\(") as excinfo:
+        build_structured(4, box)
+    assert str(box) in str(excinfo.value)
+
+
 @pytest.mark.parametrize("level", [1, 2, 3, 5, 8, 16])
 def test_areas_positive_and_sum(level):
     m = build_structured(level)

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from tvsource import pde_solvers
 from tvsource.experiment import build_benchmark_problem, synthesize_observation
-from tvsource.fem_assembly import CoefficientSet, NeumannData, unit_coefficients
+from tvsource.fem_assembly import (CoefficientSet, NeumannData,
+                                   assemble_stiffness)
 from tvsource.mesh import GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, Observation, ProblemDef, misfit
 from tvsource.sparse_linalg import cg_solve
 
 from conftest import (benchmark_dp, chunked_boundary_map, dense,
-                      dense_boundary_mass, random_dp)
+                      dense_boundary_mass, random_dp, unit_coefficients)
 
 
 def _problem(level, beta=0.0, flux=None, gamma=("bottom",)):
@@ -204,6 +205,17 @@ def test_manufactured_convergence_orders():
     order_h1 = np.polyfit(hs, h1, 1)[0]
     assert order_l2 >= 1.8
     assert order_h1 >= 0.9
+
+
+@pytest.mark.parametrize("level", [4, 8, 16, 32])
+def test_h1_norm_matches_the_assembled_unit_stiffness(level, rng):
+    # the element-gradient seminorm is the quadratic form of the assembled
+    # unit-diffusion stiffness, for rough fields and for the benchmark truth
+    dp, f_truth = benchmark_dp(level)
+    K = assemble_stiffness(dp.mesh, unit_coefficients(dp.mesh))
+    for u in (rng.standard_normal(dp.mesh.n_vertices), f_truth):
+        ref = u @ (K @ u) + u @ (dp.M @ u)
+        assert dp.h1_norm(u) ** 2 == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def test_quadratic_form_of_linearized_misfit_nonnegative(rng):

@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from tvsource.experiment import (ExperimentConfig, build_benchmark_problem,
                                  synthesize_observation)
-from tvsource.fem_assembly import div_adjoint, elem_gradient
+from tvsource.fem_assembly import (assemble_stiffness, div_adjoint,
+                                   elem_gradient)
 from tvsource import pde_solvers, primal_dual
 from tvsource.pde_solvers import DiscreteProblem, Observation
 from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
@@ -20,8 +21,9 @@ from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   trace_constant)
 from tvsource.tv_calculus import gradient_pairing
 
-from conftest import (benchmark_dp, dense, div_rep, random_dp,
-                      reference_primal_step, reference_run)
+from conftest import (b_norm_hook, benchmark_dp, dense, div_rep, random_dp,
+                      reference_primal_step, reference_run,
+                      unit_coefficients)
 
 
 class TestConstants:
@@ -110,7 +112,8 @@ def test_certificate_grad_norm_bounds_dense_eigenvalue(level):
     dp, _ = benchmark_dp(level)
     params = PdParams(rho=8.409e-4, tau=5.0, theta=5e-2, max_iter=600)
     cert = PdDriver(dp, params).certificate
-    lam = scipy.linalg.eigh(dense(dp.K_unit), np.diag(dp.w),
+    K_unit = assemble_stiffness(dp.mesh, unit_coefficients(dp.mesh))
+    lam = scipy.linalg.eigh(dense(K_unit), np.diag(dp.w),
                             eigvals_only=True)[-1]
     assert cert.grad_norm**2 >= lam
 
@@ -318,15 +321,23 @@ def test_b_norm_nonnegative_under_valid_certificate(level, seed, reaction,
         assert driver.b_norm_sq(df, dpv * 10.0 ** rng.uniform(-3, 3)) > 0.0
 
 
-def _short_run(level=4, max_iter=60, tau=5.0, record=True):
+def _short_run(level=4, max_iter=60, tau=5.0, on_iteration=None):
     dp, f_truth = benchmark_dp(level)
     z = synthesize_observation(dp, f_truth, 0.0, 0)
     params = PdParams(
         rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho, tau=tau,
-        theta=5e-2, max_iter=max_iter, record_b_norms=record)
+        theta=5e-2, max_iter=max_iter)
     f0, p0 = compatible_start(dp)
     driver = PdDriver(dp, params)
-    return driver, driver.run(z, f0=f0, p0=p0), z, f0, p0
+    state = driver.run(z, f0=f0, p0=p0, on_iteration=on_iteration)
+    return driver, state, z, f0, p0
+
+
+def _misfits_and_stops(dp, z, calls):
+    """Each iterate's data misfit, from its trace, and its stopping value,
+    from the argument tuples of the ``on_iteration`` calls of a run."""
+    return ([pde_solvers.misfit(dp, u_gamma, z)
+             for *_, u_gamma, _, _ in calls], [stop for *_, stop in calls])
 
 
 def test_default_start_is_compatible_start():
@@ -334,26 +345,45 @@ def test_default_start_is_compatible_start():
     z = synthesize_observation(dp, f_truth, 0.0, 0)
     params = PdParams(rho=8.409e-4, tau=5.0, theta=5e-2, max_iter=5)
     f0, p0 = compatible_start(dp)
-    from_default = run(dp, z, params)
-    from_compatible = run(dp, z, params, f0=f0, p0=p0)
+    calls, ref_calls = [], []
+    from_default = run(dp, z, params, on_iteration=lambda *a: calls.append(a))
+    from_compatible = run(dp, z, params, f0=f0, p0=p0,
+                          on_iteration=lambda *a: ref_calls.append(a))
     assert np.array_equal(from_default.f, from_compatible.f)
     assert np.array_equal(from_default.p, from_compatible.p)
-    assert ([r.misfit for r in from_default.history]
-            == [r.misfit for r in from_compatible.history])
+    assert (_misfits_and_stops(dp, z, calls)
+            == _misfits_and_stops(dp, z, ref_calls))
     assert from_default.objective == from_compatible.objective
 
 
 def test_run_descends_and_stays_feasible():
-    driver, state, z, f0, _ = _short_run()
+    calls = []
+    driver, state, z, f0, _ = _short_run(
+        on_iteration=lambda *args: calls.append(args))
+    misfits, stops = _misfits_and_stops(driver.dp, z, calls)
     lo, hi = driver.box
     assert np.all(state.f >= lo) and np.all(state.f <= hi)
     assert np.max(np.abs(state.p)) <= 1.0
-    assert state.history[0].tolerance > 0.0
-    assert state.objective == driver.objective(state.f,
-                                               state.history[-1].misfit)
+    assert stops[0] > 0.0 and state.final_tolerance == stops[-1]
+    assert state.objective == driver.objective(state.f, misfits[-1])
     assert state.objective <= driver.objective(np.clip(f0, lo, hi),
-                                               state.history[0].misfit)
-    assert len(state.history) == state.n + 1
+                                               misfits[0])
+    assert len(misfits) == len(stops) == state.n + 1
+
+
+@pytest.mark.parametrize("max_iter, stopped", [(5000, True), (600, False)])
+def test_stopped_by_tolerance_reads_the_last_stopping_value(max_iter,
+                                                            stopped):
+    # the level-4 benchmark run meets the stopping rule after about 2,900
+    # iterations: not within the default 600
+    config = ExperimentConfig(levels=(4,), max_iter=max_iter)
+    dp, f_truth, params = config.setup_level(4)
+    theta_l = config.noise_coef * dp.mesh.mesh_size * math.sqrt(params.rho)
+    z = synthesize_observation(dp, f_truth, theta_l, [config.seed, 4])
+    state = PdDriver(dp, params).run(z)
+    assert state.stopped_by_tolerance is stopped
+    assert (state.final_tolerance <= 0.0) is stopped
+    assert (state.n < max_iter) is stopped
 
 
 def test_adjoint_identity_along_iterations(rng):
@@ -367,7 +397,7 @@ def test_adjoint_identity_along_iterations(rng):
     xi = rng.standard_normal(dp.mesh.n_vertices)
     m_u_bar = dp.M_gamma @ dp.solve_source_part(xi)[dp.gamma_nodes]
 
-    def check(n, f, p, u_gamma, u_a):
+    def check(n, f, p, u_gamma, u_a, stop):
         lhs = float((u_gamma - z.values) @ m_u_bar)
         rhs = dp.lumped_inner(xi, u_a)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-12)
@@ -385,20 +415,23 @@ def test_run_factors_nothing_after_set_up(monkeypatch):
     # a full state solve at its last iterate
     prob, f_truth = build_benchmark_problem(8, "bottom_left")
     dp = DiscreteProblem(prob)
-    params = ExperimentConfig(max_iter=30, record_b_norms=True).level_params(
-        dp.mesh.mesh_size)
+    params = ExperimentConfig(max_iter=30).level_params(dp.mesh.mesh_size)
     driver = PdDriver(dp, params)
     z = synthesize_observation(dp, f_truth, 1e-2, 3)
     traces = []
+    b_norms, norms = b_norm_hook(driver)
+
+    def hook(n, f, p, u_gamma, u_a, stop):
+        traces.append(u_gamma)
+        b_norms(n, f, p, u_gamma, u_a, stop)
 
     def no_factor(*args, **kwargs):
         raise AssertionError("A was factored after the driver was built")
 
     monkeypatch.setattr(pde_solvers, "BlockTridiagonalFactor", no_factor)
-    state = driver.run(z, on_iteration=lambda n, f, p, u_gamma, u_a:
-                       traces.append(u_gamma))
+    state = driver.run(z, on_iteration=hook)
     monkeypatch.undo()
-    assert state.n == 30 and not hasattr(state, "u")
+    assert state.n == 30 and not hasattr(state, "u") and len(norms) == 30
     assert all(t.shape == dp.gamma_nodes.shape for t in traces)
     assert state.u_gamma is traces[-1]
     u_gamma = dp.solve_state(state.f)[dp.gamma_nodes]
@@ -407,9 +440,13 @@ def test_run_factors_nothing_after_set_up(monkeypatch):
 
 
 def test_run_b_norms_monotone():
-    driver, state, z, f0, p0 = _short_run()
-    bn = np.array([r.step_b_norm_sq for r in state.history
-                   if r.step_b_norm_sq is not None])
+    dp, _ = benchmark_dp(4)
+    params = PdParams(
+        rho=ExperimentConfig().level_params(dp.mesh.mesh_size).rho, tau=5.0,
+        theta=5e-2, max_iter=60)
+    hook, norms = b_norm_hook(PdDriver(dp, params))
+    driver, state, z, f0, p0 = _short_run(on_iteration=hook)
+    bn = np.array(norms)
     assert len(bn) >= 50
     assert np.all(bn[1:] <= bn[:-1] * (1.0 + 1e-8))
     # decay consistent with the summability estimate
@@ -433,7 +470,7 @@ def test_run_raises_when_dual_leaves_ball(monkeypatch):
 def test_run_raises_when_primal_iterate_leaves_the_box():
     # after the clip only a NaN leaves the box; the check reads it from the
     # step's stopping value, before the dual step
-    driver, _, z, f0, p0 = _short_run(record=False)
+    driver, _, z, f0, p0 = _short_run()
     primal_step, dual_steps = driver.primal_step, []
 
     def nan_step(f, p, u_a):
@@ -484,12 +521,13 @@ def test_run_is_bit_identical_to_reference_loop(data, level, box, max_iter,
             == reference_primal_step(driver, f0, 0.0 * p0, zeros).tobytes())
     assert step.tobytes() == np.clip(f0, *box).tobytes()
 
-    visited, hook_objectives = [], []
+    visited, hook_objectives, hook_misfits, stops = [], [], [], []
 
-    def hook(n, f, p, u_gamma, u_a):
+    def hook(n, f, p, u_gamma, u_a, stop):
         visited.append((f, p))
-        hook_objectives.append(driver.objective(
-            f, pde_solvers.misfit(dp, u_gamma, z)))
+        hook_misfits.append(pde_solvers.misfit(dp, u_gamma, z))
+        hook_objectives.append(driver.objective(f, hook_misfits[-1]))
+        stops.append(stop)
 
     state = driver.run(z, f0, p0, on_iteration=hook)
     iterates, misfits, tolerances, objectives = reference_run(
@@ -502,13 +540,15 @@ def test_run_is_bit_identical_to_reference_loop(data, level, box, max_iter,
         assert p.tobytes() == p_ref.tobytes()
     assert state.f.tobytes() == iterates[-1][0].tobytes()
     assert state.p.tobytes() == iterates[-1][1].tobytes()
-    assert _bytes([r.misfit for r in state.history]) == _bytes(misfits)
-    assert _bytes([r.tolerance for r in state.history]) == _bytes(tolerances)
+    # the hook's stopping values are the reference loop's tolerances
+    assert _bytes(hook_misfits) == _bytes(misfits)
+    assert _bytes(stops) == _bytes(tolerances)
+    assert _bytes(state.final_tolerance) == _bytes(tolerances[-1])
     assert _bytes(state.objective) == _bytes(objectives[-1])
 
 
 def test_run_with_nan_start_raises_before_a_step():
-    driver, _, z, f0, p0 = _short_run(record=False)
+    driver, _, z, f0, p0 = _short_run()
     steps = []
     driver.primal_step = lambda *args: steps.append(args)
     f0 = f0.copy()
@@ -521,10 +561,10 @@ def test_run_with_nan_start_raises_before_a_step():
 def test_run_never_writes_to_a_handed_over_array():
     # a hook that keeps references sees the same bytes at the end of the
     # run as when it got them
-    driver, _, z, f0, p0 = _short_run(record=False)
+    driver, _, z, f0, p0 = _short_run()
     kept = []
-    driver.run(z, f0, p0, on_iteration=lambda n, *arrays: kept.extend(
-        (a, a.tobytes()) for a in arrays))
+    driver.run(z, f0, p0, on_iteration=lambda n, f, p, u_gamma, u_a, stop:
+               kept.extend((a, a.tobytes()) for a in (f, p, u_gamma, u_a)))
     assert len(kept) == 4 * 61
     assert all(a.tobytes() == b for a, b in kept)
 
@@ -554,7 +594,7 @@ def test_run_rejects_bad_rho():
 def test_variational_inequality_at_stop(rng):
     # at the stopped iterate the box part of the first-order condition
     # holds up to the projected-gradient residual, uniformly over samples
-    driver, state, z, _, _ = _short_run(max_iter=400, tau=12.0, record=False)
+    driver, state, z, _, _ = _short_run(max_iter=400, tau=12.0)
     dp, params = driver.dp, driver.params
     u_a = dp.solve_adjoint(dp.solve_state(state.f)[dp.gamma_nodes], z)
     f_next = driver.primal_step(state.f, state.p, u_a)

@@ -4,13 +4,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvsource.fem_assembly import assemble_mass, assemble_stiffness, unit_coefficients
+from tvsource.fem_assembly import assemble_mass, assemble_stiffness
 from tvsource.mesh import build_structured
 from tvsource.sparse_linalg import (BlockTridiagonalFactor, CgConvergenceError,
                                     FactorizationError, SymmetricStencil,
                                     cg_solve, grad_operator_norm)
 
-from conftest import dense, random_dp, stencil
+from conftest import dense, random_dp, stencil, unit_coefficients
 
 
 def test_identity_converges_in_one_iteration(rng):
