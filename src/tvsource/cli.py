@@ -120,23 +120,18 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def cmd_bench(args) -> int:
-    """The output directory is created once the input is known to be valid
-    and before any level is set up: the config checked its fields, the
-    gamma case and the box, the coarsest level's parameters check rho < 1
-    (on the coarsest level rho is largest)."""
+    """The input is known to be valid before run_benchmark creates the
+    output directory and sets up a level: the config checked its fields,
+    the gamma case and the box, the coarsest level's parameters check
+    rho < 1 (on the coarsest level rho is largest)."""
     config = _config_from_args(args)
     config.level_params(structured_mesh_size(config.levels[0]))
-    os.makedirs(config.out_dir, exist_ok=True)
     try:
-        records, runs = run_benchmark(config)
-    except experiment.BenchmarkError as exc:
-        experiment.write_table(exc.records,
-                               os.path.join(config.out_dir, "table.csv"),
-                               incomplete=str(exc))
+        records = run_benchmark(config)
+    except primal_dual.MultilevelError as exc:
         print(f"tvsource: error: benchmark aborted: {exc}; partial table "
               f"written to {config.out_dir}/table.csv", file=sys.stderr)
         return 1
-    experiment.export_benchmark(config, records, runs)
     print(experiment.RunRecord.CSV_HEADER)
     for rec in records:
         print(rec.csv_row())

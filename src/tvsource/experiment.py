@@ -21,7 +21,7 @@ import numpy as np
 from .fem_assembly import CoefficientSet, NeumannData, P1Field
 from .mesh import GammaSpec, TriMesh, build_structured
 from .pde_solvers import DiscreteProblem, Observation, ProblemDef
-from .primal_dual import LevelRun, MultilevelError, PdParams, multilevel_run
+from .primal_dual import LevelRun, PdParams, multilevel_run
 
 GAMMA_CASES = {
     "bottom": ("bottom",),
@@ -244,43 +244,44 @@ class RunRecord:
                 f"{tol},{ef},{eu},{eh}")
 
 
-class BenchmarkError(RuntimeError):
-    """A benchmark level failed; carries the records of completed levels."""
-
-    def __init__(self, message: str, records: list):
-        super().__init__(message)
-        self.records = records
-
-
-def _level_errors(run: LevelRun, truth: tuple[P1Field, np.ndarray]):
-    """Source error and the two constrained-state errors against the level's
-    (truth source, truth trace on Gamma).
+def _level_record(run: LevelRun, f_truth: P1Field,
+                  truth_trace: np.ndarray) -> RunRecord:
+    """The table row of a finished level, against its truth source and the
+    truth state's trace on Gamma.
 
     The truth and the reconstructed constrained states solve Dirichlet
     problems that differ only in their source and their data on Gamma, so
     their difference solves one: source f_truth - f, data the difference
     of the traces on Gamma and 0 on the rest of the boundary.
     """
-    dp = run.problem
-    f_truth, truth_trace = truth
+    dp, state = run.problem, run.state
     bvals = np.zeros(dp.mesh.n_vertices)
-    bvals[dp.gamma_nodes] = truth_trace - run.state.u_gamma
-    diff = dp.solve_dirichlet(f_truth - run.state.f, bvals)
-    return (dp.l2_norm(f_truth - run.state.f),
-            dp.l2_norm(diff), dp.h1_norm(diff))
+    bvals[dp.gamma_nodes] = truth_trace - state.u_gamma
+    diff = dp.solve_dirichlet(f_truth - state.f, bvals)
+    return RunRecord(
+        level=run.level, h=dp.mesh.mesh_size, rho=run.params.rho,
+        delta=run.observation.noise_level, iterations=state.n,
+        tolerance=state.final_tolerance,
+        err_f_L2=dp.l2_norm(f_truth - state.f),
+        err_u_L2=dp.l2_norm(diff), err_u_H1=dp.h1_norm(diff))
 
 
-def run_benchmark(config: ExperimentConfig):
-    """Multilevel reconstruction over config.levels; returns records + runs."""
-    # level -> (truth source, its state's trace on Gamma)
-    truths: dict[int, tuple[P1Field, np.ndarray]] = {}
+def run_benchmark(config: ExperimentConfig) -> list[RunRecord]:
+    """Multilevel reconstruction over config.levels; returns the table rows.
+
+    out_dir is created before the first level is set up.  Each level, once
+    its run has ended, appends its row to out_dir/table.csv and exports its
+    fields before the next level is set up.  A failure ends the table with
+    an ``# incomplete:`` line naming it, and is raised again.
+    """
+    truth = None  # the running level's truth source and its trace on Gamma
 
     def make_level(level):
+        nonlocal truth
         dp, f_truth, params = config.setup_level(level)
-        truth_trace = dp.boundary_map.trace(dp.w * f_truth)
-        truths[level] = (f_truth, truth_trace)
+        truth = f_truth, dp.boundary_map.trace(dp.w * f_truth)
         theta_l = config.noise_coef * dp.mesh.mesh_size * math.sqrt(params.rho)
-        observed = truth_trace
+        observed = truth[1]
         if config.truth_refine:
             fine_prob, fine_truth = build_benchmark_problem(
                 2 * level, config.gamma_case, config.box)
@@ -291,49 +292,33 @@ def run_benchmark(config: ExperimentConfig):
                                    u_gamma=observed)
         return dp, z, params
 
-    try:
-        runs = multilevel_run(config.levels, make_level)
-    except MultilevelError as exc:
-        records = _records_for(exc.completed, truths)
-        raise BenchmarkError(str(exc), records) from exc
-    return _records_for(runs, truths), runs
-
-
-def _records_for(runs, truths):
+    os.makedirs(config.out_dir, exist_ok=True)
     records = []
-    for run_ in runs:
-        err_f, err_u, err_u_h1 = _level_errors(run_, truths[run_.level])
-        records.append(RunRecord(
-            level=run_.level, h=run_.problem.mesh.mesh_size,
-            rho=run_.params.rho, delta=run_.observation.noise_level,
-            iterations=run_.state.n, tolerance=run_.state.final_tolerance,
-            err_f_L2=err_f, err_u_L2=err_u, err_u_H1=err_u_h1))
+    with open(os.path.join(config.out_dir, "table.csv"), "w") as table:
+        table.write(RunRecord.CSV_HEADER + "\n")
+        try:
+            for run_ in multilevel_run(config.levels, make_level):
+                records.append(_level_record(run_, *truth))
+                table.write(records[-1].csv_row() + "\n")
+                table.flush()
+                export_benchmark(config, run_)
+        except Exception as exc:
+            table.write(f"# incomplete: {exc}\n")
+            raise
     return records
 
 
-def write_table(records, path: str, incomplete: str | None = None):
-    lines = [RunRecord.CSV_HEADER] + [r.csv_row() for r in records]
-    if incomplete is not None:
-        lines.append(f"# incomplete: {incomplete}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def export_benchmark(config: ExperimentConfig, records, runs):
-    """Write the results table and per-level field files into out_dir."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    write_table(records, os.path.join(config.out_dir, "table.csv"))
-    if config.export_format == "none":
-        return
+def export_benchmark(config: ExperimentConfig, run: LevelRun):
+    """Write a finished level's reconstruction, dual field and observation
+    into out_dir, in config.export_format."""
     ext = config.export_format
-    for run_ in runs:
-        mesh = run_.problem.mesh
-        base = os.path.join(config.out_dir, f"level{run_.level}")
-        _export_fields(mesh, [(run_.state.f, f"{base}_f.{ext}",
-                               "reconstruction"),
-                              (run_.state.p, f"{base}_p.{ext}", "dual")], ext)
-        write_observation_csv(mesh, run_.observation,
-                              f"{base}_observation.csv")
+    if ext == "none":
+        return
+    mesh = run.problem.mesh
+    base = os.path.join(config.out_dir, f"level{run.level}")
+    _export_fields(mesh, [(run.state.f, f"{base}_f.{ext}", "reconstruction"),
+                          (run.state.p, f"{base}_p.{ext}", "dual")], ext)
+    write_observation_csv(mesh, run.observation, f"{base}_observation.csv")
 
 
 def export_field(mesh: TriMesh, values: np.ndarray, path: str,

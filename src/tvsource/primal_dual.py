@@ -365,31 +365,33 @@ class LevelRun:
 
 
 class MultilevelError(RuntimeError):
-    """A level of a multilevel run failed; carries the completed levels."""
+    """A level of a multilevel run failed; every level before it has been
+    yielded."""
 
-    def __init__(self, level: int, completed: list, cause: Exception):
+    def __init__(self, level: int, cause: Exception):
         super().__init__(f"level {level} failed: {cause}")
         self.level = level
-        self.completed = completed
         self.cause = cause
 
 
-def multilevel_run(levels, make_level, on_iteration=None) -> list[LevelRun]:
-    """Run the iteration level by level with warm-started iterates.
+def multilevel_run(levels, make_level, on_iteration=None):
+    """Run the iteration level by level with warm-started iterates,
+    yielding each level's LevelRun once its run has ended.
 
-    ``levels`` must start at 4 and double at every step.  ``make_level``
-    maps a level to its (problem, observation, params); the first level
-    starts from compatible_start, and the final iterate pair of each level
-    is interpolated onto the next mesh as its starting point.
-    A level's boundary map and gradient table are released once its run
-    has ended.
+    ``levels`` must start at 4 and double at every step; the check is made
+    when the first level is asked for.  ``make_level`` maps a level to its
+    (problem, observation, params) and is called for a level only once the
+    level before it has been consumed.  The first level starts from
+    compatible_start, and the final iterate pair of each level is
+    interpolated onto the next mesh as its starting point; only the level
+    before is held.  A level's boundary map and gradient table are released
+    before it is yielded.
     """
     levels = list(levels)
     if not levels or levels[0] != 4 or any(
             b != 2 * a for a, b in zip(levels, levels[1:])):
         raise ValueError(
             f"levels must start at 4 and double at each step, got {levels}")
-    results: list[LevelRun] = []
     prev = None
     for level in levels:
         try:
@@ -400,8 +402,7 @@ def multilevel_run(levels, make_level, on_iteration=None) -> list[LevelRun]:
                 p0 = prolong_p0(prev.state.p, prev.problem.mesh, dp.mesh)
             state = run(dp, z, params, f0=f0, p0=p0, on_iteration=on_iteration)
         except Exception as exc:
-            raise MultilevelError(level, results, exc) from exc
+            raise MultilevelError(level, exc) from exc
         dp.release_loop_arrays()
         prev = LevelRun(level, dp, z, params, state)
-        results.append(prev)
-    return results
+        yield prev

@@ -63,10 +63,11 @@ def test_criterion_1_table_columns():
            "the source: an equivalent shallow source matches the data "
            "(checked against an independent direct solver), so the global "
            "minimizer stays far from the reference reconstruction")
-def test_criterion_2_benchmark_trend():
+def test_criterion_2_benchmark_trend(tmp_path):
     config = ExperimentConfig(levels=(4, 8, 16, 32), gamma_case="bottom",
-                              seed=0)
-    records, _ = run_benchmark(config)
+                              seed=0, out_dir=str(tmp_path),
+                              export_format="none")
+    records = run_benchmark(config)
     err_f = [r.err_f_L2 for r in records]
     err_u = records[-1].err_u_L2
     decreasing = all(b < a for a, b in zip(err_f, err_f[1:]))

@@ -17,13 +17,13 @@ import tvsource.cli
 from tvsource.cli import main as cli_main
 from tvsource.experiment import (ExperimentConfig, F_HIGH, F_LOW,
                                  build_benchmark_problem, benchmark_flux,
-                                 benchmark_truth,
                                  export_field, read_config_file,
                                  read_observation_csv,
                                  run_benchmark, synthesize_observation,
-                                 write_observation_csv, write_table)
+                                 write_observation_csv)
 from tvsource.mesh import build_structured
 from tvsource.pde_solvers import DiscreteProblem, Observation
+from tvsource.primal_dual import MultilevelError
 from tvsource.sparse_linalg import CgConvergenceError
 
 from conftest import benchmark_dp
@@ -426,34 +426,33 @@ def _tiny_config(out_dir, **kw):
     return ExperimentConfig(**defaults)
 
 
-def _two_column_errors(run_, f_truth, u_truth):
-    """The error table's three errors as computed before the difference
-    form: the truth and the reconstructed constrained states from full
-    nodal states, as two single-column Dirichlet solves."""
-    dp = run_.problem
-    u_rec = dp.solve_state(run_.state.f)
+def _two_column_errors(dp, f, f_truth, u_truth):
+    """The error table's three errors of the reconstruction f as computed
+    before the difference form: the truth and the reconstructed
+    constrained states from full nodal states, as two single-column
+    Dirichlet solves."""
+    u_rec = dp.solve_state(f)
     bnodes = dp.mesh.boundary_nodes()
     bvals_dag = np.zeros(dp.mesh.n_vertices)
     bvals_dag[bnodes] = u_truth[bnodes]
     bvals_rec = bvals_dag.copy()
     bvals_rec[dp.gamma_nodes] = u_rec[dp.gamma_nodes]
     diff = (dp.solve_dirichlet(f_truth, bvals_dag)
-            - dp.solve_dirichlet(run_.state.f, bvals_rec))
-    return (dp.l2_norm(f_truth - run_.state.f),
+            - dp.solve_dirichlet(f, bvals_rec))
+    return (dp.l2_norm(f_truth - f),
             dp.l2_norm(diff), dp.h1_norm(diff))
 
 
 class TestBenchmarkRun:
     def test_table_deterministic(self, tmp_path):
-        rec1, _ = run_benchmark(_tiny_config(tmp_path / "a"))
-        rec2, _ = run_benchmark(_tiny_config(tmp_path / "b"))
-        t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_table(rec1, str(t1))
-        write_table(rec2, str(t2))
-        assert t1.read_bytes() == t2.read_bytes()
+        # the directories do not exist yet: run_benchmark creates them
+        for name in ("a", "b"):
+            run_benchmark(_tiny_config(tmp_path / name / "out"))
+        assert ((tmp_path / "a" / "out" / "table.csv").read_bytes()
+                == (tmp_path / "b" / "out" / "table.csv").read_bytes())
 
     def test_record_columns(self, tmp_path):
-        records, runs = run_benchmark(_tiny_config(tmp_path))
+        records = run_benchmark(_tiny_config(tmp_path))
         rec = records[0]
         assert rec.level == 4
         assert rec.h == pytest.approx(0.70710678, rel=1e-8)
@@ -463,13 +462,16 @@ class TestBenchmarkRun:
             assert getattr(rec, field) > 0
 
     def test_truth_refine_mode_runs(self, tmp_path):
-        records, _ = run_benchmark(_tiny_config(tmp_path, truth_refine=True))
+        records = run_benchmark(_tiny_config(tmp_path, truth_refine=True))
         assert records[0].level == 4
 
     def test_truth_refine_observes_fine_truth_state(self, tmp_path):
-        _, runs = run_benchmark(_tiny_config(tmp_path, truth_refine=True,
-                                             noise_coef=0, max_iter=1))
-        z, coarse = runs[0].observation, runs[0].problem.mesh
+        run_benchmark(_tiny_config(tmp_path, truth_refine=True,
+                                   noise_coef=0, max_iter=1))
+        dp, _ = benchmark_dp(4)
+        coarse = dp.mesh
+        z = read_observation_csv(str(tmp_path / "level4_observation.csv"),
+                                 coarse, dp.gamma_nodes)
         fine_prob, fine_truth = build_benchmark_problem(8)
         u_fine = DiscreteProblem(fine_prob).solve_state(fine_truth)
         fine = fine_prob.mesh.vertices
@@ -512,30 +514,48 @@ class TestBenchmarkRun:
             return real_build(level, gamma_case, box)
 
         monkeypatch.setattr(exp, "build_benchmark_problem", flaky)
-        with pytest.raises(exp.BenchmarkError) as excinfo:
+        with pytest.raises(MultilevelError, match="synthetic breakage"):
             run_benchmark(_tiny_config(tmp_path, levels=(4, 8)))
-        assert [r.level for r in excinfo.value.records] == [4]
-        path = tmp_path / "partial.csv"
-        write_table(excinfo.value.records, str(path),
-                    incomplete=str(excinfo.value))
-        text = path.read_text()
-        assert "# incomplete:" in text
-        assert text.count("\n") == 3  # header + one row + flag
+        table = (tmp_path / "table.csv").read_text().splitlines()
+        assert len(table) == 3 and table[1].startswith("4,")
+        assert table[2] == "# incomplete: level 8 failed: synthetic breakage"
+        # the finished level's files are written before level 8 is set up
+        assert sorted(os.listdir(tmp_path)) == [
+            "level4_f.csv", "level4_observation.csv", "level4_p.csv",
+            "table.csv"]
+
+    def test_export_failure_flags_the_table(self, tmp_path, monkeypatch):
+        # a failure after a level's run, here in its export, also ends the
+        # table with the line that names it
+        import tvsource.experiment as exp
+
+        def disk_full(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(exp, "write_observation_csv", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            run_benchmark(_tiny_config(tmp_path, levels=(4, 8)))
+        table = (tmp_path / "table.csv").read_text().splitlines()
+        assert len(table) == 3 and table[1].startswith("4,")
+        assert table[2] == "# incomplete: disk full"
 
     @pytest.mark.parametrize("gamma_case", ["bottom", "bottom_left"])
     def test_one_dirichlet_column_matches_two(self, tmp_path, gamma_case):
-        records, runs = run_benchmark(_tiny_config(
+        records = run_benchmark(_tiny_config(
             tmp_path, levels=(4, 8), max_iter=20, gamma_case=gamma_case))
-        for rec, run_ in zip(records, runs):
-            f_truth = benchmark_truth(run_.problem.mesh)
-            ref = _two_column_errors(run_, f_truth,
-                                     run_.problem.solve_state(f_truth))
+        for rec in records:
+            dp, f_truth = benchmark_dp(rec.level, gamma_case)
+            # the exported reconstruction, exact in its 17 digits
+            f = np.loadtxt(tmp_path / f"level{rec.level}_f.csv",
+                           delimiter=",", skiprows=1)[:, 2]
+            ref = _two_column_errors(dp, f, f_truth, dp.solve_state(f_truth))
             got = (rec.err_f_L2, rec.err_u_L2, rec.err_u_H1)
             assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_each_level_factors_A_once(self, tmp_path, monkeypatch):
         # a level factors A (grounded, pure Neumann) once, for the boundary
-        # map, and its pinned Dirichlet operator once, for the error table
+        # map, and its pinned Dirichlet operator once, for its error row,
+        # before the next level is set up
         import tvsource.pde_solvers as pde
         real_factor, grounded = pde.BlockTridiagonalFactor, []
 
@@ -545,7 +565,7 @@ class TestBenchmarkRun:
 
         monkeypatch.setattr(pde, "BlockTridiagonalFactor", counting_factor)
         run_benchmark(_tiny_config(tmp_path, levels=(4, 8, 16)))
-        assert grounded == [True] * 3 + [False] * 3
+        assert grounded == [True, False] * 3
 
     def test_consistent_norm_of_unit_field(self):
         dp, _ = benchmark_dp(8)
@@ -616,9 +636,15 @@ class TestCli:
         if case == "bench_out_is_a_file":
             (tmp_path / "afile").write_text("")
             out = str(tmp_path / "afile" / "sub")
-        benchmark_calls = []
-        monkeypatch.setattr(tvsource.cli, "run_benchmark",
-                            lambda *args: benchmark_calls.append(args))
+        # bench sets no level up: the stand-in records a set-up and fails
+        setups = []
+
+        def no_setup(config, level):
+            setups.append(level)
+            raise AssertionError(f"level {level} was set up")
+
+        if case.startswith("bench"):
+            monkeypatch.setattr(ExperimentConfig, "setup_level", no_setup)
         if case.startswith("solve"):
             dp, f_truth = benchmark_dp(4)
             obs = tmp_path / "obs.csv"
@@ -638,7 +664,7 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("tvsource: error: ")
         assert word in lines[0] and captured.out == ""
         assert not os.path.exists(out)
-        assert benchmark_calls == []
+        assert setups == []
 
     @pytest.mark.parametrize("text", ["[1, 2]", "[]", "null", "4",
                                       '"levels"'])
@@ -974,6 +1000,28 @@ class TestCli:
         table = (tmp_path / "table.csv").read_text().splitlines()
         assert len(table) == 2 and table[1].startswith(
             "# incomplete: level 4 failed: tau 1e-170 is too small")
+
+    def test_bench_level_failure_keeps_the_finished_levels(self, tmp_path,
+                                                            capsys):
+        # level 8 rejects the step size that level 4 certifies (see
+        # TestMultilevel): level 4's row and files are written before level
+        # 8 is set up, and stay
+        out = tmp_path / "new" / "out"
+        code = cli_main(["bench", "--levels", "4,8", "--tau", "15",
+                         "--max-iter", "5", "--format", "vtk",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "tvsource: error: benchmark aborted: level 8 failed: step-size")
+        assert lines[0].endswith(f"partial table written to {out}/table.csv")
+        table = (out / "table.csv").read_text().splitlines()
+        assert len(table) == 3 and table[1].startswith("4,")
+        assert table[2].startswith("# incomplete: level 8 failed: step-size")
+        assert sorted(os.listdir(out)) == [
+            "level4_f.vtk", "level4_observation.csv", "level4_p.vtk",
+            "table.csv"]
 
     @pytest.mark.parametrize("levels", ["4,,8", "4,eight", ""])
     def test_malformed_levels_name_the_format(self, capsys, levels):

@@ -637,25 +637,21 @@ class TestMultilevel:
         return dp, z, params
 
     def test_levels_must_double_from_four(self):
-        with pytest.raises(ValueError):
-            multilevel_run([], self._make_level)
-        with pytest.raises(ValueError):
-            multilevel_run([8, 16], self._make_level)
-        with pytest.raises(ValueError):
-            multilevel_run([4, 12], self._make_level)
+        for levels in ([], [8, 16], [4, 12]):
+            with pytest.raises(ValueError):
+                next(multilevel_run(levels, self._make_level))
 
     def test_single_level_equals_plain_run(self):
-        runs = multilevel_run([4], self._make_level)
+        [level_run] = multilevel_run([4], self._make_level)
         state = run(*self._make_level(4))
-        assert np.allclose(runs[0].state.f, state.f, atol=1e-12)
-        assert np.allclose(runs[0].state.p, state.p, atol=1e-12)
+        assert np.allclose(level_run.state.f, state.f, atol=1e-12)
+        assert np.allclose(level_run.state.p, state.p, atol=1e-12)
 
     def test_level_releases_factor_and_boundary_map(self):
         # no factorization is cached; the boundary map and the gradient
         # table are rebuilt on demand, and kept they would add their memory
         # to every later level's peak
-        runs = multilevel_run([4, 8], self._make_level)
-        for level_run in runs:
+        for level_run in multilevel_run([4, 8], self._make_level):
             dp = level_run.problem
             assert not any(isinstance(v, pde_solvers.BlockTridiagonalFactor)
                            for v in vars(dp).values())
@@ -663,26 +659,47 @@ class TestMultilevel:
             assert "gradient_table" not in vars(dp.mesh)
 
     def test_two_levels_couple_rho_and_warm_start(self):
-        runs = multilevel_run([4, 8], self._make_level)
+        runs = list(multilevel_run([4, 8], self._make_level))
         assert runs[0].params.rho == pytest.approx(8.4090e-4, rel=1e-4)
         assert runs[1].params.rho == pytest.approx(5.9460e-4, rel=1e-4)
         assert runs[1].problem.mesh.level == 8
 
-    def test_failure_carries_completed_levels(self):
+    def test_next_level_is_set_up_once_the_last_is_consumed(self):
+        made = []
+
+        def make_level(level):
+            made.append(level)
+            return self._make_level(level)
+
+        levels = multilevel_run([4, 8], make_level)
+        assert made == []
+        assert next(levels).level == 4 and made == [4]
+        assert next(levels).level == 8 and made == [4, 8]
+        assert next(levels, None) is None
+
+    @staticmethod
+    def _levels_before_failure(levels, make_level):
+        """The levels yielded before a MultilevelError, and the error."""
+        done = []
+        with pytest.raises(MultilevelError) as excinfo:
+            for level_run in multilevel_run(levels, make_level):
+                done.append(level_run.level)
+        return done, excinfo.value
+
+    def test_failure_follows_the_completed_levels(self):
         def flaky(level):
             if level == 8:
                 raise RuntimeError("synthetic breakage")
             return self._make_level(level)
 
-        with pytest.raises(MultilevelError) as excinfo:
-            multilevel_run([4, 8], flaky)
-        assert excinfo.value.level == 8
-        assert [r.level for r in excinfo.value.completed] == [4]
+        done, exc = self._levels_before_failure([4, 8], flaky)
+        assert done == [4] and exc.level == 8
+        assert str(exc) == "level 8 failed: synthetic breakage"
 
     def test_invalid_certificate_fails_its_level(self):
         # tau 15 lies between the largest steps certified at level 8 (14.3)
         # and at level 4 (16.4)
-        with pytest.raises(MultilevelError, match="step-size") as excinfo:
-            multilevel_run([4, 8], lambda level: self._make_level(level, 15.0))
-        assert excinfo.value.level == 8
-        assert [r.level for r in excinfo.value.completed] == [4]
+        done, exc = self._levels_before_failure(
+            [4, 8], lambda level: self._make_level(level, 15.0))
+        assert done == [4] and exc.level == 8
+        assert "step-size" in str(exc)
