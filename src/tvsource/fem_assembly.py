@@ -16,8 +16,13 @@ through one pair of kernels that take a two-term coefficient table:
 ``table_gather`` (one gather, one product, one add) and ``table_scatter``
 (one product and one ``np.bincount``).  The gradient passes the mesh's
 coefficients and gives the bits of the element-by-element sum; the
-adjoint passes them times the triangle areas.  The primal-dual driver
-passes its own copies with the step constants folded in.
+adjoint passes them times the triangle areas.
+
+The primal-dual loop keeps its dual on the cell grid instead (``DualGrid``)
+and has a kernel for each direction that gives the bits of the table
+kernels: ``corner_gather`` (two products of fixed strided views of the
+nodal field, one add) and ``node_sum`` (one gather, one product, one
+``np.add.reduce`` over a node-major table).
 """
 
 from __future__ import annotations
@@ -176,6 +181,121 @@ def table_scatter(nodes: np.ndarray, coefs: np.ndarray, q: np.ndarray,
     table, row 0 first.  ``q`` holds k values in C order."""
     terms = coefs * q.reshape(-1)
     return np.bincount(nodes.ravel(), terms.ravel(), n)
+
+
+class DualGrid:
+    """The cell-grid layout of a piecewise-constant vector field on a mesh
+    from build_structured, with the tables of its two kernels.
+
+    The field is held as four flat planes, lower-x, lower-y, upper-y and
+    upper-x, a (2, 2, size) array indexed (a, b): a = 1 for the upper
+    triangle of a cell, b = a xor c for component c.  Cell (ix, iy) sits at
+    index iy*(level+1) + ix of each plane, the index of its bottom-left
+    vertex, and size = level*(level+1) - 1: column ix = level is padding,
+    held at +0.0, and the last padding cell is left out.  Plane (a, b)'s
+    gradient table terms sit at the corner shifts a*(level+1) + b and
+    1 - a + b*(level+1) from the cell, so the gradient reads the nodal
+    field through two fixed strided views (``corner_views``).
+
+    ``to_grid`` and ``from_grid`` map to and from the (n_triangles, 2)
+    layout; ``cells`` holds the flat grid index of each entry of that
+    layout.  Raises ValueError unless the mesh's gradient table has the
+    nodes of build_structured's numbering.
+    """
+
+    def __init__(self, mesh: TriMesh):
+        l, n, nodes = mesh.level, mesh.n_vertices, mesh.gradient_table.nodes
+        self.level, self.size = l, l * (l + 1) - 1
+        # table entry (iy, ix, a, c): component c of triangle a of cell
+        # (ix, iy), in plane (a, a xor c) at the cell's corner vertex
+        corner = np.arange(0, l * (l + 1), l + 1)[:, None] + np.arange(l)
+        corner = corner[:, :, None, None]
+        a, c = np.arange(2)[:, None], np.arange(2)
+        b = a ^ c
+        self.cells = ((2 * a + b) * self.size + corner).ravel()
+        first = (corner + a * (l + 1) + b).ravel()
+        self._swap = nodes[0] != first
+        if not (np.array_equal(np.where(self._swap, nodes[1], nodes[0]),
+                               first)
+                and np.array_equal(np.where(self._swap, nodes[0], nodes[1]),
+                                   (corner + 1 - a + b * (l + 1)).ravel())):
+            raise ValueError(
+                "the dual grid needs the vertex and triangle numbering of "
+                "build_structured")
+        # slot (j, v): the j-th occurrence of node v in the flat (2, k)
+        # table, the order in which np.bincount adds; 2k where v has fewer
+        flat = nodes.ravel()
+        order = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=n)
+        slot = np.arange(flat.shape[0])
+        slot -= np.repeat(np.cumsum(counts) - counts, counts)
+        slot *= n
+        slot += flat[order]
+        terms = np.full(counts.max() * n, flat.shape[0])
+        terms[slot] = order
+        self._terms = terms.reshape(-1, n)
+        # an empty slot reads the padding cell (level, 0) of the first
+        # plane; every node of the level-1 mesh has two terms, so its
+        # table, with no padding cell, has no empty slot
+        self.node_cells = np.concatenate(
+            (self.cells, self.cells, [l]))[self._terms]
+
+    def to_grid(self, p: P0VecField) -> np.ndarray:
+        """The (2, 2, size) grid of an (n_triangles, 2) field."""
+        q = np.zeros(4 * self.size)
+        q[self.cells] = np.ravel(p)
+        return q.reshape(2, 2, self.size)
+
+    def from_grid(self, q: np.ndarray) -> P0VecField:
+        """The (n_triangles, 2) field of a (2, 2, size) grid."""
+        return q.take(self.cells).reshape(-1, 2)
+
+    def corner_views(self, f: np.ndarray):
+        """The two read-only (2, 2, size) views of the nodal array ``f``
+        at the corner shifts, for ``corner_gather``."""
+        if f.shape != ((self.level + 1) ** 2,) or f.dtype != np.float64:
+            raise ValueError("corner views need a flat float nodal array")
+        s, row = f.strides[0], (self.level + 1) * f.strides[0]
+        shape = (2, 2, self.size)
+        return (np.lib.stride_tricks.as_strided(
+                    f, shape, (row, s, s), writeable=False),
+                np.lib.stride_tricks.as_strided(
+                    f[1:], shape, (-s, row, s), writeable=False))
+
+    def corner_table(self, coefs: np.ndarray) -> np.ndarray:
+        """A (2, k) two-term coefficient table of the gradient table's nodes
+        as the (2, 2, 2, size) coefficients of the two corner views, with
+        0.0 at the padding cells."""
+        table = np.zeros((2, 4 * self.size))
+        table[:, self.cells] = np.where(self._swap, coefs[::-1], coefs)
+        return table.reshape(2, 2, 2, self.size)
+
+    def node_table(self, coefs: np.ndarray) -> np.ndarray:
+        """A (2, k) two-term coefficient table as the node-major coefficients
+        that go with ``node_cells``, with 0.0 at the empty slots."""
+        return np.append(coefs.ravel(), 0.0)[self._terms]
+
+
+def corner_gather(coefs: np.ndarray, corners) -> np.ndarray:
+    """``coefs[0] * corners[0] + coefs[1] * corners[1]``: with the tables of
+    ``DualGrid.corner_table`` and ``corner_views`` the bits of
+    ``table_gather`` on the grid, as each entry adds the same two products,
+    at most in swapped order.  Padding cells hold 0.0 * f, a signed zero."""
+    g = coefs[0] * corners[0]
+    g += coefs[1] * corners[1]
+    return g
+
+
+def node_sum(cells: np.ndarray, coefs: np.ndarray,
+             q: np.ndarray) -> np.ndarray:
+    """Nodal sums of ``coefs * q.take(cells)`` over the node-major table's
+    rows, in row order from +0.0.  With ``DualGrid.node_cells`` and
+    ``node_table`` these are the bits of ``table_scatter`` on the grid:
+    the rows hold each node's terms in np.bincount's order, and an empty
+    slot adds a signed zero, which leaves a sum begun at +0.0 unchanged."""
+    terms = q.take(cells)
+    terms *= coefs
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 def elem_gradient(mesh: TriMesh, f: P1Field) -> P0VecField:

@@ -18,7 +18,10 @@ The driver folds the step constants into its own copies of the mesh's
 two-term gradient table once, so that a step is a few array operations:
 the primal step is clamp_box(f - tau * u_a - (tau*rho/w) D^T p) and the
 dual step project_ball(p + (tau*rho/theta) D f~).  Only the rounding
-differs from the formulas above.
+differs from the formulas above.  Inside a run the dual lives on the cell
+grid (``fem_assembly.DualGrid``), where D is two products of fixed views
+of f~ and D^T one ordered node-major reduction, with the bits of the
+(n_triangles, 2) layout's table kernels.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem_assembly import P0VecField, P1Field, table_gather, table_scatter
+from .fem_assembly import (DualGrid, P0VecField, P1Field, corner_gather,
+                           node_sum)
 from .mesh import prolong_p0, prolong_p1
 from .pde_solvers import DiscreteProblem, Observation
 from .sparse_linalg import grad_operator_norm
@@ -188,9 +192,16 @@ class PdDriver:
     Next to the certificate it builds the step tables: the mesh's two-term
     gradient table (``GradientTable``) with its coefficients times
     sigma = tau*rho/theta for the dual step, and times
-    |T| * tau*rho / w[node] for the divergence of the primal step, and the
-    weights w / tau^2 of the stopping norm; raises ValueError, before the
+    |T| * tau*rho / w[node] for the divergence of the primal step, both
+    laid out on the mesh's ``DualGrid`` (``grid``), and the weights
+    w / tau^2 of the stopping norm; raises ValueError, before the
     certificate, when tau is so small that these weights overflow.
+
+    ``primal_step`` and ``dual_step`` take and give the dual as a grid;
+    ``grid.to_grid`` and ``grid.from_grid`` map it to and from the
+    (n_triangles, 2) layout of ``run``'s arguments, hook and result.  The
+    dual step reads f~ from a buffer of the driver, so one driver runs one
+    step at a time.
     """
 
     def __init__(self, dp: DiscreteProblem, params: PdParams):
@@ -210,30 +221,41 @@ class PdDriver:
                 f"<= rhs {cert.rhs:.6g}; decrease tau or rho")
         self._t1, self._t2 = params.stopping_offsets(self.dp.mesh.mesh_size)
         tab, tau_rho = dp.mesh.gradient_table, params.tau * params.rho
-        self._nodes = tab.nodes
-        self._grad_coefs = tab.coefs * (tau_rho / params.theta)
-        self._div_coefs = tab.coefs * tab.weights * tau_rho / dp.w[tab.nodes]
+        self.grid = grid = DualGrid(dp.mesh)
+        self._grad_coefs = grid.corner_table(
+            tab.coefs * (tau_rho / params.theta))
+        self._div_cells = grid.node_cells
+        self._div_coefs = grid.node_table(
+            tab.coefs * tab.weights * tau_rho / dp.w[tab.nodes])
+        # the dual step's f~, read through two fixed views
+        self._f_tilde = np.zeros(dp.mesh.n_vertices)
+        self._corners = grid.corner_views(self._f_tilde)
 
     # -- single updates ------------------------------------------------------
 
     def primal_step(self, f: P1Field, p: P0VecField,
                     u_adjoint: P1Field) -> P1Field:
         """Exact solution of the box-constrained primal proximal subproblem,
-        clamp_box(f - tau * u_adjoint - (tau*rho/w) D^T p)."""
+        clamp_box(f - tau * u_adjoint - (tau*rho/w) D^T p), for a dual p on
+        the grid."""
         lo, hi = self.box
         step = u_adjoint * self.params.tau
         np.subtract(f, step, out=step)
-        step -= table_scatter(self._nodes, self._div_coefs, p, f.shape[0])
+        step -= node_sum(self._div_cells, self._div_coefs, p)
         # clip keeps a -0.0 at a zero bound, as np.maximum would not; the
         # method skips np.clip's dispatch
         return step.clip(lo, hi, out=step)
 
     def dual_step(self, p: P0VecField, f_tilde: P1Field) -> P0VecField:
         """Exact solution of the ball-constrained dual proximal subproblem,
-        project_ball(p + (tau*rho/theta) * grad f_tilde)."""
-        step = table_gather(self._nodes, self._grad_coefs, f_tilde)
-        step += p.reshape(-1)
-        return project_dual_ball(step.reshape(p.shape))
+        project_ball(p + (tau*rho/theta) * grad f_tilde), for a dual p on
+        the grid; its padding cells stay +0.0, the sum of a signed zero and
+        p's +0.0 there."""
+        if f_tilde is not self._f_tilde:
+            self._f_tilde[...] = f_tilde
+        step = corner_gather(self._grad_coefs, self._corners)
+        step += p
+        return project_dual_ball(step)
 
     def stopping_value(self, residual: P1Field,
                        g0_norm: float | None = None) -> tuple[float, float]:
@@ -309,13 +331,15 @@ class PdDriver:
         default_f, default_p = compatible_start(dp)
         f = np.clip(np.asarray(default_f if f0 is None else f0, dtype=float),
                     lo, hi)
-        p = project_dual_ball(
-            np.asarray(default_p if p0 is None else p0, dtype=float))
+        grid = self.grid
+        p = grid.to_grid(project_dual_ball(
+            np.asarray(default_p if p0 is None else p0, dtype=float)))
         z_gamma = dp.observed_values(z)
         w, M_gamma, bmap = dp.w, dp.M_gamma, dp.boundary_map
         G, trace = bmap.G, bmap.trace
         primal_step, dual_step = self.primal_step, self.dual_step
         stopping_value, max_iter = self.stopping_value, self.params.max_iter
+        f_tilde = self._f_tilde
 
         g0_norm = None
         for n in range(max_iter + 1):
@@ -332,7 +356,7 @@ class PdDriver:
             residual = f - f_next
             tol_val, g0_norm = stopping_value(residual, g0_norm)
             if on_iteration is not None:
-                on_iteration(n, f, p, u_gamma, u_a, tol_val)
+                on_iteration(n, f, grid.from_grid(p), u_gamma, u_a, tol_val)
             if tol_val <= 0.0 or n == max_iter:
                 break
 
@@ -342,12 +366,15 @@ class PdDriver:
                 raise RuntimeError(
                     f"primal iterate left the box at iteration {n + 1}")
             # the extrapolated point f~ = f_next - (f - f_next)
-            p_next = dual_step(p, np.subtract(f_next, residual, out=residual))
-            if not abs(p_next).max() <= 1.0 + 1e-15:  # NaN fails it too
+            p_next = dual_step(p, np.subtract(f_next, residual, out=f_tilde))
+            # NaN fails it too
+            if not (-1.0 - 1e-15 <= p_next.min()
+                    and p_next.max() <= 1.0 + 1e-15):
                 raise RuntimeError(
                     f"dual iterate left the unit ball at iteration {n + 1}")
             f, p = f_next, p_next
-        return PdState(f, p, n, tol_val, u_gamma, self.objective(f, misfit))
+        return PdState(f, grid.from_grid(p), n, tol_val, u_gamma,
+                       self.objective(f, misfit))
 
 
 def run(dp: DiscreteProblem, z: Observation, params: PdParams, f0=None,

@@ -228,7 +228,7 @@ def test_criterion_9_proximal_step_oracles():
         f = rng.uniform(lo, hi, dp.mesh.n_vertices)
         p = rng.uniform(-1, 1, (dp.mesh.n_triangles, 2))
         u_a = 0.1 * rng.standard_normal(dp.mesh.n_vertices)
-        step = driver.primal_step(f, p, u_a)
+        step = driver.primal_step(f, driver.grid.to_grid(p), u_a)
         d = div_adjoint(dp.mesh, p)
         for i in range(dp.mesh.n_vertices):
             def node_obj(v):
@@ -237,7 +237,8 @@ def test_criterion_9_proximal_step_oracles():
             worst = max(worst, abs(step[i] - quad_argmin(node_obj, lo, hi)))
 
         f_tilde = rng.standard_normal(dp.mesh.n_vertices)
-        dstep = driver.dual_step(p, f_tilde)
+        dstep = driver.grid.from_grid(
+            driver.dual_step(driver.grid.to_grid(p), f_tilde))
         g = elem_gradient(dp.mesh, f_tilde)
         for t in range(dp.mesh.n_triangles):
             for j in (0, 1):

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tvsource import primal_dual
-from tvsource.fem_assembly import (CoefficientSet, NeumannData,
+from tvsource.fem_assembly import (CoefficientSet, DualGrid, NeumannData,
                                    assemble_boundary_mass, assemble_mass,
-                                   assemble_stiffness, div_adjoint,
-                                   elem_gradient, neumann_load)
+                                   assemble_stiffness, corner_gather,
+                                   div_adjoint, elem_gradient, neumann_load,
+                                   node_sum, table_gather, table_scatter)
 from tvsource.mesh import (GammaSpec, TriMesh, _triangle_geometry,
                            build_structured)
 from tvsource.experiment import (ExperimentConfig, benchmark_flux,
@@ -365,9 +366,10 @@ class TestKernelsMatchReference:
 
     def test_loop_matches_reference_kernels(self, monkeypatch):
         # 40 primal-dual iterations at level 8 end on the same bits with
-        # the step kernels written as fancy indexing and np.add.at over
-        # step tables built in the test, and the element-by-element total
-        # variation
+        # the steps' kernels written as fancy indexing and np.add.at over
+        # step tables built in the test, on the (n_triangles, 2) layout
+        # that the driver's grid maps convert to and from, and the
+        # element-by-element total variation
         dp, f_truth = benchmark_dp(8)
         z = synthesize_observation(dp, f_truth, 0.0, 0)
         params = primal_dual.PdParams(
@@ -384,19 +386,23 @@ class TestKernelsMatchReference:
         nodes, grad, div = step_tables(dp, params)
         calls = []
 
-        def ref_gather(_nodes, _coefs, f):  # the dual step's gradient
+        def ref_dual_step(driver, p, f):  # with the step's gradient
             calls.append("gather")
-            return grad[0] * f[nodes[0]] + grad[1] * f[nodes[1]]
+            q = driver.grid.from_grid(p).ravel()
+            q += grad[0] * f[nodes[0]] + grad[1] * f[nodes[1]]
+            return driver.grid.to_grid(np.clip(q, -1.0, 1.0))
 
-        def ref_scatter(_nodes, _coefs, q, n):  # the primal step's div
+        def ref_primal_step(driver, f, p, u_a):  # with the step's div
             calls.append("scatter")
-            out = np.zeros(n)
-            np.add.at(out, nodes.ravel(), (div * np.ravel(q)).ravel())
-            return out
+            d = np.zeros(f.shape[0])
+            np.add.at(d, nodes.ravel(),
+                      (div * driver.grid.from_grid(p).ravel()).ravel())
+            return np.clip(f - driver.params.tau * u_a - d, *driver.box)
 
         state, stops = run()
-        monkeypatch.setattr(primal_dual, "table_gather", ref_gather)
-        monkeypatch.setattr(primal_dual, "table_scatter", ref_scatter)
+        monkeypatch.setattr(primal_dual.PdDriver, "dual_step", ref_dual_step)
+        monkeypatch.setattr(primal_dual.PdDriver, "primal_step",
+                            ref_primal_step)
         monkeypatch.setattr(primal_dual, "tv_value", _ref_tv_value)
         ref_state, ref_stops = run()
         # every step ran on the reference kernels
@@ -406,3 +412,62 @@ class TestKernelsMatchReference:
         assert stops.tobytes() == ref_stops.tobytes()
         assert (np.float64(state.objective).tobytes()
                 == np.float64(ref_state.objective).tobytes())
+
+
+class TestDualGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 16))
+    def test_grid_kernels_match_table_kernels(self, data, level):
+        # on random two-term coefficient tables, with signed zeros and +-1
+        # in the dual, the grid kernels give the table kernels' bits
+        mesh = build_structured(level)
+        grid, tab = DualGrid(mesh), mesh.gradient_table
+        n, k = mesh.n_vertices, tab.nodes.shape[1]
+        values = st.floats(-1e3, 1e3) | st.sampled_from([-0.0, 0.0])
+        coefs = data.draw(arrays(np.float64, (2, k), elements=values))
+        f = data.draw(arrays(np.float64, n, elements=values))
+        p = data.draw(arrays(np.float64, (mesh.n_triangles, 2),
+                             elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0])
+                             | st.floats(-1.0, 1.0)))
+        q = grid.to_grid(p)
+        assert q.shape == (2, 2, level * (level + 1) - 1)
+        assert grid.from_grid(q).tobytes() == p.tobytes()
+        padding = np.ones(q.size, bool)
+        padding[grid.cells] = False
+        assert np.all(q.ravel()[padding] == 0.0)
+        assert not np.signbit(q.ravel()[padding]).any()
+
+        g = corner_gather(grid.corner_table(coefs), grid.corner_views(f))
+        assert (grid.from_grid(g).tobytes()
+                == table_gather(tab.nodes, coefs, f).tobytes())
+        # a dual step's sum, p + gradient, keeps the padding at +0.0
+        g += q
+        assert g.ravel()[padding].tobytes() == bytes(8 * padding.sum())
+
+        div = node_sum(grid.node_cells, grid.node_table(coefs), q)
+        assert (div.tobytes()
+                == table_scatter(tab.nodes, coefs, p, n).tobytes())
+
+    def test_node_table_rows(self):
+        # a node has at most eight terms; every node of the level-1 mesh
+        # has two, so its table has no empty slot to fill from padding
+        for level, rows in ((1, 2), (2, 8), (5, 8)):
+            mesh = build_structured(level)
+            grid = DualGrid(mesh)
+            coefs = grid.node_table(np.ones_like(mesh.gradient_table.coefs))
+            assert grid.node_cells.shape == coefs.shape == (
+                rows, mesh.n_vertices)
+            assert coefs.sum() == 2 * mesh.gradient_table.nodes.shape[1]
+            assert (coefs.sum(axis=0) == np.bincount(
+                mesh.gradient_table.nodes.ravel())).all()
+
+    def test_other_numbering_is_rejected(self):
+        # the corner views rely on build_structured's numbering; a mesh
+        # whose triangles are listed in another order is refused
+        mesh = build_structured(3)
+        flipped = TriMesh(mesh.vertices, mesh.triangles[::-1].copy(),
+                          mesh.areas[::-1].copy(), mesh.grads[::-1].copy(),
+                          mesh.boundary_edges, mesh.edge_lengths,
+                          mesh.edge_sides, mesh.level, mesh.box)
+        with pytest.raises(ValueError, match="numbering of build_structured"):
+            DualGrid(flipped)
