@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -100,23 +101,92 @@ def build_benchmark_problem(level: int, gamma_case: str = "bottom",
     return prob, benchmark_truth(mesh)
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _uniform_noise(seed, k: int) -> list[float]:
+    """The first k draws of ``np.random.default_rng(seed).uniform(-1.0,
+    1.0, k)``, bit for bit, without importing numpy.random.
+
+    ``seed`` is a non-negative int or a sequence of them, as SeedSequence
+    takes it (NumPy NEP 19): a negative entry raises ValueError and a
+    non-integer TypeError.  PCG64 is O'Neill's XSL-RR 128/64 generator
+    (HMC-CS-2014-0905).
+    """
+    try:
+        entries = [operator.index(seed)]
+    except TypeError:
+        entries = [operator.index(v) for v in seed]
+    words = []  # SeedSequence's entropy: each int's 32-bit words, low first
+    for n in entries:
+        if n < 0:
+            raise ValueError(f"seed entries must be non-negative, got {n}")
+        words += [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state32, hash_b = [], 0x8B51F9DD  # generate_state(4, uint64)
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _M32
+        value = value * hash_b & _M32
+        state32.append(value ^ value >> 16)
+    s0, s1, i0, i1 = (state32[j] | state32[j + 1] << 32 for j in (0, 2, 4, 6))
+
+    # PCG64's seeding: from state 0, one step, add the seed, one step
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    state = ((inc + (s0 << 64 | s1)) * mult + inc) & _M128
+    draws = []
+    for _ in range(k):
+        state = (state * mult + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        draws.append(-1.0 + 2.0 * ((x >> 11) * 2.0 ** -53))
+    return draws
+
+
 def synthesize_observation(dp: DiscreteProblem, f_truth: P1Field,
                            theta_level: float, seed,
                            u_gamma: np.ndarray | None = None) -> Observation:
     """Trace of the truth state on the observed sides plus uniform noise.
 
     ``u_gamma`` is that trace, one value per observed node; when None it is
-    read from the boundary map at ``f_truth``.  Noise stream: PCG64 seeded
-    with ``seed``, one uniform(-1,1) draw per observation node in
-    increasing node order, scaled by ``theta_level``.  The recorded noise
-    level is the boundary L2 norm of the perturbation; raises ValueError
-    when it is not finite.
+    read from the boundary map at ``f_truth``.  Noise: one draw per
+    observation node in increasing node order, the draws of
+    ``np.random.default_rng(seed).uniform(-1.0, 1.0, k)`` bit for bit,
+    scaled by ``theta_level``; that is SeedSequence(seed) (NumPy NEP 19)
+    seeding PCG64 (XSL-RR 128/64) through ``generate_state(4, uint64)``,
+    and draw j is -1 + 2 (x_j >> 11) 2^-53 for the j-th 64-bit output x_j.
+    The draws are computed with integer arithmetic, so numpy.random is not
+    imported.  ``seed`` is a non-negative int or a sequence of them.  The
+    recorded noise level is the boundary L2 norm of the perturbation;
+    raises ValueError when it is not finite.
     """
     if u_gamma is None:
         u_gamma = dp.boundary_map.trace(dp.w * f_truth)
     nodes = dp.gamma_nodes
-    rng = np.random.default_rng(seed)
-    noise = theta_level * rng.uniform(-1.0, 1.0, size=nodes.shape[0])
+    noise = theta_level * np.array(_uniform_noise(seed, nodes.shape[0]))
     with np.errstate(over="ignore"):  # an overflow fails the check below
         noise_level = dp.gamma_norm(noise)
     if not math.isfinite(noise_level):

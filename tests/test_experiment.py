@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tvsource.cli
 from tvsource.cli import main as cli_main
 from tvsource.experiment import (ExperimentConfig, F_HIGH, F_LOW,
+                                 _uniform_noise,
                                  build_benchmark_problem, benchmark_flux,
                                  export_field, read_config_file,
                                  read_observation_csv,
@@ -117,6 +118,41 @@ class TestObservation:
         z3 = synthesize_observation(dp, f_truth, 1e-2, 43)
         assert np.array_equal(z1.values, z2.values)
         assert not np.array_equal(z1.values, z3.values)
+
+
+_SEED_INTS = st.integers(0, 2**130 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.one_of(_SEED_INTS, st.lists(_SEED_INTS, min_size=1,
+                                            max_size=6)),
+       k=st.integers(1, 300))
+@example(seed=0, k=1)
+@example(seed=[2**32 - 1, 2**32, 2**64, 0, 1], k=5)
+def test_noise_stream_is_numpy_default_rng(seed, k):
+    expected = np.random.default_rng(seed).uniform(-1.0, 1.0, k)
+    assert np.array(_uniform_noise(seed, k)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed, first", [
+    ([0, 4], ["0x1.8844026dcd6e0p-1", "-0x1.15ebcd7a25e64p-1",
+              "-0x1.6dfdd5d326168p-3"]),
+    ([1, 64], ["-0x1.7b290d11d2e00p-6", "-0x1.7ea111433c294p-2",
+               "0x1.0d428c744fd3ep-1"]),
+])
+def test_noise_stream_first_draws(seed, first):
+    # pinned as literals, so the stream holds whatever numpy does
+    assert [x.hex() for x in _uniform_noise(seed, 3)] == first
+
+
+@pytest.mark.parametrize("seed, error", [
+    (-1, ValueError), ([0, -4], ValueError), (0.5, TypeError),
+    ([0, 4.0], TypeError)])
+def test_noise_stream_rejects_seeds_as_numpy_does(seed, error):
+    with pytest.raises(error):
+        np.random.default_rng(seed)
+    with pytest.raises(error):
+        _uniform_noise(seed, 1)
 
 
 class TestExports:
@@ -891,25 +927,30 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
-    def test_solve_does_not_import_numpy_random(self, tmp_path):
-        # the step-size certificate draws no random number
+    def test_bench_and_solve_do_not_import_numpy_random(self, tmp_path):
+        # the noise is drawn with integer arithmetic and the step-size
+        # certificate draws no random number; numpy.random would bring in
+        # secrets and hashlib, about 5.9 MB of RSS
         dp, f_truth = benchmark_dp(4)
         obs = tmp_path / "obs.csv"
         write_observation_csv(dp.mesh,
                               synthesize_observation(dp, f_truth, 0.0, 0),
                               str(obs))
-        code = ("import sys; from tvsource.cli import main; "
-                "code = main(sys.argv[1:]); "
-                "print(code, 'numpy.random' in sys.modules)")
+        code = ("import json, sys; from tvsource.cli import main; "
+                "codes = [main(a) for a in json.loads(sys.argv[1])]; "
+                "print(codes, [m for m in ('numpy.random', 'secrets', "
+                "'hashlib') if m in sys.modules])")
+        runs = [["bench", "--levels", "4,8", "--max-iter", "1", "--format",
+                 "none", "--out", str(tmp_path / "bench")],
+                ["solve", str(obs), "--level", "4", "--max-iter", "2",
+                 "--format", "none", "--out", str(tmp_path / "solve")]]
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "solve", str(obs), "--level", "4",
-             "--max-iter", "2", "--format", "none", "--out",
-             str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "0 False"
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
 
     def test_box_takes_a_negative_lower_bound(self, tmp_path):
         # the default box written out gives the default table
