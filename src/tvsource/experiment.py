@@ -123,19 +123,20 @@ def _uniform_noise(seed, k: int) -> list[float]:
             raise ValueError(f"seed entries must be non-negative, got {n}")
         words += [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
 
-    hash_a = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_a
-        value ^= hash_a
-        hash_a = hash_a * 0x931E8875 & _M32
-        value = value * hash_a & _M32
-        return value ^ value >> 16
+    def hasher(const, mult):  # SeedSequence's hashmix, own running constant
+        def hashmix(value):
+            nonlocal const
+            value ^= const
+            const = const * mult & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+        return hashmix
 
     def mix(x, y):
         r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
         return r ^ r >> 16
 
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
     pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
     for src in range(4):
         for dst in range(4):
@@ -145,12 +146,8 @@ def _uniform_noise(seed, k: int) -> list[float]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
 
-    state32, hash_b = [], 0x8B51F9DD  # generate_state(4, uint64)
-    for i in range(8):
-        value = pool[i % 4] ^ hash_b
-        hash_b = hash_b * 0x58F38DED & _M32
-        value = value * hash_b & _M32
-        state32.append(value ^ value >> 16)
+    generate = hasher(0x8B51F9DD, 0x58F38DED)  # generate_state(4, uint64)
+    state32 = [generate(pool[i % 4]) for i in range(8)]
     s0, s1, i0, i1 = (state32[j] | state32[j + 1] << 32 for j in (0, 2, 4, 6))
 
     # PCG64's seeding: from state 0, one step, add the seed, one step
