@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import math
 import operator
 import os
@@ -267,11 +266,17 @@ class ExperimentConfig:
 def read_config_file(path: str) -> dict:
     """The ExperimentConfig field values in the JSON config file at
     ``path``, its lists made tuples; raises ValueError naming the file
-    unless it holds UTF-8 JSON text, an object whose keys are field names."""
+    unless it holds UTF-8 JSON text, an object whose keys are field names.
+    ``json`` is imported here, its one use, so a run without a config
+    file does not load it."""
+    import json
+
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # RecursionError: the decoder recurses once per nesting level
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:
             raise ValueError(
                 f"config file {path} is not valid JSON: {exc}") from exc
     if type(data) is not dict:

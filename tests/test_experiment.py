@@ -729,6 +729,19 @@ class TestCli:
             "Expecting value: line 2 column 1 (char 15)"]
         assert captured.out == "" and not out.exists()
 
+    def test_config_file_nested_too_deep_one_line_exit_2(self, tmp_path,
+                                                         capsys):
+        # the decoder's recursion limit is an invalid file, not a traceback
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text("[" * 100000 + "]" * 100000)
+        assert cli_main(["bench", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"tvsource: error: config file {cfg} is not valid JSON: ")
+        assert captured.out == "" and not out.exists()
+
     def test_include_64_extends_the_levels_to_64(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"max_iter": 4}))
@@ -927,26 +940,34 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
-    def test_bench_and_solve_do_not_import_numpy_random(self, tmp_path):
-        # the noise is drawn with integer arithmetic and the step-size
-        # certificate draws no random number; numpy.random would bring in
-        # secrets and hashlib, about 5.9 MB of RSS
+    def test_bench_and_solve_load_no_random_json_or_eigensolver(self,
+                                                                 tmp_path):
+        # the noise is drawn with integer arithmetic, and the step-size
+        # certificate draws no random number (numpy.random would bring in
+        # secrets and hashlib, about 5.9 MB of RSS) and calls no
+        # eigensolver, whose LAPACK pages it would make resident; json is
+        # loaded only for a config file.  The child reads its argument
+        # lists with ast, which dataclasses imports anyway.
         dp, f_truth = benchmark_dp(4)
         obs = tmp_path / "obs.csv"
         write_observation_csv(dp.mesh,
                               synthesize_observation(dp, f_truth, 0.0, 0),
                               str(obs))
-        code = ("import json, sys; from tvsource.cli import main; "
-                "codes = [main(a) for a in json.loads(sys.argv[1])]; "
+        code = ("import ast, sys; import numpy.linalg as la\n"
+                "def refuse(*args, **kwargs):\n"
+                "    raise AssertionError('eigensolver called')\n"
+                "la.eigvalsh = la.eigh = refuse\n"
+                "from tvsource.cli import main\n"
+                "codes = [main(a) for a in ast.literal_eval(sys.argv[1])]\n"
                 "print(codes, [m for m in ('numpy.random', 'secrets', "
-                "'hashlib') if m in sys.modules])")
+                "'hashlib', 'json') if m in sys.modules])")
         runs = [["bench", "--levels", "4,8", "--max-iter", "1", "--format",
                  "none", "--out", str(tmp_path / "bench")],
                 ["solve", str(obs), "--level", "4", "--max-iter", "2",
                  "--format", "none", "--out", str(tmp_path / "solve")]]
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+        proc = subprocess.run([sys.executable, "-c", code, repr(runs)],
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr

@@ -17,8 +17,9 @@ from tvsource.pde_solvers import DiscreteProblem, Observation
 from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   certify_steps, certify_steps_empirical,
                                   coercivity_c1, compatible_start,
-                                  multilevel_run, run, smooth_operator_norm,
-                                  trace_constant)
+                                  multilevel_run, run,
+                                  smooth_operator_matrix,
+                                  smooth_operator_norm, trace_constant)
 from tvsource.tv_calculus import gradient_pairing
 
 from conftest import (b_norm_hook, benchmark_dp, dense, div_rep, random_dp,
@@ -102,7 +103,43 @@ class TestSmoothOperatorNorm:
         assert np.allclose(sym, sym.T, rtol=0, atol=1e-9 * np.abs(sym).max())
         ref = np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1]
         exact = smooth_operator_norm(dp)
+        assert exact >= ref
         assert exact == pytest.approx(ref, rel=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(),
+           st.booleans(), st.sampled_from([("bottom",), ("bottom", "left")]))
+    def test_bound_is_certified_and_sharp(self, level, seed, reaction,
+                                          boundary_term, gamma):
+        # s is admitted by the Cholesky factorization it is certified with,
+        # lies above the dense largest eigenvalue and within 1e-10 of it
+        dp, _ = random_dp(level, seed, reaction, boundary_term, gamma)
+        K = smooth_operator_matrix(dp)
+        s = smooth_operator_norm(dp)
+        np.linalg.cholesky(s * np.eye(K.shape[0]) - K)
+        lam = scipy.linalg.eigh(K, eigvals_only=True)[-1]
+        assert lam <= s <= lam * (1.0 + 1e-10)
+
+    def test_widens_and_bisects_past_a_low_rayleigh_quotient(self,
+                                                             monkeypatch):
+        # with lambda_2 / lambda_1 = 0.999, 64 power steps leave the
+        # Rayleigh quotient about 5e-4 below lambda_max = 1: the gap
+        # doubles past it, and the bisection brings the bound back
+        K = np.diag([1.0, 0.999])
+        monkeypatch.setattr(primal_dual, "smooth_operator_matrix",
+                            lambda dp: K)
+        s = smooth_operator_norm(None)
+        np.linalg.cholesky(s * np.eye(2) - K)
+        assert 1.0 <= s <= 1.0 + 1e-10
+
+    def test_nan_matrix_is_refused(self, monkeypatch):
+        # no mu would ever be admitted, so the widening would not end
+        K = np.eye(3)
+        K[2, 0] = K[0, 2] = np.nan
+        monkeypatch.setattr(primal_dual, "smooth_operator_matrix",
+                            lambda dp: K)
+        with pytest.raises(ValueError, match="Rayleigh quotient nan"):
+            smooth_operator_norm(None)
 
 
 @pytest.mark.parametrize("level", [4, 8])
