@@ -79,7 +79,7 @@ class BoundaryMap:
     def trace(self, load: np.ndarray) -> np.ndarray:
         """Trace on Gamma of the state with volume load ``load`` (w * f)
         and the flux data."""
-        u = self.G.T @ load
+        u = self.G.T.dot(load)  # the loop's product: skips matmul's dispatch
         u += self.flux_trace
         return u
 

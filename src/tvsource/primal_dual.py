@@ -131,14 +131,20 @@ def smooth_operator_matrix(dp) -> np.ndarray:
     ``BoundaryMap`` (W the lumped weights, M = R R^T the boundary mass
     ``dp.M_gamma``).  It is symmetric positive semi-definite in the
     weighted nodal product, and K has the same nonzero spectrum, so its
-    norm is the largest eigenvalue of K.
+    norm is the largest eigenvalue of K, which is returned exactly
+    symmetric.
     """
-    G, w = dp.boundary_map.G, dp.w[:, None]
+    G, sw = dp.boundary_map.G, np.sqrt(dp.w)[:, None]
     R = np.linalg.cholesky(dp.M_gamma)
-    # G^T W G eight columns at a time: no n x m temporary next to G
-    gwg = np.hstack([G.T @ (w * G[:, j:j + 8])
-                     for j in range(0, G.shape[1], 8)])
-    return R.T @ gwg @ R
+    # G^T W G as a sum of Y^T Y over row chunks Y = W^(1/2) G[chunk]: numpy
+    # hands each product to BLAS syrk, which makes it exactly symmetric, and
+    # no n x m temporary sits next to G
+    gwg = np.zeros((G.shape[1], G.shape[1]))
+    for i in range(0, G.shape[0], 512):
+        y = sw[i:i + 512] * G[i:i + 512]
+        gwg += y.T @ y
+    K = R.T @ gwg @ R
+    return 0.5 * (K + K.T)  # exactly symmetric, as the two products are not
 
 
 def _cholesky_admits(K: np.ndarray, mu: float) -> bool:
@@ -163,8 +169,7 @@ def smooth_operator_norm(dp) -> float:
     rho <= lambda_max; on the benchmark levels, where lambda_2 / lambda_1
     is at most 0.65, it is lambda_max up to rounding.  mu = rho * (1 +
     2^-40) is admitted when the Cholesky factorization of mu*I - K runs
-    to completion (it reads the lower triangle; K as rounded need not be
-    exactly symmetric).  If it does not, the gap doubles until one is
+    to completion.  If it does not, the gap doubles until one is
     admitted, and mu is bisected between the last refused and the
     admitted value to 1e-12 relative.
 
@@ -239,6 +244,18 @@ class PdState:
         return self.final_tolerance <= 0.0
 
 
+def _frozen(value) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array.
+
+    A step's scalar operand that is already an array skips the conversion a
+    Python float pays on every numpy call; the ufunc and its float64
+    arithmetic, and so the bits, stay the same.
+    """
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
 def compatible_start(dp: DiscreteProblem):
     """Constant source on the flux-compatible slice, clamped to the box,
     and the dual start p = 0.5.
@@ -263,7 +280,10 @@ class PdDriver:
     |T| * tau*rho / w[node] for the divergence of the primal step, both
     laid out on the mesh's ``DualGrid`` (``grid``), and the weights
     w / tau^2 of the stopping norm; raises ValueError, before the
-    certificate, when tau is so small that these weights overflow.
+    certificate, when tau is so small that these weights overflow (a tau
+    so large that tau^2 overflows makes them 0, and the certificate
+    refuses it).  tau and the bounds of ``box`` are also kept as read-only
+    0-d arrays, the primal step's operands.
 
     ``primal_step`` and ``dual_step`` take and give the dual as a grid;
     ``grid.to_grid`` and ``grid.from_grid`` map it to and from the
@@ -276,8 +296,12 @@ class PdDriver:
         self.dp = dp
         self.params = params
         self.box = self.dp.prob.box
+        self._lo, self._hi = map(_frozen, self.box)
+        self._tau = _frozen(params.tau)
         with np.errstate(divide="ignore", over="ignore"):
-            self._w_tau2 = dp.w / params.tau**2
+            # numpy's scalar power calls C pow, as Python's float power does,
+            # but gives inf where that raises OverflowError
+            self._w_tau2 = dp.w / np.float64(params.tau) ** 2
         if not np.isfinite(self._w_tau2).all():
             raise ValueError(
                 f"tau {params.tau:.6g} is too small: the weights w / tau^2 "
@@ -306,13 +330,12 @@ class PdDriver:
         """Exact solution of the box-constrained primal proximal subproblem,
         clamp_box(f - tau * u_adjoint - (tau*rho/w) D^T p), for a dual p on
         the grid."""
-        lo, hi = self.box
-        step = u_adjoint * self.params.tau
+        step = u_adjoint * self._tau
         np.subtract(f, step, out=step)
         step -= node_sum(self._div_cells, self._div_coefs, p)
         # clip keeps a -0.0 at a zero bound, as np.maximum would not; the
         # method skips np.clip's dispatch
-        return step.clip(lo, hi, out=step)
+        return step.clip(self._lo, self._hi, out=step)
 
     def dual_step(self, p: P0VecField, f_tilde: P1Field) -> P0VecField:
         """Exact solution of the ball-constrained dual proximal subproblem,
@@ -335,7 +358,7 @@ class PdDriver:
         run's first iterate (this one, when None).  Returns the value and
         g0_norm; a NaN in f_next makes the value NaN.
         """
-        g_norm = math.sqrt((self._w_tau2 * residual) @ residual)
+        g_norm = math.sqrt((self._w_tau2 * residual).dot(residual))
         if g0_norm is None:
             g0_norm = g_norm
         return g_norm - self._t1 - self._t2 * g0_norm, g0_norm
@@ -413,13 +436,13 @@ class PdDriver:
         for n in range(max_iter + 1):
             u_gamma = trace(w * f)
             r = u_gamma - z_gamma
-            m_r = M_gamma @ r
-            misfit = 0.5 * float(r @ m_r)
+            m_r = M_gamma.dot(r)
+            misfit = 0.5 * float(r.dot(m_r))
             if not math.isfinite(misfit):  # before a step from this iterate
                 raise ValueError(
                     f"data misfit {misfit} at iteration {n}: the "
                     "observation values are out of range")
-            u_a = G @ m_r
+            u_a = G.dot(m_r)
             f_next = primal_step(f, p, u_a)
             residual = f - f_next
             tol_val, g0_norm = stopping_value(residual, g0_norm)

@@ -41,10 +41,16 @@ def subgradient_witness(mesh: TriMesh, f: P1Field) -> P0VecField:
     return np.sign(elem_gradient(mesh, f))
 
 
+# the clamp's bounds as read-only 0-d arrays: an array operand skips the
+# conversion a Python float pays on every call, with the same bits
+_MINUS_ONE, _ONE = np.array(-1.0), np.array(1.0)
+_MINUS_ONE.flags.writeable = _ONE.flags.writeable = False
+
+
 def project_dual_ball(p: P0VecField) -> P0VecField:
     """Componentwise clamp onto [-1, 1]: the exact nearest point of the
     componentwise unit ball in any weighted elementwise metric."""
-    return p.clip(-1.0, 1.0)
+    return p.clip(_MINUS_ONE, _ONE)
 
 
 def project_dual_ball_isotropic(p: P0VecField) -> P0VecField:

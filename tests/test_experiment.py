@@ -1063,6 +1063,34 @@ class TestCli:
         assert len(table) == 2 and table[1].startswith(
             "# incomplete: level 4 failed: tau 1e-170 is too small")
 
+    def test_solve_tau_huge_one_line_exit_2(self, tmp_path, capsys):
+        # tau^2 overflows in float64 (Python's float power would raise), so
+        # the weights w / tau^2 are 0 and the certificate refuses the step
+        dp, f_truth = benchmark_dp(4)
+        obs, out = tmp_path / "obs.csv", tmp_path / "out"
+        write_observation_csv(
+            dp.mesh, synthesize_observation(dp, f_truth, 0.0, 0), str(obs))
+        code = cli_main(["solve", str(obs), "--level", "4", "--tau", "1e200",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "tvsource: error: step-size condition violated: lhs ")
+
+    def test_bench_tau_huge_fails_the_level(self, tmp_path, capsys):
+        code = cli_main(["bench", "--levels", "4,8", "--tau", "1e300",
+                         "--max-iter", "5", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "tvsource: error: benchmark aborted: level 4 failed: step-size "
+            "condition violated")
+        table = (tmp_path / "table.csv").read_text().splitlines()
+        assert len(table) == 2 and table[1].startswith(
+            "# incomplete: level 4 failed: step-size condition violated")
+
     def test_bench_level_failure_keeps_the_finished_levels(self, tmp_path,
                                                             capsys):
         # level 8 rejects the step size that level 4 certifies (see

@@ -120,6 +120,15 @@ class TestSmoothOperatorNorm:
         lam = scipy.linalg.eigh(K, eigvals_only=True)[-1]
         assert lam <= s <= lam * (1.0 + 1e-10)
 
+    @pytest.mark.parametrize("level, gamma_case", [
+        (4, "bottom"), (32, "bottom_left"), (64, "bottom")])
+    def test_matrix_is_exactly_symmetric(self, level, gamma_case):
+        # G^T W G sums exactly symmetric syrk products over row chunks (three
+        # at level 32, nine at level 64); the congruence by R is symmetrized
+        dp, _ = benchmark_dp(level, gamma_case)
+        K = smooth_operator_matrix(dp)
+        assert np.array_equal(K, K.T)
+
     def test_widens_and_bisects_past_a_low_rayleigh_quotient(self,
                                                              monkeypatch):
         # with lambda_2 / lambda_1 = 0.999, 64 power steps leave the
@@ -538,13 +547,16 @@ def _bytes(values) -> bytes:
        st.sampled_from([(-1.0, 3.0), (0.0, 3.0)]), st.integers(20, 40),
        st.floats(0.5, 12.0), st.integers(0, 3))
 @example(data=None, level=32, box=(0.0, 3.0), max_iter=20, tau=5.0, seed=1)
+@example(data=None, level=64, box=(-1.0, 3.0), max_iter=20, tau=5.0, seed=2)
 def test_run_is_bit_identical_to_reference_loop(data, level, box, max_iter,
                                                 tau, seed):
     # the in-place loop, with the objective at its last iterate only,
-    # visits the bits of the loop written one expression per update; -0.0
-    # entries in the start meet the zero bound of the box (0, 3).  The
-    # fixed level-32 example, where the grid kernels pay, draws its start
-    # from numpy, as hypothesis passes no data() to an explicit example
+    # visits the bits of the loop written one expression per update, with
+    # the @ operator and Python-float scalars; -0.0 entries in the start
+    # meet the zero bound of the box (0, 3).  The fixed level-32 example,
+    # where the grid kernels pay, and the level-64 one, whose G products
+    # run other BLAS kernel sizes, draw their start from numpy, as
+    # hypothesis passes no data() to an explicit example
     dp, f_truth = benchmark_dp(level, box=box)
     z = synthesize_observation(dp, f_truth, 1e-2, seed)
     rho = ExperimentConfig().level_params(dp.mesh.mesh_size).rho
@@ -598,6 +610,26 @@ def test_run_is_bit_identical_to_reference_loop(data, level, box, max_iter,
     assert _bytes(stops) == _bytes(tolerances)
     assert _bytes(state.final_tolerance) == _bytes(tolerances[-1])
     assert _bytes(state.objective) == _bytes(objectives[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64).flatmap(
+    lambda l: st.tuples(st.just(l), st.integers(2, 2 * l + 1))),
+    st.integers(0, 2**32 - 1))
+def test_dot_is_matmul_byte_for_byte(shape, seed):
+    # the loop's products go through ndarray.dot, which calls the BLAS
+    # kernels matmul does: G^T x and G y for a C-ordered G of a boundary
+    # map's shape ((l+1)^2, m), M r for a square M and the 1-d products
+    l, m = shape
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal(((l + 1) ** 2, m))
+    x, y = rng.standard_normal(G.shape[0]), rng.standard_normal(m)
+    M = G[:m]
+    assert G.T.dot(x).tobytes() == (G.T @ x).tobytes()
+    assert G.dot(y).tobytes() == (G @ y).tobytes()
+    assert M.dot(y).tobytes() == (M @ y).tobytes()
+    assert _bytes(x.dot(x)) == _bytes(x @ x)
+    assert _bytes(y.dot(M.dot(y))) == _bytes(y @ (M @ y))
 
 
 def test_run_with_nan_start_raises_before_a_step():
