@@ -20,6 +20,7 @@ import numpy as np
 from . import experiment, primal_dual
 from .experiment import (ExperimentConfig, build_benchmark_problem,
                          export_field, read_observation_csv, run_benchmark)
+from .fem_assembly import div_adjoint
 from .mesh import build_structured, structured_mesh_size
 from .pde_solvers import DiscreteProblem
 from .primal_dual import certify_steps
@@ -219,6 +220,28 @@ def cmd_check(_args) -> int:
     gn8 = grad_operator_norm(build_structured(8).grads)
     report("gradient norm scales like 1/h", 1.9 <= gn8 / cert.grad_norm <= 2.1,
            f"ratio={gn8 / cert.grad_norm:.3f}")
+
+    # the loop's kernels, through its steps, on the level-4 benchmark
+    # driver: from f = u_a = 0 the primal step is -(tau*rho/w) D^T q, from
+    # p = 0 the dual step is sigma D g, both too small to be clipped, and
+    # <sigma D g, q>_|T| = <g, (tau*rho/w) D^T q>_w / theta
+    driver = primal_dual.PdDriver(
+        dp, ExperimentConfig().level_params(dp.mesh.mesh_size))
+    grid, zeros = driver.grid, np.zeros(dp.mesh.n_vertices)
+    q = 1e-3 * rng.uniform(-1.0, 1.0, (dp.mesh.n_triangles, 2))
+    g = 1e-3 * rng.standard_normal(dp.mesh.n_vertices)
+    div = -driver.primal_step(zeros, grid.to_grid(q), zeros)
+    grad = grid.from_grid(driver.dual_step(grid.to_grid(0.0 * q), g))
+    terms = dp.mesh.areas[:, None] * grad * q
+    lhs = float(terms.sum())
+    adjoint = abs(lhs - dp.lumped_inner(g, div) / driver.params.theta)
+    adjoint /= float(np.abs(terms).sum())
+    ref = (driver.params.tau * driver.params.rho / dp.w
+           * div_adjoint(dp.mesh, q))
+    mismatch = float(np.abs(div - ref).max() / np.abs(ref).max())
+    report("loop kernels are adjoint and match div_adjoint at level 4",
+           adjoint <= 1e-12 and mismatch <= 1e-12,
+           f"adjoint {adjoint:.1e}, div_adjoint {mismatch:.1e}")
 
     print(f"{failures} failure(s)")
     return 1 if failures else 0

@@ -18,11 +18,13 @@ through one pair of kernels that take a two-term coefficient table:
 coefficients and gives the bits of the element-by-element sum; the
 adjoint passes them times the triangle areas.
 
-The primal-dual loop keeps its dual on the cell grid instead (``DualGrid``)
-and has a kernel for each direction that gives the bits of the table
-kernels: ``corner_gather`` (two products of fixed strided views of the
-nodal field, one add) and ``node_sum`` (one gather, one product, one
-``np.add.reduce`` over a node-major table).
+The primal-dual loop keeps its dual on the cell grid instead (``DualGrid``),
+where the gradient is a fixed stencil and its kernels read fixed shifted
+views of small buffers, with no index or coefficient table: the gradient
+is one broadcast product and one subtraction of two strided views, with
+the bits of the table kernel, and its adjoint two copies into shifted
+views, one BLAS gemv and one product, which sums each node's terms
+before it scales them, so its last bits differ from ``table_scatter``'s.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import GammaSpec, TriMesh
+from .mesh import GammaSpec, TriMesh, _structured_grid
 from .sparse_linalg import SymmetricStencil
 
 # nodal coefficient vector of a continuous piecewise-linear function
@@ -185,60 +187,46 @@ def table_scatter(nodes: np.ndarray, coefs: np.ndarray, q: np.ndarray,
 
 class DualGrid:
     """The cell-grid layout of a piecewise-constant vector field on a mesh
-    from build_structured, with the tables of its two kernels.
+    from build_structured, and the stencil kernels of the element gradient
+    and its adjoint on it.
 
     The field is held as four flat planes, lower-x, lower-y, upper-y and
     upper-x, a (2, 2, size) array indexed (a, b): a = 1 for the upper
     triangle of a cell, b = a xor c for component c.  Cell (ix, iy) sits at
     index iy*(level+1) + ix of each plane, the index of its bottom-left
-    vertex, and size = level*(level+1) - 1: column ix = level is padding,
-    held at +0.0, and the last padding cell is left out.  Plane (a, b)'s
-    gradient table terms sit at the corner shifts a*(level+1) + b and
-    1 - a + b*(level+1) from the cell, so the gradient reads the nodal
-    field through two fixed strided views (``corner_views``).
+    vertex, and size = level*(level+1) - 1: column ix = level is padding
+    (``padding``, an index of the grid), held at +0.0, and the last padding
+    cell is left out.  Component c of the gradient on plane (a, b) is
+    (1 - 2a) * (f[v2] - f[v1]) / h_c, with v1 and v2 at the corner shifts
+    a*(level+1) + b and 1 - a + b*(level+1) from the cell and h_c the grid
+    spacing; ``inverse_spacing`` holds level / (b - a) of each side of the
+    box.  The mesh's basis-gradient coefficients are these up to the
+    rounding of its vertices, and equal them on the default box at the
+    levels that are powers of two.
 
     ``to_grid`` and ``from_grid`` map to and from the (n_triangles, 2)
     layout; ``cells`` holds the flat grid index of each entry of that
-    layout.  Raises ValueError unless the mesh's gradient table has the
-    nodes of build_structured's numbering.
+    layout.  Raises ValueError unless the mesh has the vertices and
+    triangles of build_structured.
     """
 
     def __init__(self, mesh: TriMesh):
-        l, n, nodes = mesh.level, mesh.n_vertices, mesh.gradient_table.nodes
-        self.level, self.size = l, l * (l + 1) - 1
-        # table entry (iy, ix, a, c): component c of triangle a of cell
-        # (ix, iy), in plane (a, a xor c) at the cell's corner vertex
-        corner = np.arange(0, l * (l + 1), l + 1)[:, None] + np.arange(l)
-        corner = corner[:, :, None, None]
-        a, c = np.arange(2)[:, None], np.arange(2)
-        b = a ^ c
-        self.cells = ((2 * a + b) * self.size + corner).ravel()
-        first = (corner + a * (l + 1) + b).ravel()
-        self._swap = nodes[0] != first
-        if not (np.array_equal(np.where(self._swap, nodes[1], nodes[0]),
-                               first)
-                and np.array_equal(np.where(self._swap, nodes[0], nodes[1]),
-                                   (corner + 1 - a + b * (l + 1)).ravel())):
+        l = mesh.level
+        vertices, triangles = _structured_grid(l, mesh.box)
+        if not (np.array_equal(mesh.triangles, triangles)
+                and np.array_equal(mesh.vertices, vertices)):
             raise ValueError(
                 "the dual grid needs the vertex and triangle numbering of "
                 "build_structured")
-        # slot (j, v): the j-th occurrence of node v in the flat (2, k)
-        # table, the order in which np.bincount adds; 2k where v has fewer
-        flat = nodes.ravel()
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=n)
-        slot = np.arange(flat.shape[0])
-        slot -= np.repeat(np.cumsum(counts) - counts, counts)
-        slot *= n
-        slot += flat[order]
-        terms = np.full(counts.max() * n, flat.shape[0])
-        terms[slot] = order
-        self._terms = terms.reshape(-1, n)
-        # an empty slot reads the padding cell (level, 0) of the first
-        # plane; every node of the level-1 mesh has two terms, so its
-        # table, with no padding cell, has no empty slot
-        self.node_cells = np.concatenate(
-            (self.cells, self.cells, [l]))[self._terms]
+        self.level, self.size = l, l * (l + 1) - 1
+        self.inverse_spacing = tuple(l / (b - a) for a, b in mesh.box)
+        self.padding = (..., slice(l, None, l + 1))
+        # entry (iy, ix, a, c): component c of triangle a of cell (ix, iy),
+        # in plane (a, a xor c) at the cell's corner vertex
+        corner = np.arange(0, l * (l + 1), l + 1)[:, None] + np.arange(l)
+        a, c = np.arange(2)[:, None], np.arange(2)
+        self.cells = ((2 * a + (a ^ c)) * self.size
+                      + corner[:, :, None, None]).ravel()
 
     def to_grid(self, p: P0VecField) -> np.ndarray:
         """The (2, 2, size) grid of an (n_triangles, 2) field."""
@@ -250,52 +238,75 @@ class DualGrid:
         """The (n_triangles, 2) field of a (2, 2, size) grid."""
         return q.take(self.cells).reshape(-1, 2)
 
-    def corner_views(self, f: np.ndarray):
-        """The two read-only (2, 2, size) views of the nodal array ``f``
-        at the corner shifts, for ``corner_gather``."""
-        if f.shape != ((self.level + 1) ** 2,) or f.dtype != np.float64:
-            raise ValueError("corner views need a flat float nodal array")
-        s, row = f.strides[0], (self.level + 1) * f.strides[0]
+    def gradient_kernel(self, s):
+        """The kernel f -> the grid of s_c times component c of the element
+        gradient of the flat float nodal array f, for s = (s_x, s_y) the
+        products of a scale and ``inverse_spacing``; it returns a new grid.
+
+        One broadcast product writes (1 - 2a) * s_c * f into a buffer, one
+        row per distinct value of (1 - 2a) * s_c: (s_x, -s_x) when s_x ==
+        s_y, else (s_x, s_y, -s_y, -s_x) indexed 2a + b.  One subtraction
+        of two fixed read-only strided views of the buffer, which read
+        plane (a, b)'s row at its two corner shifts, gives entry (a, b) as
+        (1 - 2a) * (fl(s_c*f[v2]) - fl(s_c*f[v1])), exactly, as rounding
+        commutes with a sign: the bits of the two-term sum with the
+        coefficients -(1 - 2a) s_c at v1 and (1 - 2a) s_c at v2.  Padding
+        cells hold a difference of two unrelated nodes.  A kernel runs one
+        call at a time.
+        """
+        l, (s_x, s_y) = self.level, s
+        rows = [s_x, -s_x] if s_x == s_y else [s_x, s_y, -s_y, -s_x]
+        rows = np.array(rows)[:, None]
+        ra, rb = (1, 0) if s_x == s_y else (2, 1)  # row a*ra + b*rb
+        buf = np.empty((rows.shape[0], (l + 1) ** 2))
+        row, e = buf.strides
         shape = (2, 2, self.size)
-        return (np.lib.stride_tricks.as_strided(
-                    f, shape, (row, s, s), writeable=False),
-                np.lib.stride_tricks.as_strided(
-                    f[1:], shape, (-s, row, s), writeable=False))
+        v1 = np.lib.stride_tricks.as_strided(
+            buf, shape, (ra * row + (l + 1) * e, rb * row + e, e),
+            writeable=False)
+        v2 = np.lib.stride_tricks.as_strided(
+            buf[:, 1:], shape, (ra * row - e, rb * row + (l + 1) * e, e),
+            writeable=False)
 
-    def corner_table(self, coefs: np.ndarray) -> np.ndarray:
-        """A (2, k) two-term coefficient table of the gradient table's nodes
-        as the (2, 2, 2, size) coefficients of the two corner views, with
-        0.0 at the padding cells."""
-        table = np.zeros((2, 4 * self.size))
-        table[:, self.cells] = np.where(self._swap, coefs[::-1], coefs)
-        return table.reshape(2, 2, 2, self.size)
+        def gradient(f: np.ndarray) -> np.ndarray:
+            np.multiply(rows, f, out=buf)
+            return np.subtract(v2, v1)
 
-    def node_table(self, coefs: np.ndarray) -> np.ndarray:
-        """A (2, k) two-term coefficient table as the node-major coefficients
-        that go with ``node_cells``, with 0.0 at the empty slots."""
-        return np.append(coefs.ravel(), 0.0)[self._terms]
+        return gradient
 
+    def divergence_kernel(self, weights, scale: np.ndarray):
+        """The kernel q -> scale * (the adjoint of ``gradient_kernel(
+        weights)``) q of a grid q with zero padding, for a nodal array
+        ``scale``; it returns a new nodal array.
 
-def corner_gather(coefs: np.ndarray, corners) -> np.ndarray:
-    """``coefs[0] * corners[0] + coefs[1] * corners[1]``: with the tables of
-    ``DualGrid.corner_table`` and ``corner_views`` the bits of
-    ``table_gather`` on the grid, as each entry adds the same two products,
-    at most in swapped order.  Padding cells hold 0.0 * f, a signed zero."""
-    g = coefs[0] * corners[0]
-    g += coefs[1] * corners[1]
-    return g
+        Two copies write the planes of q into fixed shifted views of a
+        zero (8, n) buffer, each plane once at each of its two corner
+        shifts (rows lower-x, lower-y, upper-y, upper-x at shifts 0,
+        level+2, 0, level+2, then at 1, 1, level+1, level+1), so that row
+        k holds the k-th term of every node, or 0.0 where it has none.  One
+        gemv against the terms' signed weights (-w_x, w_y, -w_y, w_x, w_x,
+        -w_y, w_y, -w_x) sums the rows, in the BLAS's order, and one
+        product scales the sums.  A kernel runs one call at a time.
+        """
+        l, (w_x, w_y) = self.level, weights
+        n = (l + 1) ** 2
+        buf = np.zeros((8, n))
+        row, e = buf.strides
+        shape = (2, 2, self.size)
+        at_first = np.lib.stride_tricks.as_strided(
+            buf, shape, (2 * row, row + (l + 2) * e, e))
+        at_second = np.lib.stride_tricks.as_strided(
+            buf[4, 1:], shape, (2 * row + l * e, row, e))
+        signs = np.array([-w_x, w_y, -w_y, w_x, w_x, -w_y, w_y, -w_x])
 
+        def divergence(q: np.ndarray) -> np.ndarray:
+            np.copyto(at_first, q)
+            np.copyto(at_second, q)
+            d = signs.dot(buf)
+            d *= scale
+            return d
 
-def node_sum(cells: np.ndarray, coefs: np.ndarray,
-             q: np.ndarray) -> np.ndarray:
-    """Nodal sums of ``coefs * q.take(cells)`` over the node-major table's
-    rows, in row order from +0.0.  With ``DualGrid.node_cells`` and
-    ``node_table`` these are the bits of ``table_scatter`` on the grid:
-    the rows hold each node's terms in np.bincount's order, and an empty
-    slot adds a signed zero, which leaves a sum begun at +0.0 unchanged."""
-    terms = q.take(cells)
-    terms *= coefs
-    return np.add.reduce(terms, axis=0, initial=0.0)
+        return divergence
 
 
 def elem_gradient(mesh: TriMesh, f: P1Field) -> P0VecField:

@@ -196,6 +196,21 @@ def _triangle_geometry(vertices, triangles):
     return areas, grads
 
 
+def _structured_grid(level: int, box) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices and triangles of build_structured(level, box): vertex
+    (ix, iy) has index iy*(level+1) + ix, the cells run row by row, and
+    each is split into its lower triangle, then its upper one."""
+    (ax, bx), (ay, by) = box
+    n = level + 1
+    xx, yy = np.meshgrid(np.linspace(ax, bx, n), np.linspace(ay, by, n))
+    vertices = np.column_stack([xx.ravel(), yy.ravel()])
+    iy, ix = np.divmod(np.arange(level * level, dtype=np.int64), level)
+    bl = iy * n + ix
+    br, tl, tr = bl + 1, bl + n, bl + n + 1
+    triangles = np.stack([bl, br, tr, bl, tr, tl], axis=1).reshape(-1, 3)
+    return vertices, triangles
+
+
 def build_structured(level: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> TriMesh:
     """Build the level-``level`` structured triangulation of a rectangle.
 
@@ -208,17 +223,7 @@ def build_structured(level: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> TriMesh:
     if not (-np.inf < ax < bx < np.inf and -np.inf < ay < by < np.inf):
         raise ValueError(f"box {box} needs finite bounds a < b on each axis")
     n = level + 1
-    xs = np.linspace(ax, bx, n)
-    ys = np.linspace(ay, by, n)
-    xx, yy = np.meshgrid(xs, ys)
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    # vertex (ix, iy) has index iy * n + ix; cells run row by row
-    iy, ix = np.divmod(np.arange(level * level, dtype=np.int64), level)
-    bl = iy * n + ix
-    br, tl, tr = bl + 1, bl + n, bl + n + 1
-    # lower triangle of the cell, then the upper one
-    triangles = np.stack([bl, br, tr, bl, tr, tl], axis=1).reshape(-1, 3)
+    vertices, triangles = _structured_grid(level, box)
 
     # edge i of each side, in the order SIDE_TAGS, for i = 0 .. level-1
     i = np.arange(level, dtype=np.int64)

@@ -134,8 +134,9 @@ class DiscreteProblem:
         return BoundaryMap(G, G.T @ self.b_flux)
 
     def release_loop_arrays(self):
-        """Free the arrays the primal-dual loop reads: the boundary map and
-        the mesh's gradient table; the next use builds them again."""
+        """Free the arrays a primal-dual run reads: the boundary map and
+        the mesh's gradient table, which its last objective builds; the
+        next use builds them again."""
         self.__dict__.pop("boundary_map", None)
         self.mesh.__dict__.pop("gradient_table", None)
 

@@ -14,14 +14,15 @@ subproblems exactly in the lumped metric.  A step-size certificate
 before a run; under it the iterate differences are monotone in the induced
 preconditioner norm and decay like O(1/n).
 
-The driver folds the step constants into its own copies of the mesh's
-two-term gradient table once, so that a step is a few array operations:
-the primal step is clamp_box(f - tau * u_a - (tau*rho/w) D^T p) and the
-dual step project_ball(p + (tau*rho/theta) D f~).  Only the rounding
-differs from the formulas above.  Inside a run the dual lives on the cell
-grid (``fem_assembly.DualGrid``), where D is two products of fixed views
-of f~ and D^T one ordered node-major reduction, with the bits of the
-(n_triangles, 2) layout's table kernels.
+The driver folds the step constants into the two stencil kernels of the
+mesh's cell grid once, so that a step is a few array operations: the
+primal step is clamp_box(f - tau * u_a - (tau*rho/w) D^T p) and the dual
+step project_ball(p + (tau*rho/theta) D f~).  Only the rounding differs
+from the formulas above.  Inside a run the dual lives on the cell grid
+(``fem_assembly.DualGrid``), where D is one product and one subtraction
+of fixed shifted views, with the bits of the mesh's gradient table, and
+D^T two copies into shifted views, one gemv and one product, which sum a
+node's terms before scaling them; no index or coefficient table is read.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem_assembly import (DualGrid, P0VecField, P1Field, corner_gather,
-                           node_sum)
+from .fem_assembly import DualGrid, P0VecField, P1Field
 from .mesh import prolong_p0, prolong_p1
 from .pde_solvers import DiscreteProblem, Observation
 from .sparse_linalg import grad_operator_norm
@@ -274,29 +274,32 @@ class PdDriver:
     """Primal-dual iteration bound to one assembled problem; raises
     ValueError unless ``certify_steps_empirical`` admits its steps there.
 
-    Next to the certificate it builds the step tables: the mesh's two-term
-    gradient table (``GradientTable``) with its coefficients times
-    sigma = tau*rho/theta for the dual step, and times
-    |T| * tau*rho / w[node] for the divergence of the primal step, both
-    laid out on the mesh's ``DualGrid`` (``grid``), and the weights
-    w / tau^2 of the stopping norm; raises ValueError, before the
-    certificate, when tau is so small that these weights overflow (a tau
-    so large that tau^2 overflows makes them 0, and the certificate
-    refuses it).  tau and the bounds of ``box`` are also kept as read-only
-    0-d arrays, the primal step's operands.
+    Next to the certificate it builds the two step kernels on the mesh's
+    ``DualGrid`` (``grid``), which hold no index or coefficient table: the
+    dual step's gradient, ``gradient_kernel`` with s_c = sigma / h_c,
+    sigma = tau*rho/theta and h_c the grid spacing (where the mesh's
+    gradient coefficients are exactly 1/h_c, as on the benchmark's meshes,
+    these are their bits times sigma); and the primal step's divergence,
+    ``divergence_kernel`` with weights (1, h_x/h_y) and the nodal scale
+    |T| * tau*rho / (h_x * w), which sums the terms before it scales
+    them.  It also builds the weights w / tau^2 of the stopping
+    norm; raises ValueError, before the certificate, when tau is so small
+    that these weights overflow (a tau so large that tau^2 overflows makes
+    them 0, and the certificate refuses it).  tau and the problem's box
+    (``box``) are kept as read-only 0-d arrays, the primal step's
+    operands.
 
     ``primal_step`` and ``dual_step`` take and give the dual as a grid;
     ``grid.to_grid`` and ``grid.from_grid`` map it to and from the
-    (n_triangles, 2) layout of ``run``'s arguments, hook and result.  The
-    dual step reads f~ from a buffer of the driver, so one driver runs one
-    step at a time.
+    (n_triangles, 2) layout of ``run``'s arguments, hook and result.  Each
+    kernel writes to a buffer of the driver, so one driver runs one step
+    at a time.
     """
 
     def __init__(self, dp: DiscreteProblem, params: PdParams):
         self.dp = dp
         self.params = params
-        self.box = self.dp.prob.box
-        self._lo, self._hi = map(_frozen, self.box)
+        self.box = tuple(map(_frozen, dp.prob.box))
         self._tau = _frozen(params.tau)
         with np.errstate(divide="ignore", over="ignore"):
             # numpy's scalar power calls C pow, as Python's float power does,
@@ -312,16 +315,13 @@ class PdDriver:
                 f"step-size condition violated: lhs {cert.lhs:.6g} "
                 f"<= rhs {cert.rhs:.6g}; decrease tau or rho")
         self._t1, self._t2 = params.stopping_offsets(self.dp.mesh.mesh_size)
-        tab, tau_rho = dp.mesh.gradient_table, params.tau * params.rho
         self.grid = grid = DualGrid(dp.mesh)
-        self._grad_coefs = grid.corner_table(
-            tab.coefs * (tau_rho / params.theta))
-        self._div_cells = grid.node_cells
-        self._div_coefs = grid.node_table(
-            tab.coefs * tab.weights * tau_rho / dp.w[tab.nodes])
-        # the dual step's f~, read through two fixed views
-        self._f_tilde = np.zeros(dp.mesh.n_vertices)
-        self._corners = grid.corner_views(self._f_tilde)
+        tau_rho, (c_x, c_y) = params.tau * params.rho, grid.inverse_spacing
+        sigma = tau_rho / params.theta
+        self._gradient = grid.gradient_kernel((c_x * sigma, c_y * sigma))
+        area = 0.5 / (c_x * c_y)  # of every triangle
+        self._divergence = grid.divergence_kernel(
+            (1.0, c_y / c_x), c_x * area * tau_rho / dp.w)
 
     # -- single updates ------------------------------------------------------
 
@@ -332,21 +332,20 @@ class PdDriver:
         the grid."""
         step = u_adjoint * self._tau
         np.subtract(f, step, out=step)
-        step -= node_sum(self._div_cells, self._div_coefs, p)
+        step -= self._divergence(p)
         # clip keeps a -0.0 at a zero bound, as np.maximum would not; the
         # method skips np.clip's dispatch
-        return step.clip(self._lo, self._hi, out=step)
+        return step.clip(*self.box, out=step)
 
     def dual_step(self, p: P0VecField, f_tilde: P1Field) -> P0VecField:
         """Exact solution of the ball-constrained dual proximal subproblem,
         project_ball(p + (tau*rho/theta) * grad f_tilde), for a dual p on
-        the grid; its padding cells stay +0.0, the sum of a signed zero and
-        p's +0.0 there."""
-        if f_tilde is not self._f_tilde:
-            self._f_tilde[...] = f_tilde
-        step = corner_gather(self._grad_coefs, self._corners)
+        the grid; its padding cells are set to +0.0."""
+        step = self._gradient(f_tilde)
         step += p
-        return project_dual_ball(step)
+        step = project_dual_ball(step)
+        step[self.grid.padding] = 0.0
+        return step
 
     def stopping_value(self, residual: P1Field,
                        g0_norm: float | None = None) -> tuple[float, float]:
@@ -418,10 +417,9 @@ class PdDriver:
         total variation of an f clipped to its finite box is finite.
         """
         dp = self.dp
-        lo, hi = self.box
         default_f, default_p = compatible_start(dp)
         f = np.clip(np.asarray(default_f if f0 is None else f0, dtype=float),
-                    lo, hi)
+                    *self.box)
         grid = self.grid
         p = grid.to_grid(project_dual_ball(
             np.asarray(default_p if p0 is None else p0, dtype=float)))
@@ -430,7 +428,7 @@ class PdDriver:
         G, trace = bmap.G, bmap.trace
         primal_step, dual_step = self.primal_step, self.dual_step
         stopping_value, max_iter = self.stopping_value, self.params.max_iter
-        f_tilde = self._f_tilde
+        f_tilde = np.empty_like(f)
 
         g0_norm = None
         for n in range(max_iter + 1):

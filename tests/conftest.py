@@ -70,35 +70,92 @@ def div_rep(driver, p):
 
 
 def step_tables(dp, params):
-    """The nodes and the folded coefficient tables of a driver's dual and
-    primal steps, built here from the mesh: sigma * coefs, with sigma =
-    tau*rho/theta, and coefs * |T| * tau*rho / w[node]."""
+    """The nodes and the folded coefficient tables of the dual and the
+    primal step, built here from the mesh's gradient table: sigma * coefs,
+    with sigma = tau*rho/theta, and coefs * |T| * tau*rho / w[node]."""
     tab = dp.mesh.gradient_table
     tau_rho = params.tau * params.rho
     return (tab.nodes, tab.coefs * (tau_rho / params.theta),
             tab.coefs * tab.weights * tau_rho / dp.w[tab.nodes])
 
 
+def stencil_gradient(level, s, f):
+    """(s_x * df/dx, s_y * df/dy) of the nodal array f on each triangle of
+    build_structured(level), in the (n_triangles, 2) layout, as differences
+    of shifted slices of the (level+1) x (level+1) node grid of s_c * f."""
+    (s_x, s_y), F = s, np.reshape(f, (level + 1, level + 1))  # [iy, ix]
+    X, Y = s_x * F, s_y * F
+    g = np.empty((level, level, 2, 2))  # [iy, ix, upper, component]
+    g[:, :, 0, 0] = X[:-1, 1:] - X[:-1, :-1]  # bottom-right - bottom-left
+    g[:, :, 0, 1] = Y[1:, 1:] - Y[:-1, 1:]    # top-right - bottom-right
+    g[:, :, 1, 0] = X[1:, 1:] - X[1:, :-1]    # top-right - top-left
+    g[:, :, 1, 1] = Y[1:, :-1] - Y[:-1, :-1]  # top-left - bottom-left
+    return g.reshape(-1, 2)
+
+
+def stencil_divergence(level, weights, scale, p):
+    """scale * D_w^T p: the adjoint of ``stencil_gradient(level, weights,
+    .)`` applied to the (n_triangles, 2) field p, times the nodal array
+    ``scale``.  Each entry of p is placed at the two corners of its
+    difference by shifted slices of the node grid, in eight rows, and the
+    rows are summed by the same BLAS product as the driver's kernel, so
+    that the order of the sum, which is the BLAS's, is the same."""
+    (w_x, w_y), P = weights, np.reshape(p, (level, level, 2, 2))
+    T = np.zeros((8, level + 1, level + 1))
+    T[0, :-1, :-1] = T[4, :-1, 1:] = P[:, :, 0, 0]  # lower x: -w_x, +w_x
+    T[1, 1:, 1:] = T[5, :-1, 1:] = P[:, :, 0, 1]    # lower y: +w_y, -w_y
+    T[2, :-1, :-1] = T[6, 1:, :-1] = P[:, :, 1, 1]  # upper y: -w_y, +w_y
+    T[3, 1:, 1:] = T[7, 1:, :-1] = P[:, :, 1, 0]    # upper x: +w_x, -w_x
+    signs = np.array([-w_x, w_y, -w_y, w_x, w_x, -w_y, w_y, -w_x])
+    return (signs @ T.reshape(8, -1)) * scale
+
+
+def stencil_steps(driver):
+    """The scales s of the dual step's gradient and the weights and the
+    nodal scale of the primal step's divergence, from the grid spacing of
+    the driver's mesh: s_c = (level / side_c) * tau*rho/theta, and
+    (1, h_x/h_y) with |T| * tau*rho / (h_x * w)."""
+    dp, prm = driver.dp, driver.params
+    c_x, c_y = (dp.mesh.level / (b - a) for a, b in dp.mesh.box)
+    tau_rho = prm.tau * prm.rho
+    sigma = tau_rho / prm.theta
+    area = 0.5 / (c_x * c_y)
+    return ((c_x * sigma, c_y * sigma), (1.0, c_y / c_x),
+            c_x * area * tau_rho / dp.w)
+
+
 def reference_primal_step(driver, f, p, u_a):
     """The primal step as one expression, clip(f - tau*u_a - (tau*rho/w)
-    D^T p): new arrays at every operation, np.add.at for the divergence
-    and np.clip onto the box."""
-    prm, (lo, hi) = driver.params, driver.box
-    nodes, _, div = step_tables(driver.dp, prm)
+    D^T p): new arrays at every operation, ``stencil_divergence`` and
+    np.clip onto the box."""
+    _, weights, scale = stencil_steps(driver)
+    d = stencil_divergence(driver.dp.mesh.level, weights, scale, p)
+    return np.clip(f - driver.params.tau * u_a - d, *driver.box)
+
+
+def table_primal_step(driver, f, p, u_a):
+    """The primal step with the divergence summed over the mesh's
+    gradient table by np.add.at (``step_tables``)."""
+    nodes, _, div = step_tables(driver.dp, driver.params)
     d = np.zeros(driver.dp.mesh.n_vertices)
     np.add.at(d, nodes.ravel(), (div * np.ravel(p)).ravel())
-    return np.clip(f - prm.tau * u_a - d, lo, hi)
+    return np.clip(f - driver.params.tau * u_a - d, *driver.box)
 
 
-def reference_run(driver, z, f0, p0):
+def reference_run(driver, z, f0, p0, tables=False):
     """``driver.run(z, f0, p0)`` written one expression per update, with
-    np.clip, and the objective (misfit plus rho * TV) evaluated
-    at every iterate: the reference for the run's bits.  Returns the visited (f, p)
-    pairs and the misfit, stopping-value and objective histories."""
+    np.clip, and the objective (misfit plus rho * TV) evaluated at every
+    iterate: with the stencil kernels (``stencil_gradient`` and
+    ``reference_primal_step``), the reference for the run's bits, and with
+    ``tables``, the mesh's gradient table (``step_tables``), which sums the
+    divergence in another order.  Returns the visited (f, p) pairs and the
+    misfit, stopping-value and objective histories."""
     dp, prm = driver.dp, driver.params
     mesh, (lo, hi) = dp.mesh, driver.box
     G, flux_trace = dp.boundary_map.G, dp.boundary_map.flux_trace
     nodes, grad, _ = step_tables(dp, prm)
+    s, _, _ = stencil_steps(driver)
+    primal_step = table_primal_step if tables else reference_primal_step
     t1, t2 = prm.stopping_offsets(mesh.mesh_size)
     f = np.clip(np.asarray(f0, dtype=float), lo, hi)
     p = np.clip(np.asarray(p0, dtype=float), -1.0, 1.0)
@@ -107,7 +164,7 @@ def reference_run(driver, z, f0, p0):
     for n in range(prm.max_iter + 1):
         r = G.T @ (dp.w * f) + flux_trace - z.values
         m_r = dp.M_gamma @ r
-        f_next = reference_primal_step(driver, f, p, G @ m_r)
+        f_next = primal_step(driver, f, p, G @ m_r)
         residual = f - f_next
         g_norm = float(np.sqrt(dp.w / prm.tau**2 * residual @ residual))
         g0_norm = g_norm if g0_norm is None else g0_norm
@@ -119,7 +176,10 @@ def reference_run(driver, z, f0, p0):
         if tolerances[-1] <= 0.0 or n == prm.max_iter:
             break
         f_tilde = f_next - (f - f_next)
-        step = grad[0] * f_tilde[nodes[0]] + grad[1] * f_tilde[nodes[1]]
+        if tables:
+            step = grad[0] * f_tilde[nodes[0]] + grad[1] * f_tilde[nodes[1]]
+        else:
+            step = stencil_gradient(mesh.level, s, f_tilde)
         p = np.clip(p + step.reshape(p.shape), -1.0, 1.0)
         f = f_next
     return iterates, misfits, tolerances, objectives

@@ -613,7 +613,7 @@ class TestCli:
     def test_check_passes(self, capsys):
         assert cli_main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "FAIL" not in out
+        assert "FAIL" not in out and out.count("[PASS]") == 9
 
     def test_bench_writes_outputs(self, tmp_path, capsys):
         code = cli_main(["bench", "--levels", "4", "--max-iter", "5",
@@ -1134,6 +1134,19 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if "FAIL" in line] == [
             line for line in out if "adjoint gradient identity" in line]
+        assert out[-1] == "1 failure(s)"
+
+    def test_check_reads_the_loop_kernels(self, capsys, monkeypatch):
+        # a loop divergence off by 1e-6 relative fails the kernel line
+        import tvsource.fem_assembly as fa
+        real_kernel = fa.DualGrid.divergence_kernel
+        monkeypatch.setattr(
+            fa.DualGrid, "divergence_kernel", lambda grid, weights, scale:
+            real_kernel(grid, weights, scale * (1.0 + 1e-6)))
+        assert cli_main(["check"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "FAIL" in line] == [
+            line for line in out if "loop kernels are adjoint" in line]
         assert out[-1] == "1 failure(s)"
 
     def test_solve_from_observation_file(self, tmp_path, capsys):

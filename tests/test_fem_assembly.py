@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 from tvsource import primal_dual
 from tvsource.fem_assembly import (CoefficientSet, DualGrid, NeumannData,
                                    assemble_boundary_mass, assemble_mass,
-                                   assemble_stiffness, corner_gather,
-                                   div_adjoint, elem_gradient, neumann_load,
-                                   node_sum, table_gather, table_scatter)
+                                   assemble_stiffness, div_adjoint,
+                                   elem_gradient, neumann_load, table_gather,
+                                   table_scatter)
 from tvsource.mesh import (GammaSpec, TriMesh, _triangle_geometry,
                            build_structured)
 from tvsource.experiment import (ExperimentConfig, benchmark_flux,
@@ -17,7 +19,8 @@ from tvsource.experiment import (ExperimentConfig, benchmark_flux,
 from tvsource.tv_calculus import gradient_pairing, tv_value
 
 from conftest import (benchmark_dp, dense, dense_boundary_mass, random_dp,
-                      step_tables, unit_coefficients)
+                      reference_primal_step, stencil_gradient, stencil_steps,
+                      step_tables, table_primal_step, unit_coefficients)
 
 # two-triangle unit-level mesh of (-1,1)^2, nodes ordered
 # (-1,-1), (1,-1), (-1,1), (1,1); assembled by hand from the
@@ -366,10 +369,12 @@ class TestKernelsMatchReference:
 
     def test_loop_matches_reference_kernels(self, monkeypatch):
         # 40 primal-dual iterations at level 8 end on the same bits with
-        # the steps' kernels written as fancy indexing and np.add.at over
-        # step tables built in the test, on the (n_triangles, 2) layout
+        # the steps' kernels written as shifted slices of the node grid
+        # (conftest's stencil references), on the (n_triangles, 2) layout
         # that the driver's grid maps convert to and from, and the
-        # element-by-element total variation
+        # element-by-element total variation; with the kernels of the
+        # mesh's gradient table (fancy indexing and np.add.at), which sum
+        # the divergence in another order, they end within 1e-12
         dp, f_truth = benchmark_dp(8)
         z = synthesize_observation(dp, f_truth, 0.0, 0)
         params = primal_dual.PdParams(
@@ -383,91 +388,129 @@ class TestKernelsMatchReference:
             assert state.n == 40
             return state, np.array(stops)
 
-        nodes, grad, div = step_tables(dp, params)
+        nodes, grad, _ = step_tables(dp, params)
         calls = []
 
-        def ref_dual_step(driver, p, f):  # with the step's gradient
-            calls.append("gather")
-            q = driver.grid.from_grid(p).ravel()
-            q += grad[0] * f[nodes[0]] + grad[1] * f[nodes[1]]
-            return driver.grid.to_grid(np.clip(q, -1.0, 1.0))
+        def use_kernels(gradient, primal_step):
+            def ref_dual_step(driver, p, f):
+                calls.append("gradient")
+                q = driver.grid.from_grid(p) + gradient(driver, f)
+                return driver.grid.to_grid(np.clip(q, -1.0, 1.0))
 
-        def ref_primal_step(driver, f, p, u_a):  # with the step's div
-            calls.append("scatter")
-            d = np.zeros(f.shape[0])
-            np.add.at(d, nodes.ravel(),
-                      (div * driver.grid.from_grid(p).ravel()).ravel())
-            return np.clip(f - driver.params.tau * u_a - d, *driver.box)
+            def ref_primal_step(driver, f, p, u_a):
+                calls.append("divergence")
+                return primal_step(driver, f, driver.grid.from_grid(p), u_a)
+
+            monkeypatch.setattr(primal_dual.PdDriver, "dual_step",
+                                ref_dual_step)
+            monkeypatch.setattr(primal_dual.PdDriver, "primal_step",
+                                ref_primal_step)
 
         state, stops = run()
-        monkeypatch.setattr(primal_dual.PdDriver, "dual_step", ref_dual_step)
-        monkeypatch.setattr(primal_dual.PdDriver, "primal_step",
-                            ref_primal_step)
         monkeypatch.setattr(primal_dual, "tv_value", _ref_tv_value)
+        use_kernels(lambda driver, f: stencil_gradient(
+            8, stencil_steps(driver)[0], f), reference_primal_step)
         ref_state, ref_stops = run()
         # every step ran on the reference kernels
-        assert calls.count("gather") == 40 and calls.count("scatter") == 41
+        assert calls.count("gradient") == 40
+        assert calls.count("divergence") == 41
         assert state.f.tobytes() == ref_state.f.tobytes()
         assert state.p.tobytes() == ref_state.p.tobytes()
         assert stops.tobytes() == ref_stops.tobytes()
         assert (np.float64(state.objective).tobytes()
                 == np.float64(ref_state.objective).tobytes())
 
+        use_kernels(lambda driver, f: (grad[0] * f[nodes[0]]
+                                       + grad[1] * f[nodes[1]]
+                                       ).reshape(-1, 2), table_primal_step)
+        table_state, _ = run()
+        for got, want in ((state.f, table_state.f),
+                          (state.p, table_state.p)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestDualGrid:
     @settings(max_examples=60, deadline=None)
-    @given(st.data(), st.integers(1, 16))
-    def test_grid_kernels_match_table_kernels(self, data, level):
-        # on random two-term coefficient tables, with signed zeros and +-1
-        # in the dual, the grid kernels give the table kernels' bits
-        mesh = build_structured(level)
+    @given(st.data(), st.integers(1, 16),
+           st.sampled_from([((-1.0, 1.0), (-1.0, 1.0)),
+                            ((-1.0, 2.0), (0.0, 1.0))]))
+    def test_grid_kernels_match_table_kernels(self, data, level, box):
+        # on drawn scales, with signed zeros and +-1 in the dual, the
+        # grid's gradient gives the bits of the table kernel with the
+        # coefficients -s_c and s_c at the gradient table's nodes, and the
+        # driver's dual step sets the padding to +0.0; the grid's
+        # divergence is the table's scatter up to rounding at every node,
+        # and the two kernels are adjoint in the area-weighted pairing
+        # (subnormal values, whose rounding is not relative, are left out)
+        mesh = build_structured(level, box)
         grid, tab = DualGrid(mesh), mesh.gradient_table
-        n, k = mesh.n_vertices, tab.nodes.shape[1]
-        values = st.floats(-1e3, 1e3) | st.sampled_from([-0.0, 0.0])
-        coefs = data.draw(arrays(np.float64, (2, k), elements=values))
+        n = mesh.n_vertices
+        values = (st.floats(-1e3, 1e3, allow_subnormal=False)
+                  | st.sampled_from([-0.0, 0.0]))
         f = data.draw(arrays(np.float64, n, elements=values))
         p = data.draw(arrays(np.float64, (mesh.n_triangles, 2),
                              elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0])
-                             | st.floats(-1.0, 1.0)))
+                             | st.floats(-1.0, 1.0, allow_subnormal=False)))
         q = grid.to_grid(p)
         assert q.shape == (2, 2, level * (level + 1) - 1)
         assert grid.from_grid(q).tobytes() == p.tobytes()
-        padding = np.ones(q.size, bool)
-        padding[grid.cells] = False
-        assert np.all(q.ravel()[padding] == 0.0)
-        assert not np.signbit(q.ravel()[padding]).any()
+        padding = np.zeros(q.shape, bool)
+        padding[grid.padding] = True
+        assert not padding.ravel()[grid.cells].any()
+        assert padding.sum() == q.size - grid.cells.shape[0]
+        assert q[padding].tobytes() == bytes(8 * padding.sum())
 
-        g = corner_gather(grid.corner_table(coefs), grid.corner_views(f))
-        assert (grid.from_grid(g).tobytes()
+        component = np.arange(tab.nodes.shape[1]) % 2
+        sigma = data.draw(st.floats(1e-3, 1e3))
+        s = tuple(sigma * c for c in grid.inverse_spacing)
+        coefs = np.sign(tab.coefs) * np.take(s, component)
+        gradient = grid.gradient_kernel(s)
+        assert (grid.from_grid(gradient(f)).tobytes()
                 == table_gather(tab.nodes, coefs, f).tobytes())
-        # a dual step's sum, p + gradient, keeps the padding at +0.0
-        g += q
-        assert g.ravel()[padding].tobytes() == bytes(8 * padding.sum())
+        # the driver's dual step, run on this grid's kernel
+        step = primal_dual.PdDriver.dual_step(
+            SimpleNamespace(_gradient=gradient, grid=grid), q, f)
+        assert step[padding].tobytes() == bytes(8 * padding.sum())
+        assert (grid.from_grid(step).tobytes() == np.clip(
+            p + table_gather(tab.nodes, coefs, f).reshape(-1, 2), -1.0,
+            1.0).tobytes())
 
-        div = node_sum(grid.node_cells, grid.node_table(coefs), q)
-        assert (div.tobytes()
-                == table_scatter(tab.nodes, coefs, p, n).tobytes())
+        weights = data.draw(st.tuples(st.floats(0.1, 10.0),
+                                      st.floats(0.1, 10.0)))
+        scale = data.draw(arrays(np.float64, n, elements=st.floats(0.1, 10.0)))
+        coefs = np.sign(tab.coefs) * np.take(weights, component)
+        coefs *= scale[tab.nodes]
+        div = grid.divergence_kernel(weights, scale)(q)
+        terms = np.bincount(tab.nodes.ravel(),
+                            np.abs(coefs * p.ravel()).ravel(), n)
+        assert np.all(np.abs(div - table_scatter(tab.nodes, coefs, p, n))
+                      <= 1e-15 * terms)
 
-    def test_node_table_rows(self):
-        # a node has at most eight terms; every node of the level-1 mesh
-        # has two, so its table has no empty slot to fill from padding
-        for level, rows in ((1, 2), (2, 8), (5, 8)):
-            mesh = build_structured(level)
-            grid = DualGrid(mesh)
-            coefs = grid.node_table(np.ones_like(mesh.gradient_table.coefs))
-            assert grid.node_cells.shape == coefs.shape == (
-                rows, mesh.n_vertices)
-            assert coefs.sum() == 2 * mesh.gradient_table.nodes.shape[1]
-            assert (coefs.sum(axis=0) == np.bincount(
-                mesh.gradient_table.nodes.ravel())).all()
+        c = grid.inverse_spacing
+        area = 0.5 / (c[0] * c[1])
+        g = grid.from_grid(grid.gradient_kernel(c)(f))
+        lhs = area * float(np.sum(g * p))
+        rhs = float(f @ grid.divergence_kernel(c, np.full(n, area))(q))
+        bound = area * float(np.sum(table_gather(
+            tab.nodes, np.abs(tab.coefs), np.abs(f)) * np.abs(p).ravel()))
+        assert abs(lhs - rhs) <= 1e-13 * bound
 
     def test_other_numbering_is_rejected(self):
-        # the corner views rely on build_structured's numbering; a mesh
-        # whose triangles are listed in another order is refused
+        # the grid relies on build_structured's numbering and vertices; a
+        # mesh whose triangles are listed in another order, or whose
+        # vertices are moved, is refused
         mesh = build_structured(3)
         flipped = TriMesh(mesh.vertices, mesh.triangles[::-1].copy(),
                           mesh.areas[::-1].copy(), mesh.grads[::-1].copy(),
                           mesh.boundary_edges, mesh.edge_lengths,
                           mesh.edge_sides, mesh.level, mesh.box)
-        with pytest.raises(ValueError, match="numbering of build_structured"):
-            DualGrid(flipped)
+        vertices = mesh.vertices.copy()
+        vertices[5] += (0.05, 0.03)
+        moved = TriMesh(vertices, mesh.triangles,
+                        *_triangle_geometry(vertices, mesh.triangles),
+                        mesh.boundary_edges, mesh.edge_lengths,
+                        mesh.edge_sides, mesh.level, mesh.box)
+        for other in (flipped, moved):
+            with pytest.raises(ValueError,
+                               match="numbering of build_structured"):
+                DualGrid(other)

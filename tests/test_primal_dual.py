@@ -456,6 +456,18 @@ def test_adjoint_identity_along_iterations(rng):
     assert state.n == 20
 
 
+def test_driver_builds_no_gradient_table():
+    # the loop's kernels and the grid's numbering check read the mesh's
+    # grid, not its gradient table; only the run's last objective builds it
+    prob, f_truth = build_benchmark_problem(8)
+    dp = DiscreteProblem(prob)
+    params = ExperimentConfig(max_iter=3).level_params(dp.mesh.mesh_size)
+    driver = PdDriver(dp, params)
+    assert "gradient_table" not in dp.mesh.__dict__
+    driver.run(synthesize_observation(dp, f_truth, 0.0, 0))
+    assert "gradient_table" in dp.mesh.__dict__
+
+
 def test_run_factors_nothing_after_set_up(monkeypatch):
     # building the driver certifies its steps, which builds the boundary
     # map from the level's one factorization; the run, its B-norm checks
@@ -552,11 +564,14 @@ def test_run_is_bit_identical_to_reference_loop(data, level, box, max_iter,
                                                 tau, seed):
     # the in-place loop, with the objective at its last iterate only,
     # visits the bits of the loop written one expression per update, with
-    # the @ operator and Python-float scalars; -0.0 entries in the start
-    # meet the zero bound of the box (0, 3).  The fixed level-32 example,
-    # where the grid kernels pay, and the level-64 one, whose G products
-    # run other BLAS kernel sizes, draw their start from numpy, as
-    # hypothesis passes no data() to an explicit example
+    # the @ operator, Python-float scalars and the stencil kernels written
+    # as shifted slices of the node grid; -0.0 entries in the start meet
+    # the zero bound of the box (0, 3).  The loop on the mesh's gradient
+    # table, which sums the divergence in another order, ends within
+    # 1e-12.  The fixed level-32 example, where the grid kernels pay, and
+    # the level-64 one, whose G products run other BLAS kernel sizes, draw
+    # their start from numpy, as hypothesis passes no data() to an
+    # explicit example
     dp, f_truth = benchmark_dp(level, box=box)
     z = synthesize_observation(dp, f_truth, 1e-2, seed)
     rho = ExperimentConfig().level_params(dp.mesh.mesh_size).rho
@@ -610,6 +625,10 @@ def test_run_is_bit_identical_to_reference_loop(data, level, box, max_iter,
     assert _bytes(stops) == _bytes(tolerances)
     assert _bytes(state.final_tolerance) == _bytes(tolerances[-1])
     assert _bytes(state.objective) == _bytes(objectives[-1])
+    table_iterates = reference_run(driver, z, f0, p0, tables=True)[0]
+    assert len(table_iterates) == len(iterates)
+    for got, want in zip(iterates[-1], table_iterates[-1]):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @settings(max_examples=60, deadline=None)
