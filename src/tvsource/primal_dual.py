@@ -20,8 +20,9 @@ primal step is clamp_box(f - tau * u_a - (tau*rho/w) D^T p) and the dual
 step project_ball(p + (tau*rho/theta) D f~).  Only the rounding differs
 from the formulas above.  Inside a run the dual lives on the cell grid
 (``fem_assembly.DualGrid``), where D is one product and one subtraction
-of fixed shifted views, with the bits of the mesh's gradient table, and
-D^T two copies into shifted views, one gemv and one product, which sum a
+of fixed shifted views, with the bits of the mesh's gradient table where
+its coefficients are exactly 1/h (at the levels that are powers of two),
+and D^T two copies into shifted views, one gemv and one product, which sum a
 node's terms before scaling them; no index or coefficient table is read.
 """
 
