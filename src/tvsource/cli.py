@@ -210,7 +210,7 @@ def cmd_check(_args) -> int:
     # them, against an independent solve
     bmap = dp.boundary_map
     r = bmap.trace(dp.w * f) - z.values
-    u_a = bmap.G @ (dp.M_gamma @ r)
+    u_a = bmap.matvec(dp.M_gamma @ r)
     u_bar = dp.solve_source_part(xi)[dp.gamma_nodes]
     lhs = float(r @ (dp.M_gamma @ u_bar))
     rhs = dp.lumped_inner(xi, u_a)
@@ -242,6 +242,23 @@ def cmd_check(_args) -> int:
     report("loop kernels are adjoint and match div_adjoint at level 4",
            adjoint <= 1e-12 and mismatch <= 1e-12,
            f"adjoint {adjoint:.1e}, div_adjoint {mismatch:.1e}")
+
+    # level 64 as bench runs it: building its driver compresses the boundary
+    # map in place, and both products on a fixed load stay within the
+    # map's bound of the dense map's, taken before
+    dp = DiscreteProblem(build_benchmark_problem(64)[0])
+    bmap = dp.boundary_map
+    x, y = np.cos(np.arange(bmap.shape[0])), np.sin(np.arange(bmap.shape[1]))
+    dense = bmap.rmatvec(x), bmap.matvec(y)
+    primal_dual.PdDriver(dp, ExperimentConfig().level_params(
+        dp.mesh.mesh_size))
+    error = max(np.linalg.norm(bmap.rmatvec(x) - dense[0]) / np.linalg.norm(x),
+                np.linalg.norm(bmap.matvec(y) - dense[1]) / np.linalg.norm(y))
+    ranks = " ".join(str(us.shape[1]) for _, us, _ in bmap.factors)
+    report("level-64 boundary map compressed within its bound",
+           bool(bmap.factors) and error <= bmap.error_bound,
+           f"ranks {ranks} in {bmap.strips} strips, error {error:.1e} "
+           f"<= bound {bmap.error_bound:.1e}")
 
     print(f"{failures} failure(s)")
     return 1 if failures else 0

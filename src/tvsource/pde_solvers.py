@@ -16,13 +16,16 @@ that misses it is polished by CG.  No factorization is kept: each solve
 factors A for itself.  The data misfit reads the state only on the
 observed boundary Gamma, so the optimizer works with the solution map
 restricted to Gamma (BoundaryMap), built once per problem from one
-factorization, and needs no solve per iteration or after it.  Boundary
+factorization, and needs no solve per iteration or after it; a map whose
+products would stream it from beyond the cache is compressed in place into
+row strips, dense near Gamma and of low rank far from it.  Boundary
 quantities are Gamma-vectors: one value per node of ``gamma_nodes``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,27 +64,157 @@ class Observation:
     noise_level: float = 0.0   # L2 norm of the added noise
 
 
-@dataclass(frozen=True)
 class BoundaryMap:
     """The solution map of a DiscreteProblem, read and loaded on Gamma only.
 
     With L the solution map of ``DiscreteProblem._solve`` (load to state;
     symmetric, also when deflated: L = C A^+ C^T with C the re-centring)
-    and Gamma the m observed nodes, G = L[:, Gamma] is an (n, m) matrix.
-    By symmetry the trace on Gamma of the state with volume load b is
-    G^T b + G^T b_flux, and the adjoint state loaded by a boundary residual
-    r on Gamma is G M r, with M the boundary mass ``DiscreteProblem.M_gamma``.
+    and Gamma the m observed nodes, G = L[:, Gamma] is an (n, m) matrix of
+    ``shape`` (n, m).  By symmetry the trace on Gamma of the state with
+    volume load b is G^T b + G^T b_flux, and the adjoint state loaded by a
+    boundary residual r on Gamma is G M r, with M the boundary mass
+    ``DiscreteProblem.M_gamma``.
+
+    G is held as row strips in the buffer it was built in.  ``dense`` is a
+    view of its leading rows, the strips kept dense; as built it is all of
+    G.  ``compress`` factors trailing strips in place: each of ``factors``
+    is (rows, US, Vt) for one strip, with US the (rows, k) factor U S of
+    its truncated SVD, written over the strip's own rows, and Vt its k
+    rows of V^T, a view of ``vt``, which stacks them over the factored
+    strips.  Every reader of G goes through ``rmatvec(x)`` (G^T x),
+    ``matvec(c)`` (G c), ``trace`` and ``gram``: they read the operator G~
+    the strips hold, within ``error_bound`` of G in the 2-norm.  While no
+    strip is factored the two products are G's own gemvs, ``G.T.dot`` and
+    ``G.dot``, at no cost over a bare array (ndarray.dot skips matmul's
+    dispatch); once strips are factored they are ``_strip_products``.
     """
 
-    G: np.ndarray           # (n, m)
-    flux_trace: np.ndarray  # (m,) trace on Gamma of the zero-source state
+    def __init__(self, G: np.ndarray, flux_trace: np.ndarray):
+        self.shape = G.shape
+        self.flux_trace = flux_trace  # (m,) trace of the zero-source state
+        self.dense = G
+        self.factors = ()
+        self.vt = np.empty((0, G.shape[1]))
+        self.strips = 1  # the number of strips G is split into
+        self.truncation = self.error_bound = 0.0
+        self.rmatvec, self.matvec = G.T.dot, G.dot
 
     def trace(self, load: np.ndarray) -> np.ndarray:
         """Trace on Gamma of the state with volume load ``load`` (w * f)
         and the flux data."""
-        u = self.G.T.dot(load)  # the loop's product: skips matmul's dispatch
+        u = self.rmatvec(load)
         u += self.flux_trace
         return u
+
+    def gram(self, w: np.ndarray) -> np.ndarray:
+        """G~^T W G~ with W the diagonal of the nodal weights ``w``, summed
+        over G's rows with no n x m temporary next to G: Y^T Y over chunks
+        Y = W^(1/2) G[chunk] of 512 dense rows, which numpy hands to BLAS
+        syrk, so that each is exactly symmetric, and V (Y^T Y) V^T with
+        Y = W^(1/2) US for each factored strip."""
+        sw = np.sqrt(w)[:, None]
+        dense, m = self.dense, self.shape[1]
+        gram, sw_dense = np.zeros((m, m)), sw[:dense.shape[0]]
+        for i in range(0, dense.shape[0], 512):
+            y = sw_dense[i:i + 512] * dense[i:i + 512]
+            gram += y.T @ y
+        for rows, us, vt in self.factors:
+            y = sw[rows] * us
+            gram += vt.T @ (y.T @ y) @ vt
+        return gram
+
+    def compress(self, strips: int = 8):
+        """Split G into ``strips`` row strips of equal size (to a row) and
+        factor the trailing ones in place; a map already split is left as
+        it is.
+
+        Far from Gamma the columns of G are discrete harmonic extensions,
+        so its strips there have low numerical rank: they are the
+        admissible blocks of hierarchical matrices (Hackbusch, Computing
+        1999) and of block low-rank solvers (Amestoy et al., SIAM J. Sci.
+        Comput. 2015).  From the last strip on, each strip's SVD, truncated
+        to the singular values above 1e-15 ||G||_F, replaces it while its
+        rank k makes the factors smaller than the strip, (rows + m) k <
+        rows m: U S is written over the strip's leading rows k entries and
+        its k rows of V^T are stacked in ``vt``, which is therefore smaller
+        than the entries the factored strips free.  The first strip that
+        would not shrink ends the scan; it and the strips before it stay
+        ``dense``, their bytes unchanged.  No n x m array is allocated: each
+        SVD works on a copy of one strip.
+
+        ``truncation`` is then the root sum of squares of the factored
+        strips' first dropped singular values, which bounds ||G~ - G||_2 in
+        exact arithmetic (the strips stack G's rows), and ``error_bound``
+        adds m 2^-52 ||G||_F for the rounding of the SVDs, which LAPACK
+        computes backward stably, and of the products.
+        """
+        if self.strips != 1:
+            return
+        G = self.dense
+        n, m = self.shape
+        norm = float(np.linalg.norm(G))
+        edges = [n * i // strips for i in range(strips + 1)]
+        factors, dropped = [], []
+        for start, stop in reversed(list(zip(edges, edges[1:]))):
+            rows = stop - start
+            u, s, vt = np.linalg.svd(G[start:stop], full_matrices=False)
+            k = int(np.count_nonzero(s > 1e-15 * norm))
+            if (rows + m) * k >= rows * m:
+                break
+            # a view of the strip's rows, which the SVD no longer reads
+            us = G[start:stop].reshape(-1)[:rows * k].reshape(rows, k)
+            np.multiply(u[:, :k], s[:k], out=us)
+            factors.append((slice(start, stop), us, vt[:k]))
+            dropped.append(s[k])
+        self.strips = strips
+        if not factors:
+            return
+        factors.reverse()
+        self.dense = G[:factors[0][0].start]
+        self.vt = np.concatenate([vt for _, _, vt in factors])
+        ends = np.cumsum([0] + [us.shape[1] for _, us, _ in factors])
+        self.factors = tuple((rows, us, self.vt[a:b]) for (rows, us, _), a, b
+                             in zip(factors, ends, ends[1:]))
+        self.truncation = math.hypot(*dropped)
+        self.error_bound = self.truncation + m * 2.0**-52 * norm
+        self.rmatvec, self.matvec = _strip_products(n, self.dense, self.vt,
+                                                    self.factors)
+
+
+def _strip_products(n, dense, vt, factors):
+    """G~^T x and G~ c of a map held as ``dense`` rows and ``factors``
+    (rows, US, Vt), V^T stacked in ``vt``.
+
+    G~^T x is a gemv with the dense rows, one with each strip's US^T into
+    its rows of the coefficients c and one with the stacked V^T; G~ c a
+    gemv with the dense rows, one with the stacked V^T into c and one with
+    each strip's US, each into its rows of the result.  The two share c,
+    so they make one product at a time; they close over the arrays, not
+    the map, so the map holds no reference cycle and is freed as soon as
+    it is released."""
+    c = np.empty(vt.shape[0])
+    plan, k0 = [], 0
+    for rows, us, _ in factors:
+        plan.append((rows, us.T, us, c[k0:k0 + us.shape[1]]))
+        k0 += us.shape[1]
+    dense_t, head = dense.T, dense.shape[0]
+
+    def rmatvec(load):
+        u = dense_t.dot(load[:head])
+        for rows, us_t, _, c_k in plan:
+            us_t.dot(load[rows], out=c_k)
+        u += vt.T.dot(c)
+        return u
+
+    def matvec(coef):
+        out = np.empty(n)
+        dense.dot(coef, out=out[:head])
+        vt.dot(coef, out=c)
+        for rows, _, us, c_k in plan:
+            us.dot(c_k, out=out[rows])
+        return out
+
+    return rmatvec, matvec
 
 
 class DiscreteProblem:

@@ -133,18 +133,12 @@ def smooth_operator_matrix(dp) -> np.ndarray:
     ``dp.M_gamma``).  It is symmetric positive semi-definite in the
     weighted nodal product, and K has the same nonzero spectrum, so its
     norm is the largest eigenvalue of K, which is returned exactly
-    symmetric.
+    symmetric.  G is the operator the boundary map's products apply, and
+    G^T W G is read from its strips (``BoundaryMap.gram``), so the
+    certificate certifies the loop that runs.
     """
-    G, sw = dp.boundary_map.G, np.sqrt(dp.w)[:, None]
     R = np.linalg.cholesky(dp.M_gamma)
-    # G^T W G as a sum of Y^T Y over row chunks Y = W^(1/2) G[chunk]: numpy
-    # hands each product to BLAS syrk, which makes it exactly symmetric, and
-    # no n x m temporary sits next to G
-    gwg = np.zeros((G.shape[1], G.shape[1]))
-    for i in range(0, G.shape[0], 512):
-        y = sw[i:i + 512] * G[i:i + 512]
-        gwg += y.T @ y
-    K = R.T @ gwg @ R
+    K = R.T @ dp.boundary_map.gram(dp.w) @ R
     return 0.5 * (K + K.T)  # exactly symmetric, as the two products are not
 
 
@@ -290,6 +284,16 @@ class PdDriver:
     (``box``) are kept as read-only 0-d arrays, the primal step's
     operands.
 
+    Before the certificate it compresses the problem's boundary map
+    (``BoundaryMap.compress``) when G is larger than 2 MiB, a per-core
+    L2 cache of common hosts, beyond which the loop's two products with G
+    stream it from further out on every iteration, and the run may make
+    at least m iterations, which the strip SVDs' cost of about m such
+    products asks for; so the certificate certifies the operator the loop
+    applies.  The rule reads G's size and max_iter only, nothing of the
+    host, and keeps every other map one dense strip: that of every level
+    up to 32 of the benchmark, and of every run of fewer than m iterations.
+
     ``primal_step`` and ``dual_step`` take and give the dual as a grid;
     ``grid.to_grid`` and ``grid.from_grid`` map it to and from the
     (n_triangles, 2) layout of ``run``'s arguments, hook and result.  Each
@@ -310,6 +314,10 @@ class PdDriver:
             raise ValueError(
                 f"tau {params.tau:.6g} is too small: the weights w / tau^2 "
                 "of the stopping norm overflow")
+        bmap = dp.boundary_map
+        n, m = bmap.shape
+        if 8 * n * m > 2**21 and params.max_iter >= m:
+            bmap.compress()
         self.certificate = cert = certify_steps_empirical(params, dp)
         if not cert.valid:
             raise ValueError(
@@ -374,7 +382,7 @@ class PdDriver:
         negative value beyond round-off means the certificate is violated.
         """
         dp, prm = self.dp, self.params
-        u = dp.boundary_map.G.T @ (dp.w * delta_f)  # its state's trace
+        u = dp.boundary_map.rmatvec(dp.w * delta_f)  # its state's trace
         t_f = dp.lumped_inner(delta_f, delta_f) / prm.tau
         t_smooth = float(u @ (dp.M_gamma @ u))  # <delta_f, its adjoint>_w
         t_cross = 2.0 * prm.rho * gradient_pairing(dp.mesh, delta_f, delta_p)
@@ -426,7 +434,7 @@ class PdDriver:
             np.asarray(default_p if p0 is None else p0, dtype=float)))
         z_gamma = dp.observed_values(z)
         w, M_gamma, bmap = dp.w, dp.M_gamma, dp.boundary_map
-        G, trace = bmap.G, bmap.trace
+        trace, matvec = bmap.trace, bmap.matvec
         primal_step, dual_step = self.primal_step, self.dual_step
         stopping_value, max_iter = self.stopping_value, self.params.max_iter
         f_tilde = np.empty_like(f)
@@ -441,7 +449,7 @@ class PdDriver:
                 raise ValueError(
                     f"data misfit {misfit} at iteration {n}: the "
                     "observation values are out of range")
-            u_a = G.dot(m_r)
+            u_a = matvec(m_r)
             f_next = primal_step(f, p, u_a)
             residual = f - f_next
             tol_val, g0_norm = stopping_value(residual, g0_norm)

@@ -14,7 +14,9 @@ from tvsource.tv_calculus import tv_value
 @functools.lru_cache(maxsize=None)
 def benchmark_dp(level: int, gamma_case: str = "bottom",
                  cg_tol: float = 1e-12, box=(-1.0, 3.0)):
-    """Assembled benchmark problem, cached across tests (treated read-only)."""
+    """Assembled benchmark problem, cached across tests (treated read-only;
+    a driver whose rule compresses the boundary map, at level 64, changes
+    its products within the map's ``error_bound``)."""
     prob, f_truth = build_benchmark_problem(level, gamma_case, box)
     dp = DiscreteProblem(prob, cg_tol=cg_tol)
     return dp, f_truth
@@ -142,17 +144,44 @@ def table_primal_step(driver, f, p, u_a):
     return np.clip(f - driver.params.tau * u_a - d, *driver.box)
 
 
-def reference_run(driver, z, f0, p0, tables=False):
+def strip_products(bmap):
+    """G^T x and G c of a boundary map, each written as one expression
+    over its strips with the @ operator: the dense rows, each factored
+    strip's US and the stacked V^T, in the order of the map's products,
+    which they give bit for bit."""
+    dense, factors, vt = bmap.dense, bmap.factors, bmap.vt
+    rows = dense.shape[0]
+    ends = np.cumsum([0] + [us.shape[1] for _, us, _ in factors])
+
+    def rmatvec(x):
+        u = dense.T @ x[:rows]
+        if factors:
+            u = u + vt.T @ np.concatenate([us.T @ x[strip]
+                                           for strip, us, _ in factors])
+        return u
+
+    def matvec(c):
+        t = vt @ c
+        return np.concatenate([dense @ c] + [
+            us @ t[a:b] for (_, us, _), a, b in zip(factors, ends, ends[1:])])
+
+    return rmatvec, matvec
+
+
+def reference_run(driver, z, f0, p0, tables=False, products=None):
     """``driver.run(z, f0, p0)`` written one expression per update, with
     np.clip, and the objective (misfit plus rho * TV) evaluated at every
     iterate: with the stencil kernels (``stencil_gradient`` and
     ``reference_primal_step``), the reference for the run's bits, and with
     ``tables``, the mesh's gradient table (``step_tables``), which sums the
-    divergence in another order.  Returns the visited (f, p) pairs and the
-    misfit, stopping-value and objective histories."""
+    divergence in another order.  G^T x and G c are ``products``, by
+    default the boundary map's ``strip_products``.  Returns the visited
+    (f, p) pairs and the misfit, stopping-value and objective
+    histories."""
     dp, prm = driver.dp, driver.params
     mesh, (lo, hi) = dp.mesh, driver.box
-    G, flux_trace = dp.boundary_map.G, dp.boundary_map.flux_trace
+    rmatvec, matvec = products or strip_products(dp.boundary_map)
+    flux_trace = dp.boundary_map.flux_trace
     nodes, grad, _ = step_tables(dp, prm)
     s, _, _ = stencil_steps(driver)
     primal_step = table_primal_step if tables else reference_primal_step
@@ -162,9 +191,9 @@ def reference_run(driver, z, f0, p0, tables=False):
     iterates, misfits, tolerances, objectives = [], [], [], []
     g0_norm = None
     for n in range(prm.max_iter + 1):
-        r = G.T @ (dp.w * f) + flux_trace - z.values
+        r = rmatvec(dp.w * f) + flux_trace - z.values
         m_r = dp.M_gamma @ r
-        f_next = primal_step(driver, f, p, G @ m_r)
+        f_next = primal_step(driver, f, p, matvec(m_r))
         residual = f - f_next
         g_norm = float(np.sqrt(dp.w / prm.tau**2 * residual @ residual))
         g0_norm = g_norm if g0_norm is None else g0_norm

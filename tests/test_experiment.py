@@ -613,7 +613,7 @@ class TestCli:
     def test_check_passes(self, capsys):
         assert cli_main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "FAIL" not in out and out.count("[PASS]") == 9
+        assert "FAIL" not in out and out.count("[PASS]") == 10
 
     def test_bench_writes_outputs(self, tmp_path, capsys):
         code = cli_main(["bench", "--levels", "4", "--max-iter", "5",
@@ -1125,7 +1125,9 @@ class TestCli:
             f"{levels!r}")
 
     def test_check_reads_the_boundary_map(self, capsys, monkeypatch):
-        # a boundary map off by 1e-6 relative fails the adjoint line
+        # a boundary map off by 1e-6 relative fails the adjoint line, which
+        # reads the map's products; the level-64 line compares the map's
+        # products before and after its compression, so it passes
         import tvsource.pde_solvers as pde
         real_map = pde.BoundaryMap
         monkeypatch.setattr(pde, "BoundaryMap", lambda G, flux_trace:
@@ -1134,6 +1136,25 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if "FAIL" in line] == [
             line for line in out if "adjoint gradient identity" in line]
+        assert any(line.startswith("[PASS] level-64 boundary map")
+                   for line in out)
+        assert out[-1] == "1 failure(s)"
+
+    def test_check_reads_the_compressed_boundary_map(self, capsys,
+                                                     monkeypatch):
+        # one entry of a factor off by 1e-6 relative fails the level-64 line
+        import tvsource.pde_solvers as pde
+        real_compress = pde.BoundaryMap.compress
+
+        def spoiled(bmap, *args):
+            real_compress(bmap, *args)
+            bmap.factors[0][1][0, 0] *= 1.0 + 1e-6
+
+        monkeypatch.setattr(pde.BoundaryMap, "compress", spoiled)
+        assert cli_main(["check"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "FAIL" in line] == [
+            line for line in out if "level-64 boundary map" in line]
         assert out[-1] == "1 failure(s)"
 
     def test_check_reads_the_loop_kernels(self, capsys, monkeypatch):

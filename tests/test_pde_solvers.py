@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -340,7 +341,7 @@ def test_boundary_map_matches_full_solves(level, seed, reaction,
         assert (np.linalg.norm(u_gamma - u[nodes])
                 <= 1e-12 * np.linalg.norm(u[nodes]))
         u_a = dp.solve_adjoint(u[nodes], z)
-        u_a_map = bmap.G @ (dp.M_gamma @ (u_gamma - z.values))
+        u_a_map = bmap.matvec(dp.M_gamma @ (u_gamma - z.values))
         assert np.linalg.norm(u_a_map - u_a) <= 1e-10 * np.linalg.norm(u_a)
 
 
@@ -353,19 +354,21 @@ def test_one_block_boundary_map_matches_the_chunked_build(level, seed,
                                                           gamma):
     # one block solve in place on G gives the G of four-column chunks to
     # rounding, for pure-Neumann (grounded factor, deflated loads) and
-    # definite problems, and its flux trace is read from that G
+    # definite problems, and its flux trace is read from that G, which the
+    # map holds as its one dense strip
     dp, _ = random_dp(level, seed, reaction, boundary_term, gamma)
     ref = chunked_boundary_map(dp)
     bmap = dp.boundary_map
-    assert np.max(np.abs(bmap.G - ref)) <= 1e-14 * np.max(np.abs(ref))
-    assert np.array_equal(bmap.flux_trace, bmap.G.T @ dp.b_flux)
+    assert bmap.dense.shape == ref.shape and not bmap.factors
+    assert np.max(np.abs(bmap.dense - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.array_equal(bmap.flux_trace, bmap.dense.T @ dp.b_flux)
 
 
 @pytest.mark.parametrize("gamma_case", ["bottom", "bottom_left"])
 def test_benchmark_boundary_map_matches_the_chunked_build(gamma_case):
     dp = DiscreteProblem(build_benchmark_problem(32, gamma_case)[0])
     ref = chunked_boundary_map(dp)
-    assert np.max(np.abs(dp.boundary_map.G - ref)) <= 1e-14 * np.max(
+    assert np.max(np.abs(dp.boundary_map.dense - ref)) <= 1e-14 * np.max(
         np.abs(ref))
 
 
@@ -380,11 +383,99 @@ def test_boundary_map_build_holds_g_and_a_few_columns(gamma_case):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        G = dp.boundary_map.G
+        G = dp.boundary_map.dense
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert peak <= G.nbytes + n * m_rows * 8 + 4 * (n * 4 * 8)
+
+
+def _address(a) -> int:
+    return a.__array_interface__["data"][0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([8, 16, 32]), st.sampled_from(["bottom", "bottom_left"]),
+       st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_compressed_boundary_map_stays_within_its_bound(level, gamma_case,
+                                                        strips, seed):
+    # the compressor itself, on a copy of the benchmark's G: both products
+    # stay within the map's stated bound of the dense G's; the factored
+    # strips are the trailing strips that shrink, each with the rank of
+    # its truncated SVD and its factor US inside its own rows of G's
+    # buffer; the strips before them, the first that would not shrink
+    # among them, stay dense, their bytes unchanged; the truncation is the
+    # root sum of squares of the first dropped singular values; and the
+    # certificate's G^T W G is that of the strips
+    dp, _ = benchmark_dp(level, gamma_case)
+    G = dp.boundary_map.dense
+    (n, m), norm = G.shape, np.linalg.norm(G)
+    bmap = pde_solvers.BoundaryMap(G.copy(), dp.boundary_map.flux_trace)
+    buffer = _address(bmap.dense)
+    bmap.compress(strips)
+    rng = np.random.default_rng(seed)
+    x, c = rng.standard_normal(n), rng.standard_normal(m)
+    assert (np.linalg.norm(bmap.rmatvec(x) - G.T @ x)
+            <= bmap.error_bound * np.linalg.norm(x))
+    assert (np.linalg.norm(bmap.matvec(c) - G @ c)
+            <= bmap.error_bound * np.linalg.norm(c))
+    assert (np.linalg.norm(bmap.trace(x) - G.T @ x - bmap.flux_trace)
+            <= bmap.error_bound * np.linalg.norm(x) + 1e-15 * norm)
+
+    edges = [n * i // strips for i in range(strips + 1)]
+    # the compressor's call: without vectors LAPACK takes another route,
+    # whose singular values may fall on the other side of the threshold
+    svds = [np.linalg.svd(G[a:b], full_matrices=False)[1]
+            for a, b in zip(edges, edges[1:])]
+    ranks = [int(np.count_nonzero(s > 1e-15 * norm)) for s in svds]
+    shrinks = [(b - a + m) * k < (b - a) * m
+               for a, b, k in zip(edges, edges[1:], ranks)]
+    first = strips
+    while first > 0 and shrinks[first - 1]:
+        first -= 1
+    head = edges[first]
+    assert bmap.strips == strips and bmap.dense.shape == (head, m)
+    assert _address(bmap.dense) == buffer
+    assert bmap.dense.tobytes() == G[:head].tobytes()
+    assert [(rows.start, rows.stop, us.shape, vt.shape)
+            for rows, us, vt in bmap.factors] == [
+        (a, b, (b - a, k), (k, m))
+        for a, b, k in zip(edges[first:], edges[first + 1:], ranks[first:])]
+    for rows, us, _ in bmap.factors:
+        assert us.flags.c_contiguous
+        assert buffer + rows.start * m * 8 == _address(us)
+        assert _address(us) + us.nbytes <= buffer + rows.stop * m * 8
+    assert bmap.truncation == math.hypot(*(
+        s[k] for s, k in zip(svds[first:], ranks[first:])))
+    assert bmap.error_bound == (bmap.truncation + m * 2.0**-52 * norm
+                                if bmap.factors else 0.0)
+    held = np.concatenate([bmap.dense] + [us @ vt
+                                          for _, us, vt in bmap.factors])
+    gram = held.T @ (dp.w[:, None] * held)
+    assert np.abs(bmap.gram(dp.w) - gram).max() <= 1e-12 * np.abs(gram).max()
+
+
+def test_compressing_level_64_allocates_no_array_as_large_as_g():
+    # the factors overwrite G's buffer: the traced peak of the compression,
+    # each SVD's copy of one strip and its factors, stays below G's size;
+    # the compressed map's products hold no reference to it, so a released
+    # map is freed at once, with no cycle for the collector to find
+    dp = DiscreteProblem(build_benchmark_problem(64)[0])
+    bmap = dp.boundary_map
+    g_bytes = bmap.dense.nbytes
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        bmap.compress()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert [us.shape[1] for _, us, _ in bmap.factors] == [42, 29, 23, 19, 16]
+    assert peak < g_bytes
+    released = weakref.ref(bmap)
+    del bmap
+    dp.release_loop_arrays()
+    assert released() is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -432,7 +523,7 @@ def test_boundary_map_column_missing_the_tolerance_is_polished():
     f, g = np.random.default_rng(5).standard_normal((2, prob.mesh.n_vertices,
                                                      2))
     paths = {  # name -> (the path's solution, the columns it polishes)
-        "boundary map": (lambda dp: dp.boundary_map.G, 1),  # one block
+        "boundary map": (lambda dp: dp.boundary_map.dense, 1),  # one block
         "one load": (lambda dp: dp.solve_state(f[:, 0]), 1),
         "block of loads": (lambda dp: dp._solve(f), 1),
         "Dirichlet": (lambda dp: dp.solve_dirichlet(f[:, 0], g[:, 0]), 1),
