@@ -395,8 +395,9 @@ def _address(a) -> int:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([8, 16, 32]), st.sampled_from(["bottom", "bottom_left"]),
-       st.integers(2, 8), st.integers(0, 2**32 - 1))
+@given(st.sampled_from([8, 16, 32]),
+       st.sampled_from(["bottom", "bottom_left"]), st.integers(2, 8),
+       st.integers(0, 2**32 - 1))
 def test_compressed_boundary_map_stays_within_its_bound(level, gamma_case,
                                                         strips, seed):
     # the compressor itself, on a copy of the benchmark's G: both products
