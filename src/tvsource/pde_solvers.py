@@ -78,12 +78,12 @@ class BoundaryMap:
     G is held as row strips in the buffer it was built in.  ``dense`` is a
     view of its leading rows, the strips kept dense; as built it is all of
     G.  ``compress`` factors trailing strips in place: each of ``factors``
-    is (rows, US, Vt) for one strip, with US the (rows, k) factor U S of
-    its truncated SVD, written over the strip's own rows, and Vt its k
-    rows of V^T, a view of ``vt``, which stacks them over the factored
-    strips.  Every reader of G goes through ``rmatvec(x)`` (G^T x),
-    ``matvec(c)`` (G c), ``trace`` and ``gram``: they read the operator G~
-    the strips hold, within ``error_bound`` of G in the 2-norm.  While no
+    is (rows, US) for one strip, with US the (rows, k) factor U S of its
+    truncated SVD, written over the strip's own rows, and ``vt`` stacks
+    the strips' k rows of V^T in the same order.  Every reader of G goes
+    through ``rmatvec(x)`` (G^T x), ``matvec(c)`` (G c), ``trace`` and
+    ``gram``: they read the operator G~ the strips hold, within
+    ``error_bound`` of G in the 2-norm.  While no
     strip is factored the two products are G's own gemvs, ``G.T.dot`` and
     ``G.dot``, at no cost over a bare array (ndarray.dot skips matmul's
     dispatch); once strips are factored they are ``_strip_products``.
@@ -95,7 +95,6 @@ class BoundaryMap:
         self.dense = G
         self.factors = ()
         self.vt = np.empty((0, G.shape[1]))
-        self.strips = 1  # the number of strips G is split into
         self.truncation = self.error_bound = 0.0
         self.rmatvec, self.matvec = G.T.dot, G.dot
 
@@ -118,15 +117,17 @@ class BoundaryMap:
         for i in range(0, dense.shape[0], 512):
             y = sw_dense[i:i + 512] * dense[i:i + 512]
             gram += y.T @ y
-        for rows, us, vt in self.factors:
-            y = sw[rows] * us
+        k0 = 0
+        for rows, us in self.factors:
+            y, vt = sw[rows] * us, self.vt[k0:k0 + us.shape[1]]
             gram += vt.T @ (y.T @ y) @ vt
+            k0 += us.shape[1]
         return gram
 
     def compress(self, strips: int = 8):
         """Split G into ``strips`` row strips of equal size (to a row) and
-        factor the trailing ones in place; a map already split is left as
-        it is.
+        factor the trailing ones in place; a map with factored strips is
+        left as it is.
 
         Far from Gamma the columns of G are discrete harmonic extensions,
         so its strips there have low numerical rank: they are the
@@ -137,7 +138,9 @@ class BoundaryMap:
         rank k makes the factors smaller than the strip, (rows + m) k <
         rows m: U S is written over the strip's leading rows k entries and
         its k rows of V^T are stacked in ``vt``, which is therefore smaller
-        than the entries the factored strips free.  The first strip that
+        than the entries the factored strips free.  The pages those
+        entries fill wholly are handed back to the system, so that the
+        loop's working set shrinks with the map.  The first strip that
         would not shrink ends the scan; it and the strips before it stay
         ``dense``, their bytes unchanged.  No n x m array is allocated: each
         SVD works on a copy of one strip.
@@ -148,13 +151,13 @@ class BoundaryMap:
         adds m 2^-52 ||G||_F for the rounding of the SVDs, which LAPACK
         computes backward stably, and of the products.
         """
-        if self.strips != 1:
+        if self.factors:
             return
         G = self.dense
         n, m = self.shape
         norm = float(np.linalg.norm(G))
         edges = [n * i // strips for i in range(strips + 1)]
-        factors, dropped = [], []
+        factors, vts, dropped = [], [], []
         for start, stop in reversed(list(zip(edges, edges[1:]))):
             rows = stop - start
             u, s, vt = np.linalg.svd(G[start:stop], full_matrices=False)
@@ -164,26 +167,56 @@ class BoundaryMap:
             # a view of the strip's rows, which the SVD no longer reads
             us = G[start:stop].reshape(-1)[:rows * k].reshape(rows, k)
             np.multiply(u[:, :k], s[:k], out=us)
-            factors.append((slice(start, stop), us, vt[:k]))
+            _release(G, (start * m + rows * k) * 8, stop * m * 8)
+            factors.append((slice(start, stop), us))
+            vts.append(vt[:k])
             dropped.append(s[k])
-        self.strips = strips
         if not factors:
             return
-        factors.reverse()
-        self.dense = G[:factors[0][0].start]
-        self.vt = np.concatenate([vt for _, _, vt in factors])
-        ends = np.cumsum([0] + [us.shape[1] for _, us, _ in factors])
-        self.factors = tuple((rows, us, self.vt[a:b]) for (rows, us, _), a, b
-                             in zip(factors, ends, ends[1:]))
+        self.factors = tuple(reversed(factors))
+        self.dense = G[:self.factors[0][0].start]
+        self.vt = np.concatenate(vts[::-1])
         self.truncation = math.hypot(*dropped)
         self.error_bound = self.truncation + m * 2.0**-52 * norm
         self.rmatvec, self.matvec = _strip_products(n, self.dense, self.vt,
                                                     self.factors)
 
 
+def _release(a: np.ndarray, start: int, stop: int):
+    """Hand back to the system the whole pages between bytes ``start`` and
+    ``stop`` of ``a``'s data, which hold nothing any more; they read as
+    zeros if touched again.  Where the C library has no madvise, keep
+    them."""
+    madvise = _madvise()
+    if madvise is None:
+        return
+    page, dontneed = madvise
+    first = -(-(a.ctypes.data + start) // page) * page
+    last = (a.ctypes.data + stop) // page * page
+    if first < last:
+        dontneed(first, last - first)
+
+
+@functools.cache
+def _madvise():
+    """The page size and madvise(address, length, MADV_DONTNEED) of the C
+    library, or None.  Imported on first use, so that a process that
+    compresses no map loads nothing for it."""
+    import ctypes
+    import mmap
+    try:
+        madvise = ctypes.CDLL(None).madvise
+        advice = mmap.MADV_DONTNEED
+    except (AttributeError, OSError, TypeError):
+        return None
+    madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    return mmap.PAGESIZE, lambda address, length: madvise(address, length,
+                                                           advice)
+
+
 def _strip_products(n, dense, vt, factors):
     """G~^T x and G~ c of a map held as ``dense`` rows and ``factors``
-    (rows, US, Vt), V^T stacked in ``vt``.
+    (rows, US), their V^T stacked in ``vt``.
 
     G~^T x is a gemv with the dense rows, one with each strip's US^T into
     its rows of the coefficients c and one with the stacked V^T; G~ c a
@@ -194,7 +227,7 @@ def _strip_products(n, dense, vt, factors):
     it is released."""
     c = np.empty(vt.shape[0])
     plan, k0 = [], 0
-    for rows, us, _ in factors:
+    for rows, us in factors:
         plan.append((rows, us.T, us, c[k0:k0 + us.shape[1]]))
         k0 += us.shape[1]
     dense_t, head = dense.T, dense.shape[0]

@@ -288,11 +288,15 @@ class PdDriver:
     (``BoundaryMap.compress``) when G is larger than 2 MiB, a per-core
     L2 cache of common hosts, beyond which the loop's two products with G
     stream it from further out on every iteration, and the run may make
-    at least m iterations, which the strip SVDs' cost of about m such
-    products asks for; so the certificate certifies the operator the loop
-    applies.  The rule reads G's size and max_iter only, nothing of the
-    host, and keeps every other map one dense strip: that of every level
-    up to 32 of the benchmark, and of every run of fewer than m iterations.
+    at least 2m iterations; so the certificate certifies the operator the
+    loop applies.  The strip SVDs cost O(n m^2) and save a share of the
+    2 n m of each iteration's products, so the iterations that repay them
+    grow like m: at level 64, driver build plus run broke even at 1.7m to
+    1.9m iterations on both Gamma cases (m = 65: 5.8 ms of SVDs against
+    49-51 us saved per iteration; m = 129: 23 ms against 100-104 us).
+    The rule reads G's size and max_iter only, nothing of the host, and
+    keeps every other map one dense strip: that of every level up to 32
+    of the benchmark, and of every run of fewer than 2m iterations.
 
     ``primal_step`` and ``dual_step`` take and give the dual as a grid;
     ``grid.to_grid`` and ``grid.from_grid`` map it to and from the
@@ -316,7 +320,7 @@ class PdDriver:
                 "of the stopping norm overflow")
         bmap = dp.boundary_map
         n, m = bmap.shape
-        if 8 * n * m > 2**21 and params.max_iter >= m:
+        if 8 * n * m > 2**21 and params.max_iter >= 2 * m:
             bmap.compress()
         self.certificate = cert = certify_steps_empirical(params, dp)
         if not cert.valid:

@@ -14,9 +14,7 @@ from tvsource.tv_calculus import tv_value
 @functools.lru_cache(maxsize=None)
 def benchmark_dp(level: int, gamma_case: str = "bottom",
                  cg_tol: float = 1e-12, box=(-1.0, 3.0)):
-    """Assembled benchmark problem, cached across tests (treated read-only;
-    a driver whose rule compresses the boundary map, at level 64, changes
-    its products within the map's ``error_bound``)."""
+    """Assembled benchmark problem, cached across tests (treated read-only)."""
     prob, f_truth = build_benchmark_problem(level, gamma_case, box)
     dp = DiscreteProblem(prob, cg_tol=cg_tol)
     return dp, f_truth
@@ -151,19 +149,19 @@ def strip_products(bmap):
     which they give bit for bit."""
     dense, factors, vt = bmap.dense, bmap.factors, bmap.vt
     rows = dense.shape[0]
-    ends = np.cumsum([0] + [us.shape[1] for _, us, _ in factors])
+    ends = np.cumsum([0] + [us.shape[1] for _, us in factors])
 
     def rmatvec(x):
         u = dense.T @ x[:rows]
         if factors:
             u = u + vt.T @ np.concatenate([us.T @ x[strip]
-                                           for strip, us, _ in factors])
+                                           for strip, us in factors])
         return u
 
     def matvec(c):
         t = vt @ c
         return np.concatenate([dense @ c] + [
-            us @ t[a:b] for (_, us, _), a, b in zip(factors, ends, ends[1:])])
+            us @ t[a:b] for (_, us), a, b in zip(factors, ends, ends[1:])])
 
     return rmatvec, matvec
 

@@ -435,14 +435,15 @@ def test_compressed_boundary_map_stays_within_its_bound(level, gamma_case,
     while first > 0 and shrinks[first - 1]:
         first -= 1
     head = edges[first]
-    assert bmap.strips == strips and bmap.dense.shape == (head, m)
+    assert bmap.dense.shape == (head, m)
     assert _address(bmap.dense) == buffer
     assert bmap.dense.tobytes() == G[:head].tobytes()
-    assert [(rows.start, rows.stop, us.shape, vt.shape)
-            for rows, us, vt in bmap.factors] == [
-        (a, b, (b - a, k), (k, m))
+    assert [(rows.start, rows.stop, us.shape)
+            for rows, us in bmap.factors] == [
+        (a, b, (b - a, k))
         for a, b, k in zip(edges[first:], edges[first + 1:], ranks[first:])]
-    for rows, us, _ in bmap.factors:
+    assert bmap.vt.shape == (sum(ranks[first:]), m)
+    for rows, us in bmap.factors:
         assert us.flags.c_contiguous
         assert buffer + rows.start * m * 8 == _address(us)
         assert _address(us) + us.nbytes <= buffer + rows.stop * m * 8
@@ -450,20 +451,26 @@ def test_compressed_boundary_map_stays_within_its_bound(level, gamma_case,
         s[k] for s, k in zip(svds[first:], ranks[first:])))
     assert bmap.error_bound == (bmap.truncation + m * 2.0**-52 * norm
                                 if bmap.factors else 0.0)
-    held = np.concatenate([bmap.dense] + [us @ vt
-                                          for _, us, vt in bmap.factors])
+    ends = np.cumsum([0] + ranks[first:])
+    held = np.concatenate([bmap.dense] + [
+        us @ bmap.vt[a:b] for (_, us), a, b in zip(bmap.factors, ends,
+                                                   ends[1:])])
     gram = held.T @ (dp.w[:, None] * held)
     assert np.abs(bmap.gram(dp.w) - gram).max() <= 1e-12 * np.abs(gram).max()
 
 
 def test_compressing_level_64_allocates_no_array_as_large_as_g():
     # the factors overwrite G's buffer: the traced peak of the compression,
-    # each SVD's copy of one strip and its factors, stays below G's size;
-    # the compressed map's products hold no reference to it, so a released
-    # map is freed at once, with no cycle for the collector to find
+    # each SVD's copy of one strip and its factors, stays below G's size,
+    # and compressing again changes nothing; the pages of a factored strip
+    # past its factor are handed back, and read as zeros (where the C
+    # library has madvise); the compressed map's products hold no
+    # reference to it, so a released map is freed at once, with no cycle
+    # for the collector to find
     dp = DiscreteProblem(build_benchmark_problem(64)[0])
     bmap = dp.boundary_map
-    g_bytes = bmap.dense.nbytes
+    G = bmap.dense
+    g_bytes = G.nbytes
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -471,8 +478,17 @@ def test_compressing_level_64_allocates_no_array_as_large_as_g():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert [us.shape[1] for _, us, _ in bmap.factors] == [42, 29, 23, 19, 16]
+    assert [us.shape[1] for _, us in bmap.factors] == [42, 29, 23, 19, 16]
     assert peak < g_bytes
+    factors = bmap.factors
+    bmap.compress()
+    assert bmap.factors is factors
+    if pde_solvers._madvise() is not None:
+        page = pde_solvers._madvise()[0] // 8
+        for rows, us in bmap.factors:
+            freed = G[rows].reshape(-1)[us.size:]
+            assert freed.size > 2 * page
+            assert np.count_nonzero(freed) < 2 * page
     released = weakref.ref(bmap)
     del bmap
     dp.release_loop_arrays()

@@ -306,10 +306,14 @@ class TestBNorm:
                                  np.zeros((dp.mesh.n_triangles, 2))) == 0.0
 
     def test_pure_dual_block(self, rng):
-        # the flat area weights give the bits of the (n_t, 2) broadcast
+        # the flat area weights give the bits of the (n_t, 2) broadcast;
+        # level 64 builds its own problem, whose boundary map this driver
+        # compresses, so that the cached one stays dense
         params = PdParams(rho=1e-3, tau=1e-4, theta=5e-2, max_iter=600)
         for level in (4, 16, 64):
             dp, _ = benchmark_dp(level)
+            if level == 64:
+                dp = DiscreteProblem(dp.prob, cg_tol=dp.cg_tol)
             driver = PdDriver(dp, params)
             for scale in (1e-6, 1.0, 1e6):
                 delta_p = scale * rng.standard_normal((dp.mesh.n_triangles,
@@ -501,8 +505,8 @@ def test_run_factors_nothing_after_set_up(monkeypatch):
 
 def test_desk_levels_and_short_runs_call_no_svd(monkeypatch):
     # the driver compresses G only when it is larger than 2 MiB and the
-    # run may make at least m iterations: every desk level, and every run
-    # of fewer than m iterations, such as a set-up run's one, keeps one
+    # run may make at least 2m iterations: every desk level, and every run
+    # of fewer than 2m iterations, such as a set-up run's one, keeps one
     # dense strip, whose products are G's own gemvs, and makes no SVD
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
@@ -510,13 +514,13 @@ def test_desk_levels_and_short_runs_call_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", refuse)
     cases = [(level, gamma_case, 600) for level in (4, 8, 16, 32)
              for gamma_case in ("bottom", "bottom_left")]
-    cases += [(64, "bottom", 1), (64, "bottom", 64), (64, "bottom_left", 128)]
+    cases += [(64, "bottom", 1), (64, "bottom", 129), (64, "bottom_left", 257)]
     for level, gamma_case, max_iter in cases:
         dp = DiscreteProblem(build_benchmark_problem(level, gamma_case)[0])
         PdDriver(dp, ExperimentConfig(max_iter=max_iter).level_params(
             dp.mesh.mesh_size))
         bmap = dp.boundary_map
-        assert bmap.strips == 1 and bmap.dense.shape == bmap.shape
+        assert not bmap.factors and bmap.dense.shape == bmap.shape
         assert bmap.matvec.__self__ is bmap.dense
 
 
@@ -581,7 +585,7 @@ def _bytes(values) -> bytes:
        st.floats(0.5, 12.0), st.integers(0, 3))
 @example(data=None, level=32, box=(0.0, 3.0), max_iter=20, tau=5.0, seed=1)
 @example(data=None, level=64, box=(-1.0, 3.0), max_iter=20, tau=5.0, seed=2)
-@example(data=None, level=64, box=(-1.0, 3.0), max_iter=65, tau=5.0, seed=3)
+@example(data=None, level=64, box=(-1.0, 3.0), max_iter=130, tau=5.0, seed=3)
 def test_run_is_bit_identical_to_reference_loop(data, level, box, max_iter,
                                                 tau, seed):
     # the in-place loop, with the objective at its last iterate only,
@@ -593,7 +597,7 @@ def test_run_is_bit_identical_to_reference_loop(data, level, box, max_iter,
     # 1e-12.  The fixed level-32 example, where the grid kernels pay, and
     # the level-64 one, whose G products run other BLAS kernel sizes, draw
     # their start from numpy, as hypothesis passes no data() to an
-    # explicit example.  At level 64 a run of m = 65 iterations compresses
+    # explicit example.  At level 64 a run of 2m = 130 iterations compresses
     # the boundary map: the reference reads the same strips, and the run
     # ends within 1e-12 of the loop on the dense G.  Level 64 builds its
     # own problem, so that the cached one stays dense
@@ -657,7 +661,7 @@ def test_run_is_bit_identical_to_reference_loop(data, level, box, max_iter,
     assert len(table_iterates) == len(iterates)
     for got, want in zip(iterates[-1], table_iterates[-1]):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert bool(dp.boundary_map.factors) == (level == 64 and max_iter >= 65)
+    assert bool(dp.boundary_map.factors) == (level == 64 and max_iter >= 130)
     if dp.boundary_map.factors:
         dense_iterates = reference_run(driver, z, f0, p0, products=(
             lambda x: G.T @ x, lambda c: G @ c))[0]
