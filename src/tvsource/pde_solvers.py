@@ -79,11 +79,11 @@ class BoundaryMap:
     view of its leading rows, the strips kept dense; as built it is all of
     G.  ``compress`` factors trailing strips in place: each of ``factors``
     is (rows, US) for one strip, with US the (rows, k) factor U S of its
-    truncated SVD, written over the strip's own rows, and ``vt`` stacks
-    the strips' k rows of V^T in the same order.  Every reader of G goes
-    through ``rmatvec(x)`` (G^T x), ``matvec(c)`` (G c), ``trace`` and
-    ``gram``: they read the operator G~ the strips hold, within
-    ``error_bound`` of G in the 2-norm.  While no
+    truncated SVD, written column-major over the strip's own rows, and
+    ``vt`` stacks the strips' k rows of V^T in the same order.  Every
+    reader of G goes through ``rmatvec(x)`` (G^T x), ``matvec(c)`` (G c),
+    ``trace`` and ``gram``: they read the operator G~ the strips hold,
+    within ``error_bound`` of G in the 2-norm.  While no
     strip is factored the two products are G's own gemvs, ``G.T.dot`` and
     ``G.dot``, at no cost over a bare array (ndarray.dot skips matmul's
     dispatch); once strips are factored they are ``_strip_products``.
@@ -136,7 +136,8 @@ class BoundaryMap:
         Comput. 2015).  From the last strip on, each strip's SVD, truncated
         to the singular values above 1e-15 ||G||_F, replaces it while its
         rank k makes the factors smaller than the strip, (rows + m) k <
-        rows m: U S is written over the strip's leading rows k entries and
+        rows m: U S is written column-major over the strip's leading rows k
+        entries, so that both products with it run along its columns, and
         its k rows of V^T are stacked in ``vt``, which is therefore smaller
         than the entries the factored strips free.  The pages those
         entries fill wholly are handed back to the system, so that the
@@ -165,7 +166,7 @@ class BoundaryMap:
             if (rows + m) * k >= rows * m:
                 break
             # a view of the strip's rows, which the SVD no longer reads
-            us = G[start:stop].reshape(-1)[:rows * k].reshape(rows, k)
+            us = G[start:stop].reshape(-1)[:rows * k].reshape(k, rows).T
             np.multiply(u[:, :k], s[:k], out=us)
             _release(G, (start * m + rows * k) * 8, stop * m * 8)
             factors.append((slice(start, stop), us))
@@ -300,11 +301,9 @@ class DiscreteProblem:
         return BoundaryMap(G, G.T @ self.b_flux)
 
     def release_loop_arrays(self):
-        """Free the arrays a primal-dual run reads: the boundary map and
-        the mesh's gradient table, which its last objective builds; the
-        next use builds them again."""
+        """Free the boundary map, the one n x m array a primal-dual run
+        reads; the next use builds it again."""
         self.__dict__.pop("boundary_map", None)
-        self.mesh.__dict__.pop("gradient_table", None)
 
     # -- inner products ----------------------------------------------------
 

@@ -18,12 +18,11 @@ The driver folds the step constants into the two stencil kernels of the
 mesh's cell grid once, so that a step is a few array operations: the
 primal step is clamp_box(f - tau * u_a - (tau*rho/w) D^T p) and the dual
 step project_ball(p + (tau*rho/theta) D f~).  Only the rounding differs
-from the formulas above.  Inside a run the dual lives on the cell grid
-(``fem_assembly.DualGrid``), where D is one product and one subtraction
-of fixed shifted views, with the bits of the mesh's gradient table where
-its coefficients are exactly 1/h (at the levels that are powers of two),
-and D^T two copies into shifted views, one gemv and one product, which sum a
-node's terms before scaling them; no index or coefficient table is read.
+from the formulas above.  Inside a run the dual lives on the mesh's cell
+grid (``mesh.DualGrid``), where D is one product and one subtraction of
+fixed shifted views, and D^T two copies into shifted views, one gemv and
+one product, which sum a node's terms before scaling them: the kernels of
+``elem_gradient`` and ``div_adjoint``, with the steps' constants folded in.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem_assembly import DualGrid, P0VecField, P1Field
+from .fem_assembly import P0VecField, P1Field
 from .mesh import prolong_p0, prolong_p1
 from .pde_solvers import DiscreteProblem, Observation
 from .sparse_linalg import grad_operator_norm
@@ -270,11 +269,9 @@ class PdDriver:
     ValueError unless ``certify_steps_empirical`` admits its steps there.
 
     Next to the certificate it builds the two step kernels on the mesh's
-    ``DualGrid`` (``grid``), which hold no index or coefficient table: the
-    dual step's gradient, ``gradient_kernel`` with s_c = sigma / h_c,
-    sigma = tau*rho/theta and h_c the grid spacing (where the mesh's
-    gradient coefficients are exactly 1/h_c, as on the benchmark's meshes,
-    these are their bits times sigma); and the primal step's divergence,
+    cell grid (``grid``, ``TriMesh.grid``): the dual step's gradient,
+    ``gradient_kernel`` with s_c = sigma / h_c, sigma = tau*rho/theta and
+    h_c the grid spacing; and the primal step's divergence,
     ``divergence_kernel`` with weights (1, h_x/h_y) and the nodal scale
     |T| * tau*rho / (h_x * w), which sums the terms before it scales
     them.  It also builds the weights w / tau^2 of the stopping
@@ -328,13 +325,12 @@ class PdDriver:
                 f"step-size condition violated: lhs {cert.lhs:.6g} "
                 f"<= rhs {cert.rhs:.6g}; decrease tau or rho")
         self._t1, self._t2 = params.stopping_offsets(self.dp.mesh.mesh_size)
-        self.grid = grid = DualGrid(dp.mesh)
+        self.grid = grid = dp.mesh.grid
         tau_rho, (c_x, c_y) = params.tau * params.rho, grid.inverse_spacing
         sigma = tau_rho / params.theta
         self._gradient = grid.gradient_kernel((c_x * sigma, c_y * sigma))
-        area = 0.5 / (c_x * c_y)  # of every triangle
         self._divergence = grid.divergence_kernel(
-            (1.0, c_y / c_x), c_x * area * tau_rho / dp.w)
+            (1.0, c_y / c_x), c_x * grid.area * tau_rho / dp.w)
 
     # -- single updates ------------------------------------------------------
 
@@ -390,9 +386,8 @@ class PdDriver:
         t_f = dp.lumped_inner(delta_f, delta_f) / prm.tau
         t_smooth = float(u @ (dp.M_gamma @ u))  # <delta_f, its adjoint>_w
         t_cross = 2.0 * prm.rho * gradient_pairing(dp.mesh, delta_f, delta_p)
-        q = np.ravel(delta_p) ** 2
-        q *= dp.mesh.gradient_table.weights
-        t_p = prm.theta / prm.tau * float(q.sum())
+        t_p = (prm.theta / prm.tau * self.grid.area
+               * float(np.square(delta_p).sum()))
         value = t_f - t_smooth - t_cross + t_p
         scale = abs(t_f) + abs(t_smooth) + abs(t_cross) + abs(t_p)
         if value < -1e-10 * max(scale, 1e-300):
@@ -513,8 +508,8 @@ def multilevel_run(levels, make_level, on_iteration=None):
     level before it has been consumed.  The first level starts from
     compatible_start, and the final iterate pair of each level is
     interpolated onto the next mesh as its starting point; only the level
-    before is held.  A level's boundary map and gradient table are released
-    before it is yielded.
+    before is held.  A level's boundary map is released before it is
+    yielded.
     """
     levels = list(levels)
     if not levels or levels[0] != 4 or any(

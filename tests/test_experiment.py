@@ -1159,10 +1159,10 @@ class TestCli:
 
     def test_check_reads_the_loop_kernels(self, capsys, monkeypatch):
         # a loop divergence off by 1e-6 relative fails the kernel line
-        import tvsource.fem_assembly as fa
-        real_kernel = fa.DualGrid.divergence_kernel
+        import tvsource.mesh as mesh
+        real_kernel = mesh.DualGrid.divergence_kernel
         monkeypatch.setattr(
-            fa.DualGrid, "divergence_kernel", lambda grid, weights, scale:
+            mesh.DualGrid, "divergence_kernel", lambda grid, weights, scale:
             real_kernel(grid, weights, scale * (1.0 + 1e-6)))
         assert cli_main(["check"]) == 1
         out = capsys.readouterr().out.splitlines()

@@ -7,20 +7,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tvsource import primal_dual
-from tvsource.fem_assembly import (CoefficientSet, DualGrid, NeumannData,
+from tvsource.fem_assembly import (CoefficientSet, NeumannData,
                                    assemble_boundary_mass, assemble_mass,
                                    assemble_stiffness, div_adjoint,
-                                   elem_gradient, neumann_load, table_gather,
-                                   table_scatter)
-from tvsource.mesh import (GammaSpec, TriMesh, _triangle_geometry,
+                                   elem_gradient, neumann_load)
+from tvsource.mesh import (DualGrid, GammaSpec, TriMesh, _triangle_geometry,
                            build_structured)
 from tvsource.experiment import (ExperimentConfig, benchmark_flux,
                                  synthesize_observation)
 from tvsource.tv_calculus import gradient_pairing, tv_value
 
 from conftest import (benchmark_dp, dense, dense_boundary_mass, random_dp,
-                      reference_primal_step, stencil_gradient, stencil_steps,
-                      step_tables, table_primal_step, unit_coefficients)
+                      reference_primal_step, stencil_divergence,
+                      stencil_gradient, stencil_steps, step_tables,
+                      table_primal_step, unit_coefficients)
 
 # two-triangle unit-level mesh of (-1,1)^2, nodes ordered
 # (-1,-1), (1,-1), (-1,1), (1,1); assembled by hand from the
@@ -257,20 +257,18 @@ class TestNeumannLoad:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
 def test_scatters_equal_add_at_references(level, seed):
-    # the divergence and the flux load sum the same terms in the same order
-    # as np.add.at would, so the results are equal bit for bit; the
-    # divergence sums the gradient table's two terms row by row, and is
-    # the three-term element sum up to rounding
+    # the flux load sums the same terms in the same order as np.add.at
+    # would, so the results are equal bit for bit; the divergence is the
+    # grid's adjoint stencil times the triangle area, bit for bit conftest's
+    # stencil reference, and the three-term element sum up to rounding
     mesh = build_structured(level)
     rng = np.random.default_rng(seed)
     n = mesh.n_vertices
     p = rng.standard_normal((mesh.n_triangles, 2))
-    tab = mesh.gradient_table
-    ref = np.zeros(n)
-    np.add.at(ref, tab.nodes.ravel(),
-              (tab.coefs * tab.weights * p.ravel()).ravel())
+    c = mesh.grid.inverse_spacing
     div = div_adjoint(mesh, p)
-    assert np.array_equal(div, ref)
+    assert (div.tobytes()
+            == stencil_divergence(level, c, 0.5 / (c[0] * c[1]), p).tobytes())
     terms = np.einsum("t,tia,ta->tia", mesh.areas, mesh.grads, p)
     bound = np.bincount(mesh.triangles.ravel(),
                         np.abs(terms).sum(axis=2).ravel(), n)
@@ -311,8 +309,10 @@ class TestGradientAndDivergence:
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
 
-# element-by-element references of the gradient kernels: the flat-table
-# kernels must reproduce them bit for bit
+# element-by-element references of the gradient kernels, from the mesh's
+# basis gradients: the stencil kernels give their bits on the default box at
+# the levels that are powers of two, where the grid spacing and the vertices
+# are exact, and are within rounding of them elsewhere
 def _ref_elem_gradient(mesh, f):
     return np.einsum("tia,ti->ta", mesh.grads, f[mesh.triangles])
 
@@ -335,26 +335,42 @@ class TestKernelsMatchReference:
            st.sampled_from([((-1.0, 1.0), (-1.0, 1.0)),
                             ((-1.0, 2.0), (0.0, 1.0))]))
     def test_gradient_and_tv_bytes(self, data, level, box):
+        # the gradient is conftest's stencil reference bit for bit, and the
+        # total variation and the pairing are its sums times the one
+        # triangle area; all three are the element-by-element sums up to
+        # rounding, and equal them bit for bit where the grid is exact
         mesh = build_structured(level, box)
         values = st.floats(-1e6, 1e6, allow_nan=False)
         f = data.draw(arrays(np.float64, mesh.n_vertices, elements=values))
         p = data.draw(arrays(np.float64, (mesh.n_triangles, 2),
                              elements=values))
-        ref = _ref_elem_gradient(mesh, f)
-        assert elem_gradient(mesh, f).tobytes() == ref.tobytes()
+        g, ref = elem_gradient(mesh, f), _ref_elem_gradient(mesh, f)
+        stencil = stencil_gradient(level, mesh.grid.inverse_spacing, f)
+        assert g.tobytes() == (stencil + 0.0).tobytes()
         # signed zeros: the reference never gives -0.0
         zeros = np.where(data.draw(arrays(bool, mesh.n_vertices)), -0.0, 0.0)
         assert (elem_gradient(mesh, zeros).tobytes()
                 == _ref_elem_gradient(mesh, zeros).tobytes())
-        assert (np.float64(tv_value(mesh, f)).tobytes()
-                == np.float64(_ref_tv_value(mesh, f)).tobytes())
-        pairing = float(np.sum(mesh.areas[:, None] * ref * p))
-        assert (np.float64(gradient_pairing(mesh, f, p)).tobytes()
-                == np.float64(pairing).tobytes())
+        tv, ref_tv = tv_value(mesh, f), _ref_tv_value(mesh, f)
+        pairing = gradient_pairing(mesh, f, p)
+        ref_pairing = float(np.sum(mesh.areas[:, None] * ref * p))
+        if box == ((-1.0, 1.0), (-1.0, 1.0)) and level & (level - 1) == 0:
+            assert g.tobytes() == ref.tobytes()
+            assert np.float64(tv).tobytes() == np.float64(ref_tv).tobytes()
+            assert (np.float64(pairing).tobytes()
+                    == np.float64(ref_pairing).tobytes())
+        # the basis gradients are within 2e-15 relative of level / (b - a)
+        terms = np.einsum("tia,ti->ta", np.abs(mesh.grads),
+                          np.abs(f)[mesh.triangles])
+        assert np.all(np.abs(g - ref) <= 1e-14 * terms)
+        terms *= mesh.areas[:, None]
+        assert abs(tv - ref_tv) <= 1e-14 * float(terms.sum())
+        assert abs(pairing - ref_pairing) <= 1e-14 * float(
+            np.sum(terms * np.abs(p)))
 
     def test_skewed_triangle_is_rejected(self):
-        # a moved interior vertex leaves three nonzero coefficients in a
-        # component, which the two-term tables cannot hold
+        # a moved interior vertex takes the mesh off the grid whose stencil
+        # the gradient kernels are
         mesh = build_structured(4)
         vertices = mesh.vertices.copy()
         vertices[6] += (0.05, 0.03)
@@ -362,18 +378,31 @@ class TestKernelsMatchReference:
         skewed = TriMesh(vertices, mesh.triangles, areas, grads,
                          mesh.boundary_edges, mesh.edge_lengths,
                          mesh.edge_sides, mesh.level, mesh.box)
-        with pytest.raises(ValueError, match="axis-aligned right triangles"):
+        with pytest.raises(ValueError, match="numbering of build_structured"):
             elem_gradient(skewed, np.zeros(mesh.n_vertices))
-        with pytest.raises(ValueError, match="axis-aligned right triangles"):
+        with pytest.raises(ValueError, match="numbering of build_structured"):
             div_adjoint(skewed, np.zeros((mesh.n_triangles, 2)))
+
+    @pytest.mark.parametrize("level, box", [
+        (3, ((-1.0, 1.0), (-1.0, 1.0))), (6, ((-1.0, 1.0), (-1.0, 1.0))),
+        (12, ((-1.0, 1.0), (-1.0, 1.0))), (6, ((-1.0, 2.0), (0.0, 1.0)))])
+    def test_one_gradient_at_every_level(self, level, box):
+        # where the grid spacing is not a power of two, the mesh's basis
+        # gradients differ from level / (b - a) in their last digits; the
+        # element gradient is still the loop's stencil, bit for bit
+        mesh = build_structured(level, box)
+        f = np.random.default_rng(level).standard_normal(mesh.n_vertices)
+        s = tuple(level / (b - a) for a, b in box)
+        assert (elem_gradient(mesh, f).tobytes()
+                == (stencil_gradient(level, s, f) + 0.0).tobytes())
 
     def test_loop_matches_reference_kernels(self, monkeypatch):
         # 40 primal-dual iterations at level 8 end on the same bits with
         # the steps' kernels written as shifted slices of the node grid
         # (conftest's stencil references), on the (n_triangles, 2) layout
         # that the driver's grid maps convert to and from, and the
-        # element-by-element total variation; with the kernels of the
-        # mesh's gradient table (fancy indexing and np.add.at), which sum
+        # element-by-element total variation; with two-term tables of the
+        # mesh's basis gradients (fancy indexing and np.add.at), which sum
         # the divergence in another order, they end within 1e-12
         dp, f_truth = benchmark_dp(8)
         z = synthesize_observation(dp, f_truth, 0.0, 0)
@@ -434,17 +463,16 @@ class TestDualGrid:
     @given(st.data(), st.integers(1, 16),
            st.sampled_from([((-1.0, 1.0), (-1.0, 1.0)),
                             ((-1.0, 2.0), (0.0, 1.0))]))
-    def test_grid_kernels_match_table_kernels(self, data, level, box):
+    def test_grid_kernels_match_stencil_references(self, data, level,
+                                                   box):
         # on drawn scales, with signed zeros and +-1 in the dual, the
-        # grid's gradient gives the bits of the table kernel with the
-        # coefficients -s_c and s_c at the gradient table's nodes, and the
-        # driver's dual step sets the padding to +0.0; the grid's
-        # divergence is the table's scatter up to rounding at every node,
+        # grid's gradient gives the bits of conftest's stencil reference,
+        # and the driver's dual step sets the padding to +0.0; the grid's
+        # divergence gives the bits of the stencil reference of its adjoint,
         # and the two kernels are adjoint in the area-weighted pairing
         # (subnormal values, whose rounding is not relative, are left out)
         mesh = build_structured(level, box)
-        grid, tab = DualGrid(mesh), mesh.gradient_table
-        n = mesh.n_vertices
+        grid, n = mesh.grid, mesh.n_vertices
         values = (st.floats(-1e3, 1e3, allow_subnormal=False)
                   | st.sampled_from([-0.0, 0.0]))
         f = data.draw(arrays(np.float64, n, elements=values))
@@ -460,39 +488,32 @@ class TestDualGrid:
         assert padding.sum() == q.size - grid.cells.shape[0]
         assert q[padding].tobytes() == bytes(8 * padding.sum())
 
-        component = np.arange(tab.nodes.shape[1]) % 2
         sigma = data.draw(st.floats(1e-3, 1e3))
         s = tuple(sigma * c for c in grid.inverse_spacing)
-        coefs = np.sign(tab.coefs) * np.take(s, component)
         gradient = grid.gradient_kernel(s)
-        assert (grid.from_grid(gradient(f)).tobytes()
-                == table_gather(tab.nodes, coefs, f).tobytes())
+        ref = stencil_gradient(level, s, f)
+        assert grid.from_grid(gradient(f)).tobytes() == ref.tobytes()
         # the driver's dual step, run on this grid's kernel
         step = primal_dual.PdDriver.dual_step(
             SimpleNamespace(_gradient=gradient, grid=grid), q, f)
         assert step[padding].tobytes() == bytes(8 * padding.sum())
-        assert (grid.from_grid(step).tobytes() == np.clip(
-            p + table_gather(tab.nodes, coefs, f).reshape(-1, 2), -1.0,
-            1.0).tobytes())
+        assert (grid.from_grid(step).tobytes()
+                == np.clip(p + ref, -1.0, 1.0).tobytes())
 
         weights = data.draw(st.tuples(st.floats(0.1, 10.0),
                                       st.floats(0.1, 10.0)))
         scale = data.draw(arrays(np.float64, n, elements=st.floats(0.1, 10.0)))
-        coefs = np.sign(tab.coefs) * np.take(weights, component)
-        coefs *= scale[tab.nodes]
         div = grid.divergence_kernel(weights, scale)(q)
-        terms = np.bincount(tab.nodes.ravel(),
-                            np.abs(coefs * p.ravel()).ravel(), n)
-        assert np.all(np.abs(div - table_scatter(tab.nodes, coefs, p, n))
-                      <= 1e-15 * terms)
+        assert (div.tobytes()
+                == stencil_divergence(level, weights, scale, p).tobytes())
 
-        c = grid.inverse_spacing
-        area = 0.5 / (c[0] * c[1])
+        c, area = grid.inverse_spacing, grid.area
         g = grid.from_grid(grid.gradient_kernel(c)(f))
         lhs = area * float(np.sum(g * p))
         rhs = float(f @ grid.divergence_kernel(c, np.full(n, area))(q))
-        bound = area * float(np.sum(table_gather(
-            tab.nodes, np.abs(tab.coefs), np.abs(f)) * np.abs(p).ravel()))
+        bound = area * float(np.sum(np.einsum(
+            "tia,ti->ta", np.abs(mesh.grads), np.abs(f)[mesh.triangles])
+            * np.abs(p)))
         assert abs(lhs - rhs) <= 1e-13 * bound
 
     def test_other_numbering_is_rejected(self):

@@ -444,7 +444,7 @@ def test_compressed_boundary_map_stays_within_its_bound(level, gamma_case,
         for a, b, k in zip(edges[first:], edges[first + 1:], ranks[first:])]
     assert bmap.vt.shape == (sum(ranks[first:]), m)
     for rows, us in bmap.factors:
-        assert us.flags.c_contiguous
+        assert us.flags.f_contiguous
         assert buffer + rows.start * m * 8 == _address(us)
         assert _address(us) + us.nbytes <= buffer + rows.stop * m * 8
     assert bmap.truncation == math.hypot(*(

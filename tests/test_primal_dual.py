@@ -22,9 +22,9 @@ from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   smooth_operator_norm, trace_constant)
 from tvsource.tv_calculus import gradient_pairing
 
-from conftest import (b_norm_hook, benchmark_dp, dense, div_rep, random_dp,
-                      reference_primal_step, reference_run,
-                      unit_coefficients)
+from conftest import (b_norm_hook, benchmark_dp, dense, div_rep,
+                      gradient_terms, random_dp, reference_primal_step,
+                      reference_run, unit_coefficients)
 
 
 class TestConstants:
@@ -262,17 +262,17 @@ def test_folded_steps_match_textbook_steps(level, box, tau, seed):
     sigma = tau * rho / 5e-2
 
     textbook = np.clip(f - tau * (u_a - rho * div_rep(driver, p)), lo, hi)
-    tab = mesh.gradient_table
-    abs_div = np.bincount(tab.nodes.ravel(),
-                          (np.abs(tab.coefs) * tab.weights
-                           * np.abs(p).ravel()).ravel(), mesh.n_vertices)
+    nodes, coefs, areas = gradient_terms(mesh)
+    abs_div = np.bincount(nodes.ravel(), (np.abs(coefs) * areas
+                                          * np.abs(p).ravel()).ravel(),
+                          mesh.n_vertices)
     scale = np.abs(f) + tau * np.abs(u_a) + tau * rho * abs_div / w
     grid = driver.grid
     assert np.all(np.abs(driver.primal_step(f, grid.to_grid(p), u_a)
                          - textbook) <= 1e-13 * scale)
 
     textbook = np.clip(p + sigma * elem_gradient(mesh, f_tilde), -1.0, 1.0)
-    abs_grad = (np.abs(tab.coefs) * np.abs(f_tilde)[tab.nodes]).sum(axis=0)
+    abs_grad = (np.abs(coefs) * np.abs(f_tilde)[nodes]).sum(axis=0)
     scale = np.abs(p) + sigma * abs_grad.reshape(p.shape)
     step = grid.from_grid(driver.dual_step(grid.to_grid(p), f_tilde))
     assert np.all(np.abs(step - textbook) <= 1e-13 * scale)
@@ -460,16 +460,24 @@ def test_adjoint_identity_along_iterations(rng):
     assert state.n == 20
 
 
-def test_driver_builds_no_gradient_table():
-    # the loop's kernels and the grid's numbering check read the mesh's
-    # grid, not its gradient table; only the run's last objective builds it
+def test_run_caches_only_the_grid_on_the_mesh():
+    # the loop's kernels, the B-norm and the objective all read the mesh's
+    # one cache, its cell grid, which the driver takes from the mesh
     prob, f_truth = build_benchmark_problem(8)
     dp = DiscreteProblem(prob)
     params = ExperimentConfig(max_iter=3).level_params(dp.mesh.mesh_size)
+    fields = {f.name for f in dataclasses.fields(dp.mesh)}
+    assert set(vars(dp.mesh)) == fields
     driver = PdDriver(dp, params)
-    assert "gradient_table" not in dp.mesh.__dict__
-    driver.run(synthesize_observation(dp, f_truth, 0.0, 0))
-    assert "gradient_table" in dp.mesh.__dict__
+    hook, norms = b_norm_hook(driver)
+    driver.run(synthesize_observation(dp, f_truth, 0.0, 0), on_iteration=hook)
+    assert len(norms) == 3
+    assert set(vars(dp.mesh)) - fields == {"grid"}
+    assert driver.grid is dp.mesh.grid
+    # releasing the level's loop arrays frees the boundary map only
+    dp.release_loop_arrays()
+    assert "boundary_map" not in vars(dp)
+    assert driver.grid is dp.mesh.grid
 
 
 def test_run_factors_nothing_after_set_up(monkeypatch):
@@ -792,16 +800,16 @@ class TestMultilevel:
         assert np.allclose(level_run.state.p, state.p, atol=1e-12)
 
     def test_level_releases_factor_and_boundary_map(self):
-        # no factorization is cached; the boundary map and the gradient
-        # table are rebuilt on demand, and kept they would add their memory
-        # to every later level's peak.  The mesh caches nothing else: the
-        # driver's dual grid goes with the driver
+        # no factorization is cached; the boundary map is rebuilt on
+        # demand, and kept it would add its memory to every later level's
+        # peak.  The mesh caches its cell grid only, one index per entry
+        # of a dual field
         for level_run in multilevel_run([4, 8], self._make_level):
             dp = level_run.problem
             assert not any(isinstance(v, pde_solvers.BlockTridiagonalFactor)
                            for v in vars(dp).values())
             assert "boundary_map" not in vars(dp)
-            assert set(vars(dp.mesh)) == {
+            assert set(vars(dp.mesh)) == {"grid"} | {
                 field.name for field in dataclasses.fields(dp.mesh)}
 
     def test_two_levels_couple_rho_and_warm_start(self):
