@@ -20,7 +20,8 @@ import numpy as np
 from . import experiment, primal_dual
 from .experiment import (ExperimentConfig, build_benchmark_problem,
                          export_field, read_observation_csv, run_benchmark)
-from .mesh import build_structured, structured_mesh_size
+from .fem_assembly import assemble_mass
+from .mesh import TriMesh, build_structured
 from .pde_solvers import DiscreteProblem
 from .primal_dual import certify_steps
 from .sparse_linalg import (CgConvergenceError, FactorizationError,
@@ -125,7 +126,7 @@ def cmd_bench(args) -> int:
     the gamma case and the box, the coarsest level's parameters check
     rho < 1 (on the coarsest level rho is largest)."""
     config = _config_from_args(args)
-    config.level_params(structured_mesh_size(config.levels[0]))
+    config.level_params(TriMesh(config.levels[0]).mesh_size)
     try:
         records = run_benchmark(config)
     except primal_dual.MultilevelError as exc:
@@ -172,8 +173,8 @@ def cmd_check(_args) -> int:
         failures += 0 if ok else 1
 
     mesh = build_structured(4)
-    report("mesh areas sum to the domain volume",
-           abs(mesh.areas.sum() - 4.0) < 1e-12)
+    report("lumped weights sum to the domain volume",
+           abs(assemble_mass(mesh)[1].sum() - 4.0) < 1e-12)
 
     rng = np.random.default_rng(7)
     f = rng.standard_normal(mesh.n_vertices)
@@ -215,8 +216,12 @@ def cmd_check(_args) -> int:
     rhs = dp.lumped_inner(xi, u_a)
     report("adjoint gradient identity", abs(lhs - rhs) <= 1e-8 * abs(lhs),
            f"|lhs-rhs|={abs(lhs - rhs):.2e}")
+    # the state's trace through G against an independent solve, reported
+    # last
+    trace, ref = bmap.trace(dp.w * f), dp.solve_state(f)[dp.gamma_nodes]
+    trace_error = float(np.abs(trace - ref).max() / np.abs(ref).max())
 
-    gn8 = grad_operator_norm(build_structured(8).grads)
+    gn8 = grad_operator_norm(build_structured(8).grid.inverse_spacing)
     report("gradient norm scales like 1/h", 1.9 <= gn8 / cert.grad_norm <= 2.1,
            f"ratio={gn8 / cert.grad_norm:.3f}")
 
@@ -224,8 +229,8 @@ def cmd_check(_args) -> int:
     # driver: from f = u_a = 0 the primal step is -(tau*rho/w) D^T q, from
     # p = 0 the dual step is sigma D g, both too small to be clipped, and
     # <sigma D g, q>_|T| = <g, (tau*rho/w) D^T q>_w / theta; D^T q against
-    # the sum over the elements of |T| q . grad(phi_i), from the mesh's
-    # basis gradients, not the grid's stencil
+    # the sum over the elements of |T| q . grad(phi_i), from the grid's
+    # basis gradients, not its stencil kernels
     driver = primal_dual.PdDriver(
         dp, ExperimentConfig().level_params(dp.mesh.mesh_size))
     grid, zeros = driver.grid, np.zeros(dp.mesh.n_vertices)
@@ -233,11 +238,12 @@ def cmd_check(_args) -> int:
     g = 1e-3 * rng.standard_normal(dp.mesh.n_vertices)
     div = -driver.primal_step(zeros, grid.to_grid(q), zeros)
     grad = grid.from_grid(driver.dual_step(grid.to_grid(0.0 * q), g))
-    terms = dp.mesh.areas[:, None] * grad * q
+    terms = grid.area * grad * q
     lhs = float(terms.sum())
     adjoint = abs(lhs - dp.lumped_inner(g, div) / driver.params.theta)
     adjoint /= float(np.abs(terms).sum())
-    elements = np.einsum("t,tia,ta->ti", dp.mesh.areas, dp.mesh.grads, q)
+    elements = grid.area * np.einsum("aic,kac->kai", grid.basis_gradients,
+                                     q.reshape(-1, 2, 2))
     ref = (driver.params.tau * driver.params.rho / dp.w
            * np.bincount(dp.mesh.triangles.ravel(), elements.ravel(),
                          dp.mesh.n_vertices))
@@ -262,6 +268,8 @@ def cmd_check(_args) -> int:
            bool(bmap.factors) and error <= bmap.error_bound,
            f"{bmap.dense.shape[0]} dense rows, strip ranks {ranks}, "
            f"error {error:.1e} <= bound {bmap.error_bound:.1e}")
+    report("boundary map's trace matches a state solve at level 4",
+           trace_error <= 1e-10, f"error {trace_error:.1e}")
 
     print(f"{failures} failure(s)")
     return 1 if failures else 0

@@ -9,9 +9,11 @@ on the mesh's stencil offsets, the boundary mass a dense matrix on the
 observed nodes; element blocks and nodal loads are summed with
 ``np.bincount``, in element order.
 
-The element gradient and its adjoint are the stencil kernels of the mesh's
-cell grid (``mesh.DualGrid``, cached as ``TriMesh.grid``), the kernels the
-primal-dual loop runs, with the padding cells of the grid left out.
+The triangle geometry is that of the mesh's cell grid (``mesh.DualGrid``,
+cached as ``TriMesh.grid``): one area and the basis gradients of the lower
+and the upper triangle of a cell.  The element gradient and its adjoint are
+the grid's stencil kernels, the kernels the primal-dual loop runs, with the
+padding cells of the grid left out.
 """
 
 from __future__ import annotations
@@ -107,13 +109,16 @@ def _assemble_from_blocks(mesh: TriMesh, conn, blocks) -> SymmetricStencil:
 def assemble_stiffness(mesh: TriMesh,
                        coeffs: CoefficientSet) -> SymmetricStencil:
     """Matrix of the bilinear form: diffusion + reaction + boundary term."""
-    blocks = np.einsum("t,tia,tab,tjb->tij",
-                       mesh.areas, mesh.grads, coeffs.alpha, mesh.grads)
+    grid = mesh.grid
+    # cell k's lower (s = 0) and upper triangle with the gradients of its type
+    blocks = np.einsum(",sia,ksab,sjb->ksij", grid.area, grid.basis_gradients,
+                       coeffs.alpha.reshape(-1, 2, 2, 2),
+                       grid.basis_gradients).reshape(-1, 3, 3)
     A = _assemble_from_blocks(mesh, mesh.triangles, blocks)
     # the reaction, then the boundary term, by the vertex rule
     A.diags[0] += np.bincount(
         np.concatenate([mesh.triangles.ravel(), mesh.boundary_edges.ravel()]),
-        np.concatenate([np.repeat(coeffs.beta * mesh.areas / 3.0, 3),
+        np.concatenate([np.repeat(coeffs.beta * grid.area / 3.0, 3),
                         np.repeat(coeffs.sigma * mesh.edge_lengths / 2.0, 2)]),
         mesh.n_vertices)
     return A
@@ -121,7 +126,8 @@ def assemble_stiffness(mesh: TriMesh,
 
 def assemble_mass(mesh: TriMesh):
     """Consistent mass matrix and its lumped (row-sum) diagonal."""
-    blocks = mesh.areas[:, None, None] * _MASS_BLOCK
+    blocks = np.broadcast_to(mesh.grid.area * _MASS_BLOCK,
+                             (mesh.n_triangles, 3, 3))
     M = _assemble_from_blocks(mesh, mesh.triangles, blocks)
     return M, M @ np.ones(mesh.n_vertices)
 

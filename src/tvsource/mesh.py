@@ -2,9 +2,9 @@
 
 The level-``l`` mesh of (-1,1)^2 splits each coordinate interval into ``l``
 equal segments and every resulting cell along its bottom-left/top-right
-diagonal, giving 2*l^2 triangles and (l+1)^2 vertices.  Meshes are immutable
-after construction and safe to share between threads; the one cache a mesh
-holds, its cell grid, is built on first use (see TriMesh and DualGrid).
+diagonal, giving 2*l^2 triangles and (l+1)^2 vertices.  A mesh is the value
+of its level and box, from which it derives its arrays and its cell grid on
+first use (see TriMesh and DualGrid); it is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -19,54 +19,59 @@ SIDE_TAGS = ("bottom", "top", "left", "right")
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Triangulation of an axis-aligned rectangle with boundary markers.
+    """The level-``level`` structured triangulation of the rectangle
+    ``box``, ((ax, bx), (ay, by)), with boundary markers: the value of
+    these two fields, a positive integer level and finite bounds a < b
+    whose grid spacing is nonzero and finite, checked when it is made.
 
-    Every mesh in the package comes from build_structured, which numbers
-    vertex (ix, iy) as iy*(level+1) + ix, grid row by grid row.
-    nearest_nodes, the prolongations, the assembled operators and their
-    block-tridiagonal factorization rely on this ordering.  In it, two
-    vertices of a triangle differ in index by 1, level+1 or level+2 (the
-    next vertex in the grid row, the one above, or the one above and to
-    the right), so every assembled operator is stored by its main diagonal
-    and the diagonals at these offsets (``stencil_offsets``), and an
-    element coupling at any other offset is an error.
+    Vertex (ix, iy) has index iy*(level+1) + ix, grid row by grid row, and
+    cell iy*level + ix is split into its lower triangle (bottom-left,
+    bottom-right, top-right), then its upper one (bottom-left, top-right,
+    top-left).  nearest_nodes, the prolongations, the assembled operators
+    and their block-tridiagonal factorization rely on this ordering.  In
+    it, two vertices of a triangle differ in index by 1, level+1 or
+    level+2, so every assembled operator is stored by its main diagonal and
+    the diagonals at these offsets (``stencil_offsets``).
 
-    The element gradient and its adjoint are the stencil kernels of
-    ``grid``, the cell grid of the mesh (DualGrid), built on first use and
-    cached on the mesh.  The mesh is immutable; a concurrent first use may
-    build the grid twice, which is harmless, as both builds are equal.
+    The arrays below and ``grid``, the mesh's cell grid (DualGrid), which
+    holds its geometry, are derived from the two fields on first use and
+    cached; a concurrent first use may build one twice, which is harmless.
 
     Attributes
     ----------
     vertices : (n_vertices, 2) float array of node coordinates.
     triangles : (n_triangles, 3) int array, counterclockwise vertex indices.
-    areas : (n_triangles,) positive triangle areas.
-    grads : (n_triangles, 3, 2) constant gradients of the three nodal basis
-        functions on each triangle.
-    boundary_edges : (n_edges, 2) int array of vertex pairs on the boundary.
+    boundary_edges : (n_edges, 2) int array of vertex pairs on the boundary,
+        edge i of each side in the order SIDE_TAGS, i = 0 .. level-1.
     edge_lengths : (n_edges,) edge lengths.
     edge_sides : (n_edges,) side tag per boundary edge (one of SIDE_TAGS).
-    level : refinement level l.
-    box : ((ax, bx), (ay, by)) domain extents.
     """
 
-    vertices: np.ndarray
-    triangles: np.ndarray
-    areas: np.ndarray
-    grads: np.ndarray
-    boundary_edges: np.ndarray
-    edge_lengths: np.ndarray
-    edge_sides: np.ndarray
     level: int
     box: tuple = ((-1.0, 1.0), (-1.0, 1.0))
 
+    def __post_init__(self):
+        level, box = self.level, self.box
+        if not isinstance(level, (int, np.integer)) or level < 1:
+            raise ValueError(f"level must be a positive integer, got {level!r}")
+        (ax, bx), (ay, by) = box
+        if not (-np.inf < ax < bx < np.inf and -np.inf < ay < by < np.inf):
+            raise ValueError(f"box {box} needs finite bounds a < b on each axis")
+        sides = (float(ax), float(bx)), (float(ay), float(by))
+        c_x, c_y = (level / (b - a) for a, b in sides)
+        if not (0.0 < c_x and 0.0 < c_y and c_x * c_y < np.inf):
+            raise ValueError(f"box {box} gives triangles of zero or infinite "
+                             f"area at level {level}")
+        object.__setattr__(self, "level", int(level))
+        object.__setattr__(self, "box", sides)
+
     @property
     def n_vertices(self) -> int:
-        return self.vertices.shape[0]
+        return (self.level + 1) ** 2
 
     @property
     def n_triangles(self) -> int:
-        return self.triangles.shape[0]
+        return 2 * self.level ** 2
 
     @property
     def stencil_offsets(self) -> tuple[int, int, int, int]:
@@ -76,7 +81,40 @@ class TriMesh:
     @property
     def mesh_size(self) -> float:
         """Triangle diameter h = sqrt(8)/l on the default domain."""
-        return structured_mesh_size(self.level, self.box)
+        hx, hy = ((b - a) / self.level for a, b in self.box)
+        return float(np.hypot(hx, hy))
+
+    @functools.cached_property
+    def vertices(self) -> np.ndarray:
+        (ax, bx), (ay, by) = self.box
+        n = self.level + 1
+        xx, yy = np.meshgrid(np.linspace(ax, bx, n), np.linspace(ay, by, n))
+        return np.column_stack([xx.ravel(), yy.ravel()])
+
+    @functools.cached_property
+    def triangles(self) -> np.ndarray:
+        l, n = self.level, self.level + 1
+        iy, ix = np.divmod(np.arange(l * l, dtype=np.int64), l)
+        bl = iy * n + ix  # each cell's bottom-left corner
+        tr = bl + n + 1
+        return np.stack([bl, bl + 1, tr, bl, tr, bl + n],
+                        axis=1).reshape(-1, 3)
+
+    @functools.cached_property
+    def boundary_edges(self) -> np.ndarray:
+        l, n = self.level, self.level + 1
+        i, top = np.arange(l, dtype=np.int64), l * n
+        return np.stack([i, i + 1, top + i, top + i + 1, i * n, (i + 1) * n,
+                         i * n + l, (i + 1) * n + l], axis=1).reshape(-1, 2)
+
+    @functools.cached_property
+    def edge_lengths(self) -> np.ndarray:
+        ends = self.vertices[self.boundary_edges]
+        return np.hypot(*(ends[:, 1] - ends[:, 0]).T)
+
+    @functools.cached_property
+    def edge_sides(self) -> np.ndarray:
+        return np.tile(np.asarray(SIDE_TAGS), self.level)
 
     @property
     def centroids(self) -> np.ndarray:
@@ -84,14 +122,14 @@ class TriMesh:
 
     @functools.cached_property
     def grid(self) -> DualGrid:
-        """The cell grid of piecewise-constant vector fields on this mesh and
-        the stencil kernels of the element gradient and its adjoint, built
-        on first use; see DualGrid."""
+        """The cell grid of piecewise-constant vector fields on this mesh,
+        its geometry and the stencil kernels of the element gradient and
+        its adjoint, built on first use; see DualGrid."""
         return DualGrid(self)
 
     def nearest_nodes(self, points) -> np.ndarray:
-        """Index of the grid node nearest to each point (n, 2) of a mesh from
-        build_structured, whose vertex (ix, iy) has index iy*(level+1) + ix."""
+        """Index of the grid node nearest to each point (n, 2); vertex
+        (ix, iy) has index iy*(level+1) + ix."""
         ix, iy = (np.clip(np.rint((points[:, k] - a) / (b - a) * self.level),
                           0, self.level).astype(np.int64)
                   for k, (a, b) in enumerate(self.box))
@@ -129,49 +167,19 @@ class GammaSpec:
         object.__setattr__(self, "sides", sides)
 
 
-def structured_mesh_size(level: int,
-                         box=((-1.0, 1.0), (-1.0, 1.0))) -> float:
-    """Triangle diameter of the mesh build_structured(level, box) makes,
-    without building it."""
-    hx = (box[0][1] - box[0][0]) / level
-    hy = (box[1][1] - box[1][0]) / level
-    return float(np.hypot(hx, hy))
-
-
-def _triangle_geometry(vertices, triangles):
-    """Areas and nodal basis gradients for all triangles at once."""
-    p = vertices[triangles]  # (nt, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    areas = 0.5 * det
-    # grad phi_i = rot90(edge opposite i) / (2A), rows i=0,1,2
-    grads = np.empty((triangles.shape[0], 3, 2))
-    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        grads[:, i, 0] = (p[:, j, 1] - p[:, k, 1]) / det
-        grads[:, i, 1] = (p[:, k, 0] - p[:, j, 0]) / det
-    return areas, grads
-
-
-def _structured_grid(level: int, box) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices and triangles of build_structured(level, box): vertex
-    (ix, iy) has index iy*(level+1) + ix, the cells run row by row, and
-    each is split into its lower triangle, then its upper one."""
-    (ax, bx), (ay, by) = box
-    n = level + 1
-    xx, yy = np.meshgrid(np.linspace(ax, bx, n), np.linspace(ay, by, n))
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-    iy, ix = np.divmod(np.arange(level * level, dtype=np.int64), level)
-    bl = iy * n + ix
-    br, tl, tr = bl + 1, bl + n, bl + n + 1
-    triangles = np.stack([bl, br, tr, bl, tr, tl], axis=1).reshape(-1, 3)
-    return vertices, triangles
-
-
 class DualGrid:
-    """The cell-grid layout of a piecewise-constant vector field on a mesh
-    from build_structured, and the stencil kernels of the element gradient
-    and its adjoint on it, the package's only ones.
+    """The geometry of a mesh's cell grid, the cell-grid layout of a
+    piecewise-constant vector field on it, and the stencil kernels of the
+    element gradient and its adjoint on it, the package's only ones.
+
+    Every triangle of the mesh is one of two types, the lower and the upper
+    half of a cell, and the grid holds the geometry of both: with
+    ``inverse_spacing`` c = level / (b - a) of each side of the box, every
+    triangle has ``area`` 0.5 / (c_x * c_y), and ``basis_gradients`` is
+    the (2, 3, 2) array of the gradients of the three nodal basis functions
+    on the lower (0) and the upper (1) triangle, in the vertex order of
+    ``TriMesh.triangles``: (-c_x, 0), (c_x, -c_y), (0, c_y) and (0, -c_y),
+    (c_x, 0), (-c_x, c_y).
 
     The field is held as four flat planes, lower-x, lower-y, upper-y and
     upper-x, a (2, 2, size) array indexed (a, b): a = 1 for the upper
@@ -180,32 +188,23 @@ class DualGrid:
     vertex, and size = level*(level+1) - 1: column ix = level is padding
     (``padding``, an index of the grid), held at +0.0, and the last padding
     cell is left out.  Component c of the gradient on plane (a, b) is
-    (1 - 2a) * (f[v2] - f[v1]) / h_c, with v1 and v2 at the corner shifts
-    a*(level+1) + b and 1 - a + b*(level+1) from the cell and h_c the grid
-    spacing; ``inverse_spacing`` holds c = level / (b - a) of each side of
-    the box, and ``area`` the area 0.5 / (c_x * c_y) of every triangle.
-    The mesh's ``grads`` and ``areas`` are these up to the rounding of its
-    vertices, and equal them on the default box at the levels that are
-    powers of two.
+    (1 - 2a) * (f[v2] - f[v1]) * c_c, with v1 and v2 at the corner shifts
+    a*(level+1) + b and 1 - a + b*(level+1) from the cell.
 
     ``to_grid`` and ``from_grid`` map to and from the (n_triangles, 2)
     layout; ``cells`` holds the flat grid index of each entry of that
-    layout.  Raises ValueError unless the mesh has the vertices and
-    triangles of build_structured.
+    layout.
     """
 
     def __init__(self, mesh: TriMesh):
         l = mesh.level
-        vertices, triangles = _structured_grid(l, mesh.box)
-        if not (np.array_equal(mesh.triangles, triangles)
-                and np.array_equal(mesh.vertices, vertices)):
-            raise ValueError(
-                "the dual grid needs the vertex and triangle numbering of "
-                "build_structured")
         self.level, self.size = l, l * (l + 1) - 1
         self.inverse_spacing = c_x, c_y = tuple(l / (b - a)
                                                 for a, b in mesh.box)
         self.area = 0.5 / (c_x * c_y)
+        self.basis_gradients = np.array(
+            [[[-c_x, 0.0], [c_x, -c_y], [0.0, c_y]],
+             [[0.0, -c_y], [c_x, 0.0], [-c_x, c_y]]])
         self.padding = (..., slice(l, None, l + 1))
         # entry (iy, ix, a, c): component c of triangle a of cell (ix, iy),
         # in plane (a, a xor c) at the cell's corner vertex
@@ -301,35 +300,13 @@ class DualGrid:
 
 
 def build_structured(level: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> TriMesh:
-    """Build the level-``level`` structured triangulation of a rectangle.
+    """The level-``level`` structured triangulation of a rectangle.
 
     Every cell is split along its bottom-left/top-right diagonal, so nested
-    refinements (level doubling) line up node-over-node.
+    refinements (level doubling) line up node-over-node.  Raises ValueError
+    for a level or a box that TriMesh refuses.
     """
-    if not isinstance(level, (int, np.integer)) or level < 1:
-        raise ValueError(f"level must be a positive integer, got {level!r}")
-    (ax, bx), (ay, by) = box
-    if not (-np.inf < ax < bx < np.inf and -np.inf < ay < by < np.inf):
-        raise ValueError(f"box {box} needs finite bounds a < b on each axis")
-    n = level + 1
-    vertices, triangles = _structured_grid(level, box)
-
-    # edge i of each side, in the order SIDE_TAGS, for i = 0 .. level-1
-    i = np.arange(level, dtype=np.int64)
-    top = level * n
-    boundary_edges = np.stack([i, i + 1, top + i, top + i + 1,
-                               i * n, (i + 1) * n,
-                               i * n + level, (i + 1) * n + level],
-                              axis=1).reshape(-1, 2)
-    evec = vertices[boundary_edges[:, 1]] - vertices[boundary_edges[:, 0]]
-    edge_lengths = np.hypot(evec[:, 0], evec[:, 1])
-    edge_sides = np.tile(np.asarray(SIDE_TAGS), level)
-
-    areas, grads = _triangle_geometry(vertices, triangles)
-    if not np.all(areas > 0):
-        raise ValueError(f"box {box} gives triangles of non-positive area")
-    return TriMesh(vertices, triangles, areas, grads, boundary_edges,
-                   edge_lengths, edge_sides, int(level), box)
+    return TriMesh(level, box)
 
 
 def _check_nested(coarse_mesh: TriMesh, fine_mesh: TriMesh):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .fem_assembly import (CoefficientSet, NeumannData, P1Field,
                            assemble_boundary_mass, assemble_mass,
-                           assemble_stiffness, neumann_load)
+                           assemble_stiffness, elem_gradient, neumann_load)
 from .mesh import GammaSpec, TriMesh
 from .sparse_linalg import BlockTridiagonalFactor, cg_solve
 
@@ -315,12 +315,12 @@ class DiscreteProblem:
 
     def h1_norm(self, u) -> float:
         """The H1 norm of a P1 field: its L2 norm and the seminorm
-        sum_T |T| |grad u_T|^2, exact for P1, read from the mesh's
-        per-element gradients."""
-        mesh = self.mesh
-        g = np.einsum("tia,ti->ta", mesh.grads, u[mesh.triangles])
+        sum_T |T| |grad u_T|^2, exact for P1, read from its element
+        gradients."""
+        g = elem_gradient(self.mesh, u)
         g *= g
-        return float(np.sqrt(mesh.areas @ g.sum(axis=1) + u @ (self.M @ u)))
+        return float(np.sqrt(self.mesh.grid.area * g.sum()
+                             + u @ (self.M @ u)))
 
     def gamma_norm(self, r) -> float:
         """L2 norm over the observation boundary of a Gamma-vector."""

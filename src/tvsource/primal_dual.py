@@ -111,7 +111,7 @@ def _certificate(params: PdParams, dp: DiscreteProblem,
     c1 = coercivity_c1(dp.prob.coeffs.alpha_lower, len(dp.mesh.box),
                        dp.domain_volume)
     cg = trace_constant(dp.mesh.box)
-    gnorm = grad_operator_norm(dp.mesh.grads)
+    gnorm = grad_operator_norm(dp.mesh.grid.inverse_spacing)
     s = cg**2 / c1**2 if s is None else s
     lhs = (1.0 / params.tau - s) * (params.theta / params.tau)
     rhs = params.rho**2 * gnorm**2

@@ -13,6 +13,7 @@ for a load in its range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,21 +250,21 @@ def cg_solve(A: SymmetricStencil, b: np.ndarray, tol: float = 1e-10,
     return x, report
 
 
-def grad_operator_norm(grads: np.ndarray) -> float:
+def grad_operator_norm(inverse_spacing) -> float:
     """Bound from above of the largest ratio ||grad v|| / ||v||_w over the
     piecewise-linear space, in the lumped-weight norm of the proximal
-    steps, from each triangle's basis gradients ``grads`` (n_t, 3, 2).
+    steps, on a structured mesh whose grid has ``inverse_spacing``
+    (c_x, c_y) (``DualGrid``).
 
-    With G_T a triangle's gradients and v_T its three nodal values,
-    ||grad v||^2 = sum_T |T| |G_T^T v_T|^2 <= sum_T 3 lam_T (|T|/3) |v_T|^2
-    <= 3 max_T lam_T ||v||_w^2, lam_T the largest eigenvalue of G_T^T G_T,
-    since the shares |T|/3 sum to the lumped weights (Fried, J. Sound Vib.
-    1972).  Closed form; scales like 1/h on quasi-uniform meshes.
+    With G_T a triangle's basis gradients and v_T its three nodal values,
+    ||grad v||^2 = sum_T |T| |G_T^T v_T|^2 <= sum_T 3 lam (|T|/3) |v_T|^2
+    <= 3 lam ||v||_w^2, lam the largest eigenvalue of G_T^T G_T, since the
+    shares |T|/3 sum to the lumped weights (Fried, J. Sound Vib. 1972).
+    Both triangle types of the grid have G_T^T G_T = [[2 c_x^2, -c_x c_y],
+    [-c_x c_y, 2 c_y^2]], so lam = c_x^2 + c_y^2 + hypot(c_x^2 - c_y^2,
+    c_x c_y): the bound of the stencil the primal-dual loop runs, in
+    closed form, and like 1/h.
     """
-    a, b, c = (np.einsum("ij,ij->i", grads[..., k], grads[..., l])
-               for k, l in ((0, 0), (0, 1), (1, 1)))
-    b *= 2.0
-    lam2 = np.hypot(a - c, b, out=b)  # 2 lam_T = a + c + hypot(a - c, 2b)
-    lam2 += a
-    lam2 += c
-    return float(np.sqrt(1.5 * lam2.max()))
+    c_x, c_y = inverse_spacing
+    lam = c_x**2 + c_y**2 + math.hypot(c_x**2 - c_y**2, c_x * c_y)
+    return math.sqrt(3.0 * lam)

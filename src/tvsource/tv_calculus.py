@@ -20,14 +20,17 @@ def tv_value(mesh: TriMesh, f: P1Field) -> float:
     """Anisotropic total variation: sum_T |T| * (|df/dx1| + |df/dx2|)."""
     g = elem_gradient(mesh, f)
     np.abs(g, out=g)
-    return mesh.grid.area * float(g.sum())
+    g *= mesh.grid.area
+    return float(g.sum())
 
 
 def gradient_pairing(mesh: TriMesh, f: P1Field, p: P0VecField) -> float:
-    """(grad f, p) integrated over the domain."""
+    """(grad f, p) integrated over the domain, each term scaled by the
+    area before the sum, so that no subnormal term is lost."""
     g = elem_gradient(mesh, f)
+    g *= mesh.grid.area
     g *= p
-    return mesh.grid.area * float(g.sum())
+    return float(g.sum())
 
 
 def subgradient_witness(mesh: TriMesh, f: P1Field) -> P0VecField:

@@ -69,25 +69,43 @@ def div_rep(driver, p):
     return -div_adjoint(driver.dp.mesh, p) / driver.dp.w
 
 
+def triangle_geometry(mesh):
+    """Areas (n_triangles,) and nodal basis gradients (n_triangles, 3, 2)
+    of every triangle of a mesh, from its vertices: grad phi_i is the edge
+    opposite vertex i turned by 90 degrees over twice the area.  The
+    reference for the grid's ``area`` and ``basis_gradients``."""
+    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    grads = np.empty((mesh.n_triangles, 3, 2))
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        grads[:, i, 0] = (p[:, j, 1] - p[:, k, 1]) / det
+        grads[:, i, 1] = (p[:, k, 0] - p[:, j, 0]) / det
+    return 0.5 * det, grads
+
+
 def gradient_terms(mesh):
     """The two nonzero terms of each component of the element gradient,
-    read from ``mesh.triangles`` and ``mesh.grads`` of a mesh of
-    axis-aligned right triangles: (2, 2 n_triangles) arrays of nodes and
-    basis-gradient coefficients, entry k = 2t + c for component c of
-    triangle t and row 0 the term of the lower local vertex, and the area
-    of triangle t at entry k.  Component c of the gradient of f on t is
-    ``coefs[0, k] * f[nodes[0, k]] + coefs[1, k] * f[nodes[1, k]]``."""
-    g = mesh.grads.transpose(0, 2, 1).reshape(-1, 3)  # [2t + c, vertex]
+    read from ``mesh.triangles`` and the basis gradients of
+    ``triangle_geometry`` of a mesh of axis-aligned right triangles:
+    (2, 2 n_triangles) arrays of nodes and basis-gradient coefficients,
+    entry k = 2t + c for component c of triangle t and row 0 the term of
+    the lower local vertex, and the area of triangle t at entry k.
+    Component c of the gradient of f on t is ``coefs[0, k] * f[nodes[0,
+    k]] + coefs[1, k] * f[nodes[1, k]]``."""
+    areas, grads = triangle_geometry(mesh)
+    g = grads.transpose(0, 2, 1).reshape(-1, 3)  # [2t + c, vertex]
     # the two nonzero coefficients first, each in its local vertex order
     local = np.argsort(g == 0.0, axis=1, kind="stable")[:, :2]
     nodes = np.repeat(mesh.triangles, 2, axis=0)
     return (np.take_along_axis(nodes, local, 1).T,
-            np.take_along_axis(g, local, 1).T, np.repeat(mesh.areas, 2))
+            np.take_along_axis(g, local, 1).T, np.repeat(areas, 2))
 
 
 def step_tables(dp, params):
     """The nodes and the folded coefficient tables of the dual and the
-    primal step, built from the mesh's basis gradients (``gradient_terms``):
+    primal step, built from the vertex basis gradients (``gradient_terms``):
     sigma * coefs, with sigma = tau*rho/theta, and coefs * |T| * tau*rho /
     w[node]."""
     nodes, coefs, areas = gradient_terms(dp.mesh)
@@ -151,7 +169,7 @@ def reference_primal_step(driver, f, p, u_a):
 
 
 def table_primal_step(driver, f, p, u_a):
-    """The primal step with the divergence summed over the mesh's basis
+    """The primal step with the divergence summed over the vertex basis
     gradients by np.add.at (``step_tables``)."""
     nodes, _, div = step_tables(driver.dp, driver.params)
     d = np.zeros(driver.dp.mesh.n_vertices)
@@ -188,7 +206,7 @@ def reference_run(driver, z, f0, p0, tables=False, products=None):
     np.clip, and the objective (misfit plus rho * TV) evaluated at every
     iterate: with the stencil kernels (``stencil_gradient`` and
     ``reference_primal_step``), the reference for the run's bits, and with
-    ``tables``, the mesh's basis gradients (``step_tables``), which sum the
+    ``tables``, the vertex basis gradients (``step_tables``), which sum the
     divergence in another order.  G^T x and G c are ``products``, by
     default the boundary map's ``strip_products``.  Returns the visited
     (f, p) pairs and the misfit, stopping-value and objective

@@ -24,7 +24,7 @@ from tvsource.primal_dual import (PdDriver, PdParams, certify_steps,
                                   trace_constant)
 from tvsource.tv_calculus import gradient_pairing, subgradient_witness, tv_value
 
-from conftest import b_norm_hook, benchmark_dp
+from conftest import b_norm_hook, benchmark_dp, triangle_geometry
 
 # reference table: mesh sizes, regularization weights and noise magnitudes
 # per level; the level-16 mesh size is the formula value sqrt(8)/16 (the
@@ -176,6 +176,7 @@ def test_criterion_6_fem_convergence():
 def test_criterion_7_tv_duality():
     rng = np.random.default_rng(7)
     mesh = build_structured(4)
+    areas, _ = triangle_geometry(mesh)
     ok = True
     worst_gap, worst_excess = 0.0, -np.inf
     for _ in range(100):
@@ -186,7 +187,7 @@ def test_criterion_7_tv_duality():
         ok &= abs(tv - attained) <= 1e-12 * max(tv, 1.0)
         q = rng.uniform(-1.0, 1.0, (1000, mesh.n_triangles, 2))
         g = elem_gradient(mesh, f)
-        pairings = np.einsum("t,nta,ta->n", mesh.areas, q, g)
+        pairings = np.einsum("t,nta,ta->n", areas, q, g)
         worst_excess = max(worst_excess, float(np.max(pairings) - tv))
         ok &= np.max(pairings) <= tv + 1e-12
     assert _report(7, "duality of the discrete total variation", ok,
@@ -240,12 +241,13 @@ def test_criterion_9_proximal_step_oracles():
         dstep = driver.grid.from_grid(
             driver.dual_step(driver.grid.to_grid(p), f_tilde))
         g = elem_gradient(dp.mesh, f_tilde)
+        areas, _ = triangle_geometry(dp.mesh)
         for t in range(dp.mesh.n_triangles):
             for j in (0, 1):
                 def comp_obj(q):
-                    return -(params.rho * dp.mesh.areas[t] * g[t, j] * q
+                    return -(params.rho * areas[t] * g[t, j] * q
                              - params.theta / (2 * params.tau)
-                             * dp.mesh.areas[t] * (q - p[t, j]) ** 2)
+                             * areas[t] * (q - p[t, j]) ** 2)
                 worst = max(worst,
                             abs(dstep[t, j] - quad_argmin(comp_obj, -1, 1)))
     ok = worst <= 1e-10

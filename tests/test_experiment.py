@@ -613,7 +613,7 @@ class TestCli:
     def test_check_passes(self, capsys):
         assert cli_main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "FAIL" not in out and out.count("[PASS]") == 10
+        assert "FAIL" not in out and out.count("[PASS]") == 11
 
     def test_bench_writes_outputs(self, tmp_path, capsys):
         code = cli_main(["bench", "--levels", "4", "--max-iter", "5",
@@ -1125,9 +1125,10 @@ class TestCli:
             f"{levels!r}")
 
     def test_check_reads_the_boundary_map(self, capsys, monkeypatch):
-        # a boundary map off by 1e-6 relative fails the adjoint line, which
-        # reads the map's products; the level-64 line compares the map's
-        # products before and after its compression, so it passes
+        # a boundary map off by 1e-6 relative fails the adjoint line and the
+        # trace line, which read the map's products; the level-64 line
+        # compares the map's products before and after its compression, so
+        # it passes
         import tvsource.pde_solvers as pde
         real_map = pde.BoundaryMap
         monkeypatch.setattr(pde, "BoundaryMap", lambda G, flux_trace:
@@ -1135,9 +1136,25 @@ class TestCli:
         assert cli_main(["check"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if "FAIL" in line] == [
-            line for line in out if "adjoint gradient identity" in line]
+            line for line in out if "adjoint gradient identity" in line
+            or "trace matches a state solve" in line]
         assert any(line.startswith("[PASS] level-64 boundary map")
                    for line in out)
+        assert out[-1] == "2 failure(s)"
+
+    def test_check_reads_the_trace(self, capsys, monkeypatch):
+        # G^T off by 1e-6 relative in the map's trace fails the trace line
+        # alone: the adjoint line holds for any residual, and neither the
+        # adjoint state nor the level-64 line reads the trace
+        import tvsource.pde_solvers as pde
+        real_trace = pde.BoundaryMap.trace
+        monkeypatch.setattr(pde.BoundaryMap, "trace", lambda bmap, load:
+                            real_trace(bmap, load * (1.0 + 1e-6)))
+        assert cli_main(["check"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "FAIL" in line] == [
+            line for line in out if "trace matches a state solve" in line]
+        assert out[-2].startswith("[FAIL] boundary map's trace")
         assert out[-1] == "1 failure(s)"
 
     def test_check_reads_the_compressed_boundary_map(self, capsys,

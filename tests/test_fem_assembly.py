@@ -2,17 +2,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tvsource import primal_dual
 from tvsource.fem_assembly import (CoefficientSet, NeumannData,
+                                   _assemble_from_blocks,
                                    assemble_boundary_mass, assemble_mass,
                                    assemble_stiffness, div_adjoint,
                                    elem_gradient, neumann_load)
-from tvsource.mesh import (DualGrid, GammaSpec, TriMesh, _triangle_geometry,
-                           build_structured)
+from tvsource.mesh import GammaSpec, build_structured
 from tvsource.experiment import (ExperimentConfig, benchmark_flux,
                                  synthesize_observation)
 from tvsource.tv_calculus import gradient_pairing, tv_value
@@ -20,7 +20,8 @@ from tvsource.tv_calculus import gradient_pairing, tv_value
 from conftest import (benchmark_dp, dense, dense_boundary_mass, random_dp,
                       reference_primal_step, stencil_divergence,
                       stencil_gradient, stencil_steps, step_tables,
-                      table_primal_step, unit_coefficients)
+                      table_primal_step, triangle_geometry,
+                      unit_coefficients)
 
 # two-triangle unit-level mesh of (-1,1)^2, nodes ordered
 # (-1,-1), (1,-1), (-1,1), (1,1); assembled by hand from the
@@ -78,13 +79,9 @@ def test_assembly_needs_structured_numbering(rng):
     # renumbered vertices couple at offsets outside the stencil
     mesh = build_structured(3)
     sigma = rng.permutation(mesh.n_vertices)
-    vertices = np.empty_like(mesh.vertices)
-    vertices[sigma] = mesh.vertices
-    permuted = TriMesh(vertices, sigma[mesh.triangles], mesh.areas,
-                       mesh.grads, sigma[mesh.boundary_edges],
-                       mesh.edge_lengths, mesh.edge_sides, mesh.level)
+    blocks = np.broadcast_to(UNIT_ELEMENT_MASS, (mesh.n_triangles, 3, 3))
     with pytest.raises(ValueError, match="outside the stencil offsets"):
-        assemble_stiffness(permuted, unit_coefficients(permuted))
+        _assemble_from_blocks(mesh, sigma[mesh.triangles], blocks)
 
 
 def _dense_assembly(n, conn, blocks):
@@ -99,19 +96,19 @@ def _dense_references(dp):
     """Dense stiffness, unit stiffness and mass of a problem, from
     per-element blocks."""
     mesh, coeffs = dp.mesh, dp.prob.coeffs
-    n = mesh.n_vertices
+    n, (areas, grads) = mesh.n_vertices, triangle_geometry(mesh)
     A, K = (_dense_assembly(n, mesh.triangles, [
         area * G @ alpha @ G.T
-        for area, G, alpha in zip(mesh.areas, mesh.grads, alphas)])
+        for area, G, alpha in zip(areas, grads, alphas)])
         for alphas in (coeffs.alpha, np.broadcast_to(np.eye(2),
                                                      coeffs.alpha.shape)))
     diag = np.zeros(n)
-    np.add.at(diag, mesh.triangles, (coeffs.beta * mesh.areas / 3.0)[:, None])
+    np.add.at(diag, mesh.triangles, (coeffs.beta * areas / 3.0)[:, None])
     np.add.at(diag, mesh.boundary_edges,
               (coeffs.sigma * mesh.edge_lengths / 2.0)[:, None])
     A += np.diag(diag)
     M = _dense_assembly(n, mesh.triangles,
-                        [area * UNIT_ELEMENT_MASS for area in mesh.areas])
+                        [area * UNIT_ELEMENT_MASS for area in areas])
     K_unit = assemble_stiffness(mesh, unit_coefficients(mesh))
     return {"A": (dp.A, A), "K_unit": (K_unit, K), "M": (dp.M, M)}
 
@@ -199,13 +196,14 @@ class TestMass:
         M, _ = assemble_mass(mesh)
         f = rng.standard_normal(mesh.n_vertices)
         g = rng.standard_normal(mesh.n_vertices)
+        areas, _ = triangle_geometry(mesh)
         total = 0.0
         for t, tri in enumerate(mesh.triangles):
             vals_f, vals_g = f[tri], g[tri]
             for i, j in ((0, 1), (1, 2), (2, 0)):
                 fm = 0.5 * (vals_f[i] + vals_f[j])
                 gm = 0.5 * (vals_g[i] + vals_g[j])
-                total += mesh.areas[t] / 3.0 * fm * gm
+                total += areas[t] / 3.0 * fm * gm
         assert abs(f @ (M @ g) - total) <= 1e-12 * max(abs(total), 1.0)
 
 
@@ -269,7 +267,7 @@ def test_scatters_equal_add_at_references(level, seed):
     div = div_adjoint(mesh, p)
     assert (div.tobytes()
             == stencil_divergence(level, c, 0.5 / (c[0] * c[1]), p).tobytes())
-    terms = np.einsum("t,tia,ta->tia", mesh.areas, mesh.grads, p)
+    terms = np.einsum("t,tia,ta->tia", *triangle_geometry(mesh), p)
     bound = np.bincount(mesh.triangles.ravel(),
                         np.abs(terms).sum(axis=2).ravel(), n)
     assert np.all(np.abs(div - _ref_div_adjoint(mesh, p)) <= 1e-14 * bound)
@@ -301,93 +299,106 @@ class TestGradientAndDivergence:
 
     def test_adjointness_identity(self, rng):
         mesh = build_structured(4)
+        areas, _ = triangle_geometry(mesh)
         for _ in range(10):
             p = rng.standard_normal((mesh.n_triangles, 2))
             g = rng.standard_normal(mesh.n_vertices)
             lhs = div_adjoint(mesh, p) @ g
-            rhs = float(np.sum(mesh.areas[:, None] * elem_gradient(mesh, g) * p))
+            rhs = float(np.sum(areas[:, None] * elem_gradient(mesh, g) * p))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
 
-# element-by-element references of the gradient kernels, from the mesh's
-# basis gradients: the stencil kernels give their bits on the default box at
-# the levels that are powers of two, where the grid spacing and the vertices
-# are exact, and are within rounding of them elsewhere
+# element-by-element references of the gradient kernels, from the vertex
+# basis gradients (conftest's triangle_geometry): the stencil kernels give
+# their bits on the default box at the levels that are powers of two, where
+# the grid spacing and the vertices are exact, and are within rounding of
+# them elsewhere
 def _ref_elem_gradient(mesh, f):
-    return np.einsum("tia,ti->ta", mesh.grads, f[mesh.triangles])
+    return np.einsum("tia,ti->ta", triangle_geometry(mesh)[1],
+                     f[mesh.triangles])
 
 
 def _ref_div_adjoint(mesh, p):
     ref = np.zeros(mesh.n_vertices)
     np.add.at(ref, mesh.triangles.ravel(),
-              np.einsum("t,tia,ta->ti", mesh.areas, mesh.grads, p).ravel())
+              np.einsum("t,tia,ta->ti", *triangle_geometry(mesh), p).ravel())
     return ref
 
 
 def _ref_tv_value(mesh, f):
-    return float(np.sum(mesh.areas[:, None]
+    return float(np.sum(triangle_geometry(mesh)[0][:, None]
                         * np.abs(_ref_elem_gradient(mesh, f))))
+
+
+_SQUARE, _RECTANGLE = ((-1.0, 1.0), (-1.0, 1.0)), ((-1.0, 2.0), (0.0, 1.0))
+
+
+@st.composite
+def _mesh_fields(draw):
+    """A level from 1 to 16, the square or the rectangle, and on that mesh a
+    nodal field f, a dual field p and a sign for each nodal zero."""
+    level = draw(st.integers(1, 16))
+    box = draw(st.sampled_from([_SQUARE, _RECTANGLE]))
+    n, values = (level + 1) ** 2, st.floats(-1e6, 1e6, allow_nan=False)
+    return (level, box, draw(arrays(np.float64, n, elements=values)),
+            draw(arrays(np.float64, (2 * level**2, 2), elements=values)),
+            draw(arrays(bool, n)))
 
 
 class TestKernelsMatchReference:
     @settings(max_examples=60, deadline=None)
-    @given(st.data(), st.integers(1, 16),
-           st.sampled_from([((-1.0, 1.0), (-1.0, 1.0)),
-                            ((-1.0, 2.0), (0.0, 1.0))]))
-    def test_gradient_and_tv_bytes(self, data, level, box):
+    @given(_mesh_fields())
+    @example((1, _SQUARE, np.array([0.0, 1.0, 1.0, 1.0]),
+              np.full((2, 2), 5e-324), np.zeros(4, bool)))
+    @example((1, _RECTANGLE, np.array([0.0, 1.625, 1.625, 1.625]),
+              np.full((2, 2), 5e-324), np.zeros(4, bool)))
+    @example((3, _RECTANGLE, np.where(np.arange(16) == 8, 0.0, 5e-324),
+              np.zeros((18, 2)), np.zeros(16, bool)))
+    def test_gradient_and_tv_bytes(self, case):
         # the gradient is conftest's stencil reference bit for bit, and the
-        # total variation and the pairing are its sums times the one
-        # triangle area; all three are the element-by-element sums up to
-        # rounding, and equal them bit for bit where the grid is exact
+        # total variation and the pairing are its sums with each term scaled
+        # by the one triangle area, as the element-by-element sums scale
+        # it; all three are those sums up to rounding, and equal them bit
+        # for bit where the grid is exact.  The first two pinned examples
+        # pair to subnormal terms, which a scale after the sum would lose;
+        # the third has subnormal gradients on a grid that is not exact
+        level, box, f, p, negative = case
         mesh = build_structured(level, box)
-        values = st.floats(-1e6, 1e6, allow_nan=False)
-        f = data.draw(arrays(np.float64, mesh.n_vertices, elements=values))
-        p = data.draw(arrays(np.float64, (mesh.n_triangles, 2),
-                             elements=values))
         g, ref = elem_gradient(mesh, f), _ref_elem_gradient(mesh, f)
         stencil = stencil_gradient(level, mesh.grid.inverse_spacing, f)
         assert g.tobytes() == (stencil + 0.0).tobytes()
         # signed zeros: the reference never gives -0.0
-        zeros = np.where(data.draw(arrays(bool, mesh.n_vertices)), -0.0, 0.0)
+        zeros = np.where(negative, -0.0, 0.0)
         assert (elem_gradient(mesh, zeros).tobytes()
                 == _ref_elem_gradient(mesh, zeros).tobytes())
+        areas, grads = triangle_geometry(mesh)
         tv, ref_tv = tv_value(mesh, f), _ref_tv_value(mesh, f)
         pairing = gradient_pairing(mesh, f, p)
-        ref_pairing = float(np.sum(mesh.areas[:, None] * ref * p))
-        if box == ((-1.0, 1.0), (-1.0, 1.0)) and level & (level - 1) == 0:
+        ref_pairing = float(np.sum(areas[:, None] * ref * p))
+        if box == _SQUARE and level & (level - 1) == 0:
             assert g.tobytes() == ref.tobytes()
             assert np.float64(tv).tobytes() == np.float64(ref_tv).tobytes()
             assert (np.float64(pairing).tobytes()
                     == np.float64(ref_pairing).tobytes())
-        # the basis gradients are within 2e-15 relative of level / (b - a)
-        terms = np.einsum("tia,ti->ta", np.abs(mesh.grads),
-                          np.abs(f)[mesh.triangles])
-        assert np.all(np.abs(g - ref) <= 1e-14 * terms)
-        terms *= mesh.areas[:, None]
-        assert abs(tv - ref_tv) <= 1e-14 * float(terms.sum())
-        assert abs(pairing - ref_pairing) <= 1e-14 * float(
-            np.sum(terms * np.abs(p)))
-
-    def test_skewed_triangle_is_rejected(self):
-        # a moved interior vertex takes the mesh off the grid whose stencil
-        # the gradient kernels are
-        mesh = build_structured(4)
-        vertices = mesh.vertices.copy()
-        vertices[6] += (0.05, 0.03)
-        areas, grads = _triangle_geometry(vertices, mesh.triangles)
-        skewed = TriMesh(vertices, mesh.triangles, areas, grads,
-                         mesh.boundary_edges, mesh.edge_lengths,
-                         mesh.edge_sides, mesh.level, mesh.box)
-        with pytest.raises(ValueError, match="numbering of build_structured"):
-            elem_gradient(skewed, np.zeros(mesh.n_vertices))
-        with pytest.raises(ValueError, match="numbering of build_structured"):
-            div_adjoint(skewed, np.zeros((mesh.n_triangles, 2)))
+        # the basis gradients are within 2e-15 relative of level / (b - a);
+        # a product that underflows is off by up to 2^-1075 more, which no
+        # relative bound holds (Higham 2002, sec. 2.1): ``tiny`` = 2^-1074
+        # for every two products, two of them in each side of a gradient
+        # entry, one more in its area term and two in its pairing term
+        tiny = np.nextafter(0.0, 1.0)
+        terms = np.einsum("tia,ti->ta", np.abs(grads), np.abs(f)[mesh.triangles])
+        assert np.all(np.abs(g - ref) <= 1e-14 * terms + 2.0 * tiny)
+        terms *= areas[:, None]
+        under = (2.0 * mesh.grid.area + 1.0) * tiny
+        assert abs(tv - ref_tv) <= 1e-14 * float(terms.sum()) + under * g.size
+        assert abs(pairing - ref_pairing) <= float(
+            np.sum(1e-14 * terms * np.abs(p) + under * np.abs(p) + tiny))
 
     @pytest.mark.parametrize("level, box", [
         (3, ((-1.0, 1.0), (-1.0, 1.0))), (6, ((-1.0, 1.0), (-1.0, 1.0))),
         (12, ((-1.0, 1.0), (-1.0, 1.0))), (6, ((-1.0, 2.0), (0.0, 1.0)))])
     def test_one_gradient_at_every_level(self, level, box):
-        # where the grid spacing is not a power of two, the mesh's basis
+        # where the grid spacing is not a power of two, the vertex basis
         # gradients differ from level / (b - a) in their last digits; the
         # element gradient is still the loop's stencil, bit for bit
         mesh = build_structured(level, box)
@@ -402,7 +413,7 @@ class TestKernelsMatchReference:
         # (conftest's stencil references), on the (n_triangles, 2) layout
         # that the driver's grid maps convert to and from, and the
         # element-by-element total variation; with two-term tables of the
-        # mesh's basis gradients (fancy indexing and np.add.at), which sum
+        # vertex basis gradients (fancy indexing and np.add.at), which sum
         # the divergence in another order, they end within 1e-12
         dp, f_truth = benchmark_dp(8)
         z = synthesize_observation(dp, f_truth, 0.0, 0)
@@ -512,26 +523,36 @@ class TestDualGrid:
         lhs = area * float(np.sum(g * p))
         rhs = float(f @ grid.divergence_kernel(c, np.full(n, area))(q))
         bound = area * float(np.sum(np.einsum(
-            "tia,ti->ta", np.abs(mesh.grads), np.abs(f)[mesh.triangles])
-            * np.abs(p)))
+            "tia,ti->ta", np.abs(triangle_geometry(mesh)[1]),
+            np.abs(f)[mesh.triangles]) * np.abs(p)))
         assert abs(lhs - rhs) <= 1e-13 * bound
 
-    def test_other_numbering_is_rejected(self):
-        # the grid relies on build_structured's numbering and vertices; a
-        # mesh whose triangles are listed in another order, or whose
-        # vertices are moved, is refused
-        mesh = build_structured(3)
-        flipped = TriMesh(mesh.vertices, mesh.triangles[::-1].copy(),
-                          mesh.areas[::-1].copy(), mesh.grads[::-1].copy(),
-                          mesh.boundary_edges, mesh.edge_lengths,
-                          mesh.edge_sides, mesh.level, mesh.box)
-        vertices = mesh.vertices.copy()
-        vertices[5] += (0.05, 0.03)
-        moved = TriMesh(vertices, mesh.triangles,
-                        *_triangle_geometry(vertices, mesh.triangles),
-                        mesh.boundary_edges, mesh.edge_lengths,
-                        mesh.edge_sides, mesh.level, mesh.box)
-        for other in (flipped, moved):
-            with pytest.raises(ValueError,
-                               match="numbering of build_structured"):
-                DualGrid(other)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 16), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+           st.floats(0.05, 20.0), st.floats(0.05, 20.0))
+    def test_geometry_matches_vertex_reference(self, level, x0, y0, width,
+                                               height):
+        # the grid's area and basis gradients are those of the vertices
+        # (conftest's triangle_geometry), every triangle of each type,
+        # with the same zeros; up to the rounding of the vertices,
+        # relative |x| / h_c, on the square and on a random box
+        for box in (_SQUARE, ((x0, x0 + width), (y0, y0 + height))):
+            mesh = build_structured(level, box)
+            grid = mesh.grid
+            areas, grads = triangle_geometry(mesh)
+            basis = grid.basis_gradients[np.arange(mesh.n_triangles) % 2]
+            scale = max(grid.inverse_spacing)
+            tol = 2e-15 * (1.0 + np.abs(box).max() * scale)
+            assert np.all(np.abs(areas - grid.area) <= tol * grid.area)
+            assert np.all(np.abs(grads - basis) <= tol * scale)
+            assert np.array_equal(grads == 0.0, basis == 0.0)
+
+    @pytest.mark.parametrize("level", [1, 2, 4, 8, 16, 32, 64])
+    def test_geometry_is_the_vertex_geometry_where_exact(self, level):
+        # on the square at the levels that are powers of two the vertices
+        # and the grid spacing are exact, and so are both geometries
+        mesh = build_structured(level)
+        areas, grads = triangle_geometry(mesh)
+        basis = mesh.grid.basis_gradients[np.arange(mesh.n_triangles) % 2]
+        assert areas.tobytes() == np.full_like(areas, mesh.grid.area).tobytes()
+        assert grads.tobytes() == basis.tobytes()

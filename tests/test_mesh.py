@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvsource.mesh import GammaSpec, TriMesh, build_structured, prolong_p0, prolong_p1
+
+from conftest import triangle_geometry
 
 
 def test_counts_and_mesh_size():
@@ -15,7 +19,7 @@ def test_counts_and_mesh_size():
     m1 = build_structured(1)
     assert m1.n_triangles == 2
     assert m1.n_vertices == 4
-    assert abs(m1.areas.sum() - 4.0) < 1e-12
+    assert abs(m1.n_triangles * m1.grid.area - 4.0) < 1e-12
 
     m8 = build_structured(8)
     assert m8.n_triangles == 2 * 8**2 == 128
@@ -41,11 +45,39 @@ def test_rejects_a_reversed_or_degenerate_box(box):
     assert str(box) in str(excinfo.value)
 
 
+@pytest.mark.parametrize("box", [((0.0, 5e-324), (-1.0, 1.0)),
+                                 ((-1e308, 1e308), (-1.0, 1.0)),
+                                 ((0.0, 1e-200), (0.0, 1e-200))])
+def test_rejects_a_box_without_a_grid_spacing(box):
+    # finite bounds a < b whose spacing (b - a) / level or whose area
+    # rounds to zero or overflows
+    with pytest.raises(ValueError, match="zero or infinite area"):
+        build_structured(2, box)
+
+
+def test_mesh_is_its_level_and_box():
+    # two fields, the box held as floats, and arrays derived on first use:
+    # equal meshes are equal values, whatever they have cached
+    mesh = build_structured(np.int64(3), ((-1, 2), (0, 1)))
+    assert [f.name for f in dataclasses.fields(mesh)] == ["level", "box"]
+    assert type(mesh.level) is int
+    assert mesh.box == ((-1.0, 2.0), (0.0, 1.0))
+    assert all(type(v) is float for side in mesh.box for v in side)
+    assert vars(mesh) == {"level": 3, "box": mesh.box}
+    other = TriMesh(3, ((-1.0, 2.0), (0.0, 1.0)))
+    _ = other.grid, other.vertices  # caches that take no part in equality
+    assert mesh == other and hash(mesh) == hash(other)
+    assert mesh.n_vertices == mesh.vertices.shape[0] == 16
+    assert mesh.n_triangles == mesh.triangles.shape[0] == 18
+
+
 @pytest.mark.parametrize("level", [1, 2, 3, 5, 8, 16])
 def test_areas_positive_and_sum(level):
     m = build_structured(level)
-    assert np.all(m.areas > 0)
-    assert abs(m.areas.sum() - 4.0) <= 1e-12 * 4.0
+    areas, _ = triangle_geometry(m)
+    assert np.all(areas > 0)
+    assert abs(areas.sum() - 4.0) <= 1e-12 * 4.0
+    assert abs(m.n_triangles * m.grid.area - 4.0) <= 1e-12 * 4.0
 
 
 def test_boundary_edges(rng):
@@ -73,7 +105,8 @@ def test_gradients_exact_on_affine(rng):
     m = build_structured(3)
     a, b, c = rng.standard_normal(3)
     f = a + b * m.vertices[:, 0] + c * m.vertices[:, 1]
-    grads = np.einsum("tia,ti->ta", m.grads, f[m.triangles])
+    basis = m.grid.basis_gradients[np.arange(m.n_triangles) % 2]
+    grads = np.einsum("tia,ti->ta", basis, f[m.triangles])
     assert np.max(np.abs(grads[:, 0] - b)) < 1e-12
     assert np.max(np.abs(grads[:, 1] - c)) < 1e-12
 

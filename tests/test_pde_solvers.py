@@ -17,7 +17,8 @@ from tvsource.pde_solvers import DiscreteProblem, Observation, ProblemDef, misfi
 from tvsource.sparse_linalg import cg_solve
 
 from conftest import (benchmark_dp, chunked_boundary_map, dense,
-                      dense_boundary_mass, random_dp, unit_coefficients)
+                      dense_boundary_mass, random_dp, triangle_geometry,
+                      unit_coefficients)
 
 
 def _problem(level, beta=0.0, flux=None, gamma=("bottom",)):
@@ -189,9 +190,10 @@ def _smooth_errors(level):
     mids = 0.5 * (p + np.roll(p, -1, axis=1))    # edge midpoints, degree-2 rule
     uh_nodes = u[mesh.triangles]
     uh_mids = 0.5 * (uh_nodes + np.roll(uh_nodes, -1, axis=1))
-    w = mesh.areas[:, None] / 3.0
+    areas, grads = triangle_geometry(mesh)
+    w = areas[:, None] / 3.0
     err_sq = np.sum(w * (uh_mids - exact(mids)) ** 2)
-    grad_uh = np.einsum("tia,ti->ta", mesh.grads, uh_nodes)
+    grad_uh = np.einsum("tia,ti->ta", grads, uh_nodes)
     gerr = grad_uh[:, None, :] - exact_grad(mids)
     gerr_sq = np.sum(w[..., None] * gerr**2)
     return np.sqrt(err_sq), np.sqrt(err_sq + gerr_sq), mesh.mesh_size

@@ -24,7 +24,11 @@ from tvsource.tv_calculus import gradient_pairing
 
 from conftest import (b_norm_hook, benchmark_dp, dense, div_rep,
                       gradient_terms, random_dp, reference_primal_step,
-                      reference_run, unit_coefficients)
+                      reference_run, triangle_geometry, unit_coefficients)
+
+# what a mesh caches on first use, all derived from its level and box
+MESH_CACHES = {"vertices", "triangles", "boundary_edges", "edge_lengths",
+               "edge_sides", "grid"}
 
 
 class TestConstants:
@@ -232,12 +236,13 @@ def test_dual_step_matches_separable_oracle(driver2, rng):
         p = rng.uniform(-1, 1, (dp.mesh.n_triangles, 2))
         step = grid.from_grid(driver2.dual_step(grid.to_grid(p), f_tilde))
         g = elem_gradient(dp.mesh, f_tilde)
+        areas, _ = triangle_geometry(dp.mesh)
         for t in range(dp.mesh.n_triangles):
             for j in (0, 1):
                 def comp_obj(q):  # negated concave objective
-                    return -(params.rho * dp.mesh.areas[t] * g[t, j] * q
+                    return -(params.rho * areas[t] * g[t, j] * q
                              - params.theta / (2 * params.tau)
-                             * dp.mesh.areas[t] * (q - p[t, j]) ** 2)
+                             * areas[t] * (q - p[t, j]) ** 2)
                 best = _quadratic_argmin_on_interval(comp_obj, -1.0, 1.0)
                 assert abs(step[t, j] - best) <= 1e-10
 
@@ -306,7 +311,8 @@ class TestBNorm:
                                  np.zeros((dp.mesh.n_triangles, 2))) == 0.0
 
     def test_pure_dual_block(self, rng):
-        # the flat area weights give the bits of the (n_t, 2) broadcast;
+        # the grid's one area gives the bits of the (n_t, 2) broadcast of
+        # the vertex areas, which are exact at these levels;
         # level 64 builds its own problem, whose boundary map this driver
         # compresses, so that the cached one stays dense
         params = PdParams(rho=1e-3, tau=1e-4, theta=5e-2, max_iter=600)
@@ -315,11 +321,12 @@ class TestBNorm:
             if level == 64:
                 dp = DiscreteProblem(dp.prob, cg_tol=dp.cg_tol)
             driver = PdDriver(dp, params)
+            areas, _ = triangle_geometry(dp.mesh)
             for scale in (1e-6, 1.0, 1e6):
                 delta_p = scale * rng.standard_normal((dp.mesh.n_triangles,
                                                        2))
                 expected = params.theta / params.tau * float(
-                    np.sum(dp.mesh.areas[:, None] * delta_p**2))
+                    np.sum(areas[:, None] * delta_p**2))
                 assert driver.b_norm_sq(np.zeros(dp.mesh.n_vertices),
                                         delta_p) == expected
 
@@ -327,6 +334,7 @@ class TestBNorm:
         # the smooth term read through the boundary map equals the source
         # difference paired with the adjoint of its state, two full solves
         dp, params = driver2.dp, driver2.params
+        areas, _ = triangle_geometry(dp.mesh)
         for _ in range(5):
             df = rng.standard_normal(dp.mesh.n_vertices)
             dpv = rng.standard_normal((dp.mesh.n_triangles, 2))
@@ -336,7 +344,7 @@ class TestBNorm:
                         - 2.0 * params.rho * gradient_pairing(dp.mesh, df,
                                                               dpv)
                         + params.theta / params.tau * float(
-                            np.sum(dp.mesh.areas[:, None] * dpv**2)))
+                            np.sum(areas[:, None] * dpv**2)))
             assert driver2.b_norm_sq(df, dpv) == pytest.approx(expected,
                                                                rel=1e-10)
 
@@ -461,18 +469,23 @@ def test_adjoint_identity_along_iterations(rng):
 
 
 def test_run_caches_only_the_grid_on_the_mesh():
-    # the loop's kernels, the B-norm and the objective all read the mesh's
-    # one cache, its cell grid, which the driver takes from the mesh
+    # a mesh holds its level and box and what it derives from them: the
+    # problem's assembly builds its arrays and its cell grid, whose
+    # geometry it reads; the loop's kernels, the B-norm and the objective
+    # read the same grid, which the driver takes from the mesh, and the
+    # run adds nothing to the mesh
     prob, f_truth = build_benchmark_problem(8)
+    fields = {f.name for f in dataclasses.fields(prob.mesh)}
+    assert fields == {"level", "box"}
+    assert set(vars(prob.mesh)) <= fields | MESH_CACHES
     dp = DiscreteProblem(prob)
     params = ExperimentConfig(max_iter=3).level_params(dp.mesh.mesh_size)
-    fields = {f.name for f in dataclasses.fields(dp.mesh)}
-    assert set(vars(dp.mesh)) == fields
+    assert set(vars(dp.mesh)) == fields | MESH_CACHES
     driver = PdDriver(dp, params)
     hook, norms = b_norm_hook(driver)
     driver.run(synthesize_observation(dp, f_truth, 0.0, 0), on_iteration=hook)
     assert len(norms) == 3
-    assert set(vars(dp.mesh)) - fields == {"grid"}
+    assert set(vars(dp.mesh)) == fields | MESH_CACHES
     assert driver.grid is dp.mesh.grid
     # releasing the level's loop arrays frees the boundary map only
     dp.release_loop_arrays()
@@ -762,8 +775,10 @@ def test_variational_inequality_at_stop(rng):
 
     # dual side: feasible fields pair with the gradient below the value
     # attained by the current dual variable, up to one further dual step
+    areas, _ = triangle_geometry(dp.mesh)
+
     def p0_norm(q):
-        return math.sqrt(float(np.sum(dp.mesh.areas[:, None] * q**2)))
+        return math.sqrt(float(np.sum(areas[:, None] * q**2)))
 
     p_next = grid.from_grid(driver.dual_step(grid.to_grid(state.p), state.f))
     delta = p0_norm(p_next - state.p)
@@ -771,7 +786,7 @@ def test_variational_inequality_at_stop(rng):
     grad_norm = p0_norm(grad_f)
     for _ in range(200):
         q = rng.uniform(-1.0, 1.0, (dp.mesh.n_triangles, 2))
-        pairing = float(np.sum(dp.mesh.areas[:, None] * grad_f
+        pairing = float(np.sum(areas[:, None] * grad_f
                                * (q - state.p)))
         slack = delta * (params.theta / (params.tau * params.rho)
                          * p0_norm(q - p_next) + grad_norm) * 1.01
@@ -802,14 +817,15 @@ class TestMultilevel:
     def test_level_releases_factor_and_boundary_map(self):
         # no factorization is cached; the boundary map is rebuilt on
         # demand, and kept it would add its memory to every later level's
-        # peak.  The mesh caches its cell grid only, one index per entry
-        # of a dual field
+        # peak.  The mesh caches only what it derives from its level and
+        # box: its arrays and its cell grid, one index per entry of a dual
+        # field
         for level_run in multilevel_run([4, 8], self._make_level):
             dp = level_run.problem
             assert not any(isinstance(v, pde_solvers.BlockTridiagonalFactor)
                            for v in vars(dp).values())
             assert "boundary_map" not in vars(dp)
-            assert set(vars(dp.mesh)) == {"grid"} | {
+            assert set(vars(dp.mesh)) == MESH_CACHES | {
                 field.name for field in dataclasses.fields(dp.mesh)}
 
     def test_two_levels_couple_rho_and_warm_start(self):

@@ -4,13 +4,17 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvsource.fem_assembly import assemble_mass, assemble_stiffness
-from tvsource.mesh import build_structured
+from tvsource.fem_assembly import (CoefficientSet, NeumannData, assemble_mass,
+                                   assemble_stiffness)
+from tvsource.mesh import GammaSpec, build_structured
+from tvsource.pde_solvers import DiscreteProblem, ProblemDef
+from tvsource.primal_dual import PdDriver, PdParams
 from tvsource.sparse_linalg import (BlockTridiagonalFactor, CgConvergenceError,
                                     FactorizationError, SymmetricStencil,
                                     cg_solve, grad_operator_norm)
 
-from conftest import dense, random_dp, stencil, unit_coefficients
+from conftest import (dense, random_dp, stencil, triangle_geometry,
+                      unit_coefficients)
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -181,32 +185,89 @@ def _dense_grad_norm(mesh):
     return np.sqrt(scipy.linalg.eigh(K, np.diag(w), eigvals_only=True)[-1])
 
 
+def _element_bound(grads):
+    """Fried's element bound sqrt(3 max_T lam_T) from per-triangle basis
+    gradients (n_t, 3, 2), lam_T the largest eigenvalue of G_T^T G_T."""
+    return np.sqrt(3.0 * np.linalg.eigvalsh(
+        np.einsum("tia,tib->tab", grads, grads))[:, -1].max())
+
+
+def _loop_gradient_norm(mesh, w):
+    """Norm of the loop's D, the grid's gradient kernel taken to the
+    (n_triangles, 2) layout, from the lumped-weight nodal product to the
+    area-weighted one: from the kernel's dense matrix, column by column,
+    and a dense generalized eigensolve."""
+    grid = mesh.grid
+    kernel = grid.gradient_kernel(grid.inverse_spacing)
+    D = np.column_stack([grid.from_grid(kernel(e)).ravel()
+                         for e in np.eye(mesh.n_vertices)])
+    return np.sqrt(scipy.linalg.eigh(grid.area * D.T @ D, np.diag(w),
+                                     eigvals_only=True)[-1])
+
+
+def _driver_on(mesh):
+    """A PdDriver on a problem with unit diffusion and reaction on
+    ``mesh``, observed on its bottom side."""
+    coeffs = unit_coefficients(mesh)
+    coeffs = CoefficientSet(coeffs.alpha, np.ones(mesh.n_triangles),
+                            coeffs.sigma, 1.0)
+    prob = ProblemDef(mesh, coeffs,
+                      NeumannData(np.zeros(len(mesh.boundary_edges))),
+                      GammaSpec(frozenset({"bottom"})))
+    return PdDriver(DiscreteProblem(prob),
+                    PdParams(rho=1e-3, tau=1e-4, theta=5e-2, max_iter=10))
+
+
 class TestGradOperatorNorm:
     def test_matches_dense_eigensolve_on_coarsest_mesh(self):
         mesh = build_structured(1)
         ref = _dense_grad_norm(mesh)
-        assert abs(grad_operator_norm(mesh.grads) - ref) <= 1e-12 * ref
+        bound = grad_operator_norm(mesh.grid.inverse_spacing)
+        assert abs(bound - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("level", [4, 8, 16])
     def test_bounds_dense_eigenvalue_from_above(self, level):
         mesh = build_structured(level)
         ref = _dense_grad_norm(mesh)
-        assert ref <= grad_operator_norm(mesh.grads) <= ref * 1.05
+        assert ref <= grad_operator_norm(mesh.grid.inverse_spacing) <= ref * 1.05
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.floats(0.05, 20.0), st.floats(0.05, 20.0),
            st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
     def test_is_a_bound_on_any_structured_mesh(self, level, width, height,
                                                x0, y0):
-        # the square of the program, then a random rectangle
+        # the square of the program, then a random rectangle: the closed
+        # form is the element bound of the vertex basis gradients up to
+        # the rounding of the vertices, relative |x| / h_c, and bounds the
+        # dense eigenvalue
         for box in (((-1.0, 1.0), (-1.0, 1.0)),
                     ((x0, x0 + width), (y0, y0 + height))):
             mesh = build_structured(level, box)
-            bound = grad_operator_norm(mesh.grads)
+            bound = grad_operator_norm(mesh.grid.inverse_spacing)
+            ref = _element_bound(triangle_geometry(mesh)[1])
+            spread = np.abs(box).max() * max(mesh.grid.inverse_spacing)
+            assert abs(bound - ref) <= 2e-15 * (1.0 + spread) * ref
             assert bound**2 >= _dense_grad_norm(mesh)**2 * (1.0 - 1e-13)
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([3, 6, 12]), st.floats(0.05, 0.95),
+           st.floats(0.05, 0.95), st.floats(0.05, 20.0),
+           st.floats(0.05, 20.0))
+    def test_certificate_bounds_the_loops_gradient(self, level, u, v, width,
+                                                   height):
+        # the certificate's norm bounds that of the D the loop runs, on
+        # the default square and on a random box holding 0 inside (the
+        # certificate's trace constant needs it), rounding aside
+        for box in (((-1.0, 1.0), (-1.0, 1.0)),
+                    ((-u * width, (1.0 - u) * width),
+                     (-v * height, (1.0 - v) * height))):
+            driver = _driver_on(build_structured(level, box))
+            norm = _loop_gradient_norm(driver.dp.mesh, driver.dp.w)
+            assert norm <= driver.certificate.grad_norm * (1.0 + 1e-13)
+
     def test_scales_like_inverse_mesh_size(self):
-        norms = {lv: grad_operator_norm(build_structured(lv).grads)
+        norms = {lv: grad_operator_norm(build_structured(lv).grid
+                                        .inverse_spacing)
                  for lv in (4, 8, 16)}
         assert 1.9 <= norms[8] / norms[4] <= 2.1
         assert 1.9 <= norms[16] / norms[8] <= 2.1
@@ -214,8 +275,3 @@ class TestGradOperatorNorm:
         for lv, val in norms.items():
             h = build_structured(lv).mesh_size
             assert val * h <= 10.0
-
-    def test_invariant_under_triangle_reordering(self, rng):
-        grads = build_structured(3).grads
-        perm = grads[rng.permutation(grads.shape[0])]
-        assert grad_operator_norm(perm) == grad_operator_norm(grads)
