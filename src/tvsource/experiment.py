@@ -8,7 +8,6 @@ together with optional field exports.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 import operator
@@ -388,8 +387,8 @@ def export_benchmark(config: ExperimentConfig, run: LevelRun):
         return
     mesh = run.problem.mesh
     base = os.path.join(config.out_dir, f"level{run.level}")
-    _export_fields(mesh, [(run.state.f, f"{base}_f.{ext}", "reconstruction"),
-                          (run.state.p, f"{base}_p.{ext}", "dual")], ext)
+    export_field(mesh, run.state.f, f"{base}_f.{ext}", ext, "reconstruction")
+    export_field(mesh, run.state.p, f"{base}_p.{ext}", ext, "dual")
     write_observation_csv(mesh, run.observation, f"{base}_observation.csv")
 
 
@@ -401,33 +400,20 @@ def export_field(mesh: TriMesh, values: np.ndarray, path: str,
     vector components expanded into extra columns.  Output is byte-stable
     for identical inputs.
     """
-    _export_fields(mesh, [(values, path, name)], fmt)
-
-
-def _export_fields(mesh: TriMesh, fields, fmt: str):
-    """``export_field`` for each ``(values, path, name)`` of ``fields``, all
-    on ``mesh``; their VTK files share the POINTS and CELLS text, which is
-    formatted once."""
-    parsed = []
-    for values, path, name in fields:
-        values = np.asarray(values, dtype=float)
-        nodal = values.shape[0] == mesh.n_vertices
-        if not nodal and values.shape[0] != mesh.n_triangles:
-            raise ValueError("field length matches neither nodes nor "
-                             "triangles")
-        parsed.append((values.reshape(values.shape[0], -1), nodal, path,
-                       name))
+    values = np.asarray(values, dtype=float)
+    nodal = values.shape[0] == mesh.n_vertices
+    if not nodal and values.shape[0] != mesh.n_triangles:
+        raise ValueError("field length matches neither nodes nor triangles")
+    comps = values.reshape(values.shape[0], -1)
     try:
         if fmt == "csv":
-            for comps, nodal, path, _ in parsed:
-                _write_csv_field(mesh, comps, nodal, path)
+            _write_csv_field(mesh, comps, nodal, path)
         elif fmt == "vtk":
-            _write_vtk_fields(mesh, parsed)
+            _write_vtk_field(mesh, comps, nodal, path, name)
         else:
             raise ValueError(f"unknown export format {fmt!r}")
     except OSError as exc:
-        paths = ", ".join(path for _, path, _ in fields)
-        raise OSError(f"cannot write field to {paths}: {exc}") from exc
+        raise OSError(f"cannot write field to {path}: {exc}") from exc
 
 
 # rows per formatting pass: the text of a whole field at once would raise
@@ -435,21 +421,19 @@ def _export_fields(mesh: TriMesh, fields, fmt: str):
 _BLOCK_ROWS = 256
 
 
-def _write_rows(fhs, fmt: str, rows: np.ndarray):
-    """Write ``fmt % tuple(row)`` and a newline for each row of a 2-D array
-    into each file of ``fhs``, the bytes np.savetxt writes, formatted one
-    block of rows per %."""
+def _write_rows(fh, fmt: str, rows: np.ndarray):
+    """Write ``fmt % tuple(row)`` and a newline for each row of a 2-D array,
+    the bytes np.savetxt writes, formatted one block of rows per %."""
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
-        text = ((fmt + "\n") * block.shape[0]) % tuple(block.ravel().tolist())
-        for fh in fhs:
-            fh.write(text)
+        fh.write(((fmt + "\n") * block.shape[0])
+                 % tuple(block.ravel().tolist()))
 
 
 def _write_csv(path, header: str, fmt: str, rows: np.ndarray):
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        _write_rows([fh], fmt, rows)
+        _write_rows(fh, fmt, rows)
 
 
 def _write_csv_field(mesh, comps, nodal, path):
@@ -461,37 +445,36 @@ def _write_csv_field(mesh, comps, nodal, path):
                np.column_stack([points, comps]))
 
 
-def _write_vtk_fields(mesh, fields):
-    """One legacy ASCII VTK file per ``(comps, nodal, path, name)``, all
-    open at once, so that each block of the mesh's POINTS and CELLS is
-    formatted once and written into every file."""
-    nt = mesh.n_triangles
-    with contextlib.ExitStack() as stack:
-        fhs = [stack.enter_context(open(path, "w")) for *_, path, _ in fields]
-        for fh, (*_, name) in zip(fhs, fields):
-            fh.write("# vtk DataFile Version 2.0\n")
-            fh.write(f"{name}\n")
-            fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-            fh.write(f"POINTS {mesh.n_vertices} float\n")
-        _write_rows(fhs, "%.10e %.10e 0.0", mesh.vertices)
-        for fh in fhs:
-            fh.write(f"CELLS {nt} {4 * nt}\n")
-        _write_rows(fhs, "3 %d %d %d", mesh.triangles)
-        cell_types = f"CELL_TYPES {nt}\n" + "5\n" * nt
-        for fh, (comps, nodal, _, name) in zip(fhs, fields):
-            fh.write(cell_types)
-            fh.write(f"{'POINT_DATA' if nodal else 'CELL_DATA'} "
-                     f"{mesh.n_vertices if nodal else nt}\n")
-            k = comps.shape[1]
-            if k == 1:
-                fh.write(f"SCALARS {name} float 1\nLOOKUP_TABLE default\n")
-                fmt = "%.10e"
-            else:
-                fh.write(f"VECTORS {name} float\n")
-                # VTK vectors have three components: the missing ones are
-                # written as the text of a formatted 0.0
-                fmt = " ".join(["%.10e"] * k + [f"{0.0:.10e}"] * (3 - k))
-            _write_rows([fh], fmt, comps)
+def _write_vtk_field(mesh, comps, nodal, path, name):
+    """One legacy ASCII VTK file of the field ``comps``.  Vertex (ix, iy)
+    is (x[ix], y[iy]), so the POINTS text is that of each grid axis,
+    formatted once and joined grid row by grid row."""
+    nt, n = mesh.n_triangles, mesh.level + 1
+    x, y = ([f"{v:.10e}" for v in axis.tolist()]
+            for axis in (mesh.vertices[:n, 0], mesh.vertices[::n, 1]))
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 2.0\n")
+        fh.write(f"{name}\n")
+        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.n_vertices} float\n")
+        for y_text in y:
+            tail = f" {y_text} 0.0\n"
+            fh.write(tail.join(x) + tail)
+        fh.write(f"CELLS {nt} {4 * nt}\n")
+        _write_rows(fh, "3 %d %d %d", mesh.triangles)
+        fh.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
+        fh.write(f"{'POINT_DATA' if nodal else 'CELL_DATA'} "
+                 f"{mesh.n_vertices if nodal else nt}\n")
+        k = comps.shape[1]
+        if k == 1:
+            fh.write(f"SCALARS {name} float 1\nLOOKUP_TABLE default\n")
+            fmt = "%.10e"
+        else:
+            fh.write(f"VECTORS {name} float\n")
+            # VTK vectors have three components: the missing ones are
+            # written as the text of a formatted 0.0
+            fmt = " ".join(["%.10e"] * k + [f"{0.0:.10e}"] * (3 - k))
+        _write_rows(fh, fmt, comps)
 
 
 def write_observation_csv(mesh: TriMesh, z: Observation, path: str):

@@ -6,8 +6,9 @@ vertex rule, matching the lumped metric of the proximal steps.  Piecewise
 linear fields are plain nodal vectors, piecewise constant vector fields are
 (n_triangles, 2) arrays.  Volume operators are SymmetricStencil matrices
 on the mesh's stencil offsets, the boundary mass a dense matrix on the
-observed nodes; element blocks and nodal loads are summed with
-``np.bincount``, in element order.
+observed nodes.  Element blocks are summed onto the diagonals by the
+mesh's cell grid (``DualGrid.place_blocks``) and nodal loads with
+``np.bincount``, both in element order.
 
 The triangle geometry is that of the mesh's cell grid (``mesh.DualGrid``,
 cached as ``TriMesh.grid``): one area and the basis gradients of the lower
@@ -86,35 +87,22 @@ class NeumannData:
         object.__setattr__(self, "values", v)
 
 
-def _assemble_from_blocks(mesh: TriMesh, conn, blocks) -> SymmetricStencil:
-    """Sum symmetric element blocks, one (k, k) block per row of the (N, k)
-    vertex array ``conn``, into the diagonals at ``mesh.stencil_offsets``.
-    Only the block entries in the lower triangle of the assembled matrix
-    are read.  Raises ValueError for an entry at any other offset."""
-    n, offsets = mesh.n_vertices, np.asarray(mesh.stencil_offsets)
-    row, col = conn[:, :, None], conn[:, None, :]
-    lower = row >= col
-    off = (row - col)[lower]
-    col = np.broadcast_to(col, lower.shape)[lower]
-    k = np.minimum(np.searchsorted(offsets, off), offsets.shape[0] - 1)
-    if np.any(offsets[k] != off):
-        raise ValueError(
-            f"an element couples vertices {np.max(off[offsets[k] != off])} "
-            f"apart, outside the stencil offsets {mesh.stencil_offsets}")
-    diags = np.bincount(k * n + col, weights=blocks[lower],
-                        minlength=offsets.shape[0] * n)
-    return SymmetricStencil(offsets, diags.reshape(-1, n))
-
-
 def assemble_stiffness(mesh: TriMesh,
                        coeffs: CoefficientSet) -> SymmetricStencil:
     """Matrix of the bilinear form: diffusion + reaction + boundary term."""
-    grid = mesh.grid
-    # cell k's lower (s = 0) and upper triangle with the gradients of its type
-    blocks = np.einsum(",sia,ksab,sjb->ksij", grid.area, grid.basis_gradients,
-                       coeffs.alpha.reshape(-1, 2, 2, 2),
-                       grid.basis_gradients).reshape(-1, 3, 3)
-    A = _assemble_from_blocks(mesh, mesh.triangles, blocks)
+    grid, grads = mesh.grid, mesh.grid.basis_gradients
+    # alpha[s, a, b, k]: cell k's lower (s = 0) and upper triangle, cells
+    # last so that each product runs over contiguous cells
+    alpha = coeffs.alpha.reshape(-1, 2, 2, 2).transpose(1, 2, 3, 0)
+    # blocks[s, i, j, k] sums area*grads[s, i, a]*alpha[s, a, b, k]*
+    # grads[s, j, b] from 0.0 over (a, b) in order, each product associated
+    # from the left: np.einsum's order over these four factors, so its bits
+    blocks = np.zeros((2, 3, 3, alpha.shape[-1]))
+    for a, b in np.ndindex(2, 2):
+        blocks += ((grid.area * grads[:, :, a, None] * alpha[:, None, a, b])
+                   [:, :, None] * grads[:, None, :, b, None])
+    A = SymmetricStencil(mesh.stencil_offsets,
+                         grid.place_blocks(blocks.transpose(3, 0, 1, 2)))
     # the reaction, then the boundary term, by the vertex rule
     A.diags[0] += np.bincount(
         np.concatenate([mesh.triangles.ravel(), mesh.boundary_edges.ravel()]),
@@ -128,7 +116,7 @@ def assemble_mass(mesh: TriMesh):
     """Consistent mass matrix and its lumped (row-sum) diagonal."""
     blocks = np.broadcast_to(mesh.grid.area * _MASS_BLOCK,
                              (mesh.n_triangles, 3, 3))
-    M = _assemble_from_blocks(mesh, mesh.triangles, blocks)
+    M = SymmetricStencil(mesh.stencil_offsets, mesh.grid.place_blocks(blocks))
     return M, M @ np.ones(mesh.n_vertices)
 
 

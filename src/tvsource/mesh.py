@@ -193,8 +193,18 @@ class DualGrid:
 
     ``to_grid`` and ``from_grid`` map to and from the (n_triangles, 2)
     layout; ``cells`` holds the flat grid index of each entry of that
-    layout.
+    layout.  ``place_blocks`` sums element blocks onto the mesh's stencil
+    diagonals.
     """
+
+    # (diagonal, corner (dy, dx) of an entry's column vertex in the cell,
+    # triangle, block row, block column), in element order: a vertex is the
+    # tr, tl, br and bl corner of cells in increasing index
+    _PLACEMENT = ((0, 1, 1, 0, 2, 2), (0, 1, 1, 1, 1, 1), (0, 1, 0, 1, 2, 2),
+                  (0, 0, 1, 0, 1, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+                  (1, 1, 0, 1, 1, 2), (1, 0, 0, 0, 1, 0),
+                  (2, 0, 1, 0, 2, 1), (2, 0, 0, 1, 2, 0),
+                  (3, 0, 0, 0, 2, 0), (3, 0, 0, 1, 1, 0))
 
     def __init__(self, mesh: TriMesh):
         l = mesh.level
@@ -222,6 +232,22 @@ class DualGrid:
     def from_grid(self, q: np.ndarray) -> np.ndarray:
         """The (n_triangles, 2) field of a (2, 2, size) grid."""
         return q.take(self.cells).reshape(-1, 2)
+
+    def place_blocks(self, blocks) -> np.ndarray:
+        """The (4, n_vertices) diagonals at ``TriMesh.stencil_offsets`` of
+        the sum of one (3, 3) element block per triangle, in the order and
+        the vertex order of ``TriMesh.triangles`` (an (n_triangles, 3, 3)
+        array or one that reshapes to it).  Entry (v + offset, v) sums, from
+        +0.0 and in element order, the block entries in the row of vertex
+        v + offset and the column of v: the bits of an element-by-element
+        sum.
+        """
+        l = self.level
+        b = np.reshape(blocks, (l, l, 2, 3, 3))
+        d = np.zeros((4, l + 1, l + 1))
+        for k, dy, dx, s, i, j in self._PLACEMENT:
+            d[k, dy:dy + l, dx:dx + l] += b[:, :, s, i, j]
+        return d.reshape(4, -1)
 
     def gradient_kernel(self, s):
         """The kernel f -> the grid of s_c times component c of the element

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from tvsource.cli import main as cli_main
 from tvsource.experiment import (ExperimentConfig, F_HIGH, F_LOW,
                                  _uniform_noise,
                                  build_benchmark_problem, benchmark_flux,
-                                 export_field, read_config_file,
+                                 export_benchmark, export_field,
+                                 read_config_file,
                                  read_observation_csv,
                                  run_benchmark, synthesize_observation,
                                  write_observation_csv)
@@ -369,25 +371,32 @@ def test_writers_match_reference_across_blocks(tmp_path, monkeypatch, fmt):
 
 
 @pytest.mark.parametrize("block_rows", [7, 256])
-def test_vtk_fields_sharing_the_mesh_text_match_reference(
-        tmp_path, monkeypatch, block_rows):
-    # a level's reconstruction and dual field written together, the mesh
-    # blocks formatted once for both files: each file has the bytes of
-    # the reference writer, as export_benchmark writes them
+def test_vtk_files_of_a_level_match_reference(tmp_path, monkeypatch,
+                                              block_rows):
+    # the reconstruction, the dual field and the observation of a level on
+    # a rectangle, as export_benchmark writes them: each file has the bytes
+    # of the reference writer
     monkeypatch.setattr(tvsource.experiment, "_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(4)
-    mesh = build_structured(8)
+    mesh = build_structured(8, ((-1.0, 2.0), (0.0, 1.0)))
     f = TestWritersMatchReference._values(mesh.n_vertices, 1, rng)
     p = TestWritersMatchReference._values(mesh.n_triangles, 2, rng)
-    paths = [str(tmp_path / name) for name in ("f.vtk", "p.vtk")]
-    tvsource.experiment._export_fields(
-        mesh, [(f[:, 0], paths[0], "reconstruction"),
-               (p, paths[1], "dual")], "vtk")
-    for path, values, nodal, name in zip(paths, (f, p), (True, False),
-                                         ("reconstruction", "dual")):
-        _ref_vtk_field(mesh, values, nodal, str(tmp_path / "ref.vtk"), name)
-        assert (Path(path).read_bytes()
-                == (tmp_path / "ref.vtk").read_bytes())
+    nodes = mesh.side_nodes({"bottom"})
+    z = Observation(nodes, np.resize(EDGE_VALUES, nodes.shape[0]))
+    run = SimpleNamespace(level=8, problem=SimpleNamespace(mesh=mesh),
+                          state=SimpleNamespace(f=f[:, 0], p=p),
+                          observation=z)
+    export_benchmark(ExperimentConfig(out_dir=str(tmp_path),
+                                      export_format="vtk"), run)
+    ref = tmp_path / "ref"
+    for name, values, nodal, field in (("f", f, True, "reconstruction"),
+                                       ("p", p, False, "dual")):
+        _ref_vtk_field(mesh, values, nodal, str(ref), field)
+        assert ((tmp_path / f"level8_{name}.vtk").read_bytes()
+                == ref.read_bytes())
+    _ref_observation_csv(mesh, z, str(ref))
+    assert ((tmp_path / "level8_observation.csv").read_bytes()
+            == ref.read_bytes())
 
 
 def _bits(a):

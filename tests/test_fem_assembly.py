@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from tvsource import primal_dual
 from tvsource.fem_assembly import (CoefficientSet, NeumannData,
-                                   _assemble_from_blocks,
                                    assemble_boundary_mass, assemble_mass,
                                    assemble_stiffness, div_adjoint,
                                    elem_gradient, neumann_load)
@@ -75,13 +74,29 @@ def test_stiffness_definite_with_reaction(rng):
     assert lam.min() > 0
 
 
-def test_assembly_needs_structured_numbering(rng):
-    # renumbered vertices couple at offsets outside the stencil
-    mesh = build_structured(3)
-    sigma = rng.permutation(mesh.n_vertices)
-    blocks = np.broadcast_to(UNIT_ELEMENT_MASS, (mesh.n_triangles, 3, 3))
-    with pytest.raises(ValueError, match="outside the stencil offsets"):
-        _assemble_from_blocks(mesh, sigma[mesh.triangles], blocks)
+@pytest.mark.parametrize("box", [((-1.0, 1.0), (-1.0, 1.0)),
+                                 ((-1.0, 2.0), (0.0, 1.0))])
+def test_placed_blocks_are_the_element_by_element_sum(rng, box):
+    # non-symmetric blocks, so that the bits show which of a block's two
+    # entries of a vertex pair is read: the one below the diagonal, summed
+    # from +0.0 in element order by np.add.at; some entries are -0.0
+    for level in range(1, 9):
+        mesh = build_structured(level, box)
+        blocks = rng.standard_normal((mesh.n_triangles, 3, 3))
+        blocks[rng.uniform(size=blocks.shape) < 0.2] = -0.0
+        rows = np.broadcast_to(mesh.triangles[:, :, None], blocks.shape)
+        cols = np.broadcast_to(mesh.triangles[:, None, :], blocks.shape)
+        lower = rows >= cols
+        ref = np.zeros((mesh.n_vertices, mesh.n_vertices))
+        np.add.at(ref, (rows[lower], cols[lower]), blocks[lower])
+        diags = mesh.grid.place_blocks(blocks)
+        assert diags.shape == (4, mesh.n_vertices)
+        for off, diag in zip(mesh.stencil_offsets, diags):
+            v = np.arange(mesh.n_vertices - off)
+            assert diag[v].tobytes() == ref[v + off, v].tobytes()
+            assert not np.any(diag[v.shape[0]:])
+            ref[v + off, v] = 0.0
+        assert not np.any(ref)  # no pair of vertices off the diagonals
 
 
 def _dense_assembly(n, conn, blocks):

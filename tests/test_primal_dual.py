@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from tvsource.experiment import (ExperimentConfig, build_benchmark_problem,
                                  synthesize_observation)
-from tvsource.fem_assembly import (assemble_stiffness, div_adjoint,
-                                   elem_gradient)
+from tvsource.fem_assembly import (NeumannData, assemble_stiffness,
+                                   div_adjoint, elem_gradient)
 from tvsource import pde_solvers, primal_dual
 from tvsource.pde_solvers import DiscreteProblem, Observation
 from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
@@ -689,6 +689,51 @@ def test_run_is_bit_identical_to_reference_loop(data, level, box, max_iter,
         assert len(dense_iterates) == len(iterates)
         for got, want in zip(iterates[-1], dense_iterates[-1]):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class _FixedCount(PdParams):
+    """PdParams whose stopping value never reaches 0: a run with them makes
+    exactly max_iter iterations."""
+
+    def stopping_offsets(self, h: float) -> tuple[float, float]:
+        return -math.inf, 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.sampled_from(["bottom", "bottom_left"]),
+       st.floats(-4.0, 2.0), st.floats(0.1, 6.0),
+       st.sampled_from([0.5, 2.0, 4.0]), st.integers(0, 2**32 - 1))
+def test_power_of_two_scaling_scales_every_iterate(level, gamma, lo, width,
+                                                   c, seed):
+    # scaling (flux, data, box, rho, theta) to (c flux, c data, c box,
+    # c rho, c^2 theta) for a power of two c scales every iterate f and the
+    # trace by c, bit for bit, keeps every p and scales the objective by
+    # c^2.  The stopping offsets do not scale, so both runs make a fixed
+    # number of iterations
+    prob, _ = build_benchmark_problem(level, gamma)
+    rng = np.random.default_rng(seed)
+    flux = rng.standard_normal(len(prob.mesh.boundary_edges))
+    data = rng.standard_normal(
+        prob.mesh.side_nodes(prob.gamma.sides).shape[0])
+    rho = ExperimentConfig().level_params(prob.mesh.mesh_size).rho
+    runs = []
+    for k in (1.0, c):
+        dp = DiscreteProblem(dataclasses.replace(
+            prob, neumann=NeumannData(k * flux),
+            box=(k * lo, k * (lo + width))))
+        visited = []
+        driver = PdDriver(dp, _FixedCount(k * rho, 2.0, k * k * 5e-2, 30))
+        state = driver.run(Observation(dp.gamma_nodes, k * data),
+                           on_iteration=lambda n, f, p, *_:
+                           visited.append((f, p)))
+        runs.append((visited, state))
+    (iterates, state), (scaled, scaled_state) = runs
+    assert len(iterates) == len(scaled) == 31
+    for (f, p), (f_c, p_c) in zip(iterates, scaled):
+        assert (c * f).tobytes() == f_c.tobytes()
+        assert p.tobytes() == p_c.tobytes()
+    assert (c * state.u_gamma).tobytes() == scaled_state.u_gamma.tobytes()
+    assert c * c * state.objective == scaled_state.objective
 
 
 @settings(max_examples=60, deadline=None)
