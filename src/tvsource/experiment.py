@@ -430,19 +430,31 @@ def _write_rows(fh, fmt: str, rows: np.ndarray):
                  % tuple(block.ravel().tolist()))
 
 
-def _write_csv(path, header: str, fmt: str, rows: np.ndarray):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        _write_rows(fh, fmt, rows)
-
-
 def _write_csv_field(mesh, comps, nodal, path):
-    points = mesh.vertices if nodal else mesh.centroids
+    """One CSV file of the field ``comps``, a row per node or per triangle
+    at its point, on the grid's axes or on each triangle type's: each axis
+    is formatted once, and a grid row's values by one %."""
+    n = mesh.level + 1
+    x, y = mesh.vertices[:n, 0], mesh.vertices[::n, 1]
+    # the centroids of cell (ix, iy)'s lower (bl, br, tr) and upper (bl, tr,
+    # tl) triangle, in the bits of the mean of their vertices
+    axes = [(x, y)] if nodal else [
+        (((x[:-1] + x[1:]) + x[1:]) / 3, ((y[:-1] + y[:-1]) + y[1:]) / 3),
+        (((x[:-1] + x[1:]) + x[:-1]) / 3, ((y[:-1] + y[1:]) + y[1:]) / 3)]
     k = comps.shape[1]
     names = ["value"] if k == 1 else [f"value_{j + 1}" for j in range(k)]
-    _write_csv(path, ",".join(["x1", "x2"] + names),
-               ",".join(["%.10e", "%.10e"] + ["%.17g"] * k),
-               np.column_stack([points, comps]))
+    # a grid row's format, a mark per triangle type in place of its y text
+    tail = "," + ",".join(["%.17g"] * k) + "\n"
+    row = "".join(f"{v:.10e},{mark}{tail}" for vs in zip(
+        *(a.tolist() for a, _ in axes)) for v, mark in zip(vs, "\0\1"))
+    y_text = zip(*([f"{v:.10e}" for v in b.tolist()] for _, b in axes))
+    with open(path, "w") as fh:
+        fh.write(",".join(["x1", "x2"] + names) + "\n")
+        for ys, values in zip(y_text, comps.reshape(len(axes[0][1]), -1)):
+            fmt = row
+            for mark, text in zip("\0\1", ys):
+                fmt = fmt.replace(mark, text)
+            fh.write(fmt % tuple(values.tolist()))
 
 
 def _write_vtk_field(mesh, comps, nodal, path, name):
@@ -478,8 +490,10 @@ def _write_vtk_field(mesh, comps, nodal, path, name):
 
 
 def write_observation_csv(mesh: TriMesh, z: Observation, path: str):
-    _write_csv(path, "node_x1,node_x2,z_value", "%.10e,%.10e,%.17g",
-               np.column_stack([mesh.vertices[z.nodes], z.values]))
+    with open(path, "w") as fh:
+        fh.write("node_x1,node_x2,z_value\n")
+        _write_rows(fh, "%.10e,%.10e,%.17g",
+                    np.column_stack([mesh.vertices[z.nodes], z.values]))
 
 
 def read_observation_csv(path: str, mesh: TriMesh,

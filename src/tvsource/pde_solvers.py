@@ -13,7 +13,8 @@ zero-weighted-mean representatives.
 Every solve is a direct solve with a block-tridiagonal factorization
 whose residual is checked against the problem's ``cg_tol``; a solution
 that misses it is polished by CG.  No factorization is kept: each solve
-factors A for itself.  The data misfit reads the state only on the
+factors its operator for itself, A or, for a Dirichlet solve, A's part on
+the interior nodes.  The data misfit reads the state only on the
 observed boundary Gamma, so the optimizer works with the solution map
 restricted to Gamma (BoundaryMap), built once per problem from one
 factorization, and needs no solve per iteration or after it; a map whose
@@ -34,7 +35,7 @@ from .fem_assembly import (CoefficientSet, NeumannData, P1Field,
                            assemble_boundary_mass, assemble_mass,
                            assemble_stiffness, elem_gradient, neumann_load)
 from .mesh import GammaSpec, TriMesh
-from .sparse_linalg import BlockTridiagonalFactor, cg_solve
+from .sparse_linalg import BlockTridiagonalFactor, SymmetricStencil, cg_solve
 
 DEFAULT_CG_TOL = 1e-10
 
@@ -266,12 +267,6 @@ class DiscreteProblem:
         self.pure_neumann = prob.coeffs.is_pure_neumann
         self.domain_volume = float(self.w.sum())
 
-    def _factor(self) -> BlockTridiagonalFactor:
-        """A new factorization of A; in the pure-Neumann case of A grounded
-        at one node, which solves A x = b for deflated b."""
-        return BlockTridiagonalFactor(self.A, self.mesh.level + 1,
-                                      ground=self.pure_neumann)
-
     @functools.cached_property
     def boundary_map(self) -> BoundaryMap:
         """The solution map restricted to the observed nodes, built on first
@@ -296,8 +291,9 @@ class DiscreteProblem:
             return b
 
         G = unit_loads(slice(None), np.empty((n, nodes.shape[0])))
-        G = self._recentred(_checked_solve(self.A, self._factor, unit_loads,
-                                           self.cg_tol, out=G))
+        G = self._recentred(_checked_solve(
+            self.A, self.mesh.level + 1, self.pure_neumann, unit_loads,
+            self.cg_tol, out=G))
         return BoundaryMap(G, G.T @ self.b_flux)
 
     def release_loop_arrays(self):
@@ -336,8 +332,8 @@ class DiscreteProblem:
         if self.pure_neumann:
             rhs = rhs - np.multiply.outer(
                 self.w, rhs.sum(axis=0) / self.domain_volume)
-        return self._recentred(
-            _checked_solve(self.A, self._factor, rhs, self.cg_tol))
+        return self._recentred(_checked_solve(
+            self.A, self.mesh.level + 1, self.pure_neumann, rhs, self.cg_tol))
 
     def _recentred(self, x):
         """``x``, in the pure-Neumann case shifted in place to zero weighted
@@ -386,33 +382,40 @@ class DiscreteProblem:
         """Constrained solve: boundary nodes pinned to the given values.
 
         ``boundary_values`` is a full nodal vector whose entries at boundary
-        nodes supply the data (interior entries are ignored).  The interior
-        system is solved as A with its boundary rows and columns pinned to
-        the identity and a zero load there.  The factorization is not kept.
+        nodes supply the data (interior entries are ignored).  The (level -
+        1)^2 interior nodes solve A's diagonals there, in grid rows of level
+        - 1 and without the couplings that leave a row's last node, loaded
+        by w f - A u_b for the boundary data u_b.  The factorization is not
+        kept.
         """
-        bnodes = self.mesh.boundary_nodes()
-        u = np.zeros(self.mesh.n_vertices)
-        u[bnodes] = boundary_values[bnodes]
-        rhs = self.w * f - self.A @ u
-        rhs[bnodes] = 0.0
-        A_pin = self.A.pinned(bnodes)
-        x = _checked_solve(A_pin, functools.partial(
-            BlockTridiagonalFactor, A_pin, self.mesh.level + 1), rhs,
-            self.cg_tol)
-        x[bnodes] = u[bnodes]
-        return x
+        n = self.mesh.level + 1  # nodes per grid row
+        u = np.array(boundary_values, dtype=float).reshape(n, n)
+        u[1:-1, 1:-1] = 0.0
+        load = (self.w * f - self.A @ u.ravel()).reshape(n, n)[1:-1, 1:-1]
+        diags = self.A.diags.reshape(-1, n, n)[:, 1:-1, 1:-1].copy()
+        diags[[1, 3], :, -1:] = 0.0  # A's offsets 1 and level + 2
+        # a grid of at most one node has no coupling, and at level 1 no
+        # block row: any block size tiles it
+        m, k = max(n - 2, 1), (4 if n > 3 else 1)
+        A_inner = SymmetricStencil((0, 1, m, m + 1)[:k],
+                                   diags[:k].reshape(k, -1))
+        u[1:-1, 1:-1] = _checked_solve(A_inner, m, False, load.ravel(),
+                                       self.cg_tol).reshape(load.shape)
+        return u.ravel()
 
 
-def _checked_solve(A, make_factor, rhs, tol: float, out=None):
+def _checked_solve(A, m: int, ground: bool, rhs, tol: float, out=None):
     """Solution of A x = b for one load b (n,) or for each column of an
-    (n, k) block, by a factorization from ``make_factor()`` that is freed
-    after its solve.  ``rhs`` is b; or, for a solve in place on ``out``,
-    which holds b on entry, a function that returns the columns of b in a
-    slice.  The residuals are checked four columns at a time, so the check
-    holds a few columns next to x and never the factorization; a column
-    that misses the relative target ``tol`` is polished by CG."""
-    x = make_factor().solve(rhs if out is None else out, out=out)
-    cols = np.reshape(x, (x.shape[0], -1))
+    (n, k) block, by a BlockTridiagonalFactor of A in blocks of m, grounded
+    if ``ground``, made for the call and freed after its solve.  ``rhs`` is
+    b; or, for a solve in place on ``out``, which holds b on entry, a
+    function that returns the columns of b in a slice.  The residuals are
+    checked four columns at a time, so the check holds a few columns next
+    to x and never the factorization; a column that misses the relative
+    target ``tol`` is polished by CG."""
+    x = BlockTridiagonalFactor(A, m, ground).solve(
+        rhs if out is None else out, out=out)
+    cols = x if x.ndim == 2 else x[:, None]  # a view of x
     for start in range(0, cols.shape[1], 4):
         chunk = slice(start, start + 4)
         # column-major copies: the stencil product runs along whole columns

@@ -55,20 +55,6 @@ class SymmetricStencil:
             y[off:] += band * x[:-off]
         return y
 
-    def pinned(self, nodes) -> SymmetricStencil:
-        """The operator with the rows and columns of ``nodes`` replaced by
-        those of the identity: the matrix of the system for the other
-        unknowns, with the ones at ``nodes`` fixed (and kept by a zero
-        load there)."""
-        n = self.shape[0]
-        fixed = np.zeros(n, dtype=bool)
-        fixed[nodes] = True
-        diags = self.diags.copy()
-        diags[0, fixed] = 1.0
-        for k, off in enumerate(self.offsets[1:], 1):
-            diags[k, :-off][fixed[:-off] | fixed[off:]] = 0.0
-        return SymmetricStencil(self.offsets, diags)
-
 
 @dataclass
 class SolveReport:
@@ -102,15 +88,16 @@ def _couple(diag, sub, v, transpose=False):
 
 
 class BlockTridiagonalFactor:
-    """Block LDL^T factorization of a SymmetricStencil on a mesh from
-    build_structured, whose offsets are a subset of (0, 1, m, m + 1) with
-    m = level + 1.
+    """Block LDL^T factorization of a SymmetricStencil on a grid of rows of
+    m nodes, numbered row by row, whose offsets are a subset of (0, 1, m,
+    m + 1): an operator assembled on a mesh from build_structured, with
+    m = level + 1, or its part on the interior nodes, with m = level - 1.
 
-    In row-major vertex numbering such a matrix has square blocks of size m
-    (one grid row each): tridiagonal diagonal blocks D_i (offsets 0 and 1)
-    and lower-bidiagonal couplings E_i of block row i+1 to row i (diagonal
-    from offset m, subdiagonal from offset m + 1), all read by reshaping the
-    stored diagonals.  The Schur complements are S_0 = D_0 and S_{i+1} =
+    Such a matrix has square blocks of size m (one grid row each):
+    tridiagonal diagonal blocks D_i (offsets 0 and 1) and lower-bidiagonal
+    couplings E_i of block row i+1 to row i (diagonal from offset m,
+    subdiagonal from offset m + 1), all read by reshaping the stored
+    diagonals.  The Schur complements are S_0 = D_0 and S_{i+1} =
     D_{i+1} - E_i S_i^{-1} E_i^T; one dense S_i^{-1} is kept per block row,
     and a solve is one forward and one backward sweep of dense products
     (Golub & Van Loan, Matrix Computations, 4.5).
@@ -120,13 +107,14 @@ class BlockTridiagonalFactor:
     0, the grounded solution solves the singular system itself.
 
     Raises ValueError for any other offset or for a coupling from a grid
-    row's last node to the next row (offsets 1 and m + 1), and
-    FactorizationError if a Schur complement is not positive definite.
+    row's last node to the next row (offsets 1 and m + 1; with m = 1, any
+    offset-1 coupling), and FactorizationError if a Schur complement is not
+    positive definite.
     """
 
     def __init__(self, A: SymmetricStencil, m: int, ground: bool = False):
         n = A.shape[0]
-        if m < 2 or n % m:
+        if m < 1 or n % m:
             raise ValueError(f"a {A.shape} matrix is not made of square "
                              f"blocks of size {m}")
         bands = dict(zip(A.offsets, A.diags))
@@ -171,7 +159,8 @@ class BlockTridiagonalFactor:
                              f"{out.shape}")
         elif out is not b:
             out[...] = b
-        x = out.reshape(*inv.shape[:2], -1)  # a view: out is contiguous
+        # a view, as out is contiguous; explicit, as n may be 0
+        x = out.reshape(*inv.shape[:2], out.shape[1] if out.ndim == 2 else 1)
         for i in range(len(x)):  # forward: row i becomes S_i^{-1} y_i
             if i:
                 x[i] -= _couple(*low[i - 1], x[i - 1])

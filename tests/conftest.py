@@ -7,7 +7,7 @@ from tvsource.experiment import build_benchmark_problem
 from tvsource.fem_assembly import CoefficientSet, NeumannData, div_adjoint
 from tvsource.mesh import GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, ProblemDef
-from tvsource.sparse_linalg import SymmetricStencil
+from tvsource.sparse_linalg import BlockTridiagonalFactor, SymmetricStencil
 from tvsource.tv_calculus import tv_value
 
 
@@ -47,7 +47,7 @@ def chunked_boundary_map(dp):
     re-centred as ``DiscreteProblem._solve`` does it.  The reference for
     the one-block build of ``dp.boundary_map``."""
     nodes, n = dp.gamma_nodes, dp.mesh.n_vertices
-    factor = dp._factor()
+    factor = BlockTridiagonalFactor(dp.A, dp.mesh.level + 1, dp.pure_neumann)
     G = np.empty((n, nodes.shape[0]))
     for start in range(0, nodes.shape[0], 4):
         cols = nodes[start:start + 4]
@@ -247,11 +247,13 @@ def reference_run(driver, z, f0, p0, tables=False, products=None):
     return iterates, misfits, tolerances, objectives
 
 
-def random_dp(level, seed, reaction, boundary_term, gamma=("bottom",)):
-    """Problem with random SPD diffusion and flux; pure Neumann when neither
-    beta > 0 nor sigma > 0 is drawn.  Returns it with the generator."""
+def random_dp(level, seed, reaction, boundary_term, gamma=("bottom",),
+              box=((-1.0, 1.0), (-1.0, 1.0))):
+    """Problem with random SPD diffusion and flux on the mesh of ``box``;
+    pure Neumann when neither beta > 0 nor sigma > 0 is drawn.  Returns it
+    with the generator."""
     rng = np.random.default_rng(seed)
-    mesh = build_structured(level)
+    mesh = build_structured(level, box)
     L = rng.standard_normal((mesh.n_triangles, 2, 2))
     alpha = L @ L.transpose(0, 2, 1) + 0.1 * np.eye(2)
     n_edges = len(mesh.boundary_edges)
@@ -271,6 +273,14 @@ def dense(A: SymmetricStencil) -> np.ndarray:
         i = np.arange(max(n - off, 0))
         out[i, i + off] = out[i + off, i] = diag[:i.shape[0]]
     return out
+
+
+def boundary_nodes(mesh) -> np.ndarray:
+    """Sorted indices of the nodes on the boundary of a mesh: those in the
+    first or last row or column of its node grid."""
+    on = np.zeros((mesh.level + 1,) * 2, dtype=bool)
+    on[[0, -1]] = on[:, [0, -1]] = True
+    return np.flatnonzero(on)
 
 
 def dense_boundary_mass(dp) -> np.ndarray:

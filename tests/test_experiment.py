@@ -29,7 +29,7 @@ from tvsource.pde_solvers import DiscreteProblem, Observation
 from tvsource.primal_dual import MultilevelError
 from tvsource.sparse_linalg import CgConvergenceError
 
-from conftest import benchmark_dp
+from conftest import benchmark_dp, boundary_nodes
 
 
 class TestBenchmarkProblem:
@@ -477,7 +477,7 @@ def _two_column_errors(dp, f, f_truth, u_truth):
     constrained states from full nodal states, as two single-column
     Dirichlet solves."""
     u_rec = dp.solve_state(f)
-    bnodes = dp.mesh.boundary_nodes()
+    bnodes = boundary_nodes(dp.mesh)
     bvals_dag = np.zeros(dp.mesh.n_vertices)
     bvals_dag[bnodes] = u_truth[bnodes]
     bvals_rec = bvals_dag.copy()
@@ -599,7 +599,7 @@ class TestBenchmarkRun:
 
     def test_each_level_factors_A_once(self, tmp_path, monkeypatch):
         # a level factors A (grounded, pure Neumann) once, for the boundary
-        # map, and its pinned Dirichlet operator once, for its error row,
+        # map, and its interior Dirichlet operator once, for its error row,
         # before the next level is set up
         import tvsource.pde_solvers as pde
         real_factor, grounded = pde.BlockTridiagonalFactor, []

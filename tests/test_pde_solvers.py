@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvsource import pde_solvers
@@ -16,9 +16,9 @@ from tvsource.mesh import GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, Observation, ProblemDef, misfit
 from tvsource.sparse_linalg import cg_solve
 
-from conftest import (benchmark_dp, chunked_boundary_map, dense,
-                      dense_boundary_mass, random_dp, triangle_geometry,
-                      unit_coefficients)
+from conftest import (benchmark_dp, boundary_nodes, chunked_boundary_map,
+                      dense, dense_boundary_mass, random_dp,
+                      triangle_geometry, unit_coefficients)
 
 
 def _problem(level, beta=0.0, flux=None, gamma=("bottom",)):
@@ -261,13 +261,42 @@ def test_factored_solves_match_dense_reference(level, seed, reaction,
 
     g = rng.standard_normal(n)
     u_d = dp.solve_dirichlet(f, g)
-    bnodes = dp.mesh.boundary_nodes()
+    bnodes = boundary_nodes(dp.mesh)
     inner = np.setdiff1d(np.arange(n), bnodes)
     ref_d = g.copy()
     ref_d[inner] = np.linalg.solve(
         A[np.ix_(inner, inner)],
         (w * f)[inner] - A[np.ix_(inner, bnodes)] @ g[bnodes])
     assert np.linalg.norm(u_d - ref_d) <= 1e-9 * np.linalg.norm(ref_d)
+
+
+DIRICHLET_BOXES = (((-1.0, 1.0), (-1.0, 1.0)), ((-1.0, 2.0), (0.0, 1.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from(DIRICHLET_BOXES))
+@example(1, 0, False, DIRICHLET_BOXES[1])  # no interior node
+@example(2, 1, True, DIRICHLET_BOXES[1])   # one interior node
+def test_dirichlet_solve_is_the_dense_interior_solve(level, seed, reaction,
+                                                     box):
+    # the interior unknowns solve A's dense interior block, loaded by w f
+    # less A's coupling to the boundary data, to the forward error of a
+    # backward-stable solve, cond * eps (2^-45 is 128 eps; at most 3e-15
+    # times cond was seen); the boundary nodes keep their data bit for bit
+    dp, rng = random_dp(level, seed, reaction, False, box=box)
+    A, n = dense(dp.A), dp.mesh.n_vertices
+    f, g = rng.standard_normal((2, n))
+    u = dp.solve_dirichlet(f, g)
+    bnodes = boundary_nodes(dp.mesh)
+    inner = np.setdiff1d(np.arange(n), bnodes)
+    assert u.shape == (n,) and u[bnodes].tobytes() == g[bnodes].tobytes()
+    if inner.size:
+        A_inner = A[np.ix_(inner, inner)]
+        ref = np.linalg.solve(A_inner, (dp.w * f)[inner]
+                              - A[np.ix_(inner, bnodes)] @ g[bnodes])
+        assert (np.linalg.norm(u[inner] - ref) <= 2.0**-45
+                * np.linalg.cond(A_inner) * np.linalg.norm(ref))
 
 
 @settings(max_examples=30, deadline=None)
@@ -315,7 +344,7 @@ def test_every_solve_meets_the_tolerance_without_cg(level, seed, reaction,
     assert _meets(A @ u - rhs, rhs, dp.cg_tol)
     rhs = deflated(loads)
     assert _meets(A @ U - rhs, rhs, dp.cg_tol)
-    bnodes = dp.mesh.boundary_nodes()
+    bnodes = boundary_nodes(dp.mesh)
     assert np.array_equal(u_d[bnodes], g[bnodes])
     u_b = np.zeros_like(g)
     u_b[bnodes] = g[bnodes]

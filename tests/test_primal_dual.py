@@ -10,8 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from tvsource.experiment import (ExperimentConfig, build_benchmark_problem,
                                  synthesize_observation)
-from tvsource.fem_assembly import (NeumannData, assemble_stiffness,
-                                   div_adjoint, elem_gradient)
+from tvsource.fem_assembly import (CoefficientSet, NeumannData,
+                                   assemble_stiffness, div_adjoint,
+                                   elem_gradient)
+from tvsource.mesh import GammaSpec, build_structured
 from tvsource import pde_solvers, primal_dual
 from tvsource.pde_solvers import DiscreteProblem, Observation
 from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
@@ -20,6 +22,7 @@ from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
                                   multilevel_run, run,
                                   smooth_operator_matrix,
                                   smooth_operator_norm, trace_constant)
+from tvsource.sparse_linalg import grad_operator_norm
 from tvsource.tv_calculus import gradient_pairing
 
 from conftest import (b_norm_hook, benchmark_dp, dense, div_rep,
@@ -734,6 +737,78 @@ def test_power_of_two_scaling_scales_every_iterate(level, gamma, lo, width,
         assert p.tobytes() == p_c.tobytes()
     assert (c * state.u_gamma).tobytes() == scaled_state.u_gamma.tobytes()
     assert c * c * state.objective == scaled_state.objective
+
+
+def _transposition(level):
+    """Where x <-> y takes the nodes, the triangles and the boundary edges
+    of a level-``level`` mesh, as index arrays, each its own inverse: node
+    (ix, iy) to (iy, ix), the lower triangle of cell (ix, iy) to the upper
+    one of cell (iy, ix) and back, and edge i of the bottom, top, left and
+    right sides to edge i of the left, right, bottom and top ones."""
+    n = level + 1
+    cells = np.arange(level * level).reshape(level, level).T.ravel()
+    return (np.arange(n * n).reshape(n, n).T.ravel(),
+            (2 * cells[:, None] + [1, 0]).ravel(),
+            (4 * np.arange(level)[:, None] + [2, 3, 0, 1]).ravel())
+
+
+SIDE_TRANSPOSED = {"bottom": "left", "left": "bottom", "top": "right",
+                   "right": "top"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.sampled_from([("bottom",), ("bottom", "left")]),
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_transposition_maps_every_iterate(level, gamma, width, height,
+                                          reaction, boundary_term, seed):
+    # x <-> y maps the triangulation onto itself.  The problem on the
+    # transposed box with alpha's diagonal swapped and beta, sigma, the
+    # flux and the data mapped, observed on Gamma with bottom <-> left, is
+    # the transposed problem: from the default start (p0 = 0.5 maps to
+    # itself) each of its iterates is the mapped f and p, p's components
+    # swapped.  Its boundary map is factored in another node order and its
+    # steps read the spacings the other way round, so it agrees to the
+    # run's rounding: the iteration is nonexpansive in the B-norm, so the
+    # rounding of N steps adds up to at most N times one step's, and the
+    # bound is 2^8 N eps of the box's scale (the largest of 3,000 random
+    # draws reached 7 % of it)
+    # a box holding 0, which the certificate needs
+    box = ((-1.0, width), (-height, 1.0))
+    dp, rng = random_dp(level, seed, reaction, boundary_term, gamma, box)
+    nodes, triangles, edges = _transposition(level)
+    prob, c = dp.prob, dp.prob.coeffs
+    dp_t = DiscreteProblem(dataclasses.replace(
+        prob, mesh=build_structured(level, box[::-1]),
+        coeffs=CoefficientSet(c.alpha[triangles][:, ::-1, ::-1],
+                              c.beta[triangles], c.sigma[edges],
+                              c.alpha_lower),
+        neumann=NeumannData(prob.neumann.values[edges]),
+        gamma=GammaSpec(frozenset(SIDE_TRANSPOSED[s] for s in gamma))))
+    # a step size the certificate admits with a margin of 4 on both
+    # problems: 1/tau = 2 s + 2 rho |grad| / sqrt(theta)
+    rho, theta, n_iter = 1e-3, 5e-2, 30
+    tau = 1.0 / (2.0 * smooth_operator_norm(dp) + 2.0 * rho
+                 * grad_operator_norm(dp.mesh.grid.inverse_spacing)
+                 / math.sqrt(theta))
+    data = rng.standard_normal(dp.mesh.n_vertices)  # read on Gamma only
+    runs = []
+    for problem, z in ((dp, data), (dp_t, data[nodes])):
+        visited = []
+        state = PdDriver(problem, _FixedCount(rho, tau, theta, n_iter)).run(
+            Observation(problem.gamma_nodes, z[problem.gamma_nodes]),
+            on_iteration=lambda n, f, p, *_: visited.append((f, p)))
+        trace = np.zeros(problem.mesh.n_vertices)
+        trace[problem.gamma_nodes] = state.u_gamma
+        runs.append((visited, trace))
+    (iterates, trace), (mapped, trace_t) = runs
+    bound = 2.0**8 * n_iter * np.finfo(float).eps * np.max(np.abs(prob.box))
+    assert len(iterates) == len(mapped) == n_iter + 1
+    for (f, p), (f_t, p_t) in zip(iterates, mapped):
+        assert np.max(np.abs(f_t - f[nodes])) <= bound
+        assert np.max(np.abs(p_t - p[triangles][:, ::-1])) <= bound
+    assert np.max(np.abs(trace_t - trace[nodes])) <= bound * max(
+        1.0, np.max(np.abs(trace)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,8 +13,8 @@ from tvsource.sparse_linalg import (BlockTridiagonalFactor, CgConvergenceError,
                                     FactorizationError, SymmetricStencil,
                                     cg_solve, grad_operator_norm)
 
-from conftest import (dense, random_dp, stencil, triangle_geometry,
-                      unit_coefficients)
+from conftest import (boundary_nodes, dense, random_dp, stencil,
+                      triangle_geometry, unit_coefficients)
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -54,30 +54,36 @@ def test_nonconvergence_raises_with_report(rng):
 
 def _structured_operator(level, seed, kind):
     """A random SPD operator on the structured offsets (0, 1, m, m + 1) of
-    a level-``level`` mesh, with its ``ground`` flag and its dense matrix:
-    the grounded pure-Neumann stiffness, the stiffness with reaction or
-    boundary term, or a stiffness pinned at the boundary nodes."""
+    a level-``level`` mesh, with its block size m, its ``ground`` flag and
+    its dense matrix: the grounded pure-Neumann stiffness or the stiffness
+    with reaction or boundary term, with m = level + 1, or the stiffness's
+    block on the interior nodes, the Dirichlet solve's system, in blocks of
+    m = level - 1 (of 1 at level 1, which has no interior node), read from
+    its dense matrix."""
     dp, _ = random_dp(level, seed, kind == "reaction",
                       kind == "boundary term")
-    A = dp.A.pinned(dp.mesh.boundary_nodes()) if kind == "pinned" else dp.A
-    ground = kind == "grounded"
+    A, m, ground = dp.A, level + 1, kind == "grounded"
+    if kind == "interior":
+        inner = np.setdiff1d(np.arange(dp.mesh.n_vertices),
+                             boundary_nodes(dp.mesh))
+        A, m = stencil(dense(A)[np.ix_(inner, inner)]), max(level - 1, 1)
     A_dense = dense(A)
-    A_dense[0, 0] += ground
-    return A, ground, A_dense
+    A_dense[:1, :1] += ground
+    return A, m, ground, A_dense
 
 
 OPERATOR_CASES = (st.integers(1, 6), st.integers(0, 2**32 - 1),
                   st.sampled_from(["grounded", "reaction", "boundary term",
-                                   "pinned"]))
+                                   "interior"]))
 
 
 class TestBlockTridiagonalFactor:
     @settings(max_examples=40, deadline=None)
     @given(*OPERATOR_CASES)
     def test_matches_dense_solve(self, level, seed, kind):
-        A, ground, A_dense = _structured_operator(level, seed, kind)
+        A, m, ground, A_dense = _structured_operator(level, seed, kind)
         b = np.random.default_rng(seed).standard_normal(A.shape[0])
-        x = BlockTridiagonalFactor(A, level + 1, ground).solve(b)
+        x = BlockTridiagonalFactor(A, m, ground).solve(b)
         x_ref = np.linalg.solve(A_dense, b)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
@@ -85,8 +91,8 @@ class TestBlockTridiagonalFactor:
     @given(*OPERATOR_CASES, st.integers(1, 9))
     def test_block_of_right_hand_sides_matches_column_solves(self, level,
                                                              seed, kind, k):
-        A, ground, _ = _structured_operator(level, seed, kind)
-        factor = BlockTridiagonalFactor(A, level + 1, ground)
+        A, m, ground, _ = _structured_operator(level, seed, kind)
+        factor = BlockTridiagonalFactor(A, m, ground)
         b = np.random.default_rng(seed).standard_normal((A.shape[0], k))
         x = factor.solve(b)
         assert x.shape == b.shape
@@ -100,8 +106,8 @@ class TestBlockTridiagonalFactor:
         # the sweeps on a view of `out` give the bits of a solve on a copy,
         # for one load and for a block, and `out` is what is returned; a
         # column-major load is solved as its row-major copy
-        A, ground, _ = _structured_operator(level, seed, kind)
-        factor = BlockTridiagonalFactor(A, level + 1, ground)
+        A, m, ground, _ = _structured_operator(level, seed, kind)
+        factor = BlockTridiagonalFactor(A, m, ground)
         shape = (A.shape[0],) if k is None else (A.shape[0], k)
         b = np.random.default_rng(seed).standard_normal(shape)
         x = factor.solve(b)
@@ -113,8 +119,8 @@ class TestBlockTridiagonalFactor:
         assert b.tobytes() == x.tobytes()
 
     def test_solve_rejects_an_out_it_cannot_fill(self):
-        A, ground, _ = _structured_operator(3, 0, "grounded")
-        factor = BlockTridiagonalFactor(A, 4, ground)
+        A, m, ground, _ = _structured_operator(3, 0, "grounded")
+        factor = BlockTridiagonalFactor(A, m, ground)
         b = np.ones((16, 3))
         for out in (np.empty(16), np.empty((16, 2)), np.empty((3, 16)).T,
                     np.empty((16, 3), dtype=np.float32)):
