@@ -34,22 +34,16 @@ F_HIGH = 2.0 - math.pi / 8.0
 F_LOW = -math.pi / 8.0
 
 
-def in_square(x) -> np.ndarray:
-    return (np.abs(x[..., 0]) <= 0.5) & (np.abs(x[..., 1]) <= 0.5)
-
-
 def in_disk(x) -> np.ndarray:
     return x[..., 0] ** 2 + x[..., 1] ** 2 <= 0.25
 
 
-def in_diamond(x) -> np.ndarray:
-    return np.abs(x[..., 0]) + np.abs(x[..., 1]) <= 0.5
-
-
 def benchmark_alpha(x) -> np.ndarray:
-    """Symmetric diffusion matrices of the benchmark at points x (..., 2)."""
-    a11 = np.where(in_square(x), 3.0, 1.0)
-    a12 = np.where(in_diamond(x), 1.0, 0.0)
+    """Symmetric diffusion matrices at points x (..., 2): a11, a12, a22 are
+    3, 1, 4 in the square, diamond and disk of radius 1/2, else 1, 0, 2."""
+    ax, ay = np.abs(x[..., 0]), np.abs(x[..., 1])
+    a11 = np.where((ax <= 0.5) & (ay <= 0.5), 3.0, 1.0)
+    a12 = np.where(ax + ay <= 0.5, 1.0, 0.0)
     a22 = np.where(in_disk(x), 4.0, 2.0)
     return np.stack([np.stack([a11, a12], axis=-1),
                      np.stack([a12, a22], axis=-1)], axis=-2)
@@ -61,17 +55,11 @@ def benchmark_truth(mesh: TriMesh) -> P1Field:
 
 
 def benchmark_flux(mesh: TriMesh) -> NeumannData:
-    """Piecewise-constant boundary flux, evaluated at edge midpoints."""
-    mids = 0.5 * (mesh.vertices[mesh.boundary_edges[:, 0]]
-                  + mesh.vertices[mesh.boundary_edges[:, 1]])
-    mx, my = mids[:, 0], mids[:, 1]
-    side = mesh.edge_sides
-    values = np.select(
-        [side == "bottom", side == "top", side == "left"],
-        [np.where(mx > 0, 1.0, -2.0), np.where(mx > 0, 2.0, -1.0),
-         np.where(my <= 0, 3.0, -4.0)],
-        np.where(my > 0, -3.0, 4.0))  # right
-    return NeumannData(values)
+    """Piecewise-constant flux at side edge midpoints, in SIDE_TAGS order."""
+    mx, my = (0.5 * (a[:-1] + a[1:]) for a in mesh.axes)
+    return NeumannData(np.stack([
+        np.where(mx > 0, 1.0, -2.0), np.where(mx > 0, 2.0, -1.0),
+        np.where(my <= 0, 3.0, -4.0), np.where(my > 0, -3.0, 4.0)]))
 
 
 def gamma_sides(gamma_case: str) -> tuple:
@@ -90,10 +78,12 @@ def build_benchmark_problem(level: int, gamma_case: str = "bottom",
     midpoints; the operator is pure Neumann (no reaction, no boundary term).
     """
     mesh = build_structured(level)
-    alpha = benchmark_alpha(mesh.centroids)
-    coeffs = CoefficientSet(alpha, np.zeros(mesh.n_triangles),
-                            np.zeros(len(mesh.boundary_edges)),
-                            alpha_lower=0.1)
+    cx, cy = mesh.centroid_axes()
+    # [iy, ix, triangle type, coordinate]: the triangles' order
+    centroids = np.stack(np.broadcast_arrays(cx.T, cy.T[:, None]), axis=-1)
+    coeffs = CoefficientSet(benchmark_alpha(centroids).reshape(-1, 2, 2),
+                            np.zeros(mesh.n_triangles),
+                            np.zeros((4, level)), alpha_lower=0.1)
     prob = ProblemDef(mesh, coeffs, benchmark_flux(mesh),
                       GammaSpec(frozenset(gamma_sides(gamma_case))), box)
     return prob, benchmark_truth(mesh)
@@ -432,27 +422,23 @@ def _write_rows(fh, fmt: str, rows: np.ndarray):
 
 def _write_csv_field(mesh, comps, nodal, path):
     """One CSV file of the field ``comps``, a row per node or per triangle
-    at its point, on the grid's axes or on each triangle type's: each axis
-    is formatted once, and a grid row's values by one %."""
-    n = mesh.level + 1
-    x, y = mesh.vertices[:n, 0], mesh.vertices[::n, 1]
-    # the centroids of cell (ix, iy)'s lower (bl, br, tr) and upper (bl, tr,
-    # tl) triangle, in the bits of the mean of their vertices
-    axes = [(x, y)] if nodal else [
-        (((x[:-1] + x[1:]) + x[1:]) / 3, ((y[:-1] + y[:-1]) + y[1:]) / 3),
-        (((x[:-1] + x[1:]) + x[:-1]) / 3, ((y[:-1] + y[1:]) + y[1:]) / 3)]
+    at its point, on the grid's axes or on each triangle type's centroid
+    axes (``TriMesh.centroid_axes``): each axis is formatted once, and a
+    grid row's values by one %."""
+    # [point type, grid index]: one type of node, two of triangle
+    xs, ys = ([a] for a in mesh.axes) if nodal else mesh.centroid_axes()
     k = comps.shape[1]
     names = ["value"] if k == 1 else [f"value_{j + 1}" for j in range(k)]
-    # a grid row's format, a mark per triangle type in place of its y text
+    # a grid row's format, a mark per point type in place of its y text
     tail = "," + ",".join(["%.17g"] * k) + "\n"
     row = "".join(f"{v:.10e},{mark}{tail}" for vs in zip(
-        *(a.tolist() for a, _ in axes)) for v, mark in zip(vs, "\0\1"))
-    y_text = zip(*([f"{v:.10e}" for v in b.tolist()] for _, b in axes))
+        *(a.tolist() for a in xs)) for v, mark in zip(vs, "\0\1"))
+    y_text = zip(*([f"{v:.10e}" for v in b.tolist()] for b in ys))
     with open(path, "w") as fh:
         fh.write(",".join(["x1", "x2"] + names) + "\n")
-        for ys, values in zip(y_text, comps.reshape(len(axes[0][1]), -1)):
+        for texts, values in zip(y_text, comps.reshape(len(ys[0]), -1)):
             fmt = row
-            for mark, text in zip("\0\1", ys):
+            for mark, text in zip("\0\1", texts):
                 fmt = fmt.replace(mark, text)
             fh.write(fmt % tuple(values.tolist()))
 
@@ -461,9 +447,8 @@ def _write_vtk_field(mesh, comps, nodal, path, name):
     """One legacy ASCII VTK file of the field ``comps``.  Vertex (ix, iy)
     is (x[ix], y[iy]), so the POINTS text is that of each grid axis,
     formatted once and joined grid row by grid row."""
-    nt, n = mesh.n_triangles, mesh.level + 1
-    x, y = ([f"{v:.10e}" for v in axis.tolist()]
-            for axis in (mesh.vertices[:n, 0], mesh.vertices[::n, 1]))
+    nt = mesh.n_triangles
+    x, y = ([f"{v:.10e}" for v in axis.tolist()] for axis in mesh.axes)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 2.0\n")
         fh.write(f"{name}\n")

@@ -4,11 +4,12 @@ Conventions: the diffusion term is integrated exactly (gradients are
 constant per triangle); the reaction and boundary coefficient terms use the
 vertex rule, matching the lumped metric of the proximal steps.  Piecewise
 linear fields are plain nodal vectors, piecewise constant vector fields are
-(n_triangles, 2) arrays.  Volume operators are SymmetricStencil matrices
-on the mesh's stencil offsets, the boundary mass a dense matrix on the
-observed nodes.  Element blocks are summed onto the diagonals by the
-mesh's cell grid (``DualGrid.place_blocks``) and nodal loads with
-``np.bincount``, both in element order.
+(n_triangles, 2) arrays, boundary data (4, level) arrays, a row per side
+(``TriMesh.side``).  Volume operators are SymmetricStencil matrices on the
+mesh's stencil offsets, the boundary mass a dense matrix on the observed
+nodes.  Element blocks are summed onto the diagonals by the mesh's cell
+grid (``DualGrid.place_blocks``), nodal loads by ``np.bincount`` in element
+order and boundary terms side by side.
 
 The triangle geometry is that of the mesh's cell grid (``mesh.DualGrid``,
 cached as ``TriMesh.grid``): one area and the basis gradients of the lower
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import GammaSpec, TriMesh
+from .mesh import SIDE_TAGS, GammaSpec, TriMesh
 from .sparse_linalg import SymmetricStencil
 
 # nodal coefficient vector of a continuous piecewise-linear function
@@ -44,8 +45,9 @@ class CoefficientSet:
 
     alpha: (n_triangles, 2, 2) symmetric diffusion matrices.
     beta: (n_triangles,) nonnegative reaction coefficients.
-    sigma: (n_boundary_edges,) nonnegative boundary coefficients.
+    sigma: (4, level) nonnegative boundary coefficients.
     alpha_lower: claimed uniform lower bound on the eigenvalues of alpha.
+    All are finite; ProblemDef checks the shapes against its mesh.
     """
 
     alpha: np.ndarray
@@ -54,6 +56,9 @@ class CoefficientSet:
     alpha_lower: float
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "sigma", "alpha_lower"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         a = np.asarray(self.alpha, dtype=float)
         if self.alpha_lower <= 0:
             raise ValueError("alpha_lower must be positive")
@@ -66,7 +71,7 @@ class CoefficientSet:
             raise ValueError(
                 f"ellipticity violated: min eigenvalue {np.min(lam_min):.6g} "
                 f"< alpha_lower {self.alpha_lower:.6g}")
-        if np.min(self.beta) < 0 or (self.sigma.size and np.min(self.sigma) < 0):
+        if np.any(self.beta < 0) or np.any(self.sigma < 0):
             raise ValueError("beta and sigma must be nonnegative")
 
     @property
@@ -76,7 +81,7 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class NeumannData:
-    """Constant flux value per boundary edge."""
+    """Constant flux value per boundary edge, a (4, level) array."""
 
     values: np.ndarray
 
@@ -104,12 +109,21 @@ def assemble_stiffness(mesh: TriMesh,
     A = SymmetricStencil(mesh.stencil_offsets,
                          grid.place_blocks(blocks.transpose(3, 0, 1, 2)))
     # the reaction, then the boundary term, by the vertex rule
-    A.diags[0] += np.bincount(
-        np.concatenate([mesh.triangles.ravel(), mesh.boundary_edges.ravel()]),
-        np.concatenate([np.repeat(coeffs.beta * grid.area / 3.0, 3),
-                        np.repeat(coeffs.sigma * mesh.edge_lengths / 2.0, 2)]),
-        mesh.n_vertices)
+    A.diags[0] += _add_edge_halves(mesh, coeffs.sigma, np.bincount(
+        mesh.triangles.ravel(), np.repeat(coeffs.beta * grid.area / 3.0, 3),
+        mesh.n_vertices))
     return A
+
+
+def _add_edge_halves(mesh: TriMesh, per_side, load: np.ndarray):
+    """``load`` plus half of value * length of each boundary edge at its two
+    nodes (the vertex rule), for the (4, level) values ``per_side``."""
+    for tag, values in zip(SIDE_TAGS, per_side):
+        nodes, lengths = mesh.side(tag)
+        half = values * lengths / 2.0
+        load[nodes[1:]] += half
+        load[nodes[:-1]] += half
+    return load
 
 
 def assemble_mass(mesh: TriMesh):
@@ -124,25 +138,20 @@ def assemble_boundary_mass(mesh: TriMesh, gamma: GammaSpec):
     """The sorted nodes of the observation boundary and its mass matrix on
     them, a dense (m, m) array in the order of the nodes: the only block
     of the boundary mass that is not zero."""
-    mask = np.isin(mesh.edge_sides, list(gamma.sides))
-    if not np.any(mask):
-        raise ValueError("observation boundary matches no mesh edges")
     nodes = mesh.side_nodes(gamma.sides)
-    m = nodes.shape[0]
-    local = np.searchsorted(nodes, mesh.boundary_edges[mask])
-    blocks = mesh.edge_lengths[mask][:, None, None] * _EDGE_BLOCK
-    M = np.bincount((local[:, :, None] * m + local[:, None, :]).ravel(),
-                    blocks.ravel(), m * m)
-    return nodes, M.reshape(m, m)
+    M = np.zeros((nodes.shape[0],) * 2)
+    for tag in gamma.sides:
+        side, lengths = mesh.side(tag)
+        ends = (np.searchsorted(nodes, side[:-1]),
+                np.searchsorted(nodes, side[1:]))  # each edge's two nodes
+        for i, j in np.ndindex(2, 2):
+            M[ends[i], ends[j]] += lengths * _EDGE_BLOCK[i, j]
+    return nodes, M
 
 
 def neumann_load(mesh: TriMesh, j: NeumannData) -> np.ndarray:
     """Load vector of the boundary flux: half the edge integral per endpoint."""
-    if j.values.shape[0] != len(mesh.boundary_edges):
-        raise ValueError("flux data length does not match boundary edges")
-    contrib = j.values * mesh.edge_lengths / 2.0
-    return np.bincount(mesh.boundary_edges.ravel(), np.repeat(contrib, 2),
-                       mesh.n_vertices)
+    return _add_edge_halves(mesh, j.values, np.zeros(mesh.n_vertices))
 
 
 def elem_gradient(mesh: TriMesh, f: P1Field) -> P0VecField:

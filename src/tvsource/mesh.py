@@ -20,9 +20,9 @@ SIDE_TAGS = ("bottom", "top", "left", "right")
 @dataclass(frozen=True)
 class TriMesh:
     """The level-``level`` structured triangulation of the rectangle
-    ``box``, ((ax, bx), (ay, by)), with boundary markers: the value of
-    these two fields, a positive integer level and finite bounds a < b
-    whose grid spacing is nonzero and finite, checked when it is made.
+    ``box``, ((ax, bx), (ay, by)): the value of these two fields, a
+    positive integer level and finite bounds a < b whose grid spacing is
+    nonzero and finite, checked when it is made.
 
     Vertex (ix, iy) has index iy*(level+1) + ix, grid row by grid row, and
     cell iy*level + ix is split into its lower triangle (bottom-left,
@@ -39,12 +39,10 @@ class TriMesh:
 
     Attributes
     ----------
+    axes : (x, y), the (level+1,) grid axes: vertex (ix, iy) is
+        (x[ix], y[iy]).
     vertices : (n_vertices, 2) float array of node coordinates.
     triangles : (n_triangles, 3) int array, counterclockwise vertex indices.
-    boundary_edges : (n_edges, 2) int array of vertex pairs on the boundary,
-        edge i of each side in the order SIDE_TAGS, i = 0 .. level-1.
-    edge_lengths : (n_edges,) edge lengths.
-    edge_sides : (n_edges,) side tag per boundary edge (one of SIDE_TAGS).
     """
 
     level: int
@@ -85,10 +83,12 @@ class TriMesh:
         return float(np.hypot(hx, hy))
 
     @functools.cached_property
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.linspace(a, b, self.level + 1) for a, b in self.box)
+
+    @functools.cached_property
     def vertices(self) -> np.ndarray:
-        (ax, bx), (ay, by) = self.box
-        n = self.level + 1
-        xx, yy = np.meshgrid(np.linspace(ax, bx, n), np.linspace(ay, by, n))
+        xx, yy = np.meshgrid(*self.axes)
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     @functools.cached_property
@@ -100,25 +100,22 @@ class TriMesh:
         return np.stack([bl, bl + 1, tr, bl, tr, bl + n],
                         axis=1).reshape(-1, 3)
 
-    @functools.cached_property
-    def boundary_edges(self) -> np.ndarray:
-        l, n = self.level, self.level + 1
-        i, top = np.arange(l, dtype=np.int64), l * n
-        return np.stack([i, i + 1, top + i, top + i + 1, i * n, (i + 1) * n,
-                         i * n + l, (i + 1) * n + l], axis=1).reshape(-1, 2)
+    def side(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
+        """The level+1 nodes of side ``tag`` (one of SIDE_TAGS) in
+        increasing index order, and the lengths of its level edges, |delta|
+        of the grid axis along it: edge i joins nodes i and i+1."""
+        k, l, n = SIDE_TAGS.index(tag), self.level, self.level + 1
+        first, step = ((0, 1), (l * n, 1), (0, n), (l, n))[k]
+        return (first + step * np.arange(n, dtype=np.int64),
+                np.abs(np.diff(self.axes[k // 2])))
 
-    @functools.cached_property
-    def edge_lengths(self) -> np.ndarray:
-        ends = self.vertices[self.boundary_edges]
-        return np.hypot(*(ends[:, 1] - ends[:, 0]).T)
-
-    @functools.cached_property
-    def edge_sides(self) -> np.ndarray:
-        return np.tile(np.asarray(SIDE_TAGS), self.level)
-
-    @property
-    def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+    def centroid_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cx, cy), each (2, level): the centroid of triangle type a (0
+        lower, 1 upper) of cell (ix, iy) is (cx[a, ix], cy[a, iy]), in the
+        bits of the mean of its vertices, (bl, br, tr) or (bl, tr, tl)."""
+        x, y = self.axes
+        return ((x[:-1] + x[1:] + np.stack([x[1:], x[:-1]])) / 3,
+                (y[:-1] + np.stack([y[:-1], y[1:]]) + y[1:]) / 3)
 
     @functools.cached_property
     def grid(self) -> DualGrid:
@@ -136,12 +133,12 @@ class TriMesh:
         return iy * (self.level + 1) + ix
 
     def side_nodes(self, sides) -> np.ndarray:
-        """Sorted indices of nodes lying on any of the given sides: the
-        distinct vertices of their edges, without np.unique's first-use
-        import of numpy.ma (about 15 ms)."""
-        edges = self.boundary_edges[np.isin(self.edge_sides, list(sides))]
-        return np.flatnonzero(np.bincount(edges.ravel(),
-                                          minlength=self.n_vertices))
+        """Sorted indices of nodes lying on any of the given sides, marked in
+        a mask: np.unique would import numpy.ma on first use (about 15 ms)."""
+        on = np.zeros(self.n_vertices, dtype=bool)
+        for tag in sides:
+            on[self.side(tag)[0]] = True
+        return np.flatnonzero(on)
 
 
 @dataclass(frozen=True)

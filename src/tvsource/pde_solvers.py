@@ -54,6 +54,14 @@ class ProblemDef:
         lo, hi = self.box
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"invalid box bounds {self.box}")
+        c, j = self.coeffs, self.neumann.values
+        nt, l = self.mesh.n_triangles, self.mesh.level
+        for name, value, shape in (
+                ("alpha", c.alpha, (nt, 2, 2)), ("beta", c.beta, (nt,)),
+                ("sigma", c.sigma, (4, l)), ("flux", j, (4, l))):
+            if np.shape(value) != shape:
+                raise ValueError(f"{name} has shape {np.shape(value)}, not "
+                                 f"{shape}, on a mesh of level {l}")
 
 
 @dataclass(frozen=True)
@@ -412,7 +420,7 @@ def _checked_solve(A, m: int, ground: bool, rhs, tol: float, out=None):
     function that returns the columns of b in a slice.  The residuals are
     checked four columns at a time, so the check holds a few columns next
     to x and never the factorization; a column that misses the relative
-    target ``tol`` is polished by CG."""
+    target ``tol`` or is not finite is polished by CG, which fails on NaN."""
     x = BlockTridiagonalFactor(A, m, ground).solve(
         rhs if out is None else out, out=out)
     cols = x if x.ndim == 2 else x[:, None]  # a view of x
@@ -424,8 +432,8 @@ def _checked_solve(A, m: int, ground: bool, rhs, tol: float, out=None):
             rhs, cols.shape)[:, chunk])
         res = A @ x_c
         res -= b
-        for j in np.flatnonzero(np.linalg.norm(res, axis=0)
-                                > tol * np.linalg.norm(b, axis=0)):
+        for j in np.flatnonzero(~(np.linalg.norm(res, axis=0)
+                                  <= tol * np.linalg.norm(b, axis=0))):
             cols[:, start + j], _ = cg_solve(A, b[:, j], tol=tol,
                                              x0=x_c[:, j])
     return x

@@ -5,7 +5,7 @@ import pytest
 
 from tvsource.experiment import build_benchmark_problem
 from tvsource.fem_assembly import CoefficientSet, NeumannData, div_adjoint
-from tvsource.mesh import GammaSpec, build_structured
+from tvsource.mesh import SIDE_TAGS, GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, ProblemDef
 from tvsource.sparse_linalg import BlockTridiagonalFactor, SymmetricStencil
 from tvsource.tv_calculus import tv_value
@@ -24,7 +24,33 @@ def unit_coefficients(mesh) -> CoefficientSet:
     """alpha = identity, beta = 0, sigma = 0: the unit-diffusion stiffness."""
     alpha = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy()
     return CoefficientSet(alpha, np.zeros(mesh.n_triangles),
-                          np.zeros(len(mesh.boundary_edges)), 1.0)
+                          np.zeros((4, mesh.level)), 1.0)
+
+
+def edge_list(mesh):
+    """The boundary of a mesh as one list of edges, the reference for
+    ``TriMesh.side``: the (4 level, 2) vertex pairs, edge i of each side
+    in the order SIDE_TAGS at entry 4 i + k for side k, their lengths,
+    from the vertices, and their side tags."""
+    l, n = mesh.level, mesh.level + 1
+    i, top = np.arange(l, dtype=np.int64), l * n
+    edges = np.stack([i, i + 1, top + i, top + i + 1, i * n, (i + 1) * n,
+                      i * n + l, (i + 1) * n + l], axis=1).reshape(-1, 2)
+    ends = mesh.vertices[edges]
+    return (edges, np.hypot(*(ends[:, 1] - ends[:, 0]).T),
+            np.tile(np.asarray(SIDE_TAGS), l))
+
+
+def centroids(mesh) -> np.ndarray:
+    """The (n_triangles, 2) centroids of a mesh's triangles, the mean of
+    their vertices: the reference for ``TriMesh.centroid_axes``."""
+    return mesh.vertices[mesh.triangles].mean(axis=1)
+
+
+def per_side(values) -> np.ndarray:
+    """Values in the edge order of ``edge_list`` as the (4, level) array of
+    boundary data, one row per side."""
+    return np.reshape(values, (-1, 4)).T
 
 
 def b_norm_hook(driver):
@@ -256,11 +282,11 @@ def random_dp(level, seed, reaction, boundary_term, gamma=("bottom",),
     mesh = build_structured(level, box)
     L = rng.standard_normal((mesh.n_triangles, 2, 2))
     alpha = L @ L.transpose(0, 2, 1) + 0.1 * np.eye(2)
-    n_edges = len(mesh.boundary_edges)
+    n_edges = 4 * level
     beta = rng.uniform(0.0, 2.0, mesh.n_triangles) * reaction
     sigma = rng.uniform(0.0, 2.0, n_edges) * boundary_term
-    prob = ProblemDef(mesh, CoefficientSet(alpha, beta, sigma, 0.1),
-                      NeumannData(rng.standard_normal(n_edges)),
+    prob = ProblemDef(mesh, CoefficientSet(alpha, beta, per_side(sigma), 0.1),
+                      NeumannData(per_side(rng.standard_normal(n_edges))),
                       GammaSpec(frozenset(gamma)))
     return DiscreteProblem(prob), rng
 
@@ -285,12 +311,12 @@ def boundary_nodes(mesh) -> np.ndarray:
 
 def dense_boundary_mass(dp) -> np.ndarray:
     """The n x n boundary mass of a problem's observed sides, summed edge
-    by edge into a dense matrix."""
-    mesh, n = dp.mesh, dp.mesh.n_vertices
-    on_gamma = np.isin(mesh.edge_sides, list(dp.prob.gamma.sides))
+    by edge (``edge_list``) into a dense matrix."""
+    n = dp.mesh.n_vertices
+    edges, lengths, sides = edge_list(dp.mesh)
+    on_gamma = np.isin(sides, list(dp.prob.gamma.sides))
     out = np.zeros((n, n))
-    for edge, length in zip(mesh.boundary_edges[on_gamma],
-                            mesh.edge_lengths[on_gamma]):
+    for edge, length in zip(edges[on_gamma], lengths[on_gamma]):
         np.add.at(out, np.ix_(edge, edge),
                   length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]]))
     return out

@@ -24,7 +24,8 @@ from tvsource.primal_dual import (PdDriver, PdParams, certify_steps,
                                   trace_constant)
 from tvsource.tv_calculus import gradient_pairing, subgradient_witness, tv_value
 
-from conftest import b_norm_hook, benchmark_dp, triangle_geometry
+from conftest import (b_norm_hook, benchmark_dp, edge_list, per_side,
+                      triangle_geometry)
 
 # reference table: mesh sizes, regularization weights and noise magnitudes
 # per level; the level-16 mesh size is the formula value sqrt(8)/16 (the
@@ -162,9 +163,11 @@ def test_criterion_6_fem_convergence():
 
     from tvsource.fem_assembly import NeumannData
     mesh = build_structured(8)
-    vals = np.where(mesh.edge_sides == "right", 1.0,
-                    np.where(mesh.edge_sides == "left", -1.0, 0.0))
-    dp = DiscreteProblem(_problem(8, flux=NeumannData(vals)), cg_tol=1e-13)
+    sides = edge_list(mesh)[2]
+    vals = np.where(sides == "right", 1.0,
+                    np.where(sides == "left", -1.0, 0.0))
+    dp = DiscreteProblem(_problem(8, flux=NeumannData(per_side(vals))),
+                         cg_tol=1e-13)
     u = dp.solve_state(np.zeros(dp.mesh.n_vertices))
     affine_err = np.max(np.abs(u - mesh.vertices[:, 0]))
     ok = order_l2 >= 1.8 and order_h1 >= 0.9 and affine_err <= 1e-9

@@ -11,15 +11,15 @@ from tvsource.fem_assembly import (CoefficientSet, NeumannData,
                                    assemble_boundary_mass, assemble_mass,
                                    assemble_stiffness, div_adjoint,
                                    elem_gradient, neumann_load)
-from tvsource.mesh import GammaSpec, build_structured
+from tvsource.mesh import SIDE_TAGS, GammaSpec, build_structured
 from tvsource.experiment import (ExperimentConfig, benchmark_flux,
                                  synthesize_observation)
 from tvsource.tv_calculus import gradient_pairing, tv_value
 
-from conftest import (benchmark_dp, dense, dense_boundary_mass, random_dp,
-                      reference_primal_step, stencil_divergence,
-                      stencil_gradient, stencil_steps, step_tables,
-                      table_primal_step, triangle_geometry,
+from conftest import (benchmark_dp, dense, dense_boundary_mass, edge_list,
+                      per_side, random_dp, reference_primal_step,
+                      stencil_divergence, stencil_gradient, stencil_steps,
+                      step_tables, table_primal_step, triangle_geometry,
                       unit_coefficients)
 
 # two-triangle unit-level mesh of (-1,1)^2, nodes ordered
@@ -47,7 +47,7 @@ def _random_coeffs(mesh, rng, beta_scale=0.0, sigma_scale=0.0):
     g = rng.standard_normal((mesh.n_triangles, 2, 2))
     alpha = np.einsum("tab,tcb->tac", g, g) + 0.5 * np.eye(2)
     beta = beta_scale * rng.uniform(0, 1, mesh.n_triangles)
-    sigma = sigma_scale * rng.uniform(0, 1, len(mesh.boundary_edges))
+    sigma = sigma_scale * per_side(rng.uniform(0, 1, 4 * mesh.level))
     return CoefficientSet(alpha, beta, sigma, alpha_lower=0.5)
 
 
@@ -119,8 +119,8 @@ def _dense_references(dp):
                                                      coeffs.alpha.shape)))
     diag = np.zeros(n)
     np.add.at(diag, mesh.triangles, (coeffs.beta * areas / 3.0)[:, None])
-    np.add.at(diag, mesh.boundary_edges,
-              (coeffs.sigma * mesh.edge_lengths / 2.0)[:, None])
+    edges, lengths, _ = edge_list(mesh)
+    np.add.at(diag, edges, (coeffs.sigma.T.ravel() * lengths / 2.0)[:, None])
     A += np.diag(diag)
     M = _dense_assembly(n, mesh.triangles,
                         [area * UNIT_ELEMENT_MASS for area in areas])
@@ -154,7 +154,7 @@ def test_operators_match_dense_element_assembly(level, seed, reaction,
     nodes, M_full = dp.gamma_nodes, dense_boundary_mass(dp)
     block = M_full[np.ix_(nodes, nodes)]
     np.testing.assert_allclose(dp.M_gamma, block, rtol=0,
-                               atol=1e-14 * dp.mesh.edge_lengths.max())
+                               atol=1e-14 * edge_list(dp.mesh)[1].max())
     M_full[np.ix_(nodes, nodes)] = 0.0
     assert not np.any(M_full)
 
@@ -164,12 +164,27 @@ def test_ellipticity_violation_rejected():
     alpha = np.broadcast_to(np.diag([1e-3, 1.0]), (mesh.n_triangles, 2, 2))
     with pytest.raises(ValueError, match="ellipticity"):
         CoefficientSet(alpha.copy(), np.zeros(mesh.n_triangles),
-                       np.zeros(len(mesh.boundary_edges)), alpha_lower=0.5)
+                       np.zeros((4, 2)), alpha_lower=0.5)
     with pytest.raises(ValueError, match="symmetric"):
         skew = np.broadcast_to(np.array([[1.0, 0.5], [-0.5, 1.0]]),
                                (mesh.n_triangles, 2, 2))
         CoefficientSet(skew.copy(), np.zeros(mesh.n_triangles),
-                       np.zeros(len(mesh.boundary_edges)), alpha_lower=0.1)
+                       np.zeros((4, 2)), alpha_lower=0.1)
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "sigma", "alpha_lower"])
+def test_coefficients_must_be_finite(field):
+    # a NaN compares false with every bound the other checks test, so it
+    # is refused by name before them
+    c = unit_coefficients(build_structured(2))
+    values = {"alpha": c.alpha.copy(), "beta": c.beta.copy(),
+              "sigma": c.sigma.copy(), "alpha_lower": c.alpha_lower}
+    if field == "alpha_lower":
+        values[field] = np.nan
+    else:
+        values[field].flat[0] = np.nan
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        CoefficientSet(**values)
 
 
 def test_coercivity_with_benchmark_coefficients(rng):
@@ -252,13 +267,13 @@ class TestBoundaryMass:
 class TestNeumannLoad:
     def test_zero_flux(self):
         mesh = build_structured(3)
-        j = NeumannData(np.zeros(len(mesh.boundary_edges)))
+        j = NeumannData(np.zeros((4, 3)))
         assert np.max(np.abs(neumann_load(mesh, j))) == 0.0
 
     def test_unit_flux_one_side(self):
         mesh = build_structured(4)
-        vals = np.where(mesh.edge_sides == "bottom", 1.0, 0.0)
-        b = neumann_load(mesh, NeumannData(vals))
+        vals = np.where(edge_list(mesh)[2] == "bottom", 1.0, 0.0)
+        b = neumann_load(mesh, NeumannData(per_side(vals)))
         assert abs(b.sum() - 2.0) <= 1e-12
 
     def test_benchmark_flux_is_compatible(self):
@@ -286,11 +301,61 @@ def test_scatters_equal_add_at_references(level, seed):
     bound = np.bincount(mesh.triangles.ravel(),
                         np.abs(terms).sum(axis=2).ravel(), n)
     assert np.all(np.abs(div - _ref_div_adjoint(mesh, p)) <= 1e-14 * bound)
-    flux = NeumannData(rng.standard_normal(len(mesh.boundary_edges)))
+    flux = rng.standard_normal(4 * level)
+    edges, lengths, _ = edge_list(mesh)
     ref = np.zeros(n)
-    np.add.at(ref, mesh.boundary_edges.ravel(),
-              np.repeat(flux.values * mesh.edge_lengths / 2.0, 2))
+    np.add.at(ref, edges.ravel(), np.repeat(flux * lengths / 2.0, 2))
+    flux = NeumannData(per_side(flux))
     assert np.array_equal(neumann_load(mesh, flux), ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.floats(-4.0, 4.0), st.floats(0.1, 8.0),
+       st.floats(-4.0, 4.0), st.floats(0.1, 8.0),
+       st.sets(st.sampled_from(SIDE_TAGS), min_size=1),
+       st.integers(0, 2**32 - 1))
+@example(6, -1.0, 2.0, -1.0, 2.0, {"top", "right"}, 0)
+@example(1, -1.0, 2.0, -1.0, 2.0, set(SIDE_TAGS), 1)
+def test_side_sums_are_the_edge_list_sums(level, ax, wx, ay, wy, gamma,
+                                          seed):
+    # the flux load and the boundary mass, summed side by side, are the
+    # sums over conftest's edge list bit for bit: a node sums at most two
+    # edge terms, whose order does not change their sum.  A's diagonal,
+    # where the reaction and the boundary term now meet in another order,
+    # is within 2 ulp of the edge list's: each of the two sums of positive
+    # terms is within 1 ulp of the exact one.  The rest of A is unchanged
+    mesh = build_structured(level, ((ax, ax + wx), (ay, ay + wy)))
+    rng = np.random.default_rng(seed)
+    n, (edges, lengths, tags) = mesh.n_vertices, edge_list(mesh)
+    flux = rng.standard_normal(4 * level)
+    ref = np.bincount(edges.ravel(), np.repeat(flux * lengths / 2.0, 2), n)
+    load = neumann_load(mesh, NeumannData(per_side(flux)))
+    assert load.tobytes() == ref.tobytes()
+
+    on = np.isin(tags, list(gamma))
+    ref_nodes = np.flatnonzero(np.bincount(edges[on].ravel(), minlength=n))
+    m, local = ref_nodes.shape[0], np.searchsorted(ref_nodes, edges[on])
+    blocks = lengths[on][:, None, None] * (np.array([[2.0, 1.0],
+                                                     [1.0, 2.0]]) / 6.0)
+    ref_M = np.bincount((local[:, :, None] * m + local[:, None, :]).ravel(),
+                        blocks.ravel(), m * m).reshape(m, m)
+    nodes, M = assemble_boundary_mass(mesh, GammaSpec(frozenset(gamma)))
+    assert np.array_equal(nodes, ref_nodes)
+    assert M.tobytes() == ref_M.tobytes()
+
+    alpha = unit_coefficients(mesh).alpha
+    beta = rng.uniform(0.1, 2.0, mesh.n_triangles)
+    sigma = rng.uniform(0.1, 2.0, 4 * level)
+    A = assemble_stiffness(mesh, CoefficientSet(alpha, beta,
+                                                per_side(sigma), 1.0))
+    A0 = assemble_stiffness(mesh, unit_coefficients(mesh))
+    ref_diag = A0.diags[0] + np.bincount(
+        np.concatenate([mesh.triangles.ravel(), edges.ravel()]),
+        np.concatenate([np.repeat(beta * mesh.grid.area / 3.0, 3),
+                        np.repeat(sigma * lengths / 2.0, 2)]), n)
+    assert A.diags[1:].tobytes() == A0.diags[1:].tobytes()
+    assert np.all(np.abs(A.diags[0] - ref_diag) <= 2.0 * np.spacing(
+        np.maximum(A.diags[0], ref_diag)))
 
 
 class TestGradientAndDivergence:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvsource.mesh import GammaSpec, TriMesh, build_structured, prolong_p0, prolong_p1
+from tvsource.mesh import (SIDE_TAGS, GammaSpec, TriMesh, build_structured,
+                           prolong_p0, prolong_p1)
 
-from conftest import triangle_geometry
+from conftest import centroids, edge_list, triangle_geometry
 
 
 def test_counts_and_mesh_size():
@@ -82,23 +83,55 @@ def test_areas_positive_and_sum(level):
 
 def test_boundary_edges(rng):
     m = build_structured(5)
-    for side in ("bottom", "top", "left", "right"):
-        mask = m.edge_sides == side
-        assert mask.sum() == 5
-        assert abs(m.edge_lengths[mask].sum() - 2.0) < 1e-12
-    # every boundary edge is a facet of exactly one triangle
+    (ax, bx), (ay, by) = m.box
+    x, y = m.vertices.T
+    on_side = {"bottom": y == ay, "top": y == by, "left": x == ax,
+               "right": x == bx}
+    # every side edge is a facet of exactly one triangle
     tri_edges = {}
     for tri in m.triangles:
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             key = (min(a, b), max(a, b))
             tri_edges[key] = tri_edges.get(key, 0) + 1
-    for a, b in m.boundary_edges:
-        assert tri_edges[(min(a, b), max(a, b))] == 1
+    for side in SIDE_TAGS:
+        nodes, lengths = m.side(side)
+        assert np.array_equal(nodes, np.flatnonzero(on_side[side]))
+        assert lengths.shape == (5,)
+        assert abs(lengths.sum() - 2.0) < 1e-12
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            assert tri_edges[(a, b)] == 1
     # the rectangle corners are mesh nodes
     for corner in ((-1, -1), (1, -1), (-1, 1), (1, 1)):
         dist = np.hypot(m.vertices[:, 0] - corner[0],
                         m.vertices[:, 1] - corner[1])
         assert dist.min() < 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16), st.floats(-5.0, 5.0), st.floats(0.1, 10.0),
+       st.floats(-5.0, 5.0), st.floats(0.1, 10.0))
+def test_sides_axes_and_centroids_match_the_references(level, ax, wx, ay,
+                                                       wy):
+    # each side's edges and lengths are those of conftest's edge list,
+    # bit for bit; the axes are the vertices' coordinates, and the centroid
+    # axes give the bits of the mean of each triangle's vertices
+    m = build_structured(level, ((ax, ax + wx), (ay, ay + wy)))
+    edges, lengths, tags = edge_list(m)
+    for k, tag in enumerate(SIDE_TAGS):
+        nodes, side_lengths = m.side(tag)
+        assert np.array_equal(edges[k::4],
+                              np.stack([nodes[:-1], nodes[1:]], axis=1))
+        assert side_lengths.tobytes() == lengths[k::4].tobytes()
+        assert set(tags[k::4]) == {tag}
+    x, y = m.axes
+    assert m.vertices.tobytes() == np.column_stack(
+        [np.tile(x, level + 1), np.repeat(y, level + 1)]).tobytes()
+    cx, cy = m.centroid_axes()
+    ref = centroids(m).reshape(level, level, 2, 2)  # [iy, ix, type, coord]
+    for axes, coord in ((np.broadcast_to(cx.T, ref.shape[:3]), 0),
+                        (np.broadcast_to(cy.T[:, None], ref.shape[:3]), 1)):
+        assert (np.ascontiguousarray(axes).tobytes()
+                == np.ascontiguousarray(ref[..., coord]).tobytes())
 
 
 def test_gradients_exact_on_affine(rng):
@@ -202,7 +235,7 @@ class TestProlongP0:
             p = rng.standard_normal((coarse.n_triangles, *comps))
             out = prolong_p0(p, coarse, fine)
             assert out.shape == (fine.n_triangles, *comps)
-            for t, cen in enumerate(fine.centroids):
+            for t, cen in enumerate(centroids(fine)):
                 parent = _containing_coarse_triangle(coarse, cen)
                 assert np.array_equal(out[t], p[parent])
 

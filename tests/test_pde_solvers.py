@@ -14,11 +14,11 @@ from tvsource.fem_assembly import (CoefficientSet, NeumannData,
                                    assemble_stiffness)
 from tvsource.mesh import GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, Observation, ProblemDef, misfit
-from tvsource.sparse_linalg import cg_solve
+from tvsource.sparse_linalg import CgConvergenceError, cg_solve
 
 from conftest import (benchmark_dp, boundary_nodes, chunked_boundary_map,
-                      dense, dense_boundary_mass, random_dp,
-                      triangle_geometry, unit_coefficients)
+                      dense, dense_boundary_mass, edge_list, per_side,
+                      random_dp, triangle_geometry, unit_coefficients)
 
 
 def _problem(level, beta=0.0, flux=None, gamma=("bottom",)):
@@ -27,7 +27,7 @@ def _problem(level, beta=0.0, flux=None, gamma=("bottom",)):
     coeffs = CoefficientSet(base.alpha, np.full(mesh.n_triangles, beta),
                             base.sigma, 1.0)
     if flux is None:
-        flux = NeumannData(np.zeros(len(mesh.boundary_edges)))
+        flux = NeumannData(np.zeros((4, level)))
     return ProblemDef(mesh, coeffs, flux, GammaSpec(frozenset(gamma)))
 
 
@@ -35,6 +35,25 @@ def test_constant_solution_with_reaction():
     dp = DiscreteProblem(_problem(4, beta=1.0), cg_tol=1e-13)
     u = dp.solve_state(np.ones(dp.mesh.n_vertices))
     assert np.max(np.abs(u - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "sigma", "flux"])
+def test_problem_checks_each_array_against_its_mesh(field):
+    # a wrongly shaped array is named, not left to numpy's broadcasting;
+    # the flux of (4 level,) is the edge list's layout, not the sides'
+    mesh = build_structured(3)
+    c = unit_coefficients(mesh)
+    arrays = {"alpha": c.alpha, "beta": c.beta, "sigma": c.sigma,
+              "flux": np.zeros((4, 3))}
+    arrays[field] = {
+        "alpha": np.broadcast_to(np.eye(2), (mesh.n_triangles + 2, 2, 2)),
+        "beta": np.zeros(mesh.n_triangles - 1), "sigma": np.zeros((4, 4)),
+        "flux": np.zeros(12)}[field]
+    coeffs = CoefficientSet(arrays["alpha"], arrays["beta"], arrays["sigma"],
+                            1.0)
+    with pytest.raises(ValueError, match=f"^{field} has shape"):
+        ProblemDef(mesh, coeffs, NeumannData(arrays["flux"]),
+                   GammaSpec(frozenset({"bottom"})))
 
 
 def test_pure_neumann_zero_data():
@@ -47,9 +66,11 @@ def test_pure_neumann_affine_manufactured():
     # flux of u* = x1 is +-1 on the vertical sides; the solution is exactly
     # representable and mean free, so it is reproduced to solver tolerance
     mesh = build_structured(8)
-    vals = np.where(mesh.edge_sides == "right", 1.0,
-                    np.where(mesh.edge_sides == "left", -1.0, 0.0))
-    dp = DiscreteProblem(_problem(8, flux=NeumannData(vals)), cg_tol=1e-13)
+    sides = edge_list(mesh)[2]
+    vals = np.where(sides == "right", 1.0,
+                    np.where(sides == "left", -1.0, 0.0))
+    dp = DiscreteProblem(_problem(8, flux=NeumannData(per_side(vals))),
+                         cg_tol=1e-13)
     u = dp.solve_state(np.zeros(dp.mesh.n_vertices))
     assert np.max(np.abs(u - mesh.vertices[:, 0])) <= 1e-9
 
@@ -90,11 +111,10 @@ def test_adjoint_gradient_identity(seed, reaction, boundary_term):
     mesh = build_structured(4)
     L = rng.standard_normal((mesh.n_triangles, 2, 2))
     alpha = L @ L.transpose(0, 2, 1) + 0.1 * np.eye(2)
-    n_edges = len(mesh.boundary_edges)
     beta = rng.uniform(0.0, 2.0, mesh.n_triangles) * reaction
-    sigma = rng.uniform(0.0, 2.0, n_edges) * boundary_term
-    prob = ProblemDef(mesh, CoefficientSet(alpha, beta, sigma, 0.1),
-                      NeumannData(rng.standard_normal(n_edges)),
+    sigma = rng.uniform(0.0, 2.0, 16) * boundary_term
+    prob = ProblemDef(mesh, CoefficientSet(alpha, beta, per_side(sigma), 0.1),
+                      NeumannData(per_side(rng.standard_normal(16))),
                       GammaSpec(frozenset(("bottom", "left"))))
     dp = DiscreteProblem(prob, cg_tol=1e-13)
     z = Observation(dp.gamma_nodes, rng.standard_normal(len(dp.gamma_nodes)))
@@ -561,6 +581,32 @@ class _SpoiledFactor(pde_solvers.BlockTridiagonalFactor):
         last = x[:, -1] if x.ndim == 2 else x
         last *= 1.0 + 1e-6
         return x
+
+
+class _NanFactor(pde_solvers.BlockTridiagonalFactor):
+    """A factorization whose solutions hold one NaN, in their last
+    column."""
+
+    def solve(self, b, out=None):
+        x = super().solve(b, out)
+        (x[:, -1] if x.ndim == 2 else x)[0] = np.nan
+        return x
+
+
+def test_a_factored_column_that_is_not_finite_is_refused():
+    # a NaN residual compares false with any tolerance: it counts as a
+    # miss, and CG cannot polish a start that is not finite, so each solve
+    # path raises instead of returning the NaN
+    prob = build_benchmark_problem(8)[0]
+    f = np.random.default_rng(7).standard_normal(prob.mesh.n_vertices)
+    paths = {"state": lambda dp: dp.solve_state(f),
+             "Dirichlet": lambda dp: dp.solve_dirichlet(f, f),
+             "boundary map": lambda dp: dp.boundary_map}
+    for name, path in paths.items():
+        with mock.patch.object(pde_solvers, "BlockTridiagonalFactor",
+                               _NanFactor), \
+                pytest.raises(CgConvergenceError, match="nan"):
+            path(DiscreteProblem(prob))
 
 
 def test_boundary_map_column_missing_the_tolerance_is_polished():

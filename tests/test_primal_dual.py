@@ -13,7 +13,7 @@ from tvsource.experiment import (ExperimentConfig, build_benchmark_problem,
 from tvsource.fem_assembly import (CoefficientSet, NeumannData,
                                    assemble_stiffness, div_adjoint,
                                    elem_gradient)
-from tvsource.mesh import GammaSpec, build_structured
+from tvsource.mesh import SIDE_TAGS, GammaSpec, build_structured
 from tvsource import pde_solvers, primal_dual
 from tvsource.pde_solvers import DiscreteProblem, Observation
 from tvsource.primal_dual import (MultilevelError, PdDriver, PdParams,
@@ -26,12 +26,12 @@ from tvsource.sparse_linalg import grad_operator_norm
 from tvsource.tv_calculus import gradient_pairing
 
 from conftest import (b_norm_hook, benchmark_dp, dense, div_rep,
-                      gradient_terms, random_dp, reference_primal_step,
-                      reference_run, triangle_geometry, unit_coefficients)
+                      gradient_terms, per_side, random_dp,
+                      reference_primal_step, reference_run,
+                      triangle_geometry, unit_coefficients)
 
 # what a mesh caches on first use, all derived from its level and box
-MESH_CACHES = {"vertices", "triangles", "boundary_edges", "edge_lengths",
-               "edge_sides", "grid"}
+MESH_CACHES = {"axes", "vertices", "triangles", "grid"}
 
 
 class TestConstants:
@@ -715,7 +715,7 @@ def test_power_of_two_scaling_scales_every_iterate(level, gamma, lo, width,
     # number of iterations
     prob, _ = build_benchmark_problem(level, gamma)
     rng = np.random.default_rng(seed)
-    flux = rng.standard_normal(len(prob.mesh.boundary_edges))
+    flux = per_side(rng.standard_normal(4 * level))
     data = rng.standard_normal(
         prob.mesh.side_nodes(prob.gamma.sides).shape[0])
     rho = ExperimentConfig().level_params(prob.mesh.mesh_size).rho
@@ -740,16 +740,16 @@ def test_power_of_two_scaling_scales_every_iterate(level, gamma, lo, width,
 
 
 def _transposition(level):
-    """Where x <-> y takes the nodes, the triangles and the boundary edges
-    of a level-``level`` mesh, as index arrays, each its own inverse: node
-    (ix, iy) to (iy, ix), the lower triangle of cell (ix, iy) to the upper
-    one of cell (iy, ix) and back, and edge i of the bottom, top, left and
-    right sides to edge i of the left, right, bottom and top ones."""
+    """Where x <-> y takes the nodes, the triangles and the sides of a
+    level-``level`` mesh, as index arrays, each its own inverse: node (ix,
+    iy) to (iy, ix), the lower triangle of cell (ix, iy) to the upper one
+    of cell (iy, ix) and back, and edge i of the bottom, top, left and
+    right sides to edge i of the left, right, bottom and top ones (rows of
+    (4, level) boundary data)."""
     n = level + 1
     cells = np.arange(level * level).reshape(level, level).T.ravel()
     return (np.arange(n * n).reshape(n, n).T.ravel(),
-            (2 * cells[:, None] + [1, 0]).ravel(),
-            (4 * np.arange(level)[:, None] + [2, 3, 0, 1]).ravel())
+            (2 * cells[:, None] + [1, 0]).ravel(), [2, 3, 0, 1])
 
 
 SIDE_TRANSPOSED = {"bottom": "left", "left": "bottom", "top": "right",
@@ -776,14 +776,14 @@ def test_transposition_maps_every_iterate(level, gamma, width, height,
     # a box holding 0, which the certificate needs
     box = ((-1.0, width), (-height, 1.0))
     dp, rng = random_dp(level, seed, reaction, boundary_term, gamma, box)
-    nodes, triangles, edges = _transposition(level)
+    nodes, triangles, sides = _transposition(level)
     prob, c = dp.prob, dp.prob.coeffs
     dp_t = DiscreteProblem(dataclasses.replace(
         prob, mesh=build_structured(level, box[::-1]),
         coeffs=CoefficientSet(c.alpha[triangles][:, ::-1, ::-1],
-                              c.beta[triangles], c.sigma[edges],
+                              c.beta[triangles], c.sigma[sides],
                               c.alpha_lower),
-        neumann=NeumannData(prob.neumann.values[edges]),
+        neumann=NeumannData(prob.neumann.values[sides]),
         gamma=GammaSpec(frozenset(SIDE_TRANSPOSED[s] for s in gamma))))
     # a step size the certificate admits with a margin of 4 on both
     # problems: 1/tau = 2 s + 2 rho |grad| / sqrt(theta)
@@ -808,6 +808,66 @@ def test_transposition_maps_every_iterate(level, gamma, width, height,
         assert np.max(np.abs(f_t - f[nodes])) <= bound
         assert np.max(np.abs(p_t - p[triangles][:, ::-1])) <= bound
     assert np.max(np.abs(trace_t - trace[nodes])) <= bound * max(
+        1.0, np.max(np.abs(trace)))
+
+
+SIDE_ROTATED = {"bottom": "top", "top": "bottom", "left": "right",
+                "right": "left"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.sampled_from([("bottom",), ("bottom", "left")]),
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_rotation_maps_every_iterate(level, gamma, width, height, reaction,
+                                     boundary_term, seed):
+    # the 180 degree rotation x -> -x maps the triangulation onto itself:
+    # node v to n_vertices - 1 - v, triangle t to n_triangles - 1 - t (the
+    # lower triangle of a cell to the upper one of the rotated cell), and
+    # edge i of a side to edge level - 1 - i of the opposite side.  The
+    # problem on the rotated box with alpha, beta, sigma, the flux and the
+    # data mapped (alpha is invariant), observed on Gamma with bottom <->
+    # top and left <-> right, is the rotated problem.  The gradient changes
+    # sign, so from the rotated start, whose dual is negated (the default
+    # p0 = 0.5 is not invariant), each of its iterates is the mapped f and
+    # the mapped -p.  Its boundary map is factored in another node order,
+    # so it agrees to the run's rounding, bounded as in the transposition:
+    # 2^8 N eps of the box's scale (the largest of 3,000 random draws
+    # reached 8 % of it)
+    box = ((-1.0, width), (-height, 1.0))  # holding 0, as the certificate
+    dp, rng = random_dp(level, seed, reaction, boundary_term, gamma, box)
+    prob, c = dp.prob, dp.prob.coeffs
+    opposite = [SIDE_TAGS.index(SIDE_ROTATED[s]) for s in SIDE_TAGS]
+    dp_r = DiscreteProblem(dataclasses.replace(
+        prob, mesh=build_structured(level, ((-width, 1.0), (-1.0, height))),
+        coeffs=CoefficientSet(c.alpha[::-1], c.beta[::-1],
+                              c.sigma[opposite, ::-1], c.alpha_lower),
+        neumann=NeumannData(prob.neumann.values[opposite, ::-1]),
+        gamma=GammaSpec(frozenset(SIDE_ROTATED[s] for s in gamma))))
+    # the transposition's step size
+    rho, theta, n_iter = 1e-3, 5e-2, 30
+    tau = 1.0 / (2.0 * smooth_operator_norm(dp) + 2.0 * rho
+                 * grad_operator_norm(dp.mesh.grid.inverse_spacing)
+                 / math.sqrt(theta))
+    f0, p0 = compatible_start(dp)
+    data = rng.standard_normal(dp.mesh.n_vertices)  # read on Gamma only
+    runs = []
+    for problem, z, start in ((dp, data, (f0, p0)),
+                              (dp_r, data[::-1], (f0[::-1], -p0[::-1]))):
+        visited = []
+        state = PdDriver(problem, _FixedCount(rho, tau, theta, n_iter)).run(
+            Observation(problem.gamma_nodes, z[problem.gamma_nodes]),
+            *start, on_iteration=lambda n, f, p, *_: visited.append((f, p)))
+        trace = np.zeros(problem.mesh.n_vertices)
+        trace[problem.gamma_nodes] = state.u_gamma
+        runs.append((visited, trace))
+    (iterates, trace), (mapped, trace_r) = runs
+    bound = 2.0**8 * n_iter * np.finfo(float).eps * np.max(np.abs(prob.box))
+    assert len(iterates) == len(mapped) == n_iter + 1
+    for (f, p), (f_r, p_r) in zip(iterates, mapped):
+        assert np.max(np.abs(f_r - f[::-1])) <= bound
+        assert np.max(np.abs(p_r + p[::-1])) <= bound
+    assert np.max(np.abs(trace_r - trace[::-1])) <= bound * max(
         1.0, np.max(np.abs(trace)))
 
 

@@ -218,7 +218,7 @@ def _driver_on(mesh):
     coeffs = CoefficientSet(coeffs.alpha, np.ones(mesh.n_triangles),
                             coeffs.sigma, 1.0)
     prob = ProblemDef(mesh, coeffs,
-                      NeumannData(np.zeros(len(mesh.boundary_edges))),
+                      NeumannData(np.zeros((4, mesh.level))),
                       GammaSpec(frozenset({"bottom"})))
     return PdDriver(DiscreteProblem(prob),
                     PdParams(rho=1e-3, tau=1e-4, theta=5e-2, max_iter=10))
