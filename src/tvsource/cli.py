@@ -163,7 +163,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(_args) -> int:
-    """Fast invariant battery; prints one line per check."""
+    """Fast invariant battery: eleven PASS/FAIL lines, one per check, then
+    the number of failures; returns 1 if any check fails."""
     failures = 0
 
     def report(name, ok, detail=""):
@@ -276,9 +277,22 @@ def cmd_check(_args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; invalid input ends it with one line and code 2,
-    a solve that does not converge or factor, or an allocation that fails,
-    with one line and code 1."""
+    """Run one subcommand and return its exit code.
+
+    0: success.  2: input refused, a ValueError or OSError: a flag or
+    config value ``ExperimentConfig`` refuses, a config file
+    ``experiment.read_config_file`` refuses, an observation file
+    ``experiment.read_observation_csv`` refuses or whose misfit overflows,
+    ``--include-64`` next to other levels, an output path that cannot be
+    created or written, or in ``solve`` a step size the driver refuses
+    (its certificate, or weights w / tau^2 that overflow).  1: a solve
+    that does not converge (CgConvergenceError), a factorization that
+    meets a block that is not positive definite (FactorizationError), an
+    allocation that fails, or in ``bench`` a level whose set-up or run
+    fails (``MultilevelError``, a refused step size or a noise level that
+    overflows included; ``cmd_bench``).  Every such failure prints one
+    line, ``tvsource: error: ...``.  A flag value that argparse itself
+    rejects ends with argparse's usage and error lines and code 2."""
     args = build_parser().parse_args(argv)
     handlers = {"bench": cmd_bench, "solve": cmd_solve, "check": cmd_check}
     try:

@@ -98,8 +98,10 @@ def _uniform_noise(seed, k: int) -> list[float]:
 
     ``seed`` is a non-negative int or a sequence of them, as SeedSequence
     takes it (NumPy NEP 19): a negative entry raises ValueError and a
-    non-integer TypeError.  PCG64 is O'Neill's XSL-RR 128/64 generator
-    (HMC-CS-2014-0905).
+    non-integer TypeError.  SeedSequence's 4-word pool seeds PCG64,
+    O'Neill's XSL-RR 128/64 generator (HMC-CS-2014-0905), through
+    ``generate_state(4, uint64)``, and draw j is -1 + 2 (x_j >> 11) 2^-53
+    for the j-th 64-bit output x_j, all in Python integer arithmetic.
     """
     try:
         entries = [operator.index(seed)]
@@ -160,11 +162,8 @@ def synthesize_observation(dp: DiscreteProblem, f_truth: P1Field,
     read from the boundary map at ``f_truth``.  Noise: one draw per
     observation node in increasing node order, the draws of
     ``np.random.default_rng(seed).uniform(-1.0, 1.0, k)`` bit for bit,
-    scaled by ``theta_level``; that is SeedSequence(seed) (NumPy NEP 19)
-    seeding PCG64 (XSL-RR 128/64) through ``generate_state(4, uint64)``,
-    and draw j is -1 + 2 (x_j >> 11) 2^-53 for the j-th 64-bit output x_j.
-    The draws are computed with integer arithmetic, so numpy.random is not
-    imported.  ``seed`` is a non-negative int or a sequence of them.  The
+    scaled by ``theta_level``, computed without importing numpy.random
+    (``_uniform_noise``, which also says what ``seed`` may be).  The
     recorded noise level is the boundary L2 norm of the perturbation;
     raises ValueError when it is not finite.
     """
@@ -186,7 +185,8 @@ class ExperimentConfig:
 
     The primal step defaults to tau = 5 under the computed (empirical)
     step-size certificate; the analytic worst-case certificate caps tau
-    near 2e-4, which stalls the iteration at desk scale (see README).
+    near 2e-4, which stalls the iteration at desk scale
+    (``primal_dual.certify_steps_empirical``).
     """
 
     levels: tuple = (4, 8, 16, 32)
@@ -333,7 +333,14 @@ def run_benchmark(config: ExperimentConfig) -> list[RunRecord]:
     out_dir is created before the first level is set up.  Each level, once
     its run has ended, appends its row to out_dir/table.csv and exports its
     fields before the next level is set up.  A failure ends the table with
-    an ``# incomplete:`` line naming it, and is raised again.
+    an ``# incomplete:`` line naming it, and is raised again.  Every file
+    is byte-stable for a fixed config.
+
+    A level factors A once, for its boundary map: the truth data are the
+    truth state's trace on Gamma read from it (``truth_refine`` solves the
+    once-refined problem instead), and the run reads it.  The level's two
+    constrained-state errors come from one Dirichlet solve on the interior
+    nodes (``_level_record``).
     """
     truth = None  # the running level's truth source and its trace on Gamma
 
@@ -475,6 +482,8 @@ def _write_vtk_field(mesh, comps, nodal, path, name):
 
 
 def write_observation_csv(mesh: TriMesh, z: Observation, path: str):
+    """Write an observation as CSV with the header node_x1,node_x2,z_value
+    and one row per observed node, in increasing node order."""
     with open(path, "w") as fh:
         fh.write("node_x1,node_x2,z_value\n")
         _write_rows(fh, "%.10e,%.10e,%.17g",

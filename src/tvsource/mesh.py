@@ -10,7 +10,7 @@ first use (see TriMesh and DualGrid); it is safe to share between threads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class TriMesh:
 class GammaSpec:
     """Observation boundary: a nonempty set of rectangle side tags."""
 
-    sides: frozenset = field(default_factory=frozenset)
+    sides: frozenset
 
     def __post_init__(self):
         sides = frozenset(self.sides)
@@ -182,9 +182,9 @@ class DualGrid:
     a*(level+1) + b and 1 - a + b*(level+1) from the cell.
 
     ``to_grid`` and ``from_grid`` map to and from the (n_triangles, 2)
-    layout; ``cells`` holds the flat grid index of each entry of that
-    layout.  ``place_blocks`` sums element blocks onto the mesh's stencil
-    diagonals.
+    layout and round-trip exactly; ``cells`` holds the flat grid index of
+    each entry of that layout.  ``place_blocks`` sums element blocks onto
+    the mesh's stencil diagonals.
     """
 
     # (diagonal, corner (dy, dx) of an entry's column vertex in the cell,

@@ -6,21 +6,21 @@ choice the reduced-gradient identity
 
     d/df [misfit](f) applied to xi  ==  <xi, adjoint_state(f)>_w
 
-holds exactly up to solver tolerance, also in the pure-Neumann case, where
-loads are deflated onto the compatible range and solutions are returned as
-zero-weighted-mean representatives.
+holds exactly up to solver tolerance, also in the pure-Neumann case
+(``DiscreteProblem._solve``), and so do the monotonicity and the O(1/n)
+decay of the iterate differences.  Boundary pairings use the exact
+boundary mass (``M_gamma``), and the error norms the consistent mass.
 
 Every solve is a direct solve with a block-tridiagonal factorization
-whose residual is checked against the problem's ``cg_tol``; a solution
-that misses it is polished by CG.  No factorization is kept: each solve
-factors its operator for itself, A or, for a Dirichlet solve, A's part on
-the interior nodes.  The data misfit reads the state only on the
-observed boundary Gamma, so the optimizer works with the solution map
-restricted to Gamma (BoundaryMap), built once per problem from one
-factorization, and needs no solve per iteration or after it; a map whose
-products would stream it from beyond the cache is compressed in place into
-row strips, dense near Gamma and of low rank far from it.  Boundary
-quantities are Gamma-vectors: one value per node of ``gamma_nodes``.
+whose residual is checked against the problem's ``cg_tol``
+(``_checked_solve``).  No factorization is kept: each solve factors its
+operator for itself, A or, for a Dirichlet solve, A's part on the
+interior nodes.  The data misfit reads the state only on the observed
+boundary Gamma, so the optimizer works with the solution map restricted
+to Gamma (BoundaryMap), built once per problem from one factorization,
+and needs no solve per iteration or after it; ``PdDriver`` decides when a
+map is compressed (``BoundaryMap.compress``).  Boundary quantities are
+Gamma-vectors: one value per node of ``gamma_nodes``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,12 @@ DEFAULT_CG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ProblemDef:
-    """Problem data: geometry, coefficients, flux, observation boundary, box."""
+    """Problem data: geometry, coefficients, flux, observation boundary, box.
+
+    Raises ValueError for box bounds that are not finite and increasing,
+    and for alpha, beta, sigma or the flux of another shape than its mesh
+    gives: (n_triangles, 2, 2), (n_triangles,), (4, level) and (4, level).
+    """
 
     mesh: TriMesh
     coeffs: CoefficientSet
@@ -334,9 +339,17 @@ class DiscreteProblem:
 
     def _solve(self, rhs):
         """Checked factored solution for one load (n,) or for each column of
-        an (n, k) block of loads, with a factorization made for this call;
-        a pure-Neumann load is first deflated onto the range of A and its
-        solution re-centred to zero weighted mean."""
+        an (n, k) block of loads, with a factorization made for this call.
+
+        With beta = sigma = 0 the operator has the constants as kernel.
+        This is the one place where such a load is deflated onto the range
+        of A, b - w sum(b) / |Omega|, and where its solution is re-centred
+        to zero weighted mean.  The factorization is grounded
+        (``BlockTridiagonalFactor``): for a deflated load the grounded
+        solution solves the singular system itself, so its residual meets
+        the tolerance like any other, and CG polishes it only if it misses
+        (no benchmark solve does).  The deflation removes the source's mean
+        from the load (``primal_dual.compatible_start``)."""
         if self.pure_neumann:
             rhs = rhs - np.multiply.outer(
                 self.w, rhs.sum(axis=0) / self.domain_volume)
@@ -352,8 +365,7 @@ class DiscreteProblem:
 
     def solve_state(self, f: P1Field) -> P1Field:
         """Solution of the variational problem with source f and the flux
-        data; in the pure-Neumann case the load is deflated and the
-        zero-mean representative is returned."""
+        data, by ``_solve``."""
         return self._solve(self.w * f + self.b_flux)
 
     def solve_source_part(self, f: P1Field) -> P1Field:

@@ -15,14 +15,10 @@ before a run; under it the iterate differences are monotone in the induced
 preconditioner norm and decay like O(1/n).
 
 The driver folds the step constants into the two stencil kernels of the
-mesh's cell grid once, so that a step is a few array operations: the
-primal step is clamp_box(f - tau * u_a - (tau*rho/w) D^T p) and the dual
-step project_ball(p + (tau*rho/theta) D f~).  Only the rounding differs
-from the formulas above.  Inside a run the dual lives on the mesh's cell
-grid (``mesh.DualGrid``), where D is one product and one subtraction of
-fixed shifted views, and D^T two copies into shifted views, one gemv and
-one product, which sum a node's terms before scaling them: the kernels of
-``elem_gradient`` and ``div_adjoint``, with the steps' constants folded in.
+mesh's cell grid once (``PdDriver``), so that a step is a few array
+operations: the primal step is clamp_box(f - tau * u_a - (tau*rho/w)
+D^T p) and the dual step project_ball(p + (tau*rho/theta) D f~).  Only the
+rounding differs from the formulas above.
 """
 
 from __future__ import annotations
@@ -119,7 +115,10 @@ def _certificate(params: PdParams, dp: DiscreteProblem,
 
 
 def certify_steps(params: PdParams, dp: DiscreteProblem) -> StepCertificate:
-    """Evaluate the step-size condition with the analytic worst-case bound."""
+    """Evaluate the step-size condition with the analytic worst-case bound.
+
+    No run uses it (see ``certify_steps_empirical``); it stays public, and
+    ``tvsource check`` checks its constants."""
     return _certificate(params, dp)
 
 
@@ -179,7 +178,8 @@ def smooth_operator_norm(dp) -> float:
     u).  So lambda_max(K) <= mu + 2 gamma_{m+2} trace(A), the factor 2
     also covering the rounding of the trace and of the margin, and s is
     that sum rounded up.  The certificate is thus proven for K as built,
-    with no eigensolver.
+    with no eigensolver; ``tvsource check`` compares it with
+    ``np.linalg.eigvalsh`` at level 4.
     """
     K = smooth_operator_matrix(dp)
     m = K.shape[0]
@@ -212,11 +212,15 @@ def certify_steps_empirical(params: PdParams,
                             dp: DiscreteProblem) -> StepCertificate:
     """Step-size certificate using the computed smooth-operator norm.
 
-    The analytic constants are pessimistic by orders of magnitude here, so
-    they force uselessly small steps; the computed norm, a proven upper
-    bound within about 1e-12 relative of the sharp value, certifies
-    practical step sizes while keeping every monotonicity guarantee of
-    the iteration.
+    The analytic constants are pessimistic by orders of magnitude: with
+    the benchmark's c1 = 0.025 and c_gamma = sqrt(3) the worst case
+    c_gamma^2/c1^2 is 4800, against a computed norm near 0.05, and it
+    admits only tau below about 2e-4, which moves the iterate by about
+    1e-3 per 600 iterations.  The computed norm, a proven upper bound
+    within about 1e-12 relative of the sharp value with no safety factor
+    (``smooth_operator_norm``), certifies practical step sizes, the
+    default tau = 5 included, and keeps every guarantee of the iteration,
+    whose proof uses only that the bound dominates the operator norm.
     """
     return _certificate(params, dp, smooth_operator_norm(dp))
 
@@ -224,7 +228,12 @@ def certify_steps_empirical(params: PdParams,
 @dataclass
 class PdState:
     """The last iterate pair of a run, its index n, and its stopping
-    value, trace on Gamma and objective."""
+    value (the error table's ``tolerance`` column), trace on Gamma and
+    objective.
+
+    The objective, misfit + rho * TV(f), is evaluated once per run, at
+    the iterate the run returns; ``tvsource solve`` prints it.
+    ``stopped_by_tolerance`` holds when the stopping value is at most 0."""
 
     f: P1Field
     p: P0VecField
@@ -267,19 +276,20 @@ def compatible_start(dp: DiscreteProblem):
 class PdDriver:
     """Primal-dual iteration bound to one assembled problem; raises
     ValueError unless ``certify_steps_empirical`` admits its steps there.
+    The driver certifies its own parameters on its own problem, so no
+    certificate is passed between layers and every run is certified.
 
     Next to the certificate it builds the two step kernels on the mesh's
     cell grid (``grid``, ``TriMesh.grid``): the dual step's gradient,
     ``gradient_kernel`` with s_c = sigma / h_c, sigma = tau*rho/theta and
     h_c the grid spacing; and the primal step's divergence,
     ``divergence_kernel`` with weights (1, h_x/h_y) and the nodal scale
-    |T| * tau*rho / (h_x * w), which sums the terms before it scales
-    them.  It also builds the weights w / tau^2 of the stopping
-    norm; raises ValueError, before the certificate, when tau is so small
-    that these weights overflow (a tau so large that tau^2 overflows makes
-    them 0, and the certificate refuses it).  tau and the problem's box
-    (``box``) are kept as read-only 0-d arrays, the primal step's
-    operands.
+    |T| * tau*rho / (h_x * w).  It also builds the weights w / tau^2 of the
+    stopping norm; raises ValueError, before the certificate, when tau is
+    so small that these weights overflow (a tau so large that tau^2
+    overflows makes them 0, and the certificate refuses it).  tau and the
+    problem's box (``box``) are kept as read-only 0-d arrays, the primal
+    step's operands.
 
     Before the certificate it compresses the problem's boundary map
     (``BoundaryMap.compress``) when G is larger than 2 MiB, a per-core
@@ -290,10 +300,11 @@ class PdDriver:
     2 n m of each iteration's products, so the iterations that repay them
     grow like m: at level 64, driver build plus run broke even at 1.7m to
     1.9m iterations on both Gamma cases (m = 65: 5.8 ms of SVDs against
-    49-51 us saved per iteration; m = 129: 23 ms against 100-104 us).
-    The rule reads G's size and max_iter only, nothing of the host, and
-    keeps every other map one dense strip: that of every level up to 32
-    of the benchmark, and of every run of fewer than 2m iterations.
+    49-51 us saved per iteration; m = 129: 23 ms against 100-104 us;
+    ``BENCH_27.json``, ``break_even``).  The rule reads G's size and
+    max_iter only, nothing of the host, and keeps every other map one
+    dense strip: that of every level up to 32 of the benchmark, and of
+    every run of fewer than 2m iterations.
 
     ``primal_step`` and ``dual_step`` take and give the dual as a grid;
     ``grid.to_grid`` and ``grid.from_grid`` map it to and from the
@@ -418,7 +429,17 @@ class PdDriver:
         every iterate's objective computes it there, as
         ``objective(f, pde_solvers.misfit(dp, u_gamma, z))``, and one that
         checks the preconditioner norm of each step as ``b_norm_sq`` of
-        the differences of consecutive iterates.
+        the differences of consecutive iterates.  The hook is the run's only
+        per-iteration record: the run keeps no history.  The dual is mapped
+        to the grid once at the start and back once at the end, and once
+        per iteration only for a hook.
+
+        At the desk levels every array of the loop holds tens to a few
+        thousand entries, so a numpy call costs its dispatch more than its
+        arithmetic: the loop's BLAS products are ``ndarray.dot`` calls, as
+        the ``BoundaryMap`` products are, and its scalar operands read-only
+        0-d arrays (``_frozen``), each with the bits of the plain form.
+
         Raises ValueError unless ``z`` holds one value at each of the
         problem's observed nodes, and when the misfit of an iterate is not
         finite, before any step from it: a NaN in f makes it NaN, and the
@@ -509,7 +530,7 @@ def multilevel_run(levels, make_level, on_iteration=None):
     compatible_start, and the final iterate pair of each level is
     interpolated onto the next mesh as its starting point; only the level
     before is held.  A level's boundary map is released before it is
-    yielded.
+    yielded.  A level that fails raises ``MultilevelError(level, cause)``.
     """
     levels = list(levels)
     if not levels or levels[0] != 4 or any(

@@ -2,13 +2,16 @@
 type, a block-tridiagonal factorization, Jacobi-preconditioned CG, and a
 bound on the norm of the discrete gradient.
 
-Every operator assembled on a mesh from ``build_structured`` has its
-nonzero entries on a few fixed diagonals (TriMesh.stencil_offsets), which
-SymmetricStencil stores, and is block tridiagonal in its row-major vertex
-numbering; BlockTridiagonalFactor solves such systems directly.  The
-conjugate gradient solver polishes a solution that misses a relative
-residual target; a singular system (the constants as kernel) is solved
-for a load in its range.
+Every operator assembled on a mesh from ``build_structured`` couples a
+vertex only to its neighbours in its own and the adjacent grid rows, so its
+nonzero entries lie on seven diagonals, 0 and +-offset for the offsets
+1, level+1 and level+2 (TriMesh.stencil_offsets), which SymmetricStencil
+stores, and it is block tridiagonal in the row-major vertex numbering, with
+level+1 blocks of size level+1; BlockTridiagonalFactor solves such systems
+directly, in plain numpy, so the runtime needs no scipy.  The conjugate
+gradient solver polishes a solution that misses a relative residual
+target; a singular system (the constants as kernel) is solved for a load
+in its range.
 """
 
 from __future__ import annotations
@@ -106,10 +109,11 @@ class BlockTridiagonalFactor:
     whose kernel is the constants definite; for a load whose entries sum to
     0, the grounded solution solves the singular system itself.
 
-    Raises ValueError for any other offset or for a coupling from a grid
-    row's last node to the next row (offsets 1 and m + 1; with m = 1, any
-    offset-1 coupling), and FactorizationError if a Schur complement is not
-    positive definite.
+    Raises ValueError for a block size m below 1 or one that does not
+    divide n, for any other offset or for a coupling from a grid row's
+    last node to the next row (offsets 1 and m + 1; with m = 1, any
+    offset-1 coupling), and FactorizationError if a Schur complement is
+    not positive definite.
     """
 
     def __init__(self, A: SymmetricStencil, m: int, ground: bool = False):
@@ -148,7 +152,8 @@ class BlockTridiagonalFactor:
         """Solution of A x = b, for one right-hand side b of shape (n,) or
         an (n, k) block of k of them.  With ``out``, a C-contiguous float
         array of b's shape (b itself, for a solve in place), the sweeps work
-        on an (n_blocks, m, k) view of it and ``out`` is returned."""
+        on an (n_blocks, m, k) view of it and ``out`` is returned; an
+        ``out`` of another shape, type or layout raises ValueError."""
         inv, low = self.inv, self.low
         if out is None:
             out = np.array(b, dtype=float, order="C")
@@ -194,7 +199,8 @@ def cg_solve(A: SymmetricStencil, b: np.ndarray, tol: float = 1e-10,
 
     Raises
     ------
-    CgConvergenceError if the tolerance is not met within max_iter.
+    CgConvergenceError if the start's residual is not finite (a NaN in
+    b or x0), or if the tolerance is not met within max_iter.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -208,6 +214,10 @@ def cg_solve(A: SymmetricStencil, b: np.ndarray, tol: float = 1e-10,
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
     true_rel = np.linalg.norm(r) / bnorm
+    if not math.isfinite(true_rel):  # no iteration can repair it
+        raise CgConvergenceError(
+            f"CG start is not finite: relative residual {true_rel:.3e} "
+            f"(target {tol:.1e})", SolveReport(0, float(true_rel), False))
     total_iter = passes = 0
     # a further pass restarts from the true residual if the recursive one
     # drifted
@@ -252,7 +262,11 @@ def grad_operator_norm(inverse_spacing) -> float:
     Both triangle types of the grid have G_T^T G_T = [[2 c_x^2, -c_x c_y],
     [-c_x c_y, 2 c_y^2]], so lam = c_x^2 + c_y^2 + hypot(c_x^2 - c_y^2,
     c_x c_y): the bound of the stencil the primal-dual loop runs, in
-    closed form, and like 1/h.
+    closed form, and like 1/h.  On (-1, 1)^2 it lies 2-4 % above the exact
+    norm (a dense eigensolver's) at levels 2-16 and equals it at level 1,
+    which costs 1-3 % of the largest certified tau (14.09 against 14.28 at
+    level 8); the default tau = 5 stays certified at every level up to
+    128.
     """
     c_x, c_y = inverse_spacing
     lam = c_x**2 + c_y**2 + math.hypot(c_x**2 - c_y**2, c_x * c_y)

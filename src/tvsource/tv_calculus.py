@@ -42,8 +42,8 @@ def subgradient_witness(mesh: TriMesh, f: P1Field) -> P0VecField:
     return np.sign(elem_gradient(mesh, f))
 
 
-# the clamp's bounds as read-only 0-d arrays: an array operand skips the
-# conversion a Python float pays on every call, with the same bits
+# the clamp's bounds as read-only 0-d arrays, for the reason
+# primal_dual._frozen gives
 _MINUS_ONE, _ONE = np.array(-1.0), np.array(1.0)
 _MINUS_ONE.flags.writeable = _ONE.flags.writeable = False
 

@@ -1,7 +1,9 @@
 import functools
+import os
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from tvsource.experiment import build_benchmark_problem
 from tvsource.fem_assembly import CoefficientSet, NeumannData, div_adjoint
@@ -9,6 +11,13 @@ from tvsource.mesh import SIDE_TAGS, GammaSpec, build_structured
 from tvsource.pde_solvers import DiscreteProblem, ProblemDef
 from tvsource.sparse_linalg import BlockTridiagonalFactor, SymmetricStencil
 from tvsource.tv_calculus import tv_value
+
+# every phase but the shrink, so that a failing property reports its first
+# counterexample at once; opt-in, the default profile is unchanged
+settings.register_profile(
+    "noshrink", phases=[p for p in Phase if p is not Phase.shrink])
+if os.environ.get("HYPOTHESIS_PROFILE") == "noshrink":
+    settings.load_profile("noshrink")
 
 
 @functools.lru_cache(maxsize=None)

@@ -899,7 +899,8 @@ class TestCli:
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(
-            "tvsource: error: CG stalled at relative residual nan")
+            "tvsource: error: CG start is not finite: relative residual "
+            "nan")
 
     def test_factorization_failure_one_line_exit_1(self, tmp_path, capsys,
                                                   monkeypatch):

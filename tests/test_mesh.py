@@ -145,7 +145,9 @@ def test_gradients_exact_on_affine(rng):
 
 
 def test_gamma_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the sides have no default
+        GammaSpec()
+    with pytest.raises(ValueError, match="at least one side"):
         GammaSpec(frozenset())
     with pytest.raises(ValueError):
         GammaSpec(frozenset({"north"}))

@@ -52,6 +52,19 @@ def test_nonconvergence_raises_with_report(rng):
     assert not excinfo.value.report.converged
 
 
+@pytest.mark.parametrize("start", ["x0", "b"])
+def test_a_start_that_is_not_finite_is_refused_as_such(start):
+    # a NaN start is reported as one, before any iteration, not as a stall
+    A, b, x0 = stencil(np.eye(3)), np.ones(3), np.zeros(3)
+    (x0 if start == "x0" else b)[1] = np.nan
+    with pytest.raises(CgConvergenceError,
+                       match="start is not finite: relative residual nan"
+                       ) as excinfo:
+        cg_solve(A, b, x0=x0)
+    assert excinfo.value.report.iterations == 0
+    assert not excinfo.value.report.converged
+
+
 def _structured_operator(level, seed, kind):
     """A random SPD operator on the structured offsets (0, 1, m, m + 1) of
     a level-``level`` mesh, with its block size m, its ``ground`` flag and
